@@ -4,7 +4,11 @@ Writes lexicon.tsv, state_covariates.csv, and fixture_corpus.csv into
 src/sentireg/data/. Lexicon terms are normalized through the same
 preprocessing pipeline the scorer sees, so dictionary hits line up with
 normalized tokens. The corpus seed is searched until the full pipeline
-fit converges without separation or collinearity.
+fit converges without separation or collinearity. All three files are
+written to a temporary directory first and copied into src/sentireg/data/
+together only once a seed is accepted, so a failed search changes nothing.
+
+    python scripts/make_fixtures.py
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "sentireg" / "data"
+FIXTURES = ("lexicon.tsv", "state_covariates.csv", "fixture_corpus.csv")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sentireg import corpus as corpus_mod  # noqa: E402
@@ -140,7 +145,7 @@ ENVELOPES = {
 }
 
 
-def write_lexicon() -> None:
+def write_lexicon(dest: Path) -> None:
     rules = corpus_mod.load_stem_rules(DATA / "stem_rules.tsv")
     lemmas = corpus_mod.load_tsv_map(DATA / "lemmas.tsv")
     normalized: dict[str, float] = {}
@@ -149,17 +154,17 @@ def write_lexicon() -> None:
         term = stream.normalized[0]
         # first writer wins on stem collisions
         normalized.setdefault(term, valence)
-    with open(DATA / "lexicon.tsv", "w", encoding="utf-8") as fh:
+    with open(dest / "lexicon.tsv", "w", encoding="utf-8") as fh:
         fh.write("# Valence lexicon: normalized term<TAB>valence in [-2, +2].\n")
         for term in sorted(normalized):
             fh.write(f"{term}\t{normalized[term]}\n")
     print(f"lexicon.tsv: {len(normalized)} terms")
 
 
-def write_covariates(seed: int = 20200508) -> None:
+def write_covariates(dest: Path, seed: int = 20200508) -> None:
     rng = random.Random(seed)
     states = sorted(REGION_OF_STATE)
-    with open(DATA / "state_covariates.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(dest / "state_covariates.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["state", "FHH_pct", "AFS", "EDU2", "EDU3", "AGE2", "WP", "OCH",
                     "PWHI", "LF", "POPDEN", "CASES", "PR", "MHHI", "GR", "region"])
@@ -213,12 +218,15 @@ def write_corpus_csv(path: Path, docs: list[tuple[str, str, str]]) -> None:
         w.writerows(docs)
 
 
-def pipeline_ok(corpus_path: Path) -> bool:
+def pipeline_ok(stage: Path) -> bool:
+    """Whether the full pipeline on the fixtures staged in `stage` converges
+    without separation."""
     import json
 
     with tempfile.TemporaryDirectory() as tmp:
         config = PipelineConfig(
-            corpus=corpus_path, covariates=DATA / "state_covariates.csv", out=Path(tmp),
+            corpus=stage / "fixture_corpus.csv", covariates=stage / "state_covariates.csv",
+            lexicon=stage / "lexicon.tsv", out=Path(tmp),
         )
         try:
             run_pipeline(config)
@@ -235,22 +243,21 @@ def pipeline_ok(corpus_path: Path) -> bool:
         return True
 
 
-def write_fixture_corpus() -> None:
-    # Candidates are written outside DATA so that a rejected seed never
-    # replaces the frozen fixture.
+def write_fixtures() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        candidate = Path(tmp) / "fixture_corpus.csv"
+        stage = Path(tmp)
+        write_lexicon(stage)
+        write_covariates(stage)
         for seed in range(1, 200):
-            write_corpus_csv(candidate, make_corpus(seed))
+            write_corpus_csv(stage / "fixture_corpus.csv", make_corpus(seed))
             print(f"seed {seed}:")
-            if pipeline_ok(candidate):
-                shutil.copyfile(candidate, DATA / "fixture_corpus.csv")
+            if pipeline_ok(stage):
+                for name in FIXTURES:
+                    shutil.copyfile(stage / name, DATA / name)
                 print(f"fixture_corpus.csv frozen from seed {seed}")
                 return
     raise SystemExit("no workable seed found")
 
 
 if __name__ == "__main__":
-    write_lexicon()
-    write_covariates()
-    write_fixture_corpus()
+    write_fixtures()

@@ -56,8 +56,6 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
                         help="convergence tolerance on the log-likelihood change")
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=100,
                         help="maximum Newton iterations")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the manifest (simulation tests only)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +84,7 @@ def _make_config(args: argparse.Namespace) -> PipelineConfig:
         lexicon=args.lexicon, negators=args.negators, amplifiers=args.amplifiers,
         stopwords=args.stopwords, slang=args.slang, stem_rules=args.stem_rules,
         lemmas=args.lemmas, cutoff=args.cutoff, tol=args.tol,
-        max_iter=args.max_iter, seed=args.seed,
+        max_iter=args.max_iter,
     )
     return config
 

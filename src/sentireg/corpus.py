@@ -3,7 +3,10 @@
 Raw documents come in as CSV rows (id, state, text). Everything downstream
 works on token streams: tokenize, lowercase, drop stopwords/slang, stem or
 lemmatize, then count (bag of words, document-term matrix, n-grams) or tag.
-All functions here are pure; the same input always yields the same output.
+`preprocess` runs those steps in one pass: what becomes of a token depends
+only on its surface form, so a `WordNormalizer` memo normalizes each
+distinct surface once. All functions here are pure; the same input always
+yields the same output.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,6 +39,8 @@ __all__ = [
     "ngrams",
     "pos_tag",
     "preprocess",
+    "NORMALIZERS",
+    "WordNormalizer",
     "load_wordlist",
     "load_tsv_map",
     "load_stem_rules",
@@ -51,6 +57,8 @@ STATE_CODES = frozenset({
 })
 
 POS_TAGS = ("NOUN", "VERB", "ADJ", "ART", "PRON", "OTHER")
+
+NORMALIZERS = ("lemma_then_stem", "lemma", "stem", "none")
 
 
 class SchemaError(ValueError):
@@ -175,12 +183,14 @@ _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
 _URL_RE = re.compile(r"(?<!\S)http\S*", re.IGNORECASE)
 
 
+def _surfaces(text: str) -> list[str]:
+    return _WORD_RE.findall(_URL_RE.sub(" ", text))
+
+
 def tokenize(text: str, doc_id: str = "") -> TokenStream:
     """Split text into tokens, removing URLs, punctuation, and special characters."""
-    cleaned = _URL_RE.sub(" ", text)
     tokens = tuple(
-        Token(surface=m, normalized=m, position=i)
-        for i, m in enumerate(_WORD_RE.findall(cleaned))
+        Token(surface=m, normalized=m, position=i) for i, m in enumerate(_surfaces(text))
     )
     return TokenStream(doc_id=doc_id, tokens=tokens)
 
@@ -200,21 +210,24 @@ def remove_stopwords(stream: TokenStream, stoplist: set[str]) -> TokenStream:
     )
 
 
+def _stem_word(word: str, rules: list[tuple[str, str]], min_stem: int = 3) -> str:
+    for suffix, repl in rules:
+        if word.endswith(suffix) and len(word) > len(suffix):
+            candidate = word[: -len(suffix)] + repl
+            if len(candidate) >= min_stem:
+                return candidate
+    return word
+
+
 def stem(stream: TokenStream, rules: list[tuple[str, str]], min_stem: int = 3) -> TokenStream:
     """Apply the first suffix rule (in table order) that leaves a stem of
     at least min_stem characters; tokens matching no rule pass through."""
-
-    def apply(word: str) -> str:
-        for suffix, repl in rules:
-            if word.endswith(suffix) and len(word) > len(suffix):
-                candidate = word[: -len(suffix)] + repl
-                if len(candidate) >= min_stem:
-                    return candidate
-        return word
-
     return TokenStream(
         doc_id=stream.doc_id,
-        tokens=tuple(replace(t, normalized=apply(t.normalized)) for t in stream.tokens),
+        tokens=tuple(
+            replace(t, normalized=_stem_word(t.normalized, rules, min_stem))
+            for t in stream.tokens
+        ),
     )
 
 
@@ -261,6 +274,41 @@ def pos_tag(stream: TokenStream, tag_lexicon: dict[str, str]) -> PosTaggedStream
     return PosTaggedStream(doc_id=stream.doc_id, pairs=pairs)
 
 
+class WordNormalizer(dict):
+    """Memo from a token's surface form to its normalized form, or to None
+    when the token is dropped. For w = surface.lower(): None if w is a
+    stopword or slang word, else lemmas[w] if the normalizer uses lemmas and
+    w is a hit, else w stemmed if it uses stem rules, else w. The memo holds
+    only for the word lists it was built from: build one per set of lists.
+    """
+
+    def __init__(self, *, stopwords: set[str] | None = None, slang: set[str] | None = None,
+                 stem_rules: list[tuple[str, str]] | None = None,
+                 lemmas: dict[str, str] | None = None, normalizer: str = "lemma_then_stem"):
+        super().__init__()
+        if normalizer not in NORMALIZERS:
+            raise ValueError(f"unknown normalizer {normalizer!r}")
+        self._stopwords = stopwords or set()
+        self._slang = slang or set()
+        self._lemmas = (lemmas or {}) if normalizer in ("lemma_then_stem", "lemma") else {}
+        self._rules = (stem_rules or []) if normalizer in ("lemma_then_stem", "stem") else []
+
+    def __missing__(self, surface: str) -> str | None:
+        word = surface.lower()
+        if word in self._stopwords or word in self._slang:
+            value = None
+        elif word in self._lemmas:
+            value = self._lemmas[word]
+        else:
+            value = _stem_word(word, self._rules)
+        self[surface] = value
+        return value
+
+    def words(self, text: str) -> list[str]:
+        """Normalized forms of the tokens of text that are kept, in order."""
+        return [w for w in map(self.__getitem__, _surfaces(text)) if w is not None]
+
+
 def preprocess(
     text: str,
     *,
@@ -273,74 +321,57 @@ def preprocess(
 ) -> TokenStream:
     """Run the full pipeline: URL strip -> tokenize -> lowercase ->
     stopword/slang removal -> lemmatize and/or stem -> ready for counting.
+    Kept tokens retain their positions in the tokenized text.
 
-    normalizer is one of "lemma_then_stem" (dictionary hits lemmatized,
-    misses stemmed), "lemma", "stem", or "none".
+    normalizer is one of NORMALIZERS: "lemma_then_stem" (dictionary hits
+    lemmatized, misses stemmed), "lemma", "stem", or "none".
     """
-    stream = lowercase(tokenize(text, doc_id=doc_id))
-    if stopwords:
-        stream = remove_stopwords(stream, stopwords)
-    if slang:
-        stream = remove_stopwords(stream, slang)
-    lemmas = lemmas or {}
-    stem_rules = stem_rules or []
-    if normalizer == "lemma_then_stem":
-        hits = tuple(t.normalized in lemmas for t in stream.tokens)
-        stream = lemmatize(stream, lemmas)
-        stemmed = stem(stream, stem_rules)
-        stream = TokenStream(
-            doc_id=stream.doc_id,
-            tokens=tuple(
-                t if hit else s for t, s, hit in zip(stream.tokens, stemmed.tokens, hits)
-            ),
-        )
-    elif normalizer == "lemma":
-        stream = lemmatize(stream, lemmas)
-    elif normalizer == "stem":
-        stream = stem(stream, stem_rules)
-    elif normalizer != "none":
-        raise ValueError(f"unknown normalizer {normalizer!r}")
-    return stream
+    normalize = WordNormalizer(
+        stopwords=stopwords, slang=slang, stem_rules=stem_rules, lemmas=lemmas,
+        normalizer=normalizer,
+    )
+    kept = [(i, s, normalize[s]) for i, s in enumerate(_surfaces(text))]
+    return TokenStream(doc_id=doc_id, tokens=tuple(
+        Token(surface=s, normalized=w, position=i) for i, s, w in kept if w is not None))
+
+
+def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line without its newline) for each line of a UTF-8
+    resource file that is neither blank nor a '#' comment."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line.strip() and not line.startswith("#"):
+                yield lineno, line
+
+
+def _tsv_pairs(path: str | Path, expected: str) -> Iterator[tuple[str, str]]:
+    """The two tab-separated fields of each content line; any other field
+    count is a SchemaError that says the line should be `expected`."""
+    for lineno, line in _content_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise SchemaError(f"{path}:{lineno}: expected {expected}")
+        yield parts[0], parts[1]
 
 
 def load_wordlist(path: str | Path) -> set[str]:
     """Newline-delimited word list; blank lines and '#' comments ignored."""
-    words: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.add(line)
-    return words
+    words = (line.strip() for _, line in _content_lines(path))
+    return {w for w in words if not w.startswith("#")}
 
 
 def load_tsv_map(path: str | Path) -> dict[str, str]:
     """Two-column TSV (key<TAB>value) into a dict; comments and blanks ignored."""
-    mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SchemaError(f"{path}:{lineno}: expected two tab-separated fields")
-            mapping[parts[0]] = parts[1]
-    return mapping
+    return dict(_tsv_pairs(path, "two tab-separated fields"))
 
 
 def load_stem_rules(path: str | Path) -> list[tuple[str, str]]:
     """Ordered suffix rules from a TSV (suffix<TAB>replacement), file order kept."""
     rules: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                parts = [parts[0], ""]
-            if len(parts) != 2 or not parts[0]:
-                raise SchemaError(f"{path}:{lineno}: expected suffix<TAB>replacement")
-            rules.append((parts[0], parts[1]))
+    for lineno, line in _content_lines(path):
+        suffix, _, repl = line.partition("\t")
+        if not suffix or "\t" in repl:
+            raise SchemaError(f"{path}:{lineno}: expected suffix<TAB>replacement")
+        rules.append((suffix, repl))
     return rules

@@ -12,8 +12,10 @@ import hashlib
 import json
 import platform
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,7 +66,6 @@ class PipelineConfig:
     cutoff: float = 0.5
     tol: float = 1e-10
     max_iter: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         self.corpus = Path(self.corpus)
@@ -106,48 +107,44 @@ def _sha256(path: Path) -> str:
 def stage_preprocess(config: PipelineConfig) -> Path:
     """Tokenize and normalize the corpus; writes tokens.csv."""
     loaded = corpus_mod.load_corpus(config.corpus)
-    stopwords = corpus_mod.load_wordlist(config.stopwords)
-    slang = corpus_mod.load_wordlist(config.slang)
-    rules = corpus_mod.load_stem_rules(config.stem_rules)
-    lemmas = corpus_mod.load_tsv_map(config.lemmas)
+    normalize = corpus_mod.WordNormalizer(
+        stopwords=corpus_mod.load_wordlist(config.stopwords),
+        slang=corpus_mod.load_wordlist(config.slang),
+        stem_rules=corpus_mod.load_stem_rules(config.stem_rules),
+        lemmas=corpus_mod.load_tsv_map(config.lemmas),
+    )
     out = config.out / "tokens.csv"
     with open(out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "state", "text_width", "tokens"])
-        for doc in loaded.documents:
-            stream = corpus_mod.preprocess(
-                doc.text, doc_id=doc.id, stopwords=stopwords, slang=slang,
-                stem_rules=rules, lemmas=lemmas,
-            )
-            w.writerow([doc.id, doc.state, doc.text_width, " ".join(stream.normalized)])
+        w.writerows([doc.id, doc.state, doc.text_width, " ".join(normalize.words(doc.text))]
+                    for doc in loaded.documents)
     return out
 
 
-def _read_tokens(path: Path) -> list[tuple[DocRef, corpus_mod.TokenStream]]:
-    if not path.exists():
-        raise FileNotFoundError(path)
-    out = []
+def _read_columns(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
+    """The named columns of each row of a CSV artifact, in the order named."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "state", "text_width", "tokens"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise SchemaError(f"{path}: expected columns {sorted(required)}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or set(columns) - set(header):
+            raise SchemaError(f"{path}: expected columns {sorted(columns)}")
+        pick = itemgetter(*(header.index(c) for c in columns))
         for row in reader:
-            ref = DocRef(id=row["id"], state=row["state"], text_width=int(row["text_width"]))
-            words = row["tokens"].split() if row["tokens"] else []
-            tokens = tuple(
-                corpus_mod.Token(surface=wd, normalized=wd, position=i)
-                for i, wd in enumerate(words)
-            )
-            out.append((ref, corpus_mod.TokenStream(doc_id=ref.id, tokens=tokens)))
-    return out
+            if not row:
+                continue
+            try:
+                yield pick(row)
+            except IndexError:
+                raise SchemaError(f"{path}:{reader.line_num}: malformed row") from None
 
 
 def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
     """Score normalized token streams; writes scored.csv and state_summary.csv."""
     lexicon = sent_mod.load_lexicon(config.lexicon, config.negators, config.amplifiers)
-    records = _read_tokens(config.out / "tokens.csv")
-    scored = [(ref, sent_mod.score(stream, lexicon)) for ref, stream in records]
+    rows = _read_columns(config.out / "tokens.csv", ("id", "state", "text_width", "tokens"))
+    scored = [(DocRef(doc_id, state, int(width)), sent_mod.score(tokens.split(), lexicon))
+              for doc_id, state, width, tokens in rows]
     scored_path = config.out / "scored.csv"
     summary_path = config.out / "state_summary.csv"
     sent_mod.write_scored_csv(scored_path, scored)
@@ -161,17 +158,13 @@ def stage_join(config: PipelineConfig) -> tuple[Path, Path]:
     scored_path = config.out / "scored.csv"
     if not scored_path.exists():
         raise FileNotFoundError(scored_path)
-    refs = {ref.id: ref for ref, _ in _read_tokens(config.out / "tokens.csv")}
+    refs = {doc_id: DocRef(doc_id, state, int(width)) for doc_id, state, width
+            in _read_columns(config.out / "tokens.csv", ("id", "state", "text_width"))}
     pairs = []
-    with open(scored_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "state", "binary"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise SchemaError(f"{scored_path}: expected columns {sorted(required)}")
-        for row in reader:
-            if row["id"] not in refs:
-                raise SchemaError(f"{scored_path}: id {row['id']!r} absent from tokens.csv")
-            pairs.append((refs[row["id"]], int(row["binary"])))
+    for doc_id, _, binary in _read_columns(scored_path, ("id", "state", "binary")):
+        if doc_id not in refs:
+            raise SchemaError(f"{scored_path}: id {doc_id!r} absent from tokens.csv")
+        pairs.append((refs[doc_id], int(binary)))
     covars = tab_mod.load_covariates(config.covariates)
     rows = tab_mod.join(pairs, covars)
     table_path = config.out / "analysis_table.csv"
@@ -340,7 +333,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
         "inputs": {name: _sha256(path) for name, path in config.input_paths().items()},
         "artifacts": {name: _sha256(config.out / name) for name in artifacts},
         "options": {"cutoff": config.cutoff, "tol": config.tol,
-                    "max_iter": config.max_iter, "seed": config.seed},
+                    "max_iter": config.max_iter},
         "versions": {"sentireg": __version__,
                      "python": platform.python_version()},
         "timings_sec": timings,

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .corpus import Document, SchemaError, TokenStream
+from .corpus import Document, TokenStream, _tsv_pairs, load_wordlist
 
 __all__ = [
     "Lexicon",
@@ -90,25 +91,23 @@ def to_binary(label: SentimentClass) -> int:
     return 1 if label is SentimentClass.POSITIVE else 0
 
 
-def score(stream: TokenStream, lexicon: Lexicon) -> SentimentScore:
-    """Score a normalized (lowercased) token stream against the lexicon."""
-    words = stream.normalized
+def score(stream: TokenStream | Sequence[str], lexicon: Lexicon) -> SentimentScore:
+    """Score a normalized (lowercased) token stream, or the sequence of its
+    normalized words, against the lexicon."""
+    words = stream.normalized if isinstance(stream, TokenStream) else stream
+    valences, negators, amplifiers = lexicon.valences, lexicon.negators, lexicon.amplifiers
+    hits = [i for i, word in enumerate(words) if word in valences]
     raw = 0.0
-    matched = 0
-    for i, word in enumerate(words):
-        valence = lexicon.valences.get(word)
-        if valence is None:
-            continue
-        matched += 1
+    for i in hits:
         window = words[max(0, i - SHIFTER_WINDOW) : i]
-        sign = -1.0 if sum(w in lexicon.negators for w in window) % 2 else 1.0
+        sign = -1.0 if sum(w in negators for w in window) % 2 else 1.0
         amp = 1.0
         for w in window:
-            amp *= lexicon.amplifiers.get(w, 1.0)
-        raw += valence * sign * amp
+            amp *= amplifiers.get(w, 1.0)
+        raw += valences[words[i]] * sign * amp
     value = raw / math.sqrt(max(1, len(words)))
     value = max(-2.0, min(2.0, value))
-    return SentimentScore(value=value, label=classify(value), matched_count=matched)
+    return SentimentScore(value=value, label=classify(value), matched_count=len(hits))
 
 
 def aggregate_by_state(
@@ -143,34 +142,11 @@ def load_lexicon(
 ) -> Lexicon:
     """Load a lexicon from TSVs: term<TAB>valence, one negator per line,
     and term<TAB>multiplier."""
-    valences: dict[str, float] = {}
-    with open(valences_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SchemaError(f"{valences_path}:{lineno}: expected term<TAB>valence")
-            valences[parts[0]] = float(parts[1])
-    negators: set[str] = set()
-    if negators_path is not None:
-        with open(negators_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    negators.add(line.split("\t")[0])
-    amplifiers: dict[str, float] = {}
-    if amplifiers_path is not None:
-        with open(amplifiers_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise SchemaError(f"{amplifiers_path}:{lineno}: expected term<TAB>multiplier")
-                amplifiers[parts[0]] = float(parts[1])
+    valences = {term: float(v) for term, v in _tsv_pairs(valences_path, "term<TAB>valence")}
+    negators = set() if negators_path is None else {
+        line.split("\t")[0] for line in load_wordlist(negators_path)}
+    amplifiers = {} if amplifiers_path is None else {
+        term: float(m) for term, m in _tsv_pairs(amplifiers_path, "term<TAB>multiplier")}
     return Lexicon(valences=valences, negators=frozenset(negators), amplifiers=amplifiers)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sentireg.corpus import (
+    NORMALIZERS,
     SchemaError,
     TokenStream,
     bag_of_words,
@@ -242,8 +243,63 @@ class TestPreprocessPipeline:
                        stem_rules=STEM_RULES, lemmas=LEMMAS)
         assert s.normalized == ["economy", "reopen"]
 
+    def test_unknown_normalizer_rejected(self):
+        with pytest.raises(ValueError, match="unknown normalizer"):
+            preprocess("", normalizer="porter")
+
 
 # -- properties -------------------------------------------------------------
+
+def four_pass_preprocess(text, stopwords, slang, normalizer):
+    """preprocess composed from the step-by-step wrappers, one full pass per
+    step; lemma hits are not stemmed."""
+    stream = lowercase(tokenize(text))
+    stream = remove_stopwords(stream, stopwords)
+    stream = remove_stopwords(stream, slang)
+    if normalizer == "lemma":
+        return lemmatize(stream, LEMMAS)
+    if normalizer == "stem":
+        return stem(stream, STEM_RULES)
+    if normalizer == "none":
+        return stream
+    lemmatized = lemmatize(stream, LEMMAS)
+    stemmed = stem(stream, STEM_RULES)
+    return TokenStream(stream.doc_id, tuple(
+        lem if t.normalized in LEMMAS else stm
+        for t, lem, stm in zip(stream.tokens, lemmatized.tokens, stemmed.tokens)
+    ))
+
+
+# Upper case, both apostrophes, digits, '_', hashtags and mentions, URLs,
+# lemma hits, stem-rule suffixes, and characters whose lower() changes
+# length ('İ' lowers to 'i' plus a combining dot). Stop and slang lists are
+# drawn from DROP_WORDS, whose surface forms are sampled as often as the rest.
+DROP_WORDS = ["the", "we", "is", "don't", "reopens", "i̇stanbul", "covid19", "computing"]
+TEXT_FRAGMENTS = sorted(LEMMAS) + [
+    "Reopening", "STUDIES", "Don’t", "snake_case", "#Reopen", "@Gov", "http://t.co/x",
+    "HTTPS://A.b/c", "İNG", "ıng", "Straße",
+]
+fragment_strategy = st.one_of(
+    st.sampled_from(["The", "the", "WE", "is", "Don't", "reopens", "İstanbul", "COVID19",
+                     "#computing"]),
+    st.sampled_from(TEXT_FRAGMENTS),
+    st.sampled_from(sorted(LEMMAS)).map(str.upper),
+    st.text(alphabet="aAeEgGiIİınNsSdD09'’_#@.:/ ", max_size=12),
+)
+droplist_strategy = st.sets(st.sampled_from(DROP_WORDS))
+
+
+@pytest.mark.parametrize("normalizer", NORMALIZERS)
+@given(st.lists(fragment_strategy, max_size=12).map(" ".join),
+       droplist_strategy, droplist_strategy)
+def test_preprocess_equals_four_pass_composition(normalizer, text, stopwords, slang):
+    fast = preprocess(text, stopwords=stopwords, slang=slang, stem_rules=STEM_RULES,
+                      lemmas=LEMMAS, normalizer=normalizer)
+    oracle = four_pass_preprocess(text, stopwords, slang, normalizer)
+    assert [(t.surface, t.normalized, t.position) for t in fast.tokens] == [
+        (t.surface, t.normalized, t.position) for t in oracle.tokens
+    ]
+
 
 words_strategy = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8),

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,6 +143,35 @@ class TestCli:
 
     def test_invalid_cutoff_rejected(self, tmp_path):
         assert main(self._args("run", tmp_path / "out", cutoff="1.5")) == EXIT_SCHEMA
+
+    def test_truncated_tokens_row_is_schema_error(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "tokens.csv").write_text("id,state,text_width,tokens\na,NC,5,great\nb,NC\n",
+                                        encoding="utf-8")
+        assert main(["score", "--out", str(out)]) == EXIT_SCHEMA
+
+    def test_preprocess_uses_each_calls_word_lists(self, tmp_path):
+        # Two preprocess calls in one process must not share normalizations:
+        # each writes what a fresh process writes for its own stopword list.
+        stoplists = {"empty": tmp_path / "empty.txt",
+                     "bundled": default_data_path("stopwords.txt")}
+        stoplists["empty"].write_text("# no stopwords\n", encoding="utf-8")
+        src = str(Path(sentireg.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        tokens = {}
+        for name, stoplist in stoplists.items():
+            out = tmp_path / name
+            assert main(["preprocess", "--corpus", str(CORPUS), "--out", str(out),
+                         "--stopwords", str(stoplist)]) == EXIT_OK
+            fresh = tmp_path / f"{name}-fresh"
+            subprocess.run([sys.executable, "-m", "sentireg.cli", "preprocess",
+                            "--corpus", str(CORPUS), "--out", str(fresh),
+                            "--stopwords", str(stoplist)], env=env, check=True, timeout=120)
+            tokens[name] = (out / "tokens.csv").read_bytes()
+            assert tokens[name] == (fresh / "tokens.csv").read_bytes()
+        assert tokens["empty"] != tokens["bundled"]
 
 
 class TestStageOutputs:
