@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("run", "run the full pipeline and write every artifact"),
         ("preprocess", "tokenize/normalize the corpus into tokens.csv"),
         ("score", "score tokens.csv into scored.csv and state_summary.csv"),
-        ("join", "join scored.csv with covariates into analysis_table.csv"),
-        ("fit", "fit the logit on analysis_table.csv"),
+        ("join", "join scored.csv with covariates into analysis_table.csv and patterns.csv"),
+        ("fit", "fit the logit on patterns.csv"),
         ("diagnose", "goodness-of-fit, classification, QQ, and margins for a fit"),
     ]:
         p = sub.add_parser(name, help=help_text)

@@ -3,6 +3,10 @@
 Covers Pearson chi-square over covariate patterns, the classification
 summary at a probability cutoff, a plot-ready normal QQ table of Pearson
 residuals, and average marginal effects with delta-method standard errors.
+
+Every function that takes a DesignMatrix weights its rows by the design's
+m, so a design of covariate patterns gives the same results as the
+row-level design it summarizes.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .logit import DesignMatrix, LogitFit, classify_threshold, predict_prob
+from .atomic import atomic_open
+from .logit import DegenerateFitError, DesignMatrix, LogitFit, classify_threshold, predict_prob
 from .special import chi2_sf, norm_ppf, two_sided_p
 
 __all__ = [
@@ -34,7 +39,7 @@ __all__ = [
 @dataclass(frozen=True)
 class CovariatePattern:
     pattern_index: int
-    row_indices: tuple[int, ...]
+    row_indices: tuple[int, ...]  # rows of the row-level table; empty if read as counts
     m: int        # pattern size
     y_sum: int    # observed successes within the pattern
     p_hat: float  # fitted probability (constant within the pattern)
@@ -107,7 +112,7 @@ def pearson_chi2(
     for pat in patterns:
         denom = pat.m * pat.p_hat * (1.0 - pat.p_hat)
         if denom == 0.0 or pat.p_hat in (0.0, 1.0):
-            raise ValueError(
+            raise DegenerateFitError(
                 f"degenerate fitted probability {pat.p_hat} in pattern {pat.pattern_index}"
             )
         chi2 += (pat.y_sum - pat.m * pat.p_hat) ** 2 / denom
@@ -119,15 +124,20 @@ def pearson_chi2(
 def classification_summary(
     result: LogitFit, data: DesignMatrix, cutoff: float = 0.5
 ) -> ClassificationSummary:
-    """Confusion counts and rates at the given probability cutoff."""
+    """Confusion counts and rates at the given probability cutoff.
+
+    Each row of data counts m times, y of them positive; a stand-in for
+    data without m is taken to hold single observations.
+    """
     p = predict_prob(data.X, result.beta)
-    yhat = classify_threshold(p, cutoff)
-    y = data.y.astype(int)
-    tp = int(np.sum((yhat == 1) & (y == 1)))
-    tn = int(np.sum((yhat == 0) & (y == 0)))
-    fp = int(np.sum((yhat == 1) & (y == 0)))
-    fn = int(np.sum((yhat == 0) & (y == 1)))
-    n = len(y)
+    positive = classify_threshold(p, cutoff) == 1
+    y = data.y
+    negatives = getattr(data, "m", 1.0) - y
+    tp = int(np.sum(y[positive]))
+    tn = int(np.sum(negatives[~positive]))
+    fp = int(np.sum(negatives[positive]))
+    fn = int(np.sum(y[~positive]))
+    n = tp + tn + fp + fn
     return ClassificationSummary(
         tp=tp, tn=tn, fp=fp, fn=fn,
         accuracy=(tp + tn) / n,
@@ -147,7 +157,7 @@ def qq_export(patterns: list[CovariatePattern]) -> list[tuple[float, float]]:
     for pat in patterns:
         denom = math.sqrt(pat.m * pat.p_hat * (1.0 - pat.p_hat))
         if denom == 0.0:
-            raise ValueError(
+            raise DegenerateFitError(
                 f"degenerate fitted probability {pat.p_hat} in pattern {pat.pattern_index}"
             )
         residuals.append((pat.y_sum - pat.m * pat.p_hat) / denom)
@@ -156,30 +166,21 @@ def qq_export(patterns: list[CovariatePattern]) -> list[tuple[float, float]]:
     return [(norm_ppf((i + 0.5) / j), residuals[i]) for i in range(j)]
 
 
-def _ame_vector(beta: np.ndarray, X: np.ndarray, targets: list[tuple[int, str]]) -> np.ndarray:
-    """Average marginal effects at beta for the given (column, kind) targets."""
-    p = predict_prob(X, beta)
-    out = np.empty(len(targets))
-    for t, (j, kind) in enumerate(targets):
-        if kind == "continuous":
-            out[t] = beta[j] * float(np.mean(p * (1.0 - p)))
-        else:  # discrete: average counterfactual 0 -> 1 change
-            X1 = X.copy()
-            X1[:, j] = 1.0
-            X0 = X.copy()
-            X0[:, j] = 0.0
-            out[t] = float(np.mean(predict_prob(X1, beta) - predict_prob(X0, beta)))
-    return out
-
-
 def marginal_effects(
     result: LogitFit, data: DesignMatrix, kinds: dict[str, str]
 ) -> list[MarginalEffect]:
     """Average marginal effects for every non-intercept predictor.
 
     kinds maps each predictor name to "continuous" (derivative form) or
-    "discrete" (0 -> 1 counterfactual change). Standard errors come from
-    the delta method with a finite-difference Jacobian against fit.cov.
+    "discrete" (0 -> 1 counterfactual change). Averages weight each row by
+    its m. Standard errors come from the delta method with the closed-form
+    Jacobian against fit.cov (Dowd, Greene & Norton, Health Serv. Res. 2014),
+    with w = p(1 - p) and averages over observations:
+
+    - continuous, AME_j = beta_j * mean(w):
+      dAME_j/dbeta = e_j * mean(w) + beta_j * mean(w (1 - 2p) x)
+    - discrete, AME_j = mean(p1 - p0), with p1 and p0 at x_j = 1 and 0:
+      dAME_j/dbeta = mean(w1 x1 - w0 x0)
     """
     targets = []
     for j, name in enumerate(result.names):
@@ -191,17 +192,27 @@ def marginal_effects(
             raise ValueError(f"unknown kind {kinds[name]!r} for variable {name!r}")
         targets.append((j, kinds[name]))
 
-    beta = result.beta
-    ame = _ame_vector(beta, data.X, targets)
-
-    # Jacobian d(AME)/d(beta) by central differences, relative step 1e-6.
+    beta, X = result.beta, data.X
+    weight = data.m / data.n_obs
+    p = predict_prob(X, beta)
+    w = p * (1.0 - p)
+    mean_w = float(weight @ w)
+    dw = (weight * w * (1.0 - 2.0 * p)) @ X   # mean(w (1 - 2p) x)
+    ame = np.empty(len(targets))
     jac = np.empty((len(targets), len(beta)))
-    for l in range(len(beta)):
-        h = 1e-6 * max(1.0, abs(beta[l]))
-        bp, bm = beta.copy(), beta.copy()
-        bp[l] += h
-        bm[l] -= h
-        jac[:, l] = (_ame_vector(bp, data.X, targets) - _ame_vector(bm, data.X, targets)) / (2 * h)
+    for t, (j, kind) in enumerate(targets):
+        if kind == "continuous":
+            ame[t] = beta[j] * mean_w
+            jac[t] = beta[j] * dw
+            jac[t, j] += mean_w
+        else:
+            X1 = X.copy()
+            X1[:, j] = 1.0
+            X0 = X.copy()
+            X0[:, j] = 0.0
+            p1, p0 = predict_prob(X1, beta), predict_prob(X0, beta)
+            ame[t] = float(weight @ (p1 - p0))
+            jac[t] = (weight * p1 * (1.0 - p1)) @ X1 - (weight * p0 * (1.0 - p0)) @ X0
     var = jac @ result.cov @ jac.T
     se = np.sqrt(np.maximum(np.diag(var), 0.0))
 
@@ -217,7 +228,7 @@ def marginal_effects(
 
 
 def write_margins_csv(path: str | Path, effects: list[MarginalEffect]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(["variable", "kind", "dydx", "std_err", "z", "p"])
         for e in effects:
@@ -226,7 +237,7 @@ def write_margins_csv(path: str | Path, effects: list[MarginalEffect]) -> None:
 
 
 def write_qq_csv(path: str | Path, pairs: list[tuple[float, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(["theoretical_quantile", "pearson_residual"])
         for theo, resid in pairs:

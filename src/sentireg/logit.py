@@ -4,6 +4,13 @@ The optimizer is plain Newton-Raphson on the log-likelihood with
 step-halving, which for the logistic link is the same as iteratively
 reweighted least squares. Starting point is beta = 0; convergence is
 declared when the log-likelihood change drops below tol.
+
+Rows may be covariate patterns: row i then stands for m[i] observations
+with the same covariates, y[i] of them positive. The grouped-binomial
+likelihood has the same maximizer and information matrix as the
+row-level Bernoulli likelihood of the expanded rows (McCullagh & Nelder,
+Generalized Linear Models), so one solver serves both; single rows are
+the case m = 1.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ __all__ = [
     "NonIdentifiableError",
     "CollinearityError",
     "PerfectSeparationError",
+    "DegenerateFitError",
     "predict_prob",
     "log_odds",
     "log_likelihood",
@@ -56,27 +64,35 @@ class PerfectSeparationError(EstimationError):
     """A linear combination of predictors classifies y exactly; the MLE diverges."""
 
 
+class DegenerateFitError(EstimationError, ValueError):
+    """A fitted probability is exactly 0 or 1, as under quasi-complete separation."""
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
-    X: np.ndarray          # N x (k+1), leading column of ones
-    y: np.ndarray          # N, values in {0, 1}
+    X: np.ndarray          # rows x (k+1), leading column of ones
+    y: np.ndarray          # positives per row, 0 <= y <= m
     names: tuple[str, ...]  # k+1 column labels, intercept first
+    m: np.ndarray | None = None  # observations per row; None means all ones
 
     def __post_init__(self):
         X, y = np.asarray(self.X, dtype=float), np.asarray(self.y, dtype=float)
+        n, p = X.shape
+        m = np.ones(n) if self.m is None else np.asarray(self.m, dtype=float)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        n, p = X.shape
+        object.__setattr__(self, "m", m)
         if len(self.names) != p:
             raise ValueError("names must match the number of columns")
-        if y.shape != (n,):
-            raise ValueError("y length must match the number of rows")
-        if not n > p:
-            raise ValueError(f"need more observations ({n}) than parameters ({p})")
+        if y.shape != (n,) or m.shape != (n,):
+            raise ValueError("y and m lengths must match the number of rows")
+        if not np.all((m >= 1) & (m == np.floor(m))):
+            raise ValueError("m must hold positive whole observation counts")
+        if not self.n_obs > p:
+            raise ValueError(f"need more observations ({self.n_obs}) than parameters ({p})")
         if not np.all(np.isfinite(X)):
             raise ValueError("design matrix contains non-finite entries")
-        if not np.all((y == 0) | (y == 1)):
-            raise ValueError("response must be binary 0/1")
+        _check_response(y, m)
         if not np.all(X[:, 0] == 1.0):
             raise ValueError("first column must be the intercept (all ones)")
         for j in range(1, p):
@@ -87,6 +103,11 @@ class DesignMatrix:
     def k(self) -> int:
         """Number of predictors, excluding the intercept."""
         return self.X.shape[1] - 1
+
+    @property
+    def n_obs(self) -> int:
+        """Number of observations, the sum of m."""
+        return int(self.m.sum())
 
 
 @dataclass(frozen=True)
@@ -132,20 +153,25 @@ def log_odds(p):
     return float(out) if out.ndim == 0 else out
 
 
-def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    """Bernoulli log-likelihood, computed as sum(y*eta - softplus(eta))."""
+def _check_response(y: np.ndarray, m) -> None:
+    if not np.all((y >= 0) & (y <= m) & (y == np.floor(y))):
+        raise ValueError("response must count positives, 0 <= y <= m (binary 0/1 when m = 1)")
+
+
+def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray, m=1.0) -> float:
+    """Log-likelihood sum(y*eta - m*softplus(eta)): Bernoulli for m = 1,
+    grouped binomial (without the constant binomial coefficients) otherwise."""
     y = np.asarray(y, dtype=float)
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("response must be binary 0/1")
+    _check_response(y, m)
     eta = np.asarray(X, dtype=float) @ np.asarray(beta, dtype=float)
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    return float(np.sum(y * eta - m * np.logaddexp(0.0, eta)))
 
 
-def _intercept_only_ll(y: np.ndarray) -> tuple[float, float]:
+def _intercept_only_ll(y: np.ndarray, m: np.ndarray) -> tuple[float, float]:
     """Closed-form intercept-only MLE: beta0 = logit(ybar), and its log-likelihood."""
-    ybar = float(np.mean(y))
+    n = float(m.sum())
+    ybar = float(y.sum()) / n
     beta0 = math.log(ybar / (1.0 - ybar))
-    n = len(y)
     ll0 = n * (ybar * math.log(ybar) + (1.0 - ybar) * math.log(1.0 - ybar))
     return beta0, ll0
 
@@ -168,59 +194,56 @@ def _check_rank(A: np.ndarray, names: tuple[str, ...]) -> None:
 def fit(data: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) -> LogitFit:
     """Maximize the log-likelihood by Newton-Raphson with step-halving.
 
-    Raises NonIdentifiableError for a single-class response,
-    CollinearityError when X'WX is rank deficient, and
+    X'WX is built once at each iterate; the one at the final beta gives
+    the covariance. Raises NonIdentifiableError for a single-class
+    response, CollinearityError when X'WX is rank deficient, and
     PerfectSeparationError when the coefficients run away.
     """
-    X, y, names = data.X, data.y, data.names
-    if np.all(y == y[0]):
+    X, y, m, names = data.X, data.y, data.m, data.names
+    if np.all(y == 0) or np.all(y == m):
         raise NonIdentifiableError("response contains a single class")
 
     beta = np.zeros(X.shape[1])
-    ll = log_likelihood(beta, X, y)
+    ll = log_likelihood(beta, X, y, m)
     converged = False
-    n_iter = 0
     grew = False
-    for n_iter in range(1, max_iter + 1):
+    n_iter = 0
+    while True:
         p = predict_prob(X, beta)
-        w = p * (1.0 - p)
+        w = m * p * (1.0 - p)
         A = X.T @ (X * w[:, None])
+        last = converged or n_iter == max_iter
+        if last and np.max(np.abs(beta)) > _SEPARATION_BETA and grew:
+            raise PerfectSeparationError(
+                f"coefficients diverging (max |beta| = {np.max(np.abs(beta)):.3g} "
+                f"after {n_iter} iterations)"
+            )
         _check_rank(A, names)
-        delta = np.linalg.solve(A, X.T @ (y - p))
+        if last:
+            break
+        delta = np.linalg.solve(A, X.T @ (y - m * p))
         step = 1.0
         beta_new = beta + delta
-        ll_new = log_likelihood(beta_new, X, y)
+        ll_new = log_likelihood(beta_new, X, y, m)
         while ll_new < ll and step > 1e-12:
             step *= 0.5
             beta_new = beta + step * delta
-            ll_new = log_likelihood(beta_new, X, y)
+            ll_new = log_likelihood(beta_new, X, y, m)
+        n_iter += 1
         grew = np.max(np.abs(beta_new)) > np.max(np.abs(beta)) + 1e-3
-        done = abs(ll_new - ll) < tol
+        converged = abs(ll_new - ll) < tol
         beta, ll = beta_new, ll_new
-        if done:
-            converged = True
-            break
 
-    if np.max(np.abs(beta)) > _SEPARATION_BETA and grew:
-        raise PerfectSeparationError(
-            f"coefficients diverging (max |beta| = {np.max(np.abs(beta)):.3g} "
-            f"after {n_iter} iterations)"
-        )
-
-    p = predict_prob(X, beta)
-    w = p * (1.0 - p)
-    A = X.T @ (X * w[:, None])
-    _check_rank(A, names)
     cov = np.linalg.inv(A)
     cov = (cov + cov.T) / 2.0
     std_err = np.sqrt(np.diag(cov))
     z = beta / std_err
     pvals = np.array([two_sided_p(zj) for zj in z])
-    _, ll0 = _intercept_only_ll(y)
+    _, ll0 = _intercept_only_ll(y, m)
 
     return LogitFit(
         names=names, beta=beta, cov=cov, std_err=std_err, z=z, p=pvals,
-        ll=ll, ll0=ll0, n_obs=len(y), n_iter=n_iter, converged=converged,
+        ll=ll, ll0=ll0, n_obs=data.n_obs, n_iter=n_iter, converged=converged,
     )
 
 

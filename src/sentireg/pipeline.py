@@ -1,8 +1,11 @@
 """File-based pipeline: ingest -> preprocess -> score -> join -> fit -> diagnose.
 
 Each stage reads the previous stage's artifact and writes its own, so a
-monolithic run and a staged run produce byte-identical files. The run
-manifest records content hashes of every input and artifact.
+monolithic run and a staged run produce byte-identical files. Join writes
+the row-level analysis_table.csv and its covariate patterns, patterns.csv;
+fit and diagnose read only patterns.csv. Every artifact is written
+atomically. The run manifest records content hashes of every input and
+artifact.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from . import diagnostics as diag_mod
 from . import logit as logit_mod
 from . import sentiment as sent_mod
 from . import tabulate as tab_mod
+from .atomic import atomic_open
 from .corpus import SchemaError
 
 __all__ = [
@@ -114,7 +118,7 @@ def stage_preprocess(config: PipelineConfig) -> Path:
         lemmas=corpus_mod.load_tsv_map(config.lemmas),
     )
     out = config.out / "tokens.csv"
-    with open(out, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(out) as fh:
         w = csv.writer(fh)
         w.writerow(["id", "state", "text_width", "tokens"])
         w.writerows([doc.id, doc.state, doc.text_width, " ".join(normalize.words(doc.text))]
@@ -152,9 +156,9 @@ def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
     return scored_path, summary_path
 
 
-def stage_join(config: PipelineConfig) -> tuple[Path, Path]:
-    """Join scored documents with state covariates; writes analysis_table.csv
-    and descriptives.csv."""
+def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
+    """Join scored documents with state covariates; writes analysis_table.csv,
+    descriptives.csv and patterns.csv."""
     scored_path = config.out / "scored.csv"
     if not scored_path.exists():
         raise FileNotFoundError(scored_path)
@@ -166,20 +170,23 @@ def stage_join(config: PipelineConfig) -> tuple[Path, Path]:
             raise SchemaError(f"{scored_path}: id {doc_id!r} absent from tokens.csv")
         pairs.append((refs[doc_id], int(binary)))
     covars = tab_mod.load_covariates(config.covariates)
-    rows = tab_mod.join(pairs, covars)
+    table = tab_mod.join(pairs, covars)
     table_path = config.out / "analysis_table.csv"
     desc_path = config.out / "descriptives.csv"
-    tab_mod.write_analysis_csv(table_path, rows)
-    tab_mod.write_descriptives_csv(desc_path, tab_mod.descriptive_stats(rows))
-    return table_path, desc_path
+    patterns_path = config.out / "patterns.csv"
+    tab_mod.write_analysis_csv(table_path, table)
+    tab_mod.write_descriptives_csv(desc_path, tab_mod.descriptive_stats(table))
+    tab_mod.write_patterns_csv(patterns_path, table)
+    return table_path, desc_path, patterns_path
 
 
-def build_design(rows: list[tab_mod.AnalysisRow]) -> logit_mod.DesignMatrix:
-    """Analysis rows -> design matrix with intercept, in the report's column order."""
-    data = np.array([r.as_tuple() for r in rows], dtype=float)
-    X = np.column_stack([np.ones(len(rows)), data[:, 1:]])
+def read_design(config: PipelineConfig) -> logit_mod.DesignMatrix:
+    """patterns.csv -> grouped design matrix with intercept, one row per
+    covariate pattern, in the report's column order."""
+    X, m, y_sum = tab_mod.read_patterns_csv(config.out / "patterns.csv")
     return logit_mod.DesignMatrix(
-        X=X, y=data[:, 0], names=("Constant",) + tab_mod.ANALYSIS_COLUMNS[1:]
+        X=np.column_stack([np.ones(len(m)), X]), y=y_sum, m=m,
+        names=("Constant",) + tab_mod.ANALYSIS_COLUMNS[1:],
     )
 
 
@@ -246,17 +253,18 @@ def _human_report(report: dict) -> str:
 def _write_reports(config: PipelineConfig, report: dict) -> tuple[Path, Path]:
     json_path = config.out / "fit_report.json"
     txt_path = config.out / "fit_report.txt"
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with atomic_open(json_path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    txt_path.write_text(_human_report(report), encoding="utf-8")
+    with atomic_open(txt_path) as fh:
+        fh.write(_human_report(report))
     return json_path, txt_path
 
 
 def stage_fit(config: PipelineConfig) -> tuple[Path, Path]:
-    """Fit the binary logit; writes fit_report.json and fit_report.txt."""
-    rows = tab_mod.read_analysis_csv(config.out / "analysis_table.csv")
-    design = build_design(rows)
+    """Fit the binary logit on patterns.csv; writes fit_report.json and
+    fit_report.txt."""
+    design = read_design(config)
     result = logit_mod.fit(design, tol=config.tol, max_iter=config.max_iter)
     return _write_reports(config, fit_report_dict(result))
 
@@ -269,11 +277,13 @@ def stage_diagnose(config: PipelineConfig) -> tuple[Path, Path]:
         raise FileNotFoundError(report_path)
     report = json.loads(report_path.read_text(encoding="utf-8"))
     result = fit_from_report(report)
-    rows = tab_mod.read_analysis_csv(config.out / "analysis_table.csv")
-    design = build_design(rows)
+    design = read_design(config)
 
+    # The design's rows are the covariate patterns already; no regrouping.
     p = logit_mod.predict_prob(design.X, result.beta)
-    patterns = diag_mod.covariate_patterns(design.X, y=design.y, p=p)
+    patterns = [diag_mod.CovariatePattern(j, (), int(m), int(y_sum), p_hat)
+                for j, (m, y_sum, p_hat)
+                in enumerate(zip(design.m.tolist(), design.y.tolist(), p.tolist()))]
     pearson = diag_mod.pearson_chi2(result, patterns)
     cls = diag_mod.classification_summary(result, design, cutoff=config.cutoff)
     effects = diag_mod.marginal_effects(result, design, MARGIN_KINDS)
@@ -327,7 +337,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
         timings[name] = time.perf_counter() - start
 
     artifacts = ["tokens.csv", "scored.csv", "state_summary.csv", "analysis_table.csv",
-                 "descriptives.csv", "fit_report.json", "fit_report.txt",
+                 "descriptives.csv", "patterns.csv", "fit_report.json", "fit_report.txt",
                  "margins.csv", "qq.csv"]
     manifest = {
         "inputs": {name: _sha256(path) for name, path in config.input_paths().items()},
@@ -338,7 +348,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
                      "python": platform.python_version()},
         "timings_sec": timings,
     }
-    with open(config.out / "run_manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_open(config.out / "run_manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return config.out

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .atomic import atomic_open
 from .corpus import Document, TokenStream, _tsv_pairs, load_wordlist
 
 __all__ = [
@@ -153,7 +154,7 @@ def load_lexicon(
 def write_scored_csv(
     path: str | Path, scored: list[tuple[Document, SentimentScore]]
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(["id", "state", "score", "class", "binary"])
         for doc, s in scored:
@@ -163,7 +164,7 @@ def write_scored_csv(
 def write_state_summary_csv(
     path: str | Path, summaries: list[StateSentimentSummary]
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(["state", "n_docs", "mean_score", "share_positive",
                     "share_negative", "share_neutral"])

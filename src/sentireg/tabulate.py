@@ -4,17 +4,27 @@ Fourteen state-level predictors are joined onto each scored document by
 its state code. Family-household percentage and population density enter
 the model as natural logs; Census region enters as three dummies with
 South as the omitted baseline.
+
+Every regressor but TW is a state value, so the joined table has few
+distinct covariate rows. `join` builds each one once and keeps the table
+as covariate patterns (distinct rows, numbered by first occurrence) plus
+each document's pattern and outcome. The row-level analysis_table.csv is
+written from that, and patterns.csv holds each pattern with its row count
+m and its number of positive rows y_sum.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from .atomic import atomic_open
 from .corpus import Document, STATE_CODES, SchemaError
 
 __all__ = [
@@ -22,13 +32,18 @@ __all__ = [
     "REGION_OF_STATE",
     "StateCovariates",
     "AnalysisRow",
+    "AnalysisTable",
+    "Patterns",
     "ANALYSIS_COLUMNS",
+    "PATTERN_COLUMNS",
     "load_covariates",
     "region_dummies",
     "join",
     "descriptive_stats",
     "write_analysis_csv",
     "read_analysis_csv",
+    "write_patterns_csv",
+    "read_patterns_csv",
     "write_descriptives_csv",
 ]
 
@@ -123,9 +138,6 @@ class AnalysisRow:
     MHHI: float
     GR: float
 
-    def as_tuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in ANALYSIS_COLUMNS)
-
 
 _COVARIATE_COLUMNS = (
     "state", "FHH_pct", "AFS", "EDU2", "EDU3", "AGE2", "WP", "OCH", "PWHI",
@@ -174,55 +186,124 @@ def region_dummies(region: str) -> tuple[int, int, int]:
     return (int(region == "Northeast"), int(region == "Midwest"), int(region == "West"))
 
 
+class Patterns(NamedTuple):
+    """Covariate patterns: distinct covariate rows with their counts."""
+    X: np.ndarray      # patterns x predictors, ANALYSIS_COLUMNS[1:] order
+    m: np.ndarray      # rows with this covariate vector
+    y_sum: np.ndarray  # of those, rows with sentiment 1
+
+
+class AnalysisTable(Sequence):
+    """The joined table, one AnalysisRow per document, stored by pattern.
+
+    covariates[j] holds pattern j's values in ANALYSIS_COLUMNS[1:] order
+    and text[j] the same values as analysis_table.csv writes them; row i
+    has covariates pattern[i] and outcome y[i].
+    """
+
+    def __init__(self, covariates: list[tuple], text: list[str],
+                 pattern: np.ndarray, y: np.ndarray):
+        self.covariates = covariates
+        self.text = text
+        self.pattern = pattern
+        self.y = y
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, i: int) -> AnalysisRow:
+        return AnalysisRow(int(self.y[i]), *self.covariates[self.pattern[i]])
+
+    @property
+    def patterns(self) -> Patterns:
+        n = len(self.text)
+        return Patterns(
+            X=np.array(self.covariates, dtype=float).reshape(n, len(ANALYSIS_COLUMNS) - 1),
+            m=np.bincount(self.pattern, minlength=n),
+            y_sum=np.bincount(self.pattern, weights=self.y, minlength=n).astype(int),
+        )
+
+
+# csv.writer's default line terminator; the CSV artifacts all end rows with it.
+_EOL = "\r\n"
+
+PATTERN_COLUMNS = ("m", "y_sum") + ANALYSIS_COLUMNS[1:]
+
+
+def _covariate_values(c: StateCovariates, text_width: int) -> tuple:
+    """One document's regressors, in ANALYSIS_COLUMNS[1:] order."""
+    return (float(text_width), *region_dummies(c.region), math.log(c.FHH_pct), c.AFS,
+            c.EDU2, c.EDU3, c.AGE2, c.WP, c.OCH, c.PWHI, c.LF, math.log(c.POPDEN),
+            c.CASES, c.PR, c.MHHI, c.GR)
+
+
 def join(
     scored: list[tuple[Document, int]],
     covars: dict[str, StateCovariates],
-) -> list[AnalysisRow]:
+) -> AnalysisTable:
     """Attach state covariates to each (document, binary sentiment) pair.
 
-    Any document whose state has no covariate row is a hard error; the
-    message lists every missing state so the gap is auditable.
+    Each distinct (state, text width) is built once. Patterns are keyed by
+    their CSV text, which tells two covariate vectors apart exactly when
+    their float values differ (repr round-trips). Any document whose state
+    has no covariate row is a hard error; the message lists every missing
+    state so the gap is auditable.
     """
-    missing = sorted({doc.state for doc, _ in scored if doc.state not in covars})
+    by_doc: dict[tuple[str, int], int] = {}
+    by_text: dict[str, int] = {}
+    covariates: list[tuple] = []
+    pattern: list[int] = []
+    missing: set[str] = set()
+    for doc, _ in scored:
+        key = (doc.state, doc.text_width)
+        j = by_doc.get(key)
+        if j is None:
+            if doc.state not in covars:
+                missing.add(doc.state)
+                continue
+            values = _covariate_values(covars[doc.state], doc.text_width)
+            text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+            j = by_doc[key] = by_text.setdefault(text, len(by_text))
+            if j == len(covariates):
+                covariates.append(values)
+        pattern.append(j)
     if missing:
-        raise SchemaError(f"no covariate row for state(s): {missing}")
-    rows = []
-    for doc, y in scored:
-        c = covars[doc.state]
-        ne, mw, west = region_dummies(c.region)
-        rows.append(AnalysisRow(
-            sentiment=int(y), TW=float(doc.text_width), NE=ne, MW=mw, WEST=west,
-            L_FHH=math.log(c.FHH_pct), AFS=c.AFS, EDU2=c.EDU2, EDU3=c.EDU3,
-            AGE2=c.AGE2, WP=c.WP, OCH=c.OCH, PWHI=c.PWHI, LF=c.LF,
-            L_POPDEN=math.log(c.POPDEN), CASES=c.CASES, PR=c.PR,
-            MHHI=c.MHHI, GR=c.GR,
-        ))
-    return rows
+        raise SchemaError(f"no covariate row for state(s): {sorted(missing)}")
+    return AnalysisTable(covariates, list(by_text), np.array(pattern, dtype=np.intp),
+                         np.array([int(y) for _, y in scored], dtype=np.int64))
 
 
-def descriptive_stats(rows: list[AnalysisRow]) -> dict[str, dict[str, float]]:
-    """Per-variable mean, sample sd (n-1), min, max over the analysis table."""
-    if len(rows) < 2:
+def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:
+    """Per-variable mean, sample sd (n-1), min, max over the analysis table's
+    rows, computed once per distinct value with its row count as weight."""
+    n = len(table)
+    if n < 2:
         raise ValueError("descriptive statistics need at least 2 rows")
-    data = np.array([r.as_tuple() for r in rows], dtype=float)
+    X, m, y_sum = table.patterns
+    positives = float(y_sum.sum())
+    columns = {"sentiment": (np.array([0.0, 1.0]), np.array([n - positives, positives]))}
+    for j, name in enumerate(ANALYSIS_COLUMNS[1:]):
+        columns[name] = (X[:, j], m.astype(float))
     stats = {}
-    for j, name in enumerate(ANALYSIS_COLUMNS):
-        col = data[:, j]
+    for name, (x, w) in columns.items():
+        x, w = x[w > 0], w[w > 0]
+        mean = float(w @ x) / n
         stats[name] = {
-            "mean": float(col.mean()),
-            "sd": float(col.std(ddof=1)),
-            "min": float(col.min()),
-            "max": float(col.max()),
+            "mean": mean,
+            "sd": math.sqrt(float(w @ (x - mean) ** 2) / (n - 1)),
+            "min": float(x.min()),
+            "max": float(x.max()),
         }
     return stats
 
 
-def write_analysis_csv(path: str | Path, rows: list[AnalysisRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(ANALYSIS_COLUMNS)
-        for r in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in r.as_tuple()])
+def write_analysis_csv(path: str | Path, table: AnalysisTable) -> None:
+    """One line per document: its outcome, then its pattern's CSV text."""
+    text = table.text
+    with atomic_open(path) as fh:
+        fh.write(",".join(ANALYSIS_COLUMNS) + _EOL)
+        fh.writelines(f"{y},{text[j]}{_EOL}"
+                      for y, j in zip(table.y.tolist(), table.pattern.tolist()))
 
 
 def read_analysis_csv(path: str | Path) -> list[AnalysisRow]:
@@ -246,8 +327,35 @@ def read_analysis_csv(path: str | Path) -> list[AnalysisRow]:
     return rows
 
 
+def write_patterns_csv(path: str | Path, table: AnalysisTable) -> None:
+    """One line per covariate pattern, in pattern order: m, y_sum, then the
+    covariates as analysis_table.csv writes them."""
+    patterns = table.patterns
+    with atomic_open(path) as fh:
+        fh.write(",".join(PATTERN_COLUMNS) + _EOL)
+        fh.writelines(f"{m},{y_sum},{text}{_EOL}" for m, y_sum, text
+                      in zip(patterns.m.tolist(), patterns.y_sum.tolist(), table.text))
+
+
+def read_patterns_csv(path: str | Path) -> Patterns:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(PATTERN_COLUMNS):
+            raise SchemaError(f"{path}: header must be {','.join(PATTERN_COLUMNS)}")
+        rows = []
+        for row in reader:
+            if len(row) != len(PATTERN_COLUMNS):
+                raise SchemaError(f"{path}:{reader.line_num}: malformed row")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+    data = np.array(rows, dtype=float).reshape(len(rows), len(PATTERN_COLUMNS))
+    return Patterns(X=data[:, 2:], m=data[:, 0], y_sum=data[:, 1])
+
+
 def write_descriptives_csv(path: str | Path, stats: dict[str, dict[str, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(["variable", "mean", "sd", "min", "max"])
         for name, s in stats.items():

@@ -259,7 +259,8 @@ def test_criterion_10_designated_errors():
 
 ARTIFACTS = [
     "tokens.csv", "scored.csv", "state_summary.csv", "analysis_table.csv",
-    "descriptives.csv", "fit_report.json", "fit_report.txt", "margins.csv", "qq.csv",
+    "descriptives.csv", "patterns.csv", "fit_report.json", "fit_report.txt", "margins.csv",
+    "qq.csv",
 ]
 
 

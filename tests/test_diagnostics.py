@@ -11,7 +11,7 @@ from sentireg.diagnostics import (
     pearson_chi2,
     qq_export,
 )
-from sentireg.logit import DesignMatrix, fit, predict_prob
+from sentireg.logit import DegenerateFitError, DesignMatrix, fit, predict_prob
 from sentireg.special import norm_ppf
 
 
@@ -127,6 +127,16 @@ class TestPearsonChi2:
             k = 0
         with pytest.raises(ValueError, match="degenerate"):
             pearson_chi2(FakeFit(), patterns)
+
+    def test_degenerate_probability_is_estimation_error(self):
+        patterns = [CovariatePattern(0, (0,), m=3, y_sum=0, p_hat=0.0)]
+
+        class FakeFit:
+            k = 0
+        with pytest.raises(DegenerateFitError):
+            pearson_chi2(FakeFit(), patterns)
+        with pytest.raises(DegenerateFitError):
+            qq_export(patterns)
 
     def test_df_nonpositive_reports_na(self):
         patterns = [CovariatePattern(0, (0,), m=10, y_sum=5, p_hat=0.5)]
@@ -298,3 +308,83 @@ def test_norm_ppf_plotting_positions_symmetric():
     qs = [norm_ppf((i + 0.5) / j) for i in range(j)]
     assert qs[4] == pytest.approx(0.0, abs=1e-12)
     assert qs[0] == pytest.approx(-qs[-1], abs=1e-9)
+
+
+def ame_rows(beta, X, targets):
+    """Brute-force AMEs over single rows: derivative form for continuous
+    targets, 0 -> 1 counterfactual for discrete ones."""
+    p = predict_prob(X, beta)
+    out = []
+    for j, kind in targets:
+        if kind == "continuous":
+            out.append(beta[j] * np.mean(p * (1 - p)))
+        else:
+            X1, X0 = X.copy(), X.copy()
+            X1[:, j], X0[:, j] = 1.0, 0.0
+            out.append(np.mean(predict_prob(X1, beta) - predict_prob(X0, beta)))
+    return np.array(out)
+
+
+def grouped_margins_design(rng, n_patterns=60):
+    """Covariate patterns with a unit-scale, a dollar-scale and a 0/1 column,
+    m >= 1 rows each; returns the grouped design and its row-level expansion."""
+    x = rng.standard_normal(n_patterns)
+    dollars = 55000.0 + 12000.0 * rng.standard_normal(n_patterns)
+    d = (np.arange(n_patterns) % 2).astype(float)
+    Xp = np.column_stack([np.ones(n_patterns), x, dollars, d])
+    m = rng.integers(1, 8, size=n_patterns)
+    y_sum = rng.binomial(m, predict_prob(Xp, np.array([0.5, 0.7, -1.5e-5, 0.6])))
+    y_sum[0], y_sum[1] = 0, m[1]
+    names = ("Constant", "x", "income", "d")
+    rows = np.repeat(np.arange(n_patterns), m)
+    y = np.concatenate([[1.0] * s + [0.0] * (mi - s) for mi, s in zip(m, y_sum)])
+    return (DesignMatrix(X=Xp, y=y_sum, m=m, names=names),
+            DesignMatrix(X=Xp[rows], y=y, names=names))
+
+
+class TestGroupedDiagnostics:
+    KINDS = {"x": "continuous", "income": "continuous", "d": "discrete"}
+
+    def test_margin_se_match_column_scaled_difference_oracle(self):
+        # Central differences in beta_l * scale_l, the coefficient of the
+        # column divided by its scale, with a step of 1e-5 * max(1, |beta_l| *
+        # scale_l) there: one relative step for every column, whatever its units.
+        rng = np.random.default_rng(6161)
+        for _ in range(3):
+            grouped, rows = grouped_margins_design(rng)
+            result = fit(grouped)
+            effects = marginal_effects(result, grouped, self.KINDS)
+            targets = [(j, self.KINDS[name]) for j, name in enumerate(result.names) if j]
+            scale = np.max(np.abs(rows.X), axis=0)
+            jac = np.empty((len(targets), len(result.beta)))
+            for l, (b, s) in enumerate(zip(result.beta, scale)):
+                h = 1e-5 * max(1.0, abs(b) * s) / s
+                bp, bm = result.beta.copy(), result.beta.copy()
+                bp[l] += h
+                bm[l] -= h
+                jac[:, l] = (ame_rows(bp, rows.X, targets) - ame_rows(bm, rows.X, targets)) / (2 * h)
+            oracle = np.sqrt(np.diag(jac @ result.cov @ jac.T))
+            assert [e.std_err for e in effects] == pytest.approx(oracle, rel=1e-6)
+            assert [e.dydx for e in effects] == pytest.approx(
+                ame_rows(result.beta, rows.X, targets), rel=1e-12)
+
+    def test_grouped_design_equals_row_level_design(self):
+        rng = np.random.default_rng(6262)
+        for _ in range(5):
+            grouped, rows = grouped_margins_design(rng)
+            g, r = fit(grouped), fit(rows)
+            for cutoff in (0.3, 0.5, 0.7):
+                assert (vars(classification_summary(g, grouped, cutoff))
+                        == vars(classification_summary(r, rows, cutoff)))
+            pairs = zip(marginal_effects(g, grouped, self.KINDS),
+                        marginal_effects(r, rows, self.KINDS))
+            for eg, er in pairs:
+                assert eg.dydx == pytest.approx(er.dydx, rel=1e-9)
+                assert eg.std_err == pytest.approx(er.std_err, rel=1e-9)
+            p = predict_prob(grouped.X, g.beta)
+            from_counts = [CovariatePattern(j, (), int(grouped.m[j]), int(grouped.y[j]), p[j])
+                           for j in range(len(p))]
+            regrouped = covariate_patterns(rows.X, y=rows.y, p=predict_prob(rows.X, r.beta))
+            assert [(q.m, q.y_sum) for q in regrouped] == [(q.m, q.y_sum) for q in from_counts]
+            assert pearson_chi2(g, from_counts)["chi2"] == pytest.approx(
+                pearson_chi2(r, regrouped)["chi2"], rel=1e-9)

@@ -275,3 +275,61 @@ class TestDesignMatrixValidation:
         X[3, 1] = np.nan
         with pytest.raises(ValueError):
             DesignMatrix(X=X, y=np.array([0, 1] * 5, dtype=float), names=("Constant", "x"))
+
+
+def grouped_and_expanded(rng, n_patterns=40, k=3):
+    """A design of distinct covariate patterns with m >= 1 rows each, and
+    the row-level design it stands for (m rows per pattern, y_sum of them 1)."""
+    Xp = np.column_stack([np.ones(n_patterns), rng.standard_normal((n_patterns, k))])
+    m = rng.integers(1, 7, size=n_patterns)
+    y_sum = rng.binomial(m, predict_prob(Xp, rng.normal(0, 0.8, size=k + 1)))
+    y_sum[0], y_sum[1] = 0, m[1]  # both classes present
+    names = ("Constant",) + tuple(f"x{j}" for j in range(1, k + 1))
+    rows = np.repeat(np.arange(n_patterns), m)
+    y = np.concatenate([[1.0] * s + [0.0] * (mi - s) for mi, s in zip(m, y_sum)])
+    return (DesignMatrix(X=Xp, y=y_sum, m=m, names=names),
+            DesignMatrix(X=Xp[rows], y=y, names=names))
+
+
+class TestGroupedFit:
+    def test_grouped_equals_row_level_fit(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(10):
+            grouped, rows = grouped_and_expanded(rng)
+            g, r = fit(grouped), fit(rows)
+            assert g.beta == pytest.approx(r.beta, rel=1e-9)
+            assert g.std_err == pytest.approx(r.std_err, rel=1e-9)
+            assert g.ll == pytest.approx(r.ll, rel=1e-12)
+            assert g.ll0 == pytest.approx(r.ll0, rel=1e-12)
+            assert g.n_obs == r.n_obs == len(rows.y)
+
+    def test_grouped_log_likelihood_is_row_level_sum(self):
+        rng = np.random.default_rng(4243)
+        grouped, rows = grouped_and_expanded(rng)
+        beta = rng.normal(size=4)
+        assert log_likelihood(beta, grouped.X, grouped.y, grouped.m) == pytest.approx(
+            log_likelihood(beta, rows.X, rows.y), rel=1e-12)
+
+    def test_single_class_counts_raise(self):
+        X = np.column_stack([np.ones(4), np.arange(4.0)])
+        m = np.array([2.0, 3.0, 1.0, 2.0])
+        with pytest.raises(NonIdentifiableError):
+            fit(DesignMatrix(X=X, y=m, m=m, names=("Constant", "x")))
+
+    @pytest.mark.parametrize("y, m", [([0, 3, 1, 1], [2, 2, 2, 2]),
+                                      ([0, 1, 1, 1], [0, 2, 2, 2]),
+                                      ([0, 1.5, 1, 1], [2, 2, 2, 2]),
+                                      ([0, 1, 1, 1], [2, 2.5, 2, 2])])
+    def test_counts_outside_range_rejected(self, y, m):
+        X = np.column_stack([np.ones(4), np.arange(4.0)])
+        with pytest.raises(ValueError):
+            DesignMatrix(X=X, y=np.array(y, dtype=float), m=np.array(m, dtype=float),
+                         names=("Constant", "x"))
+
+    def test_covariance_is_inverse_information_at_returned_beta(self):
+        rng = np.random.default_rng(4244)
+        grouped, _ = grouped_and_expanded(rng)
+        result = fit(grouped)
+        p = predict_prob(grouped.X, result.beta)
+        A = grouped.X.T @ (grouped.X * (grouped.m * p * (1 - p))[:, None])
+        assert result.cov == pytest.approx(np.linalg.inv(A), rel=1e-10)

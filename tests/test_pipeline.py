@@ -1,28 +1,41 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sentireg
 from sentireg.cli import EXIT_ESTIMATION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
+from sentireg.diagnostics import MarginalEffect, covariate_patterns, write_margins_csv
 from sentireg.pipeline import (
     PipelineConfig,
     StageError,
     default_data_path,
     run_pipeline,
 )
+from sentireg.tabulate import ANALYSIS_COLUMNS, read_analysis_csv, read_patterns_csv
 
 CORPUS = default_data_path("fixture_corpus.csv")
 COVARIATES = default_data_path("state_covariates.csv")
 
 ARTIFACTS = [
     "tokens.csv", "scored.csv", "state_summary.csv", "analysis_table.csv",
-    "descriptives.csv", "fit_report.json", "fit_report.txt", "margins.csv", "qq.csv",
+    "descriptives.csv", "patterns.csv", "fit_report.json", "fit_report.txt", "margins.csv",
+    "qq.csv",
 ]
+
+# sha256 of the bundled fixture's row-level join artifacts as written when
+# join still built one row object per document; building each covariate
+# pattern once must not change a byte of them.
+PINNED_SHA256 = {
+    "analysis_table.csv": "39773e15b072140a667520368543e0f59724523f15d82a9190661a9c5de2e3a7",
+    "descriptives.csv": "f55530e61a0f0740760d587f1d7c3693d9b1e9e046025ec3ffc72ad114df2c36",
+}
 
 
 def run_fixture(out):
@@ -141,6 +154,19 @@ class TestCli:
                 "--out", str(tmp_path / "out")]
         assert main(args) == EXIT_ESTIMATION
 
+    def test_degenerate_fit_is_estimation_error(self, tmp_path, capsys):
+        # A fit whose probabilities saturate at exactly 1 is quasi-complete
+        # separation: exit 3, not the schema error's 2.
+        out = tmp_path / "out"
+        for command in ("preprocess", "score", "join", "fit"):
+            assert main(self._args(command, out)) == EXIT_OK
+        report_path = out / "fit_report.json"
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["coefficients"][0]["coef"] = 1000.0
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(self._args("diagnose", out)) == EXIT_ESTIMATION
+        assert "degenerate fitted probability" in capsys.readouterr().err
+
     def test_invalid_cutoff_rejected(self, tmp_path):
         assert main(self._args("run", tmp_path / "out", cutoff="1.5")) == EXIT_SCHEMA
 
@@ -216,9 +242,43 @@ class TestStageOutputs:
         assert kinds["NE"] == kinds["MW"] == kinds["WEST"] == "discrete"
         assert kinds["TW"] == "continuous"
 
+    def test_patterns_csv_groups_analysis_table(self, tmp_path):
+        out = run_fixture(tmp_path / "run")
+        rows = read_analysis_csv(out / "analysis_table.csv")
+        X = np.array([[getattr(r, c) for c in ANALYSIS_COLUMNS[1:]]
+                      for r in rows])
+        expected = covariate_patterns(X, y=np.array([r.sentiment for r in rows]))
+        patterns = read_patterns_csv(out / "patterns.csv")
+        assert patterns.m.tolist() == [p.m for p in expected]
+        assert patterns.y_sum.tolist() == [p.y_sum for p in expected]
+        assert np.array_equal(patterns.X, X[[p.row_indices[0] for p in expected]])
+
+    def test_row_level_join_artifacts_unchanged(self, tmp_path):
+        out = run_fixture(tmp_path / "run")
+        for name, digest in PINNED_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     def test_human_report_mentions_fit_statistics(self, tmp_path):
         out = run_fixture(tmp_path / "run")
         text = (out / "fit_report.txt").read_text()
         for needle in ("LR chi2(", "Prob > chi2", "Pseudo R2", "Log-likelihood",
                        "Pearson chi2(", "Correctly classified"):
             assert needle in text
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_artifact(self, tmp_path):
+        path = tmp_path / "margins.csv"
+        effect = MarginalEffect("x", "continuous", 0.1, 0.01, 10.0, 0.0)
+        write_margins_csv(path, [effect])
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            # the second item fails after the header and first row are written
+            write_margins_csv(path, [effect, effect, None])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["margins.csv"]
+
+    def test_failed_first_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(AttributeError):
+            write_margins_csv(tmp_path / "margins.csv", [None])
+        assert list(tmp_path.iterdir()) == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sentireg.corpus import Document, SchemaError
+from sentireg.diagnostics import covariate_patterns
 from sentireg.pipeline import default_data_path
 from sentireg.tabulate import (
     ANALYSIS_COLUMNS,
@@ -14,8 +15,10 @@ from sentireg.tabulate import (
     join,
     load_covariates,
     read_analysis_csv,
+    read_patterns_csv,
     region_dummies,
     write_analysis_csv,
+    write_patterns_csv,
 )
 
 COVARIATES_FIXTURE = default_data_path("state_covariates.csv")
@@ -188,7 +191,7 @@ def test_analysis_csv_round_trip(tmp_path):
     rows = join([(doc("NC", i=1), 1), (doc("CA", i=2), 0)], covars)
     path = tmp_path / "analysis.csv"
     write_analysis_csv(path, rows)
-    assert read_analysis_csv(path) == rows
+    assert read_analysis_csv(path) == list(rows)
 
 
 def test_read_analysis_csv_missing_column(tmp_path):
@@ -199,3 +202,40 @@ def test_read_analysis_csv_missing_column(tmp_path):
     """), encoding="utf-8")
     with pytest.raises(SchemaError):
         read_analysis_csv(path)
+
+
+def test_patterns_csv_is_covariate_patterns_of_analysis_csv(tmp_path):
+    # Few states and widths over many documents, so patterns repeat; two
+    # states share every covariate, so one pattern spans two states.
+    covars = {"NC": make_covariates("NC"), "SC": make_covariates("SC"),
+              "CA": make_covariates("CA", FHH_pct=55.0)}
+    rng = np.random.default_rng(19)
+    states = sorted(covars)
+    table = join([(doc(states[rng.integers(3)], width=int(rng.integers(6, 12)), i=i),
+                   int(rng.integers(0, 2))) for i in range(300)], covars)
+    write_analysis_csv(tmp_path / "analysis.csv", table)
+    write_patterns_csv(tmp_path / "patterns.csv", table)
+    rows = read_analysis_csv(tmp_path / "analysis.csv")
+    X = np.array([[getattr(r, c) for c in ANALYSIS_COLUMNS[1:]] for r in rows])
+    expected = covariate_patterns(X, y=np.array([r.sentiment for r in rows]))
+    patterns = read_patterns_csv(tmp_path / "patterns.csv")
+    assert len(expected) < 20
+    assert patterns.m.tolist() == [p.m for p in expected]
+    assert patterns.y_sum.tolist() == [p.y_sum for p in expected]
+    assert np.array_equal(patterns.X, X[[p.row_indices[0] for p in expected]])
+    stats = descriptive_stats(table)
+    for j, name in enumerate(ANALYSIS_COLUMNS[1:]):
+        assert stats[name]["mean"] == pytest.approx(X[:, j].mean(), rel=1e-13)
+        assert stats[name]["sd"] == pytest.approx(X[:, j].std(ddof=1), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("text", [
+    "m,y_sum,TW\n1,0,5.0\n",
+    "m,y_sum," + ",".join(ANALYSIS_COLUMNS[1:]) + "\n1,0\n",
+    "m,y_sum," + ",".join(ANALYSIS_COLUMNS[1:]) + "\n1,0," + ",".join(["x"] * 18) + "\n",
+])
+def test_read_patterns_csv_malformed(tmp_path, text):
+    path = tmp_path / "patterns.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError):
+        read_patterns_csv(path)
