@@ -3,7 +3,9 @@
 Subcommands mirror the pipeline stages (preprocess, score, join, fit,
 diagnose) plus `run`, which executes all of them. Exit codes: 0 success,
 2 input/schema error, 3 estimation error, 4 I/O error, 1 any other
-(unexpected) error.
+(unexpected) error. A fit that has not converged within --max-iter Newton
+iterations is an estimation error (logit.ConvergenceError): exit 3, and
+no fit report is written.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("run", "run the full pipeline and write every artifact"),
         ("preprocess", "tokenize/normalize the corpus into tokens.csv"),
         ("score", "score tokens.csv into scored.csv and state_summary.csv"),
-        ("join", "join scored.csv with covariates into analysis_table.csv and patterns.csv"),
+        ("join", "join scored.csv (alone; it carries text_width) with covariates "
+                 "into analysis_table.csv and patterns.csv"),
         ("fit", "fit the logit on patterns.csv"),
         ("diagnose", "goodness-of-fit, classification, QQ, and margins for a fit"),
     ]:

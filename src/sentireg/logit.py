@@ -30,6 +30,7 @@ __all__ = [
     "CollinearityError",
     "PerfectSeparationError",
     "DegenerateFitError",
+    "ConvergenceError",
     "predict_prob",
     "log_odds",
     "log_likelihood",
@@ -66,6 +67,10 @@ class PerfectSeparationError(EstimationError):
 
 class DegenerateFitError(EstimationError, ValueError):
     """A fitted probability is exactly 0 or 1, as under quasi-complete separation."""
+
+
+class ConvergenceError(EstimationError):
+    """Newton-Raphson reached its iteration limit before converging."""
 
 
 @dataclass(frozen=True)

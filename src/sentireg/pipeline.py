@@ -1,7 +1,10 @@
 """File-based pipeline: ingest -> preprocess -> score -> join -> fit -> diagnose.
 
 Each stage reads the previous stage's artifact and writes its own, so a
-monolithic run and a staged run produce byte-identical files. Join writes
+monolithic run and a staged run produce byte-identical files. Score reads
+tokens.csv in chunks of SCORE_CHUNK_DOCS documents and scores each chunk as
+columns; scored.csv carries each document's text width, so join reads
+scored.csv alone. Join writes
 the row-level analysis_table.csv and its covariate patterns, patterns.csv;
 fit and diagnose read only patterns.csv. Every artifact is written
 atomically. The run manifest records content hashes of every input and
@@ -18,6 +21,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -44,6 +48,9 @@ __all__ = [
     "run_pipeline",
     "MARGIN_KINDS",
 ]
+
+# Documents scored per vectorized pass; bounds the score stage's memory.
+SCORE_CHUNK_DOCS = 1024
 
 # Regional dummies change discretely; every other regressor is continuous.
 MARGIN_KINDS = {name: ("discrete" if name in ("NE", "MW", "WEST") else "continuous")
@@ -98,8 +105,7 @@ class PipelineConfig:
 
 
 class DocRef(NamedTuple):
-    """The slice of a document the scoring and join stages need."""
-    id: str
+    """The slice of a document that tabulate.join reads."""
     state: str
     text_width: int
 
@@ -147,28 +153,33 @@ def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
     """Score normalized token streams; writes scored.csv and state_summary.csv."""
     lexicon = sent_mod.load_lexicon(config.lexicon, config.negators, config.amplifiers)
     rows = _read_columns(config.out / "tokens.csv", ("id", "state", "text_width", "tokens"))
-    scored = [(DocRef(doc_id, state, int(width)), sent_mod.score(tokens.split(), lexicon))
-              for doc_id, state, width, tokens in rows]
+    states, values = [], []  # every document's, kept by chunks() for the state summary
+
+    def chunks() -> Iterator[sent_mod.ScoredChunk]:
+        while chunk := list(islice(rows, SCORE_CHUNK_DOCS)):
+            ids, chunk_states, widths, tokens = zip(*chunk)
+            value, _ = sent_mod.score_batch([t.split() for t in tokens], lexicon)
+            states.append(np.array(chunk_states))
+            values.append(value)
+            yield sent_mod.ScoredChunk(ids, chunk_states, [int(w) for w in widths], value)
+
     scored_path = config.out / "scored.csv"
     summary_path = config.out / "state_summary.csv"
-    sent_mod.write_scored_csv(scored_path, scored)
-    sent_mod.write_state_summary_csv(summary_path, sent_mod.aggregate_by_state(scored))
+    sent_mod.write_scored_csv(scored_path, chunks())
+    summaries = (sent_mod.aggregate_scores(np.concatenate(states), np.concatenate(values))
+                 if states else [])
+    sent_mod.write_state_summary_csv(summary_path, summaries)
     return scored_path, summary_path
 
 
 def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
-    """Join scored documents with state covariates; writes analysis_table.csv,
-    descriptives.csv and patterns.csv."""
+    """Join scored documents with state covariates; reads scored.csv alone and
+    writes analysis_table.csv, descriptives.csv and patterns.csv."""
     scored_path = config.out / "scored.csv"
     if not scored_path.exists():
         raise FileNotFoundError(scored_path)
-    refs = {doc_id: DocRef(doc_id, state, int(width)) for doc_id, state, width
-            in _read_columns(config.out / "tokens.csv", ("id", "state", "text_width"))}
-    pairs = []
-    for doc_id, _, binary in _read_columns(scored_path, ("id", "state", "binary")):
-        if doc_id not in refs:
-            raise SchemaError(f"{scored_path}: id {doc_id!r} absent from tokens.csv")
-        pairs.append((refs[doc_id], int(binary)))
+    pairs = [(DocRef(state, int(width)), int(binary)) for state, width, binary
+             in _read_columns(scored_path, ("state", "text_width", "binary"))]
     covars = tab_mod.load_covariates(config.covariates)
     table = tab_mod.join(pairs, covars)
     table_path = config.out / "analysis_table.csv"
@@ -263,9 +274,14 @@ def _write_reports(config: PipelineConfig, report: dict) -> tuple[Path, Path]:
 
 def stage_fit(config: PipelineConfig) -> tuple[Path, Path]:
     """Fit the binary logit on patterns.csv; writes fit_report.json and
-    fit_report.txt."""
+    fit_report.txt. Raises logit.ConvergenceError, and writes no report,
+    when Newton-Raphson has not converged within config.max_iter iterations."""
     design = read_design(config)
     result = logit_mod.fit(design, tol=config.tol, max_iter=config.max_iter)
+    if not result.converged:
+        raise logit_mod.ConvergenceError(
+            f"no convergence after n_iter={result.n_iter} Newton iterations "
+            f"(max_iter={config.max_iter}, tol={config.tol})")
     return _write_reports(config, fit_report_dict(result))
 
 

@@ -4,16 +4,24 @@ A document's raw score sums the valences of matched tokens, with negators
 and amplifiers in the two preceding tokens flipping or scaling each hit.
 The raw sum is scaled by the square root of the stream length and clamped
 to [-2, +2], so long rambling texts do not dominate.
+
+`score` scores one document. `score_batch` scores many at once as columns,
+with the same arithmetic in the same order, so its values equal a `score`
+loop's bit for bit; the pipeline scores the corpus with it chunk by chunk.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .atomic import atomic_open
 from .corpus import Document, TokenStream, _tsv_pairs, load_wordlist
@@ -23,10 +31,14 @@ __all__ = [
     "SentimentScore",
     "SentimentClass",
     "StateSentimentSummary",
+    "ScoredChunk",
+    "SCORED_COLUMNS",
     "score",
+    "score_batch",
     "classify",
     "to_binary",
     "aggregate_by_state",
+    "aggregate_scores",
     "load_lexicon",
     "write_scored_csv",
     "write_state_summary_csv",
@@ -111,29 +123,64 @@ def score(stream: TokenStream | Sequence[str], lexicon: Lexicon) -> SentimentSco
     return SentimentScore(value=value, label=classify(value), matched_count=len(hits))
 
 
+def score_batch(
+    docs: Sequence[Sequence[str]], lexicon: Lexicon
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score many documents' normalized words at once: each one's value and
+    matched count, equal to `score`'s bit for bit.
+
+    One pass over the flattened words looks up each word's lexicon entry.
+    A hit's shifter window is the entries of the two words before it, with
+    code 0 (no entry) before its document's start, so no window crosses
+    into the previous document. `np.bincount` sums each document's hits in
+    token order, as `score` does.
+    """
+    terms = list(dict.fromkeys([*lexicon.valences, *lexicon.negators, *lexicon.amplifiers]))
+    code = {term: j for j, term in enumerate(terms, start=1)}
+    valence = np.array([0.0] + [lexicon.valences.get(t, 0.0) for t in terms])
+    is_hit = np.array([False] + [t in lexicon.valences for t in terms])
+    is_negator = np.array([False] + [t in lexicon.negators for t in terms])
+    amplifier = np.array([1.0] + [lexicon.amplifiers.get(t, 1.0) for t in terms])
+
+    k = len(docs)
+    lengths = np.fromiter(map(len, docs), dtype=np.intp, count=k)
+    n = int(lengths.sum())
+    codes = np.fromiter(map(code.get, chain.from_iterable(docs), repeat(0)),
+                        dtype=np.intp, count=n)
+    hits = np.flatnonzero(is_hit[codes])
+    doc = np.repeat(np.arange(k), lengths)[hits]
+    pos = hits - (np.cumsum(lengths) - lengths)[doc]
+    prev1 = np.where(pos >= 1, codes[np.maximum(hits - 1, 0)], 0)
+    prev2 = np.where(pos >= 2, codes[np.maximum(hits - 2, 0)], 0)
+    sign = np.where(is_negator[prev1] ^ is_negator[prev2], -1.0, 1.0)
+    hit_value = valence[codes[hits]] * sign * (amplifier[prev2] * amplifier[prev1])
+    raw = np.bincount(doc, weights=hit_value, minlength=k)
+    value = np.clip(raw / np.sqrt(np.maximum(lengths, 1)), -2.0, 2.0)
+    return value, np.bincount(doc, minlength=k)
+
+
+def aggregate_scores(states: Sequence[str], values: np.ndarray) -> list[StateSentimentSummary]:
+    """One summary per state present, sorted by state code, from each
+    document's state and score value."""
+    if len(states) == 0:
+        return []
+    names, index = np.unique(np.asarray(states, dtype=str), return_inverse=True)
+    k = len(names)
+    n = np.bincount(index, minlength=k)
+    # bincount adds each state's values in document order, like a running sum.
+    mean = np.bincount(index, weights=values, minlength=k) / n
+    shares = [np.bincount(index[mask], minlength=k) / n
+              for mask in (values > 0, values < 0, values == 0)]
+    return [StateSentimentSummary(state, *row) for state, *row
+            in zip(names.tolist(), n.tolist(), mean.tolist(), *(s.tolist() for s in shares))]
+
+
 def aggregate_by_state(
     scored: list[tuple[Document, SentimentScore]],
 ) -> list[StateSentimentSummary]:
     """One summary per state present, sorted by state code."""
-    by_state: dict[str, list[SentimentScore]] = {}
-    for doc, s in scored:
-        by_state.setdefault(doc.state, []).append(s)
-    summaries = []
-    for state in sorted(by_state):
-        scores = by_state[state]
-        n = len(scores)
-        counts = {c: sum(1 for s in scores if s.label is c) for c in SentimentClass}
-        summaries.append(
-            StateSentimentSummary(
-                state=state,
-                n_docs=n,
-                mean_score=sum(s.value for s in scores) / n,
-                share_positive=counts[SentimentClass.POSITIVE] / n,
-                share_negative=counts[SentimentClass.NEGATIVE] / n,
-                share_neutral=counts[SentimentClass.NEUTRAL] / n,
-            )
-        )
-    return summaries
+    return aggregate_scores([doc.state for doc, _ in scored],
+                            np.array([s.value for _, s in scored], dtype=float))
 
 
 def load_lexicon(
@@ -151,14 +198,33 @@ def load_lexicon(
     return Lexicon(valences=valences, negators=frozenset(negators), amplifiers=amplifiers)
 
 
-def write_scored_csv(
-    path: str | Path, scored: list[tuple[Document, SentimentScore]]
-) -> None:
+SCORED_COLUMNS = ("id", "state", "text_width", "score", "class", "binary")
+
+
+class ScoredChunk(NamedTuple):
+    """Consecutive scored documents as columns."""
+    id: Sequence[str]
+    state: Sequence[str]
+    text_width: Sequence[int]
+    value: np.ndarray
+
+
+# The sign of a score -> its class and binary outcome.
+_CLASS_OF_SIGN = {1: (SentimentClass.POSITIVE.value, 1),
+                  -1: (SentimentClass.NEGATIVE.value, 0),
+                  0: (SentimentClass.NEUTRAL.value, 0)}
+
+
+def write_scored_csv(path: str | Path, chunks: Iterable[ScoredChunk]) -> None:
+    """One line per document, chunk by chunk, in SCORED_COLUMNS order."""
     with atomic_open(path) as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "state", "score", "class", "binary"])
-        for doc, s in scored:
-            w.writerow([doc.id, doc.state, f"{s.value:.12g}", s.label.value, to_binary(s.label)])
+        w.writerow(SCORED_COLUMNS)
+        for c in chunks:
+            signs = np.sign(c.value).astype(int).tolist()
+            w.writerows((doc_id, state, width, f"{value:.12g}", *_CLASS_OF_SIGN[sign])
+                        for doc_id, state, width, value, sign
+                        in zip(c.id, c.state, c.text_width, c.value.tolist(), signs))
 
 
 def write_state_summary_csv(

@@ -16,6 +16,7 @@ m and its number of positive rows y_sum.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
@@ -230,11 +231,11 @@ _EOL = "\r\n"
 PATTERN_COLUMNS = ("m", "y_sum") + ANALYSIS_COLUMNS[1:]
 
 
-def _covariate_values(c: StateCovariates, text_width: int) -> tuple:
-    """One document's regressors, in ANALYSIS_COLUMNS[1:] order."""
-    return (float(text_width), *region_dummies(c.region), math.log(c.FHH_pct), c.AFS,
-            c.EDU2, c.EDU3, c.AGE2, c.WP, c.OCH, c.PWHI, c.LF, math.log(c.POPDEN),
-            c.CASES, c.PR, c.MHHI, c.GR)
+def _state_values(c: StateCovariates) -> tuple:
+    """A state's regressors, in ANALYSIS_COLUMNS[2:] order."""
+    return (*region_dummies(c.region), math.log(c.FHH_pct), c.AFS, c.EDU2, c.EDU3,
+            c.AGE2, c.WP, c.OCH, c.PWHI, c.LF, math.log(c.POPDEN), c.CASES, c.PR,
+            c.MHHI, c.GR)
 
 
 def join(
@@ -243,12 +244,14 @@ def join(
 ) -> AnalysisTable:
     """Attach state covariates to each (document, binary sentiment) pair.
 
-    Each distinct (state, text width) is built once. Patterns are keyed by
-    their CSV text, which tells two covariate vectors apart exactly when
-    their float values differ (repr round-trips). Any document whose state
-    has no covariate row is a hard error; the message lists every missing
-    state so the gap is auditable.
+    Each state's values and their CSV text are built once, and each
+    distinct (state, text width) once. Patterns are keyed by their CSV
+    text, which tells two covariate vectors apart exactly when their float
+    values differ (repr round-trips). Any document whose state has no
+    covariate row is a hard error; the message lists every missing state
+    so the gap is auditable.
     """
+    by_state: dict[str, tuple[tuple, str]] = {}
     by_doc: dict[tuple[str, int], int] = {}
     by_text: dict[str, int] = {}
     covariates: list[tuple] = []
@@ -258,14 +261,19 @@ def join(
         key = (doc.state, doc.text_width)
         j = by_doc.get(key)
         if j is None:
-            if doc.state not in covars:
-                missing.add(doc.state)
-                continue
-            values = _covariate_values(covars[doc.state], doc.text_width)
-            text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
-            j = by_doc[key] = by_text.setdefault(text, len(by_text))
+            state = by_state.get(doc.state)
+            if state is None:
+                if doc.state not in covars:
+                    missing.add(doc.state)
+                    continue
+                values = _state_values(covars[doc.state])
+                state = by_state[doc.state] = (values, ",".join(
+                    repr(v) if isinstance(v, float) else str(v) for v in values))
+            values, text = state
+            width = float(doc.text_width)
+            j = by_doc[key] = by_text.setdefault(repr(width) + "," + text, len(by_text))
             if j == len(covariates):
-                covariates.append(values)
+                covariates.append((width, *values))
         pattern.append(j)
     if missing:
         raise SchemaError(f"no covariate row for state(s): {sorted(missing)}")
@@ -339,18 +347,17 @@ def write_patterns_csv(path: str | Path, table: AnalysisTable) -> None:
 
 def read_patterns_csv(path: str | Path) -> Patterns:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(PATTERN_COLUMNS):
+        if next(csv.reader([fh.readline()]), None) != list(PATTERN_COLUMNS):
             raise SchemaError(f"{path}: header must be {','.join(PATTERN_COLUMNS)}")
-        rows = []
-        for row in reader:
-            if len(row) != len(PATTERN_COLUMNS):
-                raise SchemaError(f"{path}:{reader.line_num}: malformed row")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
-    data = np.array(rows, dtype=float).reshape(len(rows), len(PATTERN_COLUMNS))
+        body = fh.read()
+    if not body.strip():
+        raise SchemaError(f"{path}: no covariate patterns")
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    if data.shape[1] != len(PATTERN_COLUMNS):
+        raise SchemaError(f"{path}: malformed row, {data.shape[1]} fields")
     return Patterns(X=data[:, 2:], m=data[:, 0], y_sum=data[:, 1])
 
 

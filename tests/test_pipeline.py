@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sentireg
+from sentireg import pipeline
 from sentireg.cli import EXIT_ESTIMATION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from sentireg.diagnostics import MarginalEffect, covariate_patterns, write_margins_csv
 from sentireg.pipeline import (
@@ -170,6 +171,15 @@ class TestCli:
     def test_invalid_cutoff_rejected(self, tmp_path):
         assert main(self._args("run", tmp_path / "out", cutoff="1.5")) == EXIT_SCHEMA
 
+    def test_fit_without_convergence_is_estimation_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("preprocess", "score", "join"):
+            assert main(self._args(command, out)) == EXIT_OK
+        assert main(self._args("fit", out, max_iter=1)) == EXIT_ESTIMATION
+        assert "n_iter=1" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
+        assert not (out / "fit_report.txt").exists()
+
     def test_truncated_tokens_row_is_schema_error(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -205,12 +215,42 @@ class TestStageOutputs:
         out = run_fixture(tmp_path / "run")
         with open(out / "scored.csv", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            assert reader.fieldnames == ["id", "state", "score", "class", "binary"]
+            assert reader.fieldnames == ["id", "state", "text_width", "score", "class", "binary"]
             rows = list(reader)
         assert len(rows) == 40
         for row in rows:
             assert row["binary"] in ("0", "1")
             assert -2.0 <= float(row["score"]) <= 2.0
+
+    def test_scored_csv_carries_tokens_text_width(self, tmp_path):
+        out = run_fixture(tmp_path / "run")
+        columns = {}
+        for name in ("tokens.csv", "scored.csv"):
+            with open(out / name, encoding="utf-8") as fh:
+                columns[name] = [(r["id"], r["state"], r["text_width"])
+                                 for r in csv.DictReader(fh)]
+        assert columns["scored.csv"] == columns["tokens.csv"]
+
+    def test_join_reads_scored_csv_alone(self, tmp_path):
+        out = run_fixture(tmp_path / "run")
+        config = PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out)
+        before = {name: (out / name).read_bytes() for name in
+                  ("analysis_table.csv", "descriptives.csv", "patterns.csv")}
+        (out / "tokens.csv").unlink()
+        pipeline.stage_join(config)
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data, name
+
+    @pytest.mark.parametrize("chunk_docs", [1, 3])
+    def test_score_chunk_size_leaves_bytes_unchanged(self, tmp_path, monkeypatch, chunk_docs):
+        default = run_fixture(tmp_path / "default")
+        out = tmp_path / "chunked"
+        out.mkdir()
+        (out / "tokens.csv").write_bytes((default / "tokens.csv").read_bytes())
+        monkeypatch.setattr(pipeline, "SCORE_CHUNK_DOCS", chunk_docs)
+        pipeline.stage_score(PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out))
+        for name in ("scored.csv", "state_summary.csv"):
+            assert (out / name).read_bytes() == (default / name).read_bytes(), name
 
     def test_state_summary_shares(self, tmp_path):
         out = run_fixture(tmp_path / "run")

@@ -1,5 +1,7 @@
 import math
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,9 +10,11 @@ from sentireg.sentiment import (
     Lexicon,
     SentimentClass,
     aggregate_by_state,
+    aggregate_scores,
     classify,
     load_lexicon,
     score,
+    score_batch,
     to_binary,
 )
 from sentireg.pipeline import default_data_path
@@ -200,3 +204,75 @@ def test_aggregate_shares_and_counts(pairs):
     assert sum(s.n_docs for s in summaries) == len(pairs)
     for s in summaries:
         assert abs(s.share_positive + s.share_negative + s.share_neutral - 1.0) < 1e-12
+
+
+# -- batch scorer -----------------------------------------------------------
+
+# "zero" is a hit of valence 0.0; "hardly" is both a negator and an amplifier.
+batch_vocab = ["good", "bad", "zero", "not", "never", "very", "hardly", "meh", "x"]
+
+
+def batch_lex(valences):
+    return lex({"zero": 0.0, **valences}, negators={"not", "never", "hardly"},
+               amplifiers={"very": 1.7, "hardly": 1.3})
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(batch_vocab), max_size=12), max_size=12),
+    st.dictionaries(st.sampled_from(["good", "bad"]),
+                    st.floats(min_value=-2, max_value=2, allow_nan=False)),
+)
+def test_score_batch_equals_score_loop(docs, valences):
+    # Empty documents, shifters at positions 0 and 1 and zero-valence hits
+    # all come from the strategy; every value must match bit for bit.
+    lx = batch_lex(valences)
+    value, matched = score_batch(docs, lx)
+    expected = [score(words, lx) for words in docs]
+    assert bits(value) == bits(s.value for s in expected)
+    assert matched.tolist() == [s.matched_count for s in expected]
+
+
+def test_score_batch_equals_score_on_every_short_document():
+    # Every document of up to four words over a small vocabulary, in one
+    # batch, so each shifter pair precedes each hit at every position.
+    lx = batch_lex({"good": 0.1, "bad": -1.1})
+    words = ["good", "bad", "zero", "not", "very", "hardly"]
+    docs = [list(d) for n in range(5) for d in product(words, repeat=n)]
+    value, matched = score_batch(docs, lx)
+    expected = [score(d, lx) for d in docs]
+    assert bits(value) == bits(s.value for s in expected)
+    assert matched.tolist() == [s.matched_count for s in expected]
+
+
+@pytest.mark.parametrize("shifter", ["not", "very", "hardly"])
+def test_score_batch_window_stops_at_document_start(shifter):
+    lx = batch_lex({"good": 1.0})
+    first, second = ["meh", shifter], ["good", "x", "meh"]
+    value, matched = score_batch([first, second, [shifter], ["x", "good"]], lx)
+    alone = score(second, lx).value
+    assert value[1] == alone == 1.0 / math.sqrt(3)
+    assert value[3] == score(["x", "good"], lx).value == 1.0 / math.sqrt(2)
+    assert matched.tolist() == [0, 1, 0, 1]
+
+
+@given(st.lists(st.tuples(st.sampled_from(["NC", "CA", "WY"]),
+                          st.floats(min_value=-2, max_value=2, allow_nan=False)),
+                max_size=30))
+def test_aggregate_scores_matches_groupby_oracle(pairs):
+    summaries = aggregate_scores([s for s, _ in pairs], np.array([v for _, v in pairs]))
+    assert [s.state for s in summaries] == sorted({s for s, _ in pairs})
+    for summary in summaries:
+        values = [v for s, v in pairs if s == summary.state]
+        n = len(values)
+        mean = 0.0
+        for v in values:  # a running sum in document order
+            mean += v
+        assert summary.n_docs == n
+        assert summary.mean_score == mean / n
+        assert summary.share_positive == sum(v > 0 for v in values) / n
+        assert summary.share_negative == sum(v < 0 for v in values) / n
+        assert summary.share_neutral == sum(v == 0 for v in values) / n

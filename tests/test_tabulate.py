@@ -1,3 +1,4 @@
+import csv
 import math
 import textwrap
 
@@ -239,3 +240,23 @@ def test_read_patterns_csv_malformed(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(SchemaError):
         read_patterns_csv(path)
+
+
+def test_read_patterns_csv_header_only(tmp_path):
+    path = tmp_path / "patterns.csv"
+    path.write_text("m,y_sum," + ",".join(ANALYSIS_COLUMNS[1:]) + "\r\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="no covariate patterns"):
+        read_patterns_csv(path)
+
+
+def test_read_patterns_csv_equals_float_parse(tmp_path):
+    # Every field parsed by Python's float(), the reader's former method.
+    covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA", MHHI=80123.45)}
+    table = join([(doc(state, width=w, i=i), i % 2) for i, (state, w)
+                  in enumerate([("NC", 7), ("CA", 11), ("NC", 7), ("CA", 3)])], covars)
+    write_patterns_csv(tmp_path / "patterns.csv", table)
+    with open(tmp_path / "patterns.csv", newline="", encoding="utf-8") as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    patterns = read_patterns_csv(tmp_path / "patterns.csv")
+    data = np.column_stack([patterns.m, patterns.y_sum, patterns.X])
+    assert data.tobytes() == np.array(rows).tobytes()
