@@ -15,29 +15,14 @@ import sys
 
 from .corpus import SchemaError
 from .logit import EstimationError
-from .pipeline import (
-    PipelineConfig,
-    StageError,
-    run_pipeline,
-    stage_diagnose,
-    stage_fit,
-    stage_join,
-    stage_preprocess,
-    stage_score,
-)
+from .pipeline import _STAGES, PipelineConfig, StageError, run_pipeline
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_ESTIMATION = 3
 EXIT_IO = 4
 
-_STAGE_FUNCS = {
-    "preprocess": stage_preprocess,
-    "score": stage_score,
-    "join": stage_join,
-    "fit": stage_fit,
-    "diagnose": stage_diagnose,
-}
+_STAGE_FUNCS = dict(_STAGES)
 
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "PosTaggedStream",
     "CorpusLoadResult",
     "SchemaError",
+    "read_columns",
     "load_corpus",
     "tokenize",
     "lowercase",
@@ -63,6 +65,44 @@ NORMALIZERS = ("lemma_then_stem", "lemma", "stem", "none")
 
 class SchemaError(ValueError):
     """An input file does not match its documented schema."""
+
+
+def read_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple]:
+    """(line number, *fields) for each non-blank record of a CSV table: the
+    named columns' fields in the order named, numbered by the line on which
+    the record starts. Other columns are ignored.
+
+    Every CSV that sentireg reads goes through here. The file is UTF-8, with
+    or without a byte-order mark, and parsed strictly. A SchemaError naming
+    the file, and the line where one applies, is raised for an empty file, a
+    missing column, a record too short for the named columns, and any CSV
+    syntax error: a stray or unterminated quote, or a field over
+    csv.field_size_limit() (131072 characters by default).
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh, strict=True)
+        start = 1
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, header row required")
+            missing = set(columns) - set(header)
+            if missing:
+                raise SchemaError(f"{path}: missing required column(s) {sorted(missing)}")
+            # Each row gets its line number in front, so one call builds the record.
+            pick = itemgetter(0, *(header.index(c) + 1 for c in columns))
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    row.insert(0, start)
+                    try:
+                        record = pick(row)
+                    except IndexError:
+                        raise SchemaError(f"{path}:{start}: malformed row") from None
+                    yield record
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{start}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -146,32 +186,19 @@ def load_corpus(path: str | Path) -> CorpusLoadResult:
     Rows whose state code is not a US state/DC are dropped and counted.
     Duplicate ids and malformed rows are hard errors.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     documents: list[Document] = []
     seen: set[str] = set()
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        missing = {"id", "state", "text"} - set(reader.fieldnames)
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s) {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            if row.get("id") is None or row.get("state") is None or row.get("text") is None:
-                raise SchemaError(f"{path}:{lineno}: malformed row")
-            doc_id, state, text = row["id"], row["state"], row["text"]
-            if not doc_id:
-                raise SchemaError(f"{path}:{lineno}: empty id")
-            if doc_id in seen:
-                raise SchemaError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-            seen.add(doc_id)
-            if state not in STATE_CODES:
-                dropped += 1
-                continue
-            documents.append(Document(id=doc_id, state=state, text=text, text_width=len(text)))
+    for lineno, doc_id, state, text in read_columns(path, ("id", "state", "text")):
+        if not doc_id:
+            raise SchemaError(f"{path}:{lineno}: empty id")
+        if doc_id in seen:
+            raise SchemaError(f"{path}:{lineno}: duplicate id {doc_id!r}")
+        seen.add(doc_id)
+        if state not in STATE_CODES:
+            dropped += 1
+            continue
+        documents.append(Document(id=doc_id, state=state, text=text, text_width=len(text)))
     return CorpusLoadResult(documents=documents, dropped=dropped)
 
 

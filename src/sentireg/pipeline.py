@@ -22,7 +22,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,7 +34,7 @@ from . import logit as logit_mod
 from . import sentiment as sent_mod
 from . import tabulate as tab_mod
 from .atomic import atomic_open
-from .corpus import SchemaError
+from .corpus import read_columns
 
 __all__ = [
     "PipelineConfig",
@@ -55,6 +54,14 @@ SCORE_CHUNK_DOCS = 1024
 # Regional dummies change discretely; every other regressor is continuous.
 MARGIN_KINDS = {name: ("discrete" if name in ("NE", "MW", "WEST") else "continuous")
                 for name in tab_mod.ANALYSIS_COLUMNS[1:]}
+
+# PipelineConfig's resource-file fields and their bundled defaults.
+_RESOURCES = {
+    "lexicon": "lexicon.tsv", "negators": "negators.txt",
+    "amplifiers": "amplifiers.tsv", "stopwords": "stopwords.txt",
+    "slang": "slang.txt", "stem_rules": "stem_rules.tsv",
+    "lemmas": "lemmas.tsv",
+}
 
 
 def default_data_path(name: str) -> Path:
@@ -82,26 +89,15 @@ class PipelineConfig:
         self.corpus = Path(self.corpus)
         self.covariates = Path(self.covariates)
         self.out = Path(self.out)
-        defaults = {
-            "lexicon": "lexicon.tsv", "negators": "negators.txt",
-            "amplifiers": "amplifiers.tsv", "stopwords": "stopwords.txt",
-            "slang": "slang.txt", "stem_rules": "stem_rules.tsv",
-            "lemmas": "lemmas.tsv",
-        }
-        for field, filename in defaults.items():
+        for field, filename in _RESOURCES.items():
             value = getattr(self, field)
             setattr(self, field, default_data_path(filename) if value is None else Path(value))
         if not 0.0 < self.cutoff < 1.0:
             raise ValueError(f"cutoff must be in (0, 1), got {self.cutoff}")
 
     def input_paths(self) -> dict[str, Path]:
-        return {
-            "corpus": self.corpus, "covariates": self.covariates,
-            "lexicon": self.lexicon, "negators": self.negators,
-            "amplifiers": self.amplifiers, "stopwords": self.stopwords,
-            "slang": self.slang, "stem_rules": self.stem_rules,
-            "lemmas": self.lemmas,
-        }
+        return {"corpus": self.corpus, "covariates": self.covariates,
+                **{field: getattr(self, field) for field in _RESOURCES}}
 
 
 class DocRef(NamedTuple):
@@ -132,32 +128,15 @@ def stage_preprocess(config: PipelineConfig) -> Path:
     return out
 
 
-def _read_columns(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-    """The named columns of each row of a CSV artifact, in the order named."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or set(columns) - set(header):
-            raise SchemaError(f"{path}: expected columns {sorted(columns)}")
-        pick = itemgetter(*(header.index(c) for c in columns))
-        for row in reader:
-            if not row:
-                continue
-            try:
-                yield pick(row)
-            except IndexError:
-                raise SchemaError(f"{path}:{reader.line_num}: malformed row") from None
-
-
 def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
     """Score normalized token streams; writes scored.csv and state_summary.csv."""
     lexicon = sent_mod.load_lexicon(config.lexicon, config.negators, config.amplifiers)
-    rows = _read_columns(config.out / "tokens.csv", ("id", "state", "text_width", "tokens"))
+    rows = read_columns(config.out / "tokens.csv", ("id", "state", "text_width", "tokens"))
     states, values = [], []  # every document's, kept by chunks() for the state summary
 
     def chunks() -> Iterator[sent_mod.ScoredChunk]:
         while chunk := list(islice(rows, SCORE_CHUNK_DOCS)):
-            ids, chunk_states, widths, tokens = zip(*chunk)
+            _, ids, chunk_states, widths, tokens = zip(*chunk)
             value, _ = sent_mod.score_batch([t.split() for t in tokens], lexicon)
             states.append(np.array(chunk_states))
             values.append(value)
@@ -175,11 +154,8 @@ def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
 def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
     """Join scored documents with state covariates; reads scored.csv alone and
     writes analysis_table.csv, descriptives.csv and patterns.csv."""
-    scored_path = config.out / "scored.csv"
-    if not scored_path.exists():
-        raise FileNotFoundError(scored_path)
-    pairs = [(DocRef(state, int(width)), int(binary)) for state, width, binary
-             in _read_columns(scored_path, ("state", "text_width", "binary"))]
+    pairs = [(DocRef(state, int(width)), int(binary)) for _, state, width, binary
+             in read_columns(config.out / "scored.csv", ("state", "text_width", "binary"))]
     covars = tab_mod.load_covariates(config.covariates)
     table = tab_mod.join(pairs, covars)
     table_path = config.out / "analysis_table.csv"
@@ -288,10 +264,7 @@ def stage_fit(config: PipelineConfig) -> tuple[Path, Path]:
 def stage_diagnose(config: PipelineConfig) -> tuple[Path, Path]:
     """Goodness-of-fit, classification, QQ, and margins for an existing fit;
     appends to the fit report and writes margins.csv and qq.csv."""
-    report_path = config.out / "fit_report.json"
-    if not report_path.exists():
-        raise FileNotFoundError(report_path)
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    report = json.loads((config.out / "fit_report.json").read_text(encoding="utf-8"))
     result = fit_from_report(report)
     design = read_design(config)
 

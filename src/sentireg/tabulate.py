@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import Document, STATE_CODES, SchemaError
+from .corpus import Document, STATE_CODES, SchemaError, read_columns
 
 __all__ = [
     "REGIONS",
@@ -140,6 +140,7 @@ class AnalysisRow:
     GR: float
 
 
+# StateCovariates' field order: load_covariates passes the fields positionally.
 _COVARIATE_COLUMNS = (
     "state", "FHH_pct", "AFS", "EDU2", "EDU3", "AGE2", "WP", "OCH", "PWHI",
     "LF", "POPDEN", "CASES", "PR", "MHHI", "GR", "region",
@@ -148,35 +149,14 @@ _COVARIATE_COLUMNS = (
 
 def load_covariates(path: str | Path) -> dict[str, StateCovariates]:
     """Read the state covariate CSV into a map keyed by state code."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     covars: dict[str, StateCovariates] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        missing = set(_COVARIATE_COLUMNS) - set(reader.fieldnames)
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s) {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            state = row["state"]
-            if state in covars:
-                raise SchemaError(f"{path}:{lineno}: duplicate state {state!r}")
-            try:
-                covars[state] = StateCovariates(
-                    state=state,
-                    FHH_pct=float(row["FHH_pct"]), AFS=float(row["AFS"]),
-                    EDU2=float(row["EDU2"]), EDU3=float(row["EDU3"]),
-                    AGE2=float(row["AGE2"]), WP=float(row["WP"]),
-                    OCH=float(row["OCH"]), PWHI=float(row["PWHI"]),
-                    LF=float(row["LF"]), POPDEN=float(row["POPDEN"]),
-                    CASES=float(row["CASES"]), PR=float(row["PR"]),
-                    MHHI=float(row["MHHI"]), GR=float(row["GR"]),
-                    region=row["region"],
-                )
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, state, *values, region in read_columns(path, _COVARIATE_COLUMNS):
+        if state in covars:
+            raise SchemaError(f"{path}:{lineno}: duplicate state {state!r}")
+        try:
+            covars[state] = StateCovariates(state, *map(float, values), region)
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
     return covars
 
 
@@ -315,24 +295,9 @@ def write_analysis_csv(path: str | Path, table: AnalysisTable) -> None:
 
 
 def read_analysis_csv(path: str | Path) -> list[AnalysisRow]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        missing = set(ANALYSIS_COLUMNS) - set(reader.fieldnames)
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s) {sorted(missing)}")
-        field_types = {f.name: f.type for f in fields(AnalysisRow)}
-        for row in reader:
-            kwargs = {}
-            for name in ANALYSIS_COLUMNS:
-                kwargs[name] = int(row[name]) if field_types[name] == "int" else float(row[name])
-            rows.append(AnalysisRow(**kwargs))
-    return rows
+    types = [int if f.type == "int" else float for f in fields(AnalysisRow)]
+    return [AnalysisRow(*(t(v) for t, v in zip(types, values)))
+            for _, *values in read_columns(path, ANALYSIS_COLUMNS)]
 
 
 def write_patterns_csv(path: str | Path, table: AnalysisTable) -> None:

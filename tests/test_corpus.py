@@ -98,6 +98,11 @@ class TestLoadCorpus:
         with pytest.raises(SchemaError, match="duplicate"):
             load_corpus(p)
 
+    def test_errors_name_the_line_a_record_starts_on(self, tmp_path):
+        p = self._write(tmp_path, 'id,state,text\na,NC,"two\nlines"\n\na,CA,y\n')
+        with pytest.raises(SchemaError, match=r"corpus\.csv:5: duplicate id"):
+            load_corpus(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope.csv")

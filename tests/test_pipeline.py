@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,42 @@ class TestCli:
         (out / "tokens.csv").write_text("id,state,text_width,tokens\na,NC,5,great\nb,NC\n",
                                         encoding="utf-8")
         assert main(["score", "--out", str(out)]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("command, name, tail", [
+        ("join", "covariates.csv", "ZZ,65.0,3.1\n"),
+        ("preprocess", "corpus.csv", f"zz,NC,{'x' * 140_000}\n"),
+        ("score", "tokens.csv", f"zz,NC,5,{'x' * 140_000}\n"),
+        ("join", "scored.csv", f"zz,NC,{'1' * 140_000},0.0,Neutral,0\n"),
+        ("preprocess", "corpus.csv", 'zz,NC,"unterminated\nrest of the file\n'),
+    ], ids=["covariates-short-row", "corpus-field-over-limit", "tokens-field-over-limit",
+            "scored-field-over-limit", "corpus-unterminated-quote"])
+    def test_malformed_csv_names_file_and_line(self, tmp_path, capsys, command, name, tail):
+        # A bad record appended to a good file: the error names the line it starts on.
+        inputs = {"corpus.csv": tmp_path / "corpus.csv", "covariates.csv": tmp_path / "covariates.csv"}
+        shutil.copy(CORPUS, inputs["corpus.csv"])
+        shutil.copy(COVARIATES, inputs["covariates.csv"])
+        out = tmp_path / "out"
+        args = ["--corpus", str(inputs["corpus.csv"]), "--covariates", str(inputs["covariates.csv"]),
+                "--out", str(out)]
+        for stage in ("preprocess", "score")[:("preprocess", "score", "join").index(command)]:
+            assert main([stage, *args]) == EXIT_OK
+        path = inputs.get(name, out / name)
+        line = path.read_bytes().count(b"\n") + 1
+        with open(path, "a", newline="", encoding="utf-8") as fh:
+            fh.write(tail)
+        assert main([command, *args]) == EXIT_SCHEMA
+        assert f"{path}:{line}: " in capsys.readouterr().err
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        corpus, covariates = tmp_path / "corpus.csv", tmp_path / "covariates.csv"
+        corpus.write_bytes(b"\xef\xbb\xbf" + CORPUS.read_bytes())
+        covariates.write_bytes(b"\xef\xbb\xbf" + COVARIATES.read_bytes())
+        plain = run_fixture(tmp_path / "plain")
+        bom = tmp_path / "bom"
+        assert main(["run", "--corpus", str(corpus), "--covariates", str(covariates),
+                     "--out", str(bom)]) == EXIT_OK
+        for name in ARTIFACTS:
+            assert (bom / name).read_bytes() == (plain / name).read_bytes(), name
 
     def test_preprocess_uses_each_calls_word_lists(self, tmp_path):
         # Two preprocess calls in one process must not share normalizations:

@@ -205,6 +205,13 @@ def test_read_analysis_csv_missing_column(tmp_path):
         read_analysis_csv(path)
 
 
+def test_read_analysis_csv_short_row(tmp_path):
+    path = tmp_path / "analysis.csv"
+    path.write_text(",".join(ANALYSIS_COLUMNS) + "\n1,100,0\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"analysis\.csv:2: malformed row"):
+        read_analysis_csv(path)
+
+
 def test_patterns_csv_is_covariate_patterns_of_analysis_csv(tmp_path):
     # Few states and widths over many documents, so patterns repeat; two
     # states share every covariate, so one pattern spans two states.
