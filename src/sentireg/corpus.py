@@ -30,6 +30,7 @@ __all__ = [
     "CorpusLoadResult",
     "SchemaError",
     "read_columns",
+    "CorpusReader",
     "load_corpus",
     "tokenize",
     "lowercase",
@@ -75,9 +76,9 @@ def read_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple]:
     Every CSV that sentireg reads goes through here. The file is UTF-8, with
     or without a byte-order mark, and parsed strictly. A SchemaError naming
     the file, and the line where one applies, is raised for an empty file, a
-    missing column, a record too short for the named columns, and any CSV
-    syntax error: a stray or unterminated quote, or a field over
-    csv.field_size_limit() (131072 characters by default).
+    missing column, a record too short for the named columns, any CSV
+    syntax error (a stray or unterminated quote, or a field over
+    csv.field_size_limit(), 131072 by default) and a byte that is not UTF-8.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, strict=True)
@@ -103,6 +104,8 @@ def read_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple]:
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise SchemaError(f"{path}:{start}: {exc}") from None
+        except UnicodeDecodeError:  # decoded ahead of the parser: at or after start
+            raise SchemaError(f"{path}:{start}: not UTF-8 at or after this line") from None
 
 
 @dataclass(frozen=True)
@@ -180,26 +183,36 @@ class CorpusLoadResult:
     dropped: int  # rows discarded for unknown state codes
 
 
-def load_corpus(path: str | Path) -> CorpusLoadResult:
-    """Read a corpus CSV (columns id, state, text; extras ignored).
+class CorpusReader:
+    """(id, state, text) for each row of a corpus CSV (columns id, state,
+    text; extras ignored) whose state is a US state or DC, read as iterated.
+    Other rows are counted in `dropped`, afresh on each pass; an empty or
+    duplicate id is a SchemaError naming its line. Only the ids seen so far
+    are held."""
 
-    Rows whose state code is not a US state/DC are dropped and counted.
-    Duplicate ids and malformed rows are hard errors.
-    """
-    documents: list[Document] = []
-    seen: set[str] = set()
-    dropped = 0
-    for lineno, doc_id, state, text in read_columns(path, ("id", "state", "text")):
-        if not doc_id:
-            raise SchemaError(f"{path}:{lineno}: empty id")
-        if doc_id in seen:
-            raise SchemaError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-        seen.add(doc_id)
-        if state not in STATE_CODES:
-            dropped += 1
-            continue
-        documents.append(Document(id=doc_id, state=state, text=text, text_width=len(text)))
-    return CorpusLoadResult(documents=documents, dropped=dropped)
+    def __init__(self, path: str | Path):
+        self.path, self.dropped = path, 0
+
+    def __iter__(self) -> Iterator[tuple[str, str, str]]:
+        path, seen = self.path, set()
+        self.dropped = 0
+        for lineno, doc_id, state, text in read_columns(path, ("id", "state", "text")):
+            if not doc_id:
+                raise SchemaError(f"{path}:{lineno}: empty id")
+            if doc_id in seen:
+                raise SchemaError(f"{path}:{lineno}: duplicate id {doc_id!r}")
+            seen.add(doc_id)
+            if state in STATE_CODES:
+                yield doc_id, state, text
+            else:
+                self.dropped += 1
+
+
+def load_corpus(path: str | Path) -> CorpusLoadResult:
+    """CorpusReader's rows as a list of Documents, with its drop count."""
+    rows = CorpusReader(path)
+    documents = [Document(doc_id, state, text, len(text)) for doc_id, state, text in rows]
+    return CorpusLoadResult(documents=documents, dropped=rows.dropped)
 
 
 # A token is a maximal run of letters/digits with internal apostrophes;
@@ -211,7 +224,10 @@ _URL_RE = re.compile(r"(?<!\S)http\S*", re.IGNORECASE)
 
 
 def _surfaces(text: str) -> list[str]:
-    return _WORD_RE.findall(_URL_RE.sub(" ", text))
+    # Exact: under IGNORECASE only ASCII h/t/p match "http", and lower() keeps them.
+    if "http" in text.lower():
+        text = _URL_RE.sub(" ", text)
+    return _WORD_RE.findall(text)
 
 
 def tokenize(text: str, doc_id: str = "") -> TokenStream:
@@ -364,8 +380,9 @@ def preprocess(
 
 def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line without its newline) for each line of a UTF-8
-    resource file that is neither blank nor a '#' comment."""
-    with open(path, encoding="utf-8") as fh:
+    resource file, with or without a byte-order mark, that is neither blank
+    nor a '#' comment."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if line.strip() and not line.startswith("#"):

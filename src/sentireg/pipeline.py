@@ -1,14 +1,15 @@
 """File-based pipeline: ingest -> preprocess -> score -> join -> fit -> diagnose.
 
 Each stage reads the previous stage's artifact and writes its own, so a
-monolithic run and a staged run produce byte-identical files. Score reads
-tokens.csv in chunks of SCORE_CHUNK_DOCS documents and scores each chunk as
-columns; scored.csv carries each document's text width, so join reads
-scored.csv alone. Join writes
-the row-level analysis_table.csv and its covariate patterns, patterns.csv;
-fit and diagnose read only patterns.csv. Every artifact is written
-atomically. The run manifest records content hashes of every input and
-artifact.
+monolithic run and a staged run produce byte-identical files. Preprocess
+streams the corpus, writing each kept row to tokens.csv as it is read.
+Score reads tokens.csv in chunks of SCORE_CHUNK_DOCS documents and scores
+each chunk as columns; scored.csv carries each document's text width, so
+join reads scored.csv alone, passing its (state, width, binary) records
+straight to tabulate.join. Join writes the row-level analysis_table.csv and
+its covariate patterns, patterns.csv; fit and diagnose read only
+patterns.csv. Every artifact is written atomically. The run manifest
+records content hashes of every input and artifact.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -100,19 +101,12 @@ class PipelineConfig:
                 **{field: getattr(self, field) for field in _RESOURCES}}
 
 
-class DocRef(NamedTuple):
-    """The slice of a document that tabulate.join reads."""
-    state: str
-    text_width: int
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def stage_preprocess(config: PipelineConfig) -> Path:
-    """Tokenize and normalize the corpus; writes tokens.csv."""
-    loaded = corpus_mod.load_corpus(config.corpus)
+    """Tokenize and normalize the corpus, row by row as read; writes tokens.csv."""
     normalize = corpus_mod.WordNormalizer(
         stopwords=corpus_mod.load_wordlist(config.stopwords),
         slang=corpus_mod.load_wordlist(config.slang),
@@ -123,8 +117,8 @@ def stage_preprocess(config: PipelineConfig) -> Path:
     with atomic_open(out) as fh:
         w = csv.writer(fh)
         w.writerow(["id", "state", "text_width", "tokens"])
-        w.writerows([doc.id, doc.state, doc.text_width, " ".join(normalize.words(doc.text))]
-                    for doc in loaded.documents)
+        w.writerows([doc_id, state, len(text), " ".join(normalize.words(text))]
+                    for doc_id, state, text in corpus_mod.CorpusReader(config.corpus))
     return out
 
 
@@ -154,10 +148,9 @@ def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
 def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
     """Join scored documents with state covariates; reads scored.csv alone and
     writes analysis_table.csv, descriptives.csv and patterns.csv."""
-    pairs = [(DocRef(state, int(width)), int(binary)) for _, state, width, binary
-             in read_columns(config.out / "scored.csv", ("state", "text_width", "binary"))]
     covars = tab_mod.load_covariates(config.covariates)
-    table = tab_mod.join(pairs, covars)
+    rows = read_columns(config.out / "scored.csv", ("state", "text_width", "binary"))
+    table = tab_mod.join(map(itemgetter(1, 2, 3), rows), covars)
     table_path = config.out / "analysis_table.csv"
     desc_path = config.out / "descriptives.csv"
     patterns_path = config.out / "patterns.csv"

@@ -18,7 +18,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Sequence
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import Document, STATE_CODES, SchemaError, read_columns
+from .corpus import STATE_CODES, SchemaError, read_columns
 
 __all__ = [
     "REGIONS",
@@ -211,54 +212,50 @@ _EOL = "\r\n"
 PATTERN_COLUMNS = ("m", "y_sum") + ANALYSIS_COLUMNS[1:]
 
 
-def _state_values(c: StateCovariates) -> tuple:
-    """A state's regressors, in ANALYSIS_COLUMNS[2:] order."""
-    return (*region_dummies(c.region), math.log(c.FHH_pct), c.AFS, c.EDU2, c.EDU3,
-            c.AGE2, c.WP, c.OCH, c.PWHI, c.LF, math.log(c.POPDEN), c.CASES, c.PR,
-            c.MHHI, c.GR)
+def _state_row(c: StateCovariates) -> tuple[tuple, str]:
+    """A state's regressors, in ANALYSIS_COLUMNS[2:] order, and their CSV text."""
+    values = (*region_dummies(c.region), math.log(c.FHH_pct), c.AFS, c.EDU2, c.EDU3,
+              c.AGE2, c.WP, c.OCH, c.PWHI, c.LF, math.log(c.POPDEN), c.CASES, c.PR,
+              c.MHHI, c.GR)
+    return values, ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
-def join(
-    scored: list[tuple[Document, int]],
-    covars: dict[str, StateCovariates],
-) -> AnalysisTable:
-    """Attach state covariates to each (document, binary sentiment) pair.
-
-    Each state's values and their CSV text are built once, and each
-    distinct (state, text width) once. Patterns are keyed by their CSV
-    text, which tells two covariate vectors apart exactly when their float
-    values differ (repr round-trips). Any document whose state has no
-    covariate row is a hard error; the message lists every missing state
-    so the gap is auditable.
+def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> AnalysisTable:
+    """Attach state covariates to each document's (state, text width, binary
+    sentiment) record, as read_columns yields them from scored.csv. Each
+    distinct (state, width) key's pattern is built once. A width must be an
+    integer or a string of one. Patterns are keyed by their CSV text, which
+    tells two covariate vectors apart exactly when their float values differ
+    (repr round-trips). Any document whose state has no covariate row is a
+    hard error; the message lists every missing state so the gap is auditable.
     """
-    by_state: dict[str, tuple[tuple, str]] = {}
-    by_doc: dict[tuple[str, int], int] = {}
+    state_rows = {state: _state_row(c) for state, c in covars.items()}
+    by_key: dict[tuple, int] = {}
     by_text: dict[str, int] = {}
     covariates: list[tuple] = []
-    pattern: list[int] = []
     missing: set[str] = set()
-    for doc, _ in scored:
-        key = (doc.state, doc.text_width)
-        j = by_doc.get(key)
-        if j is None:
-            state = by_state.get(doc.state)
-            if state is None:
-                if doc.state not in covars:
-                    missing.add(doc.state)
-                    continue
-                values = _state_values(covars[doc.state])
-                state = by_state[doc.state] = (values, ",".join(
-                    repr(v) if isinstance(v, float) else str(v) for v in values))
-            values, text = state
-            width = float(doc.text_width)
-            j = by_doc[key] = by_text.setdefault(repr(width) + "," + text, len(by_text))
-            if j == len(covariates):
-                covariates.append((width, *values))
-        pattern.append(j)
+
+    def new_pattern(key: tuple) -> int:
+        state, width = key
+        if state not in state_rows:
+            missing.add(state)
+            return -1
+        values, text = state_rows[state]
+        width = float(int(width) if isinstance(width, str) else operator.index(width))
+        j = by_key[key] = by_text.setdefault(repr(width) + "," + text, len(by_text))
+        if j == len(covariates):
+            covariates.append((width, *values))
+        return j
+
+    pattern, y = [], []
+    for state, width, binary in records:
+        key = state, width
+        pattern.append(by_key[key] if key in by_key else new_pattern(key))
+        y.append(int(binary))
     if missing:
         raise SchemaError(f"no covariate row for state(s): {sorted(missing)}")
     return AnalysisTable(covariates, list(by_text), np.array(pattern, dtype=np.intp),
-                         np.array([int(y) for _, y in scored], dtype=np.int64))
+                         np.array(y, dtype=np.int64))
 
 
 def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:
@@ -312,7 +309,7 @@ def write_patterns_csv(path: str | Path, table: AnalysisTable) -> None:
 
 def read_patterns_csv(path: str | Path) -> Patterns:
     with open(path, newline="", encoding="utf-8") as fh:
-        if next(csv.reader([fh.readline()]), None) != list(PATTERN_COLUMNS):
+        if fh.readline().rstrip("\r\n") != ",".join(PATTERN_COLUMNS):
             raise SchemaError(f"{path}: header must be {','.join(PATTERN_COLUMNS)}")
         body = fh.read()
     if not body.strip():

@@ -1,3 +1,4 @@
+import re
 import textwrap
 from collections import Counter
 
@@ -5,8 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sentireg.corpus import (
+    _URL_RE,
+    _WORD_RE,
     NORMALIZERS,
+    CorpusReader,
     SchemaError,
+    _surfaces,
     TokenStream,
     bag_of_words,
     build_dtm,
@@ -14,6 +19,7 @@ from sentireg.corpus import (
     load_corpus,
     load_stem_rules,
     load_tsv_map,
+    load_wordlist,
     lowercase,
     ngrams,
     pos_tag,
@@ -106,6 +112,38 @@ class TestLoadCorpus:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope.csv")
+
+    def test_reader_streams_kept_rows_and_counts_drops(self, tmp_path):
+        p = self._write(tmp_path, """\
+            id,state,text
+            a,NC,hello
+            b,ZZ,bogus
+            c,PR,territory
+            d,WY,yo
+        """)
+        rows = CorpusReader(p)
+        assert next(iter(rows)) == ("a", "NC", "hello")
+        assert rows.dropped == 0
+        assert list(rows) == [("a", "NC", "hello"), ("d", "WY", "yo")]
+        assert rows.dropped == 2
+
+    def test_reader_counts_drops_of_each_pass(self, tmp_path):
+        p = self._write(tmp_path, """\
+            id,state,text
+            a,ZZ,bogus
+            b,NC,hello
+            c,PR,territory
+        """)
+        rows = CorpusReader(p)
+        for _ in range(2):
+            assert list(rows) == [("b", "NC", "hello")]
+            assert rows.dropped == 2
+
+
+def test_wordlist_byte_order_mark_is_skipped(tmp_path):
+    p = tmp_path / "stopwords.txt"
+    p.write_bytes(b"\xef\xbb\xbfthe\nand\n")
+    assert load_wordlist(p) == {"the", "and"}
 
 
 class TestNormalization:
@@ -340,6 +378,22 @@ def test_dtm_row_sums(corpora):
     dtm = build_dtm(streams)
     for i, s in enumerate(streams):
         assert dtm.row_sum(i) == len(s)
+
+
+@given(st.lists(st.sampled_from([
+    "http", "HTTP", "hTtP", "Https://a.b/c", "http://", "ht", "tp", "h", "t", "p", "s", "://",
+    "x.co/y", "İ", "ı", "ſ", "\u212a", "Å", "ß", "é", " ", "\n", "\t", "#", "@",
+]), max_size=16).map("".join))
+def test_url_precheck_equals_unconditional_strip(text):
+    assert _surfaces(text) == _WORD_RE.findall(_URL_RE.sub(" ", text))
+
+
+def test_only_ascii_letters_match_the_url_pattern_letters():
+    # Why _surfaces may skip the URL regex on texts without "http": every
+    # code point that matches h, t or p under IGNORECASE lowers to it.
+    every = "".join(map(chr, range(0x110000)))
+    for letter in "htp":
+        assert {c.lower() for c in re.findall(letter, every, re.IGNORECASE)} == {letter}
 
 
 @given(words_strategy, st.integers(min_value=1, max_value=10))

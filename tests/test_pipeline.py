@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -223,6 +224,72 @@ class TestCli:
                      "--out", str(bom)]) == EXIT_OK
         for name in ARTIFACTS:
             assert (bom / name).read_bytes() == (plain / name).read_bytes(), name
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys):
+        # The reader decodes ahead of the parser, so the line named is at or
+        # before the bad one, never past it.
+        corpus, out = tmp_path / "corpus.csv", tmp_path / "out"
+        lines = [b"id,state,text"] + [f"d{i},NC,reopen the economy {i}".encode()
+                                      for i in range(2000)]
+        bad = 1500
+        lines[bad - 1] = "e1,NC,café reopens".encode("latin-1")
+        corpus.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["preprocess", "--corpus", str(corpus), "--out", str(out)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        match = re.search(re.escape(str(corpus)) + r":(\d+): not UTF-8", err)
+        assert match, err
+        assert 1 < int(match.group(1)) <= bad
+        assert list(out.iterdir()) == []
+
+    def test_corpus_error_late_in_file_keeps_previous_tokens(self, tmp_path, capsys):
+        # Rows before the duplicate id are already streamed to the temp file.
+        out = tmp_path / "out"
+        assert main(self._args("preprocess", out)) == EXIT_OK
+        before = (out / "tokens.csv").read_bytes()
+        corpus = tmp_path / "corpus.csv"
+        data = CORPUS.read_bytes()
+        corpus.write_bytes(data + data.splitlines(keepends=True)[1])
+        line = data.count(b"\n") + 1
+        assert main(["preprocess", "--corpus", str(corpus), "--out", str(out)]) == EXIT_SCHEMA
+        assert f"{corpus}:{line}: duplicate id" in capsys.readouterr().err
+        assert (out / "tokens.csv").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["tokens.csv"]
+
+    def test_byte_order_mark_in_resource_files_is_skipped(self, tmp_path):
+        # Each list's first line is an entry the fixture uses, so a BOM kept
+        # on it would change tokens.csv and scored.csv.
+        def entries(name):
+            return [line for line in default_data_path(name).read_bytes().splitlines(True)
+                    if not line.startswith(b"#")]
+
+        lexicon = entries("lexicon.tsv")
+        hopeful = next(line for line in lexicon if line.startswith(b"hopeful\t"))
+        files = {"stopwords": b"".join(entries("stopwords.txt")),
+                 "lexicon": hopeful + b"".join(line for line in lexicon if line != hopeful)}
+        assert files["stopwords"].startswith(b"a\n")
+        runs = {}
+        for bom in (b"", b"\xef\xbb\xbf"):
+            out = tmp_path / ("bom" if bom else "plain")
+            out.mkdir()
+            extra = {}
+            for name, data in files.items():
+                extra[name] = out / f"{name}.in"
+                extra[name].write_bytes(bom + data)
+            for command in ("preprocess", "score"):
+                assert main(self._args(command, out, **extra)) == EXIT_OK
+            runs[bom] = out
+        for name in ("tokens.csv", "scored.csv"):
+            assert (runs[b""] / name).read_bytes() == (runs[b"\xef\xbb\xbf"] / name).read_bytes()
+
+    def test_long_patterns_header_is_schema_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("preprocess", "score", "join"):
+            assert main(self._args(command, out)) == EXIT_OK
+        path = out / "patterns.csv"
+        body = path.read_bytes().split(b"\r\n", 1)[1]
+        path.write_bytes(b"m" * 140_000 + b"\r\n" + body)
+        assert main(self._args("fit", out)) == EXIT_SCHEMA
+        assert f"{path}: header must be" in capsys.readouterr().err
 
     def test_preprocess_uses_each_calls_word_lists(self, tmp_path):
         # Two preprocess calls in one process must not share normalizations:

@@ -5,7 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from sentireg.corpus import Document, SchemaError
+from sentireg.corpus import SchemaError
 from sentireg.diagnostics import covariate_patterns
 from sentireg.pipeline import default_data_path
 from sentireg.tabulate import (
@@ -35,8 +35,9 @@ def make_covariates(state="NC", **overrides):
     return StateCovariates(**base)
 
 
-def doc(state, width=100, i=0):
-    return Document(id=f"d{state}{i}", state=state, text="x" * width, text_width=width)
+def record(state, y, width=100):
+    """A scored.csv record as join reads it: (state, text width, binary)."""
+    return (state, width, y)
 
 
 class TestLoadCovariates:
@@ -91,7 +92,7 @@ class TestRegionDummies:
 class TestJoin:
     def test_mechanical_join(self):
         covars = {"NC": make_covariates("NC")}
-        (row,) = join([(doc("NC"), 1)], covars)
+        (row,) = join([record("NC", 1)], covars)
         assert row.sentiment == 1
         assert row.TW == 100.0
         assert (row.NE, row.MW, row.WEST) == region_dummies(covars["NC"].region)
@@ -99,7 +100,7 @@ class TestJoin:
 
     def test_natural_log_transforms(self):
         covars = {"NC": make_covariates("NC", FHH_pct=65.4)}
-        (row,) = join([(doc("NC"), 0)], covars)
+        (row,) = join([record("NC", 0)], covars)
         assert row.L_FHH == pytest.approx(math.log(65.4))
         assert row.L_FHH == pytest.approx(4.1805, abs=5e-5)
         assert math.exp(row.L_FHH) == pytest.approx(65.4, abs=1e-12)
@@ -107,18 +108,40 @@ class TestJoin:
 
     def test_covariates_repeated_per_state(self):
         covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA", FHH_pct=55.0)}
-        rows = join([(doc("NC", i=1), 1), (doc("CA", i=2), 0), (doc("NC", i=3), 1)], covars)
+        rows = join([record("NC", 1), record("CA", 0), record("NC", 1)], covars)
         assert len(rows) == 3
         assert rows[0].L_FHH == rows[2].L_FHH
         assert rows[1].L_FHH == pytest.approx(math.log(55.0))
 
     def test_missing_state_is_hard_error(self):
         with pytest.raises(SchemaError, match="WY"):
-            join([(doc("WY"), 1)], {"NC": make_covariates("NC")})
+            join([record("WY", 1)], {"NC": make_covariates("NC")})
+
+    def test_csv_string_records(self):
+        # scored.csv's fields arrive as strings and give the same table as ints.
+        covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA", FHH_pct=55.0)}
+        records = [record(s, i % 2, width=w) for i, (s, w)
+                   in enumerate([("NC", 7), ("CA", 11), ("NC", 7), ("CA", 3), ("NC", 11)])]
+        typed = join(records, covars)
+        read = join(iter([(s, str(w), str(y)) for s, w, y in records]), covars)
+        assert read.text == typed.text and read.covariates == typed.covariates
+        assert read.pattern.tolist() == typed.pattern.tolist() == [0, 1, 0, 2, 3]
+        assert read.y.dtype == np.int64 and read.y.tolist() == typed.y.tolist()
+
+    def test_non_integer_width_rejected(self):
+        with pytest.raises(ValueError):
+            join([("NC", "7.5", "1")], {"NC": make_covariates("NC")})
+        with pytest.raises(TypeError):
+            join([("NC", 7.5, 1)], {"NC": make_covariates("NC")})
+
+    def test_missing_states_all_listed(self):
+        records = [record("WY", 1), record("NC", 0), record("AK", 1), record("WY", 0)]
+        with pytest.raises(SchemaError, match=r"\['AK', 'WY'\]"):
+            join(records, {"NC": make_covariates("NC")})
 
     def test_at_most_one_dummy_set(self):
         covars = load_covariates(COVARIATES_FIXTURE)
-        rows = join([(doc(s, i=i), i % 2) for i, s in enumerate(sorted(covars))], covars)
+        rows = join([record(s, i % 2) for i, s in enumerate(sorted(covars))], covars)
         for row in rows:
             assert row.NE + row.MW + row.WEST in (0, 1)
 
@@ -128,8 +151,7 @@ class TestDescriptiveStats:
         covars = {"NC": make_covariates("NC")}
         sentiments = sentiments or [i % 2 for i in range(len(tw_values))]
         return join(
-            [(doc("NC", width=w, i=i), s)
-             for i, (w, s) in enumerate(zip(tw_values, sentiments))],
+            [record("NC", s, width=w) for w, s in zip(tw_values, sentiments)],
             covars,
         )
 
@@ -178,8 +200,8 @@ ENVELOPE = {
 def test_fixture_inside_published_envelope():
     covars = load_covariates(COVARIATES_FIXTURE)
     rng = np.random.default_rng(3)
-    docs = [(doc(state, width=int(rng.integers(6, 297)), i=i), int(rng.integers(0, 2)))
-            for i, state in enumerate(sorted(covars))]
+    docs = [record(state, width=int(rng.integers(6, 297)), y=int(rng.integers(0, 2)))
+            for state in sorted(covars)]
     stats = descriptive_stats(join(docs, covars))
     for name in ANALYSIS_COLUMNS:
         lo, hi = ENVELOPE[name]
@@ -189,7 +211,7 @@ def test_fixture_inside_published_envelope():
 
 def test_analysis_csv_round_trip(tmp_path):
     covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA")}
-    rows = join([(doc("NC", i=1), 1), (doc("CA", i=2), 0)], covars)
+    rows = join([record("NC", 1), record("CA", 0)], covars)
     path = tmp_path / "analysis.csv"
     write_analysis_csv(path, rows)
     assert read_analysis_csv(path) == list(rows)
@@ -219,8 +241,8 @@ def test_patterns_csv_is_covariate_patterns_of_analysis_csv(tmp_path):
               "CA": make_covariates("CA", FHH_pct=55.0)}
     rng = np.random.default_rng(19)
     states = sorted(covars)
-    table = join([(doc(states[rng.integers(3)], width=int(rng.integers(6, 12)), i=i),
-                   int(rng.integers(0, 2))) for i in range(300)], covars)
+    table = join([record(states[rng.integers(3)], width=int(rng.integers(6, 12)),
+                         y=int(rng.integers(0, 2))) for _ in range(300)], covars)
     write_analysis_csv(tmp_path / "analysis.csv", table)
     write_patterns_csv(tmp_path / "patterns.csv", table)
     rows = read_analysis_csv(tmp_path / "analysis.csv")
@@ -259,7 +281,7 @@ def test_read_patterns_csv_header_only(tmp_path):
 def test_read_patterns_csv_equals_float_parse(tmp_path):
     # Every field parsed by Python's float(), the reader's former method.
     covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA", MHHI=80123.45)}
-    table = join([(doc(state, width=w, i=i), i % 2) for i, (state, w)
+    table = join([record(state, i % 2, width=w) for i, (state, w)
                   in enumerate([("NC", 7), ("CA", 11), ("NC", 7), ("CA", 3)])], covars)
     write_patterns_csv(tmp_path / "patterns.csv", table)
     with open(tmp_path / "patterns.csv", newline="", encoding="utf-8") as fh:
