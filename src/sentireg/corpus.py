@@ -5,8 +5,9 @@ works on token streams: tokenize, lowercase, drop stopwords/slang, stem or
 lemmatize, then count (bag of words, document-term matrix, n-grams) or tag.
 `preprocess` runs those steps in one pass: what becomes of a token depends
 only on its surface form, so a `WordNormalizer` memo normalizes each
-distinct surface once. All functions here are pure; the same input always
-yields the same output.
+distinct surface once; it splits an ASCII text with no apostrophe by lower,
+translate and split, which give the word regex's tokens. All functions here
+are pure; the same input always yields the same output.
 """
 
 from __future__ import annotations
@@ -223,6 +224,12 @@ _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
 _URL_RE = re.compile(r"(?<!\S)http\S*", re.IGNORECASE)
 
 
+# On ASCII, [^\W_] is [A-Za-z0-9] and ’ cannot occur, so in an ASCII text with
+# no ' a token is a maximal run of letters and digits: what split() returns
+# once _ASCII_GAPS has made every other character a space.
+_ASCII_GAPS = {c: " " for c in range(128) if not (chr(c).isalnum() or chr(c) == "'")}
+
+
 def _surfaces(text: str) -> list[str]:
     # Exact: under IGNORECASE only ASCII h/t/p match "http", and lower() keeps them.
     if "http" in text.lower():
@@ -321,8 +328,10 @@ class WordNormalizer(dict):
     """Memo from a token's surface form to its normalized form, or to None
     when the token is dropped. For w = surface.lower(): None if w is a
     stopword or slang word, else lemmas[w] if the normalizer uses lemmas and
-    w is a hit, else w stemmed if it uses stem rules, else w. The memo holds
-    only for the word lists it was built from: build one per set of lists.
+    w is a hit, else w stemmed if it uses stem rules, else w. As a value
+    depends only on w, `words` keys the memo by the surface, lower-cased in
+    ASCII texts, with the same values. The memo holds only for the word
+    lists it was built from: build one per set of lists.
     """
 
     def __init__(self, *, stopwords: set[str] | None = None, slang: set[str] | None = None,
@@ -335,6 +344,7 @@ class WordNormalizer(dict):
         self._slang = slang or set()
         self._lemmas = (lemmas or {}) if normalizer in ("lemma_then_stem", "lemma") else {}
         self._rules = (stem_rules or []) if normalizer in ("lemma_then_stem", "stem") else []
+        self._suffixes = tuple(suffix for suffix, _ in self._rules)
 
     def __missing__(self, surface: str) -> str | None:
         word = surface.lower()
@@ -342,14 +352,26 @@ class WordNormalizer(dict):
             value = None
         elif word in self._lemmas:
             value = self._lemmas[word]
-        else:
-            value = _stem_word(word, self._rules)
+        else:  # with no rule's suffix, _stem_word(word) is word
+            value = _stem_word(word, self._rules) if word.endswith(self._suffixes) else word
         self[surface] = value
         return value
 
     def words(self, text: str) -> list[str]:
-        """Normalized forms of the tokens of text that are kept, in order."""
-        return [w for w in map(self.__getitem__, _surfaces(text)) if w is not None]
+        """Normalized forms of the tokens of text that are kept, in order.
+
+        An ASCII text is lower-cased first: there lower() maps only A-Z to
+        a-z, changing no character's class, so _URL_RE matches the same
+        spans and each token is _surfaces(text)'s token lower-cased."""
+        if text.isascii():
+            text = text.lower()
+            if "http" in text:
+                text = _URL_RE.sub(" ", text)
+            surfaces = (_WORD_RE.findall(text) if "'" in text
+                        else text.translate(_ASCII_GAPS).split())
+        else:
+            surfaces = _surfaces(text)
+        return [w for w in map(self.__getitem__, surfaces) if w is not None]
 
 
 def preprocess(
@@ -381,12 +403,17 @@ def preprocess(
 def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line without its newline) for each line of a UTF-8
     resource file, with or without a byte-order mark, that is neither blank
-    nor a '#' comment."""
+    nor a '#' comment. A byte that is not UTF-8 is a SchemaError naming the
+    file and the first line not yet read."""
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.strip() and not line.startswith("#"):
-                yield lineno, line
+        lineno = 0
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line.strip() and not line.startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError:  # decoded ahead of the lines: at or after lineno + 1
+            raise SchemaError(f"{path}:{lineno + 1}: not UTF-8 at or after this line") from None
 
 
 def _tsv_pairs(path: str | Path, expected: str) -> Iterator[tuple[str, str]]:

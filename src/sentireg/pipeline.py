@@ -102,7 +102,12 @@ class PipelineConfig:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's sha256, read in 1 MiB blocks so no whole file is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def stage_preprocess(config: PipelineConfig) -> Path:
@@ -150,12 +155,17 @@ def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
     writes analysis_table.csv, descriptives.csv and patterns.csv."""
     covars = tab_mod.load_covariates(config.covariates)
     rows = read_columns(config.out / "scored.csv", ("state", "text_width", "binary"))
-    table = tab_mod.join(map(itemgetter(1, 2, 3), rows), covars)
+    try:
+        table = tab_mod.join(map(itemgetter(1, 2, 3), rows), covars)
+    except OverflowError as exc:  # a binary past int64, or a width past float
+        raise corpus_mod.SchemaError(
+            f"{config.out / 'scored.csv'}: number out of range: {exc}") from None
     table_path = config.out / "analysis_table.csv"
     desc_path = config.out / "descriptives.csv"
     patterns_path = config.out / "patterns.csv"
+    stats = tab_mod.descriptive_stats(table)  # may raise: before any artifact is replaced
     tab_mod.write_analysis_csv(table_path, table)
-    tab_mod.write_descriptives_csv(desc_path, tab_mod.descriptive_stats(table))
+    tab_mod.write_descriptives_csv(desc_path, stats)
     tab_mod.write_patterns_csv(patterns_path, table)
     return table_path, desc_path, patterns_path
 

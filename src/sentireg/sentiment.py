@@ -67,8 +67,8 @@ class Lexicon:
         if overlap:
             raise ValueError(f"negators/amplifiers overlap valence terms: {sorted(overlap)}")
         for term, m in self.amplifiers.items():
-            if not m > 1.0:
-                raise ValueError(f"amplifier multiplier for {term!r} must exceed 1: {m}")
+            if not 1.0 < m < math.inf:
+                raise ValueError(f"amplifier multiplier for {term!r} must be finite, over 1: {m}")
 
 
 @dataclass(frozen=True)

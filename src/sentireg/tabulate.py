@@ -102,13 +102,12 @@ class StateCovariates:
             v = getattr(self, name)
             if not 0.0 <= v <= 100.0:
                 raise ValueError(f"{self.state}: {name}={v} outside [0, 100]")
-        if not self.AFS > 0:
-            raise ValueError(f"{self.state}: AFS must be positive, got {self.AFS}")
-        if not self.POPDEN > 0:
-            raise ValueError(f"{self.state}: POPDEN must be positive, got {self.POPDEN}")
+        for name in ("FHH_pct", "AFS", "POPDEN"):  # FHH_pct and POPDEN enter as logs
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"{self.state}: {name} must be finite and positive, got {v}")
         for name in ("CASES", "MHHI", "GR"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{self.state}: {name} must be nonnegative")
+            if not 0 <= (v := getattr(self, name)) < math.inf:
+                raise ValueError(f"{self.state}: {name} must be finite and nonnegative, got {v}")
 
 
 # Column order mirrors the fitted model's regressor order.

@@ -1,3 +1,4 @@
+import itertools
 import re
 import textwrap
 from collections import Counter
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sentireg.corpus import (
+    _ASCII_GAPS,
     _URL_RE,
     _WORD_RE,
     NORMALIZERS,
@@ -13,6 +15,8 @@ from sentireg.corpus import (
     SchemaError,
     _surfaces,
     TokenStream,
+    WordNormalizer,
+    _stem_word,
     bag_of_words,
     build_dtm,
     lemmatize,
@@ -400,3 +404,63 @@ def test_only_ascii_letters_match_the_url_pattern_letters():
 def test_ngram_count_formula(words, n):
     s = stream_of(*words) if words else tokenize("")
     assert len(ngrams(s, n)) == max(0, len(s) - n + 1)
+
+
+# -- the ASCII fast path of WordNormalizer.words ------------------------------
+
+ASCII = "".join(map(chr, range(128)))
+
+
+def test_ascii_gaps_are_the_characters_no_token_holds():
+    for c in ASCII:
+        assert (_ASCII_GAPS.get(ord(c)) == " ") == (c != "'" and not _WORD_RE.match(c)), repr(c)
+
+
+def test_words_equal_the_word_pattern_on_every_short_ascii_string():
+    normalize = WordNormalizer(normalizer="none")
+    for n in (0, 1, 2):
+        for chars in itertools.product(ASCII, repeat=n):
+            text = "".join(chars)
+            assert normalize.words(text) == [s.lower() for s in _WORD_RE.findall(text)], text
+
+
+def regex_words(text, stopwords, slang, normalizer):
+    """WordNormalizer.words without the memo or the ASCII path: every surface
+    the Unicode regex finds, lower-cased, then dropped, lemmatized or stemmed."""
+    lemmas = LEMMAS if normalizer in ("lemma_then_stem", "lemma") else {}
+    rules = STEM_RULES if normalizer in ("lemma_then_stem", "stem") else []
+    words = []
+    for surface in _WORD_RE.findall(_URL_RE.sub(" ", text)):
+        w = surface.lower()
+        if w not in stopwords and w not in slang:
+            words.append(lemmas[w] if w in lemmas else _stem_word(w, rules))
+    return words
+
+
+# ASCII letters of both cases, digits, '_', both apostrophes, punctuation,
+# ASCII whitespace that str.split() splits on, URLs in either case, stem-rule
+# suffixes and lemma hits, and non-ASCII letters whose case mapping is
+# unusual ('İ' and 'ß' lower or upper to two characters, 'ſ' and Kelvin 'K'
+# match ASCII letters under IGNORECASE), so texts fall on both paths.
+MIXED_FRAGMENTS = st.one_of(
+    st.text(alphabet="aAeEgGiInNsSdDtT09_'’#@.,! \t\x0b\x1céİſ\u212aß", max_size=10),
+    st.sampled_from(["http", "HTTP://a.b", "Reopening", "STUDIES", "Don't", "café",
+                     *sorted(LEMMAS)[:20]]),
+)
+
+
+@pytest.mark.parametrize("normalizer", NORMALIZERS)
+@given(st.lists(st.lists(MIXED_FRAGMENTS, max_size=8).map(" ".join), max_size=6),
+       droplist_strategy, droplist_strategy)
+def test_words_equal_the_regex_oracle(normalizer, texts, stopwords, slang):
+    # One normalizer for every text, so memo keys written from an ASCII text
+    # are read for a non-ASCII one and the other way round.
+    normalize = WordNormalizer(stopwords=stopwords, slang=slang, stem_rules=STEM_RULES,
+                               lemmas=LEMMAS, normalizer=normalizer)
+    for text in texts + texts[::-1]:
+        assert normalize.words(text) == regex_words(text, stopwords, slang, normalizer)
+
+
+def test_words_without_stem_rules_pass_words_through():
+    normalize = WordNormalizer(stem_rules=[], normalizer="stem")
+    assert normalize.words("Reopening STUDIES") == ["reopening", "studies"]

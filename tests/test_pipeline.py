@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -100,6 +101,33 @@ class TestRunPipeline:
         with open(pyproject, "rb") as fh:
             project = tomllib.load(fh)["project"]
         assert project["version"] == sentireg.__version__
+
+    def test_sources_parse_at_the_declared_python_floor(self):
+        # Grammar only: a library call newer than the floor still parses.
+        root = Path(__file__).resolve().parents[1]
+        floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                          (root / "pyproject.toml").read_text(encoding="utf-8"))
+        version = (int(floor.group(1)), int(floor.group(2)))
+        assert version == (3, 10)
+        sources = sorted((root / "src" / "sentireg").glob("*.py"))
+        assert sources
+        for path in sources:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+        with pytest.raises(SyntaxError):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                      feature_version=version)
+
+    def test_manifest_hashes_are_whole_file_sha256(self, tmp_path):
+        out = run_fixture(tmp_path / "run")
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        for name in ARTIFACTS:
+            assert manifest["artifacts"][name] == hashlib.sha256(
+                (out / name).read_bytes()).hexdigest(), name
+        # Files that end on, just past and short of a 1 MiB block.
+        for size in (0, 1 << 20, (1 << 20) + 1, 3 * (1 << 20) - 1):
+            path = tmp_path / f"{size}.bin"
+            path.write_bytes(bytes(range(256)) * (size // 256) + b"x" * (size % 256))
+            assert pipeline._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestCli:
@@ -290,6 +318,39 @@ class TestCli:
         path.write_bytes(b"m" * 140_000 + b"\r\n" + body)
         assert main(self._args("fit", out)) == EXIT_SCHEMA
         assert f"{path}: header must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("binary, width", [("99999999999999999999", "5"),
+                                               ("1", "9" * 400)],
+                             ids=["binary-past-int64", "width-past-float"])
+    def test_join_number_out_of_range_is_schema_error(self, tmp_path, capsys, binary, width):
+        out = tmp_path / "out"
+        for command in ("preprocess", "score"):
+            assert main(self._args(command, out)) == EXIT_OK
+        path = out / "scored.csv"
+        with open(path, "a", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(["zz", "NC", width, "0.5", "Positive", binary])
+        assert main(self._args("join", out)) == EXIT_SCHEMA
+        assert f"{path}: number out of range" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["scored.csv", "state_summary.csv",
+                                                         "tokens.csv"]
+
+    @pytest.mark.parametrize("command, option, data", [
+        ("preprocess", "stopwords", "the\nand\n" + "filler\n" * 3000 + "caf\xe9\n"),
+        ("score", "lexicon", "good\t1\n" + "x\t0.5\n" * 3000 + "caf\xe9\t1\n"),
+    ], ids=["stopwords", "lexicon"])
+    def test_non_utf8_resource_file_names_file_and_line(self, tmp_path, capsys,
+                                                          command, option, data):
+        out = tmp_path / "out"
+        if command == "score":
+            assert main(self._args("preprocess", out)) == EXIT_OK
+        path = tmp_path / f"{option}.in"
+        path.write_bytes(data.encode("latin-1"))
+        bad = data.count("\n")
+        assert main(self._args(command, out, **{option: path})) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        match = re.search(re.escape(str(path)) + r":(\d+): not UTF-8 at or after this line", err)
+        assert match, err
+        assert 1 < int(match.group(1)) <= bad
 
     def test_preprocess_uses_each_calls_word_lists(self, tmp_path):
         # Two preprocess calls in one process must not share normalizations:

@@ -154,6 +154,12 @@ class TestLexiconValidation:
         with pytest.raises(ValueError):
             lex({"good": 1.0}, amplifiers={"kinda": 0.5})
 
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_amplifier_must_be_finite(self, m):
+        # An infinite multiplier makes "very good ... very bad" score inf - inf.
+        with pytest.raises(ValueError, match="finite"):
+            lex({"good": 1.0}, amplifiers={"very": m})
+
     def test_bundled_lexicon_loads(self):
         lx = load_lexicon(
             default_data_path("lexicon.tsv"),

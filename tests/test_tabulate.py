@@ -70,6 +70,14 @@ class TestLoadCovariates:
         with pytest.raises(ValueError, match="AFS"):
             make_covariates(AFS=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("CASES", math.inf), ("MHHI", math.nan), ("GR", -1.0), ("AFS", math.inf),
+        ("POPDEN", math.inf), ("FHH_pct", 0.0),
+    ])
+    def test_non_finite_or_log_of_zero_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_covariates(**{field: value})
+
     def test_percentage_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="WP"):
             make_covariates(WP=120.0)
