@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from pathlib import Path
@@ -416,14 +416,21 @@ def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             raise SchemaError(f"{path}:{lineno + 1}: not UTF-8 at or after this line") from None
 
 
-def _tsv_pairs(path: str | Path, expected: str) -> Iterator[tuple[str, str]]:
-    """The two tab-separated fields of each content line; any other field
-    count is a SchemaError that says the line should be `expected`."""
+def _tsv_pairs(path: str | Path, expected: str,
+               value: Callable[[str], object] = str) -> Iterator[tuple[str, object]]:
+    """The two tab-separated fields of each content line, the second passed
+    through value; any other field count, or a ValueError from value, is a
+    SchemaError that says the line should be `expected`."""
     for lineno, line in _content_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise SchemaError(f"{path}:{lineno}: expected {expected}")
-        yield parts[0], parts[1]
+        try:
+            converted = value(parts[1])
+        except ValueError:
+            raise SchemaError(f"{path}:{lineno}: expected {expected}, "
+                              f"got {parts[1]!r}") from None
+        yield parts[0], converted
 
 
 def load_wordlist(path: str | Path) -> set[str]:

@@ -4,9 +4,10 @@ Covers Pearson chi-square over covariate patterns, the classification
 summary at a probability cutoff, a plot-ready normal QQ table of Pearson
 residuals, and average marginal effects with delta-method standard errors.
 
-Every function that takes a DesignMatrix weights its rows by the design's
-m, so a design of covariate patterns gives the same results as the
-row-level design it summarizes.
+Every diagnostic takes the fit and a DesignMatrix, weighting each row by
+its m. Pearson and QQ are defined over covariate patterns, so they take the
+pattern design (covariate_patterns builds it from a row-level one); the
+classification summary and the margins give the same results on either.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .logit import DegenerateFitError, DesignMatrix, LogitFit, classify_threshol
 from .special import chi2_sf, norm_ppf, two_sided_p
 
 __all__ = [
-    "CovariatePattern",
     "ClassificationSummary",
     "MarginalEffect",
     "covariate_patterns",
@@ -34,15 +34,6 @@ __all__ = [
     "write_margins_csv",
     "write_qq_csv",
 ]
-
-
-@dataclass(frozen=True)
-class CovariatePattern:
-    pattern_index: int
-    row_indices: tuple[int, ...]  # rows of the row-level table; empty if read as counts
-    m: int        # pattern size
-    y_sum: int    # observed successes within the pattern
-    p_hat: float  # fitted probability (constant within the pattern)
 
 
 @dataclass(frozen=True)
@@ -67,58 +58,45 @@ class MarginalEffect:
     p: float
 
 
-def covariate_patterns(
-    X: np.ndarray,
-    y: np.ndarray | None = None,
-    p: np.ndarray | None = None,
-) -> list[CovariatePattern]:
-    """Group rows by exact equality of their covariate vector.
+def covariate_patterns(data: DesignMatrix) -> tuple[DesignMatrix, np.ndarray]:
+    """The design whose rows are data's covariate patterns, and each row's
+    pattern number.
 
-    Patterns are numbered by first occurrence. y and fitted p, when given,
-    fill in the observed successes and the (within-pattern constant)
-    fitted probability.
+    Rows with equal covariate vectors form one pattern; patterns are
+    numbered by first occurrence and carry the summed m and y.
     """
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("covariate matrix contains non-finite entries")
-    groups: dict[bytes, list[int]] = {}
-    order: list[bytes] = []
-    for i in range(X.shape[0]):
-        key = X[i].tobytes()
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
-    patterns = []
-    for idx, key in enumerate(order):
-        rows = groups[key]
-        y_sum = int(np.sum(np.asarray(y)[rows])) if y is not None else 0
-        p_hat = float(np.asarray(p)[rows[0]]) if p is not None else math.nan
-        patterns.append(CovariatePattern(
-            pattern_index=idx, row_indices=tuple(rows), m=len(rows),
-            y_sum=y_sum, p_hat=p_hat,
-        ))
-    return patterns
+    _, first, inverse = np.unique(data.X, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # pattern numbers in first-occurrence order
+    pattern = np.argsort(order)[inverse.reshape(-1)]  # inverse's shape varies in numpy 2.x
+    n = len(order)
+    return DesignMatrix(X=data.X[first[order]], names=data.names,
+                        y=np.bincount(pattern, weights=data.y, minlength=n),
+                        m=np.bincount(pattern, weights=data.m, minlength=n)), pattern
 
 
-def pearson_chi2(
-    result: LogitFit, patterns: list[CovariatePattern]
-) -> dict[str, float | int | None]:
-    """Pearson goodness-of-fit statistic over covariate patterns.
+def _residual_parts(result: LogitFit, data: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's y - m p and its binomial variance m p (1 - p); a zero
+    variance (fitted p exactly 0 or 1) raises DegenerateFitError."""
+    p = predict_prob(data.X, result.beta)
+    var = data.m * p * (1.0 - p)
+    if not var.all():
+        j = np.flatnonzero(var == 0.0)[0]
+        raise DegenerateFitError(f"degenerate fitted probability {p[j]} in pattern {j}")
+    return data.y - data.m * p, var
+
+
+def pearson_chi2(result: LogitFit, data: DesignMatrix) -> dict[str, float | int | None]:
+    """Pearson goodness-of-fit statistic over the rows of data, each a
+    covariate pattern.
 
     df = #patterns - (k+1). When df <= 0 the p-value is reported as None.
     """
-    chi2 = 0.0
-    for pat in patterns:
-        denom = pat.m * pat.p_hat * (1.0 - pat.p_hat)
-        if denom == 0.0 or pat.p_hat in (0.0, 1.0):
-            raise DegenerateFitError(
-                f"degenerate fitted probability {pat.p_hat} in pattern {pat.pattern_index}"
-            )
-        chi2 += (pat.y_sum - pat.m * pat.p_hat) ** 2 / denom
-    df = len(patterns) - (result.k + 1)
+    e, var = _residual_parts(result, data)
+    # A running sum in row order: np.sum adds pairwise, which can change the last bit.
+    chi2 = float(np.add.accumulate(e ** 2 / var)[-1])
+    df = len(var) - (result.k + 1)
     p = chi2_sf(chi2, df) if df > 0 else None
-    return {"chi2": chi2, "df": df, "p": p, "n_patterns": len(patterns)}
+    return {"chi2": chi2, "df": df, "p": p, "n_patterns": len(var)}
 
 
 def classification_summary(
@@ -126,13 +104,11 @@ def classification_summary(
 ) -> ClassificationSummary:
     """Confusion counts and rates at the given probability cutoff.
 
-    Each row of data counts m times, y of them positive; a stand-in for
-    data without m is taken to hold single observations.
+    Each row of data counts m times, y of them positive.
     """
     p = predict_prob(data.X, result.beta)
     positive = classify_threshold(p, cutoff) == 1
-    y = data.y
-    negatives = getattr(data, "m", 1.0) - y
+    y, negatives = data.y, data.m - data.y
     tp = int(np.sum(y[positive]))
     tn = int(np.sum(negatives[~positive]))
     fp = int(np.sum(negatives[positive]))
@@ -147,23 +123,15 @@ def classification_summary(
     )
 
 
-def qq_export(patterns: list[CovariatePattern]) -> list[tuple[float, float]]:
+def qq_export(result: LogitFit, data: DesignMatrix) -> list[tuple[float, float]]:
     """Sorted Pearson residuals paired with normal plotting positions.
 
     Row i carries the quantile at (i - 0.5)/J and the i-th smallest
-    residual, one row per covariate pattern.
+    residual, one row per row of data, each a covariate pattern.
     """
-    residuals = []
-    for pat in patterns:
-        denom = math.sqrt(pat.m * pat.p_hat * (1.0 - pat.p_hat))
-        if denom == 0.0:
-            raise DegenerateFitError(
-                f"degenerate fitted probability {pat.p_hat} in pattern {pat.pattern_index}"
-            )
-        residuals.append((pat.y_sum - pat.m * pat.p_hat) / denom)
-    residuals.sort()
-    j = len(residuals)
-    return [(norm_ppf((i + 0.5) / j), residuals[i]) for i in range(j)]
+    e, var = _residual_parts(result, data)
+    residuals = np.sort(e / np.sqrt(var)).tolist()
+    return [(norm_ppf((i + 0.5) / len(residuals)), r) for i, r in enumerate(residuals)]
 
 
 def marginal_effects(

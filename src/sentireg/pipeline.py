@@ -130,16 +130,21 @@ def stage_preprocess(config: PipelineConfig) -> Path:
 def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
     """Score normalized token streams; writes scored.csv and state_summary.csv."""
     lexicon = sent_mod.load_lexicon(config.lexicon, config.negators, config.amplifiers)
-    rows = read_columns(config.out / "tokens.csv", ("id", "state", "text_width", "tokens"))
+    tokens_path = config.out / "tokens.csv"
+    rows = read_columns(tokens_path, ("id", "state", "text_width", "tokens"))
     states, values = [], []  # every document's, kept by chunks() for the state summary
 
     def chunks() -> Iterator[sent_mod.ScoredChunk]:
         while chunk := list(islice(rows, SCORE_CHUNK_DOCS)):
-            _, ids, chunk_states, widths, tokens = zip(*chunk)
+            lines, ids, chunk_states, widths, tokens = zip(*chunk)
+            try:
+                widths = [int(w) for w in widths]
+            except ValueError as exc:
+                raise _first_bad_field(tokens_path, zip(lines, widths)) or exc from None
             value, _ = sent_mod.score_batch([t.split() for t in tokens], lexicon)
             states.append(np.array(chunk_states))
             values.append(value)
-            yield sent_mod.ScoredChunk(ids, chunk_states, [int(w) for w in widths], value)
+            yield sent_mod.ScoredChunk(ids, chunk_states, widths, value)
 
     scored_path = config.out / "scored.csv"
     summary_path = config.out / "state_summary.csv"
@@ -150,16 +155,36 @@ def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
     return scored_path, summary_path
 
 
+def _first_bad_field(path: Path, records: Iterator[tuple]) -> corpus_mod.SchemaError | None:
+    """The first (line, text_width[, binary]) record whose text_width is not
+    an integer or whose binary is not 0 or 1, as a SchemaError naming it.
+    It rescans the records, so it is for the error path only."""
+    for line, *fields in records:
+        for name, text, want in zip(("text_width", "binary"), fields, ("an integer", "0 or 1")):
+            try:
+                ok = int(text) in (0, 1) or name == "text_width"
+            except ValueError:
+                ok = False
+            if not ok:
+                return corpus_mod.SchemaError(f"{path}:{line}: {name} must be {want}, got {text!r}")
+    return None
+
+
 def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
     """Join scored documents with state covariates; reads scored.csv alone and
     writes analysis_table.csv, descriptives.csv and patterns.csv."""
     covars = tab_mod.load_covariates(config.covariates)
-    rows = read_columns(config.out / "scored.csv", ("state", "text_width", "binary"))
+    scored_path = config.out / "scored.csv"
+    rows = read_columns(scored_path, ("state", "text_width", "binary"))
     try:
         table = tab_mod.join(map(itemgetter(1, 2, 3), rows), covars)
     except OverflowError as exc:  # a binary past int64, or a width past float
-        raise corpus_mod.SchemaError(
-            f"{config.out / 'scored.csv'}: number out of range: {exc}") from None
+        raise corpus_mod.SchemaError(f"{scored_path}: number out of range: {exc}") from None
+    except corpus_mod.SchemaError:
+        raise
+    except ValueError as exc:  # a width or binary not an integer, or a binary not 0 or 1
+        records = read_columns(scored_path, ("text_width", "binary"))
+        raise _first_bad_field(scored_path, records) or exc from None
     table_path = config.out / "analysis_table.csv"
     desc_path = config.out / "descriptives.csv"
     patterns_path = config.out / "patterns.csv"
@@ -269,21 +294,15 @@ def stage_diagnose(config: PipelineConfig) -> tuple[Path, Path]:
     appends to the fit report and writes margins.csv and qq.csv."""
     report = json.loads((config.out / "fit_report.json").read_text(encoding="utf-8"))
     result = fit_from_report(report)
-    design = read_design(config)
-
-    # The design's rows are the covariate patterns already; no regrouping.
-    p = logit_mod.predict_prob(design.X, result.beta)
-    patterns = [diag_mod.CovariatePattern(j, (), int(m), int(y_sum), p_hat)
-                for j, (m, y_sum, p_hat)
-                in enumerate(zip(design.m.tolist(), design.y.tolist(), p.tolist()))]
-    pearson = diag_mod.pearson_chi2(result, patterns)
+    design = read_design(config)  # its rows are the covariate patterns already
+    pearson = diag_mod.pearson_chi2(result, design)
     cls = diag_mod.classification_summary(result, design, cutoff=config.cutoff)
     effects = diag_mod.marginal_effects(result, design, MARGIN_KINDS)
 
     margins_path = config.out / "margins.csv"
     qq_path = config.out / "qq.csv"
     diag_mod.write_margins_csv(margins_path, effects)
-    diag_mod.write_qq_csv(qq_path, diag_mod.qq_export(patterns))
+    diag_mod.write_qq_csv(qq_path, diag_mod.qq_export(result, design))
 
     report["diagnostics"] = {
         "pearson": pearson,

@@ -190,11 +190,11 @@ def load_lexicon(
 ) -> Lexicon:
     """Load a lexicon from TSVs: term<TAB>valence, one negator per line,
     and term<TAB>multiplier."""
-    valences = {term: float(v) for term, v in _tsv_pairs(valences_path, "term<TAB>valence")}
+    valences = dict(_tsv_pairs(valences_path, "term<TAB>valence", float))
     negators = set() if negators_path is None else {
         line.split("\t")[0] for line in load_wordlist(negators_path)}
-    amplifiers = {} if amplifiers_path is None else {
-        term: float(m) for term, m in _tsv_pairs(amplifiers_path, "term<TAB>multiplier")}
+    amplifiers = {} if amplifiers_path is None else dict(
+        _tsv_pairs(amplifiers_path, "term<TAB>multiplier", float))
     return Lexicon(valences=valences, negators=frozenset(negators), amplifiers=amplifiers)
 
 

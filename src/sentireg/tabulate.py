@@ -223,7 +223,8 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
     """Attach state covariates to each document's (state, text width, binary
     sentiment) record, as read_columns yields them from scored.csv. Each
     distinct (state, width) key's pattern is built once. A width must be an
-    integer or a string of one. Patterns are keyed by their CSV text, which
+    integer or a string of one, and a binary 0 or 1 or a string of one;
+    anything else is a ValueError. Patterns are keyed by their CSV text, which
     tells two covariate vectors apart exactly when their float values differ
     (repr round-trips). Any document whose state has no covariate row is a
     hard error; the message lists every missing state so the gap is auditable.
@@ -253,8 +254,12 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
         y.append(int(binary))
     if missing:
         raise SchemaError(f"no covariate row for state(s): {sorted(missing)}")
-    return AnalysisTable(covariates, list(by_text), np.array(pattern, dtype=np.intp),
-                         np.array(y, dtype=np.int64))
+    y = np.array(y, dtype=np.int64)
+    outside = np.flatnonzero((y < 0) | (y > 1))
+    if outside.size:
+        i = outside[0]
+        raise ValueError(f"record {i}: binary must be 0 or 1, got {y[i]}")
+    return AnalysisTable(covariates, list(by_text), np.array(pattern, dtype=np.intp), y)
 
 
 def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:

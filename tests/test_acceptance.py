@@ -140,14 +140,15 @@ def test_criterion_06_pearson_chi2_vs_brute_force():
         design = DesignMatrix(X=X, y=y, names=("Constant", "a", "b"))
         result = fit(design)
         p = predict_prob(X, result.beta)
-        patterns = covariate_patterns(X, y=y, p=p)
+        grouped, pattern = covariate_patterns(design)
         oracle_groups = _quadratic_grouping(X)
-        assert [list(pat.row_indices) for pat in patterns] == oracle_groups
+        assert [np.flatnonzero(pattern == j).tolist()
+                for j in range(len(grouped.m))] == oracle_groups
         oracle = sum(
             (y[g].sum() - len(g) * p[g[0]]) ** 2 / (len(g) * p[g[0]] * (1 - p[g[0]]))
             for g in oracle_groups
         )
-        stat = pearson_chi2(result, patterns)
+        stat = pearson_chi2(result, grouped)
         assert abs(stat["chi2"] - oracle) < 1e-10
     report_pass(6, "Pearson chi2 matches O(N^2) grouping oracle on 10 datasets")
 
@@ -161,7 +162,7 @@ def test_criterion_07_classification_and_monotonicity():
         X = np.column_stack([np.ones(len(y)), np.log(np.asarray(p) / (1 - np.asarray(p)))])
         return classification_summary(
             SimpleNamespace(beta=np.array([0.0, 1.0])),
-            SimpleNamespace(X=X, y=np.asarray(y, dtype=float)), cutoff,
+            SimpleNamespace(X=X, y=np.asarray(y, dtype=float), m=np.ones(len(y))), cutoff,
         )
 
     s = summary([1, 1, 0, 0], [0.9, 0.8, 0.1, 0.2])
@@ -185,7 +186,7 @@ def test_criterion_07_classification_and_monotonicity():
             result = fit(DesignMatrix(X=X, y=y, names=("Constant", "x1", "x2")))
         except PerfectSeparationError:
             continue
-        design = SimpleNamespace(X=X, y=y)
+        design = SimpleNamespace(X=X, y=y, m=np.ones(n))
         cuts = np.linspace(0.05, 0.95, 10)
         sens = [classification_summary(result, design, c).sensitivity for c in cuts]
         specificities = [classification_summary(result, design, c).specificity for c in cuts]
@@ -352,10 +353,9 @@ def test_criterion_12_planted_effect_recovery(tmp_path):
     report = fit_report_dict(result)
     jsonschema.validate(report, FIT_REPORT_SCHEMA)
 
-    p = predict_prob(X, result.beta)
-    patterns = covariate_patterns(X, y=y, p=p)
+    grouped, _ = covariate_patterns(design)
     diag = {
-        "pearson": pearson_chi2(result, patterns),
+        "pearson": pearson_chi2(result, grouped),
         "classification": vars(__import__("sentireg.diagnostics", fromlist=["x"])
                                .classification_summary(result, design)),
     }
@@ -373,7 +373,7 @@ def test_criterion_12_planted_effect_recovery(tmp_path):
         assert len(list(reader)) == k
 
     qq_path = tmp_path / "qq.csv"
-    write_qq_csv(qq_path, qq_export(patterns))
+    write_qq_csv(qq_path, qq_export(result, grouped))
     with open(qq_path, encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         assert reader.fieldnames == ["theoretical_quantile", "pearson_residual"]

@@ -1,10 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sentireg.diagnostics import (
-    CovariatePattern,
     classification_summary,
     covariate_patterns,
     marginal_effects,
@@ -50,45 +50,80 @@ def quadratic_grouping_oracle(X):
     return groups
 
 
+def row_design(X, y=None):
+    """Design with an intercept in front of X's columns; y defaults to zeros."""
+    n, k = X.shape
+    y = np.zeros(n) if y is None else np.asarray(y, dtype=float)
+    return DesignMatrix(X=np.column_stack([np.ones(n), X]), y=y,
+                        names=("Constant",) + tuple(f"x{j}" for j in range(1, k + 1)))
+
+
+def pattern_groups(pattern):
+    """Rows of each pattern, patterns in order: the partition as lists."""
+    return [np.flatnonzero(pattern == j).tolist() for j in range(pattern.max() + 1)]
+
+
+def patterns_with_probs(cases, k=1):
+    """A stand-in fit (beta = [0, 1], k predictors) and a pattern design with
+    one row per (m, y_sum, eta) case, whose fitted probability is
+    predict_prob(eta): eta = logit(p_hat) gives p_hat, eta = 40 gives 1.0
+    and eta = -800 gives 0.0 exactly."""
+    m, y_sum, eta = (np.array(column, dtype=float) for column in zip(*cases))
+    design = SimpleNamespace(X=np.column_stack([np.ones(len(m)), eta]), y=y_sum, m=m)
+    return SimpleNamespace(beta=np.array([0.0, 1.0]), k=k), design
+
+
+def logit(p):
+    return math.log(p / (1 - p))
+
+
 class TestCovariatePatterns:
     def test_hand_grouping(self):
-        X = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
-        patterns = covariate_patterns(X)
-        assert [p.m for p in patterns] == [2, 1]
-        assert patterns[0].row_indices == (0, 1)
+        design = row_design(np.array([[2.0], [2.0], [4.0]]), y=[1, 0, 1])
+        grouped, pattern = covariate_patterns(design)
+        assert grouped.m.tolist() == [2, 1]
+        assert grouped.y.tolist() == [1, 1]
+        assert pattern.tolist() == [0, 0, 1]
+        assert grouped.names == design.names
 
     def test_all_distinct(self):
-        X = np.arange(12.0).reshape(6, 2)
-        assert len(covariate_patterns(X)) == 6
+        grouped, pattern = covariate_patterns(row_design(np.arange(12.0).reshape(6, 2)))
+        assert len(grouped.m) == 6
+        assert pattern.tolist() == list(range(6))
 
     def test_matches_quadratic_oracle(self):
         rng = np.random.default_rng(21)
-        base = rng.integers(0, 4, size=(40, 3)).astype(float)
-        patterns = covariate_patterns(base)
-        oracle = quadratic_grouping_oracle(base)
-        assert [list(p.row_indices) for p in patterns] == oracle
+        design = row_design(rng.integers(0, 4, size=(40, 3)).astype(float))
+        grouped, pattern = covariate_patterns(design)
+        oracle = quadratic_grouping_oracle(design.X)
+        assert pattern_groups(pattern) == oracle
+        assert np.array_equal(grouped.X, design.X[[g[0] for g in oracle]])
 
     def test_partition_covers_all_rows(self):
         rng = np.random.default_rng(22)
-        X = rng.integers(0, 3, size=(30, 2)).astype(float)
-        patterns = covariate_patterns(X)
-        assert sum(p.m for p in patterns) == 30
-        for p in patterns:
-            for i in p.row_indices:
-                assert np.array_equal(X[i], X[p.row_indices[0]])
+        design = row_design(rng.integers(0, 3, size=(30, 2)).astype(float))
+        grouped, pattern = covariate_patterns(design)
+        assert grouped.m.sum() == 30
+        for i, j in enumerate(pattern):
+            assert np.array_equal(design.X[i], grouped.X[j])
+
+    def test_negative_zero_joins_positive_zero(self):
+        # Equal as numbers, different as bytes: one pattern, as the
+        # quadratic oracle's np.array_equal has it.
+        design = row_design(np.array([[0.0], [-0.0], [1.0], [0.0]]), y=[1, 1, 0, 0])
+        grouped, pattern = covariate_patterns(design)
+        assert pattern_groups(pattern) == quadratic_grouping_oracle(design.X) == [[0, 1, 3], [2]]
+        assert grouped.m.tolist() == [3, 1]
+        assert grouped.y.tolist() == [2, 0]
 
 
 class TestPearsonChi2:
     def test_saturated_fit_chi2_zero(self):
         # fitted proportions equal observed within each pattern
-        patterns = [
-            CovariatePattern(0, (0, 1), m=10, y_sum=4, p_hat=0.4),
-            CovariatePattern(1, (2,), m=20, y_sum=10, p_hat=0.5),
-        ]
-
-        class FakeFit:
-            k = 0
-        result = pearson_chi2(FakeFit(), patterns)
+        stand_in, patterns = patterns_with_probs(
+            [(10, 4, logit(0.4)), (20, 10, logit(0.5)), (5, 1, logit(0.2))])
+        result = pearson_chi2(stand_in, patterns)
+        assert result["df"] == 1
         assert result["chi2"] == pytest.approx(0.0)
         assert result["p"] == pytest.approx(1.0)
 
@@ -97,8 +132,8 @@ class TestPearsonChi2:
         design = grouped_design(rng)
         result = fit(design)
         p = predict_prob(design.X, result.beta)
-        patterns = covariate_patterns(design.X, y=design.y, p=p)
-        stat = pearson_chi2(result, patterns)
+        grouped, _ = covariate_patterns(design)
+        stat = pearson_chi2(result, grouped)
         # term-by-term brute force over the oracle partition
         oracle = 0.0
         for group in quadratic_grouping_oracle(design.X):
@@ -113,37 +148,31 @@ class TestPearsonChi2:
         rng = np.random.default_rng(24)
         design = grouped_design(rng)
         result = fit(design)
-        p = predict_prob(design.X, result.beta)
-        patterns = covariate_patterns(design.X, y=design.y, p=p)
-        shuffled = list(reversed(patterns))
-        assert pearson_chi2(result, patterns)["chi2"] == pytest.approx(
+        grouped, _ = covariate_patterns(design)
+        perm = rng.permutation(len(grouped.m))
+        shuffled = DesignMatrix(X=grouped.X[perm], y=grouped.y[perm], m=grouped.m[perm],
+                                names=grouped.names)
+        assert pearson_chi2(result, grouped)["chi2"] == pytest.approx(
             pearson_chi2(result, shuffled)["chi2"], abs=1e-12
         )
 
     def test_degenerate_probability_rejected(self):
-        patterns = [CovariatePattern(0, (0,), m=1, y_sum=1, p_hat=1.0)]
-
-        class FakeFit:
-            k = 0
+        stand_in, patterns = patterns_with_probs([(1, 1, 40.0)])
+        assert predict_prob(patterns.X, stand_in.beta)[0] == 1.0
         with pytest.raises(ValueError, match="degenerate"):
-            pearson_chi2(FakeFit(), patterns)
+            pearson_chi2(stand_in, patterns)
 
     def test_degenerate_probability_is_estimation_error(self):
-        patterns = [CovariatePattern(0, (0,), m=3, y_sum=0, p_hat=0.0)]
-
-        class FakeFit:
-            k = 0
+        stand_in, patterns = patterns_with_probs([(3, 0, -800.0)])
+        assert predict_prob(patterns.X, stand_in.beta)[0] == 0.0
         with pytest.raises(DegenerateFitError):
-            pearson_chi2(FakeFit(), patterns)
+            pearson_chi2(stand_in, patterns)
         with pytest.raises(DegenerateFitError):
-            qq_export(patterns)
+            qq_export(stand_in, patterns)
 
     def test_df_nonpositive_reports_na(self):
-        patterns = [CovariatePattern(0, (0,), m=10, y_sum=5, p_hat=0.5)]
-
-        class FakeFit:
-            k = 1
-        assert pearson_chi2(FakeFit(), patterns)["p"] is None
+        stand_in, patterns = patterns_with_probs([(10, 5, 0.0)], k=1)
+        assert pearson_chi2(stand_in, patterns)["p"] is None
 
 
 def summary_from_probs(y, p, cutoff=0.5):
@@ -151,11 +180,9 @@ def summary_from_probs(y, p, cutoff=0.5):
 
     The stand-in design carries logit(p) so predict_prob reproduces p exactly.
     """
-    from types import SimpleNamespace
-
     n = len(y)
     X = np.column_stack([np.ones(n), np.log(np.asarray(p) / (1 - np.asarray(p)))])
-    design = SimpleNamespace(X=X, y=np.asarray(y, dtype=float))
+    design = SimpleNamespace(X=X, y=np.asarray(y, dtype=float), m=np.ones(n))
     stand_in = SimpleNamespace(beta=np.array([0.0, 1.0]))
     return classification_summary(stand_in, design, cutoff=cutoff)
 
@@ -197,17 +224,13 @@ class TestClassificationSummary:
 
 class TestQQExport:
     def test_single_pattern_quantile_zero(self):
-        patterns = [CovariatePattern(0, (0,), m=10, y_sum=5, p_hat=0.5)]
-        ((theo, _),) = qq_export(patterns)
+        ((theo, _),) = qq_export(*patterns_with_probs([(10, 5, 0.0)]))
         assert theo == pytest.approx(0.0, abs=1e-12)
 
     def test_row_count_and_sorting(self):
         rng = np.random.default_rng(41)
-        patterns = [
-            CovariatePattern(i, (i,), m=50, y_sum=int(rng.integers(10, 40)), p_hat=0.5)
-            for i in range(25)
-        ]
-        pairs = qq_export(patterns)
+        pairs = qq_export(*patterns_with_probs(
+            [(50, int(rng.integers(10, 40)), 0.0) for _ in range(25)]))
         assert len(pairs) == 25
         theo = [t for t, _ in pairs]
         resid = [r for _, r in pairs]
@@ -219,12 +242,12 @@ class TestQQExport:
         rng = np.random.default_rng(42)
         j = 400
         targets = rng.standard_normal(j)
-        patterns = []
-        for i, r in enumerate(targets):
+        cases = []
+        for r in targets:
             m, p = 400, 0.5
             y_sum = int(round(m * p + r * math.sqrt(m * p * (1 - p))))
-            patterns.append(CovariatePattern(i, (i,), m=m, y_sum=y_sum, p_hat=p))
-        pairs = qq_export(patterns)
+            cases.append((m, y_sum, logit(p)))
+        pairs = qq_export(*patterns_with_probs(cases))
         x = np.array([t for t, _ in pairs])
         y = np.array([r for _, r in pairs])
         slope = float(np.sum(x * y) / np.sum(x * x))
@@ -381,10 +404,10 @@ class TestGroupedDiagnostics:
             for eg, er in pairs:
                 assert eg.dydx == pytest.approx(er.dydx, rel=1e-9)
                 assert eg.std_err == pytest.approx(er.std_err, rel=1e-9)
-            p = predict_prob(grouped.X, g.beta)
-            from_counts = [CovariatePattern(j, (), int(grouped.m[j]), int(grouped.y[j]), p[j])
-                           for j in range(len(p))]
-            regrouped = covariate_patterns(rows.X, y=rows.y, p=predict_prob(rows.X, r.beta))
-            assert [(q.m, q.y_sum) for q in regrouped] == [(q.m, q.y_sum) for q in from_counts]
-            assert pearson_chi2(g, from_counts)["chi2"] == pytest.approx(
+            regrouped, pattern = covariate_patterns(rows)
+            assert np.array_equal(regrouped.X, grouped.X)
+            assert np.array_equal(regrouped.m, grouped.m)
+            assert np.array_equal(regrouped.y, grouped.y)
+            assert np.array_equal(pattern, np.repeat(np.arange(len(grouped.m)), grouped.m.astype(int)))
+            assert pearson_chi2(g, grouped)["chi2"] == pytest.approx(
                 pearson_chi2(r, regrouped)["chi2"], rel=1e-9)

@@ -16,6 +16,7 @@ import sentireg
 from sentireg import pipeline
 from sentireg.cli import EXIT_ESTIMATION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from sentireg.diagnostics import MarginalEffect, covariate_patterns, write_margins_csv
+from sentireg.logit import DesignMatrix
 from sentireg.pipeline import (
     PipelineConfig,
     StageError,
@@ -334,6 +335,63 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == ["scored.csv", "state_summary.csv",
                                                          "tokens.csv"]
 
+    @staticmethod
+    def _set_field(path, line, column, value):
+        """Rewrite one field of a CSV artifact, on the record at `line`."""
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[line - 1][rows[0].index(column)] = value
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @pytest.mark.parametrize("binary", ["5", "-3"])
+    def test_join_binary_outside_0_1_names_file_and_line(self, tmp_path, capsys, binary):
+        out = tmp_path / "out"
+        for command in ("preprocess", "score", "join"):
+            assert main(self._args(command, out)) == EXIT_OK
+        joined = {name: (out / name).read_bytes()
+                  for name in ("analysis_table.csv", "descriptives.csv", "patterns.csv")}
+        path = out / "scored.csv"
+        self._set_field(path, 5, "binary", binary)
+        assert main(self._args("join", out)) == EXIT_SCHEMA
+        assert f"{path}:5: binary must be 0 or 1, got '{binary}'" in capsys.readouterr().err
+        for name, data in joined.items():
+            assert (out / name).read_bytes() == data, name
+
+    @pytest.mark.parametrize("command, name, column, value", [
+        ("score", "tokens.csv", "text_width", ""),
+        ("score", "tokens.csv", "text_width", "5.0"),
+        ("join", "scored.csv", "text_width", ""),
+        ("join", "scored.csv", "binary", ""),
+        ("join", "scored.csv", "binary", "x"),
+    ])
+    def test_non_integer_field_names_file_and_line(self, tmp_path, capsys,
+                                                   command, name, column, value):
+        out = tmp_path / "out"
+        for stage in ("preprocess", "score")[:("preprocess", "score", "join").index(command)]:
+            assert main(self._args(stage, out)) == EXIT_OK
+        before = sorted(p.name for p in out.iterdir())
+        path = out / name
+        self._set_field(path, 7, column, value)
+        assert main(self._args(command, out)) == EXIT_SCHEMA
+        must = "be 0 or 1" if column == "binary" else "be an integer"
+        assert f"{path}:7: {column} must {must}, got {value!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == before
+
+    @pytest.mark.parametrize("option, data, expected", [
+        ("lexicon", "good\t1\nbad\tabc\n", "term<TAB>valence, got 'abc'"),
+        ("amplifiers", "# multipliers\nvery\t1.5\nsuper\t\n", "term<TAB>multiplier, got ''"),
+    ])
+    def test_non_numeric_resource_value_names_file_and_line(self, tmp_path, capsys,
+                                                              option, data, expected):
+        out = tmp_path / "out"
+        assert main(self._args("preprocess", out)) == EXIT_OK
+        path = tmp_path / f"{option}.tsv"
+        path.write_text(data, encoding="utf-8")
+        assert main(self._args("score", out, **{option: path})) == EXIT_SCHEMA
+        assert f"{path}:{data.count(chr(10))}: expected {expected}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["tokens.csv"]
+
     @pytest.mark.parametrize("command, option, data", [
         ("preprocess", "stopwords", "the\nand\n" + "filler\n" * 3000 + "caf\xe9\n"),
         ("score", "lexicon", "good\t1\n" + "x\t0.5\n" * 3000 + "caf\xe9\t1\n"),
@@ -450,13 +508,16 @@ class TestStageOutputs:
     def test_patterns_csv_groups_analysis_table(self, tmp_path):
         out = run_fixture(tmp_path / "run")
         rows = read_analysis_csv(out / "analysis_table.csv")
-        X = np.array([[getattr(r, c) for c in ANALYSIS_COLUMNS[1:]]
+        X = np.array([[1.0, *(getattr(r, c) for c in ANALYSIS_COLUMNS[1:])]
                       for r in rows])
-        expected = covariate_patterns(X, y=np.array([r.sentiment for r in rows]))
+        design = DesignMatrix(X=X, y=[r.sentiment for r in rows],
+                              names=("Constant",) + ANALYSIS_COLUMNS[1:])
+        expected, pattern = covariate_patterns(design)
         patterns = read_patterns_csv(out / "patterns.csv")
-        assert patterns.m.tolist() == [p.m for p in expected]
-        assert patterns.y_sum.tolist() == [p.y_sum for p in expected]
-        assert np.array_equal(patterns.X, X[[p.row_indices[0] for p in expected]])
+        assert patterns.m.tolist() == expected.m.tolist()
+        assert patterns.y_sum.tolist() == expected.y.tolist()
+        assert np.array_equal(patterns.X, expected.X[:, 1:])
+        assert np.array_equal(X, expected.X[pattern])
 
     def test_row_level_join_artifacts_unchanged(self, tmp_path):
         out = run_fixture(tmp_path / "run")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sentireg.corpus import SchemaError
-from sentireg.diagnostics import covariate_patterns
 from sentireg.pipeline import default_data_path
 from sentireg.tabulate import (
     ANALYSIS_COLUMNS,
@@ -139,6 +138,11 @@ class TestJoin:
     def test_non_integer_width_rejected(self):
         with pytest.raises(ValueError):
             join([("NC", "7.5", "1")], {"NC": make_covariates("NC")})
+
+    @pytest.mark.parametrize("binary", [5, -3, "2"])
+    def test_binary_outside_0_1_rejected(self, binary):
+        with pytest.raises(ValueError, match=f"record 1: binary must be 0 or 1, got {int(binary)}"):
+            join([record("NC", 1), record("NC", binary)], {"NC": make_covariates("NC")})
         with pytest.raises(TypeError):
             join([("NC", 7.5, 1)], {"NC": make_covariates("NC")})
 
@@ -255,12 +259,16 @@ def test_patterns_csv_is_covariate_patterns_of_analysis_csv(tmp_path):
     write_patterns_csv(tmp_path / "patterns.csv", table)
     rows = read_analysis_csv(tmp_path / "analysis.csv")
     X = np.array([[getattr(r, c) for c in ANALYSIS_COLUMNS[1:]] for r in rows])
-    expected = covariate_patterns(X, y=np.array([r.sentiment for r in rows]))
+    # Group by value in first-occurrence order; several columns are constant
+    # here, which a DesignMatrix refuses, so covariate_patterns cannot serve.
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(X.tolist()):
+        groups.setdefault(tuple(row), []).append(i)
     patterns = read_patterns_csv(tmp_path / "patterns.csv")
-    assert len(expected) < 20
-    assert patterns.m.tolist() == [p.m for p in expected]
-    assert patterns.y_sum.tolist() == [p.y_sum for p in expected]
-    assert np.array_equal(patterns.X, X[[p.row_indices[0] for p in expected]])
+    assert len(groups) < 20
+    assert patterns.m.tolist() == [len(g) for g in groups.values()]
+    assert patterns.y_sum.tolist() == [sum(rows[i].sentiment for i in g) for g in groups.values()]
+    assert np.array_equal(patterns.X, X[[g[0] for g in groups.values()]])
     stats = descriptive_stats(table)
     for j, name in enumerate(ANALYSIS_COLUMNS[1:]):
         assert stats[name]["mean"] == pytest.approx(X[:, j].mean(), rel=1e-13)
