@@ -43,7 +43,6 @@ __all__ = [
     "ngrams",
     "pos_tag",
     "preprocess",
-    "NORMALIZERS",
     "WordNormalizer",
     "load_wordlist",
     "load_tsv_map",
@@ -61,9 +60,6 @@ STATE_CODES = frozenset({
 })
 
 POS_TAGS = ("NOUN", "VERB", "ADJ", "ART", "PRON", "OTHER")
-
-NORMALIZERS = ("lemma_then_stem", "lemma", "stem", "none")
-
 
 class SchemaError(ValueError):
     """An input file does not match its documented schema."""
@@ -327,8 +323,8 @@ def pos_tag(stream: TokenStream, tag_lexicon: dict[str, str]) -> PosTaggedStream
 class WordNormalizer(dict):
     """Memo from a token's surface form to its normalized form, or to None
     when the token is dropped. For w = surface.lower(): None if w is a
-    stopword or slang word, else lemmas[w] if the normalizer uses lemmas and
-    w is a hit, else w stemmed if it uses stem rules, else w. As a value
+    stopword or slang word, else lemmas[w] if w is in lemmas, else w
+    stemmed by stem_rules, which is w itself without rules. As a value
     depends only on w, `words` keys the memo by the surface, lower-cased in
     ASCII texts, with the same values. The memo holds only for the word
     lists it was built from: build one per set of lists.
@@ -336,14 +332,12 @@ class WordNormalizer(dict):
 
     def __init__(self, *, stopwords: set[str] | None = None, slang: set[str] | None = None,
                  stem_rules: list[tuple[str, str]] | None = None,
-                 lemmas: dict[str, str] | None = None, normalizer: str = "lemma_then_stem"):
+                 lemmas: dict[str, str] | None = None):
         super().__init__()
-        if normalizer not in NORMALIZERS:
-            raise ValueError(f"unknown normalizer {normalizer!r}")
         self._stopwords = stopwords or set()
         self._slang = slang or set()
-        self._lemmas = (lemmas or {}) if normalizer in ("lemma_then_stem", "lemma") else {}
-        self._rules = (stem_rules or []) if normalizer in ("lemma_then_stem", "stem") else []
+        self._lemmas = lemmas or {}
+        self._rules = stem_rules or []
         self._suffixes = tuple(suffix for suffix, _ in self._rules)
 
     def __missing__(self, surface: str) -> str | None:
@@ -382,18 +376,16 @@ def preprocess(
     slang: set[str] | None = None,
     stem_rules: list[tuple[str, str]] | None = None,
     lemmas: dict[str, str] | None = None,
-    normalizer: str = "lemma_then_stem",
 ) -> TokenStream:
     """Run the full pipeline: URL strip -> tokenize -> lowercase ->
     stopword/slang removal -> lemmatize and/or stem -> ready for counting.
     Kept tokens retain their positions in the tokenized text.
 
-    normalizer is one of NORMALIZERS: "lemma_then_stem" (dictionary hits
-    lemmatized, misses stemmed), "lemma", "stem", or "none".
+    Words in lemmas are lemmatized and the rest stemmed by stem_rules;
+    either step is skipped when its argument is omitted.
     """
     normalize = WordNormalizer(
         stopwords=stopwords, slang=slang, stem_rules=stem_rules, lemmas=lemmas,
-        normalizer=normalizer,
     )
     kept = [(i, s, normalize[s]) for i, s in enumerate(_surfaces(text))]
     return TokenStream(doc_id=doc_id, tokens=tuple(

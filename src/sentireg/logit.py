@@ -202,8 +202,14 @@ def fit(data: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) -> LogitFit
     X'WX is built once at each iterate; the one at the final beta gives
     the covariance. Raises NonIdentifiableError for a single-class
     response, CollinearityError when X'WX is rank deficient, and
-    PerfectSeparationError when the coefficients run away.
+    PerfectSeparationError when the coefficients run away. Raises
+    ValueError unless max_iter >= 1 and tol is finite and positive: the
+    loop stops only after max_iter iterations or on a change below tol.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     X, y, m, names = data.X, data.y, data.m, data.names
     if np.all(y == 0) or np.all(y == m):
         raise NonIdentifiableError("response contains a single class")

@@ -5,11 +5,12 @@ monolithic run and a staged run produce byte-identical files. Preprocess
 streams the corpus, writing each kept row to tokens.csv as it is read.
 Score reads tokens.csv in chunks of SCORE_CHUNK_DOCS documents and scores
 each chunk as columns; scored.csv carries each document's text width, so
-join reads scored.csv alone, passing its (state, width, binary) records
-straight to tabulate.join. Join writes the row-level analysis_table.csv and
-its covariate patterns, patterns.csv; fit and diagnose read only
-patterns.csv. Every artifact is written atomically. The run manifest
-records content hashes of every input and artifact.
+join reads scored.csv alone, passing its (line, state, width, binary)
+records straight to tabulate.join, which checks each field as it reads it.
+Join writes the row-level analysis_table.csv and its covariate patterns,
+patterns.csv; fit and diagnose read only patterns.csv. Every artifact is
+written atomically. The run manifest records content hashes of every input
+and artifact.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -139,8 +139,14 @@ def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
             lines, ids, chunk_states, widths, tokens = zip(*chunk)
             try:
                 widths = [int(w) for w in widths]
-            except ValueError as exc:
-                raise _first_bad_field(tokens_path, zip(lines, widths)) or exc from None
+            except ValueError:  # name the chunk's first width int() refuses
+                for line, width in zip(lines, widths):
+                    try:
+                        int(width)
+                    except ValueError:
+                        raise corpus_mod.SchemaError(f"{tokens_path}:{line}: text_width must "
+                                                     f"be an integer, got {width!r}") from None
+                raise
             value, _ = sent_mod.score_batch([t.split() for t in tokens], lexicon)
             states.append(np.array(chunk_states))
             values.append(value)
@@ -155,36 +161,17 @@ def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
     return scored_path, summary_path
 
 
-def _first_bad_field(path: Path, records: Iterator[tuple]) -> corpus_mod.SchemaError | None:
-    """The first (line, text_width[, binary]) record whose text_width is not
-    an integer or whose binary is not 0 or 1, as a SchemaError naming it.
-    It rescans the records, so it is for the error path only."""
-    for line, *fields in records:
-        for name, text, want in zip(("text_width", "binary"), fields, ("an integer", "0 or 1")):
-            try:
-                ok = int(text) in (0, 1) or name == "text_width"
-            except ValueError:
-                ok = False
-            if not ok:
-                return corpus_mod.SchemaError(f"{path}:{line}: {name} must be {want}, got {text!r}")
-    return None
-
-
 def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
     """Join scored documents with state covariates; reads scored.csv alone and
     writes analysis_table.csv, descriptives.csv and patterns.csv."""
     covars = tab_mod.load_covariates(config.covariates)
     scored_path = config.out / "scored.csv"
-    rows = read_columns(scored_path, ("state", "text_width", "binary"))
     try:
-        table = tab_mod.join(map(itemgetter(1, 2, 3), rows), covars)
-    except OverflowError as exc:  # a binary past int64, or a width past float
-        raise corpus_mod.SchemaError(f"{scored_path}: number out of range: {exc}") from None
+        table = tab_mod.join(read_columns(scored_path, ("state", "text_width", "binary")), covars)
     except corpus_mod.SchemaError:
         raise
-    except ValueError as exc:  # a width or binary not an integer, or a binary not 0 or 1
-        records = read_columns(scored_path, ("text_width", "binary"))
-        raise _first_bad_field(scored_path, records) or exc from None
+    except ValueError as exc:  # a bad field, its message starting with the line
+        raise corpus_mod.SchemaError(f"{scored_path}:{exc}") from None
     table_path = config.out / "analysis_table.csv"
     desc_path = config.out / "descriptives.csv"
     patterns_path = config.out / "patterns.csv"
@@ -198,11 +185,15 @@ def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
 def read_design(config: PipelineConfig) -> logit_mod.DesignMatrix:
     """patterns.csv -> grouped design matrix with intercept, one row per
     covariate pattern, in the report's column order."""
-    X, m, y_sum = tab_mod.read_patterns_csv(config.out / "patterns.csv")
-    return logit_mod.DesignMatrix(
-        X=np.column_stack([np.ones(len(m)), X]), y=y_sum, m=m,
-        names=("Constant",) + tab_mod.ANALYSIS_COLUMNS[1:],
-    )
+    path = config.out / "patterns.csv"
+    X, m, y_sum = tab_mod.read_patterns_csv(path)
+    try:
+        return logit_mod.DesignMatrix(
+            X=np.column_stack([np.ones(len(m)), X]), y=y_sum, m=m,
+            names=("Constant",) + tab_mod.ANALYSIS_COLUMNS[1:],
+        )
+    except ValueError as exc:
+        raise corpus_mod.SchemaError(f"{path}: {exc}") from None
 
 
 def fit_report_dict(result: logit_mod.LogitFit) -> dict:

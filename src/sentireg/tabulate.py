@@ -219,15 +219,20 @@ def _state_row(c: StateCovariates) -> tuple[tuple, str]:
     return values, ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
+# A binary as sentireg writes it, in scored.csv or in memory, and its outcome.
+_OUTCOME = {"0": 0, "1": 1, 0: 0, 1: 1}
+
+
 def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> AnalysisTable:
-    """Attach state covariates to each document's (state, text width, binary
-    sentiment) record, as read_columns yields them from scored.csv. Each
-    distinct (state, width) key's pattern is built once. A width must be an
-    integer or a string of one, and a binary 0 or 1 or a string of one;
-    anything else is a ValueError. Patterns are keyed by their CSV text, which
-    tells two covariate vectors apart exactly when their float values differ
-    (repr round-trips). Any document whose state has no covariate row is a
-    hard error; the message lists every missing state so the gap is auditable.
+    """Attach state covariates to each document's (line, state, text width,
+    binary sentiment) record, as read_columns yields them from scored.csv.
+    Each distinct (state, width) key's pattern is built once. A width must be
+    an integer or a string of one that converts to float, and a binary 0 or 1
+    or exactly "0" or "1"; anything else is a ValueError whose message starts
+    with the record's line. Patterns are keyed by their CSV text, which tells
+    two covariate vectors apart exactly when their float values differ (repr
+    round-trips). Any document whose state has no covariate row is a hard
+    error; the message lists every missing state so the gap is auditable.
     """
     state_rows = {state: _state_row(c) for state, c in covars.items()}
     by_key: dict[tuple, int] = {}
@@ -235,31 +240,34 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
     covariates: list[tuple] = []
     missing: set[str] = set()
 
-    def new_pattern(key: tuple) -> int:
+    def new_pattern(line: int, key: tuple) -> int:
         state, width = key
         if state not in state_rows:
             missing.add(state)
             return -1
         values, text = state_rows[state]
-        width = float(int(width) if isinstance(width, str) else operator.index(width))
+        try:
+            width = float(int(width) if isinstance(width, str) else operator.index(width))
+        except (ValueError, OverflowError) as exc:  # not an integer, or past float
+            want = "an integer" if isinstance(exc, ValueError) else "within float range"
+            raise ValueError(f"{line}: text_width must be {want}, got {width!r}") from None
         j = by_key[key] = by_text.setdefault(repr(width) + "," + text, len(by_text))
         if j == len(covariates):
             covariates.append((width, *values))
         return j
 
     pattern, y = [], []
-    for state, width, binary in records:
+    for line, state, width, binary in records:
         key = state, width
-        pattern.append(by_key[key] if key in by_key else new_pattern(key))
-        y.append(int(binary))
+        pattern.append(by_key[key] if key in by_key else new_pattern(line, key))
+        try:
+            y.append(_OUTCOME[binary])
+        except KeyError:
+            raise ValueError(f"{line}: binary must be 0 or 1, got {binary!r}") from None
     if missing:
         raise SchemaError(f"no covariate row for state(s): {sorted(missing)}")
-    y = np.array(y, dtype=np.int64)
-    outside = np.flatnonzero((y < 0) | (y > 1))
-    if outside.size:
-        i = outside[0]
-        raise ValueError(f"record {i}: binary must be 0 or 1, got {y[i]}")
-    return AnalysisTable(covariates, list(by_text), np.array(pattern, dtype=np.intp), y)
+    return AnalysisTable(covariates, list(by_text), np.array(pattern, dtype=np.intp),
+                         np.array(y, dtype=np.int64))
 
 
 def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:

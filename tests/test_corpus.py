@@ -10,7 +10,6 @@ from sentireg.corpus import (
     _ASCII_GAPS,
     _URL_RE,
     _WORD_RE,
-    NORMALIZERS,
     CorpusReader,
     SchemaError,
     _surfaces,
@@ -36,6 +35,12 @@ from sentireg.pipeline import default_data_path
 
 STEM_RULES = load_stem_rules(default_data_path("stem_rules.tsv"))
 LEMMAS = load_tsv_map(default_data_path("lemmas.tsv"))
+
+# The four ways to normalize a kept word: lemmatize dictionary hits and stem
+# the rest, only lemmatize, only stem, or neither. An omitted list is None.
+EACH_NORMALIZATION = pytest.mark.parametrize(
+    "lemmas, stem_rules", [(LEMMAS, STEM_RULES), (LEMMAS, None), (None, STEM_RULES), (None, None)],
+    ids=["lemma_then_stem", "lemma", "stem", "none"])
 
 
 def stream_of(*words: str) -> TokenStream:
@@ -290,29 +295,23 @@ class TestPreprocessPipeline:
                        stem_rules=STEM_RULES, lemmas=LEMMAS)
         assert s.normalized == ["economy", "reopen"]
 
-    def test_unknown_normalizer_rejected(self):
-        with pytest.raises(ValueError, match="unknown normalizer"):
-            preprocess("", normalizer="porter")
-
 
 # -- properties -------------------------------------------------------------
 
-def four_pass_preprocess(text, stopwords, slang, normalizer):
+def four_pass_preprocess(text, stopwords, slang, lemmas, stem_rules):
     """preprocess composed from the step-by-step wrappers, one full pass per
     step; lemma hits are not stemmed."""
     stream = lowercase(tokenize(text))
     stream = remove_stopwords(stream, stopwords)
     stream = remove_stopwords(stream, slang)
-    if normalizer == "lemma":
-        return lemmatize(stream, LEMMAS)
-    if normalizer == "stem":
-        return stem(stream, STEM_RULES)
-    if normalizer == "none":
-        return stream
-    lemmatized = lemmatize(stream, LEMMAS)
-    stemmed = stem(stream, STEM_RULES)
+    if lemmas is None:
+        return stream if stem_rules is None else stem(stream, stem_rules)
+    lemmatized = lemmatize(stream, lemmas)
+    if stem_rules is None:
+        return lemmatized
+    stemmed = stem(stream, stem_rules)
     return TokenStream(stream.doc_id, tuple(
-        lem if t.normalized in LEMMAS else stm
+        lem if t.normalized in lemmas else stm
         for t, lem, stm in zip(stream.tokens, lemmatized.tokens, stemmed.tokens)
     ))
 
@@ -336,13 +335,13 @@ fragment_strategy = st.one_of(
 droplist_strategy = st.sets(st.sampled_from(DROP_WORDS))
 
 
-@pytest.mark.parametrize("normalizer", NORMALIZERS)
+@EACH_NORMALIZATION
 @given(st.lists(fragment_strategy, max_size=12).map(" ".join),
        droplist_strategy, droplist_strategy)
-def test_preprocess_equals_four_pass_composition(normalizer, text, stopwords, slang):
-    fast = preprocess(text, stopwords=stopwords, slang=slang, stem_rules=STEM_RULES,
-                      lemmas=LEMMAS, normalizer=normalizer)
-    oracle = four_pass_preprocess(text, stopwords, slang, normalizer)
+def test_preprocess_equals_four_pass_composition(lemmas, stem_rules, text, stopwords, slang):
+    fast = preprocess(text, stopwords=stopwords, slang=slang, stem_rules=stem_rules,
+                      lemmas=lemmas)
+    oracle = four_pass_preprocess(text, stopwords, slang, lemmas, stem_rules)
     assert [(t.surface, t.normalized, t.position) for t in fast.tokens] == [
         (t.surface, t.normalized, t.position) for t in oracle.tokens
     ]
@@ -417,18 +416,17 @@ def test_ascii_gaps_are_the_characters_no_token_holds():
 
 
 def test_words_equal_the_word_pattern_on_every_short_ascii_string():
-    normalize = WordNormalizer(normalizer="none")
+    normalize = WordNormalizer()
     for n in (0, 1, 2):
         for chars in itertools.product(ASCII, repeat=n):
             text = "".join(chars)
             assert normalize.words(text) == [s.lower() for s in _WORD_RE.findall(text)], text
 
 
-def regex_words(text, stopwords, slang, normalizer):
+def regex_words(text, stopwords, slang, lemmas, stem_rules):
     """WordNormalizer.words without the memo or the ASCII path: every surface
     the Unicode regex finds, lower-cased, then dropped, lemmatized or stemmed."""
-    lemmas = LEMMAS if normalizer in ("lemma_then_stem", "lemma") else {}
-    rules = STEM_RULES if normalizer in ("lemma_then_stem", "stem") else []
+    lemmas, rules = lemmas or {}, stem_rules or []
     words = []
     for surface in _WORD_RE.findall(_URL_RE.sub(" ", text)):
         w = surface.lower()
@@ -449,18 +447,18 @@ MIXED_FRAGMENTS = st.one_of(
 )
 
 
-@pytest.mark.parametrize("normalizer", NORMALIZERS)
+@EACH_NORMALIZATION
 @given(st.lists(st.lists(MIXED_FRAGMENTS, max_size=8).map(" ".join), max_size=6),
        droplist_strategy, droplist_strategy)
-def test_words_equal_the_regex_oracle(normalizer, texts, stopwords, slang):
+def test_words_equal_the_regex_oracle(lemmas, stem_rules, texts, stopwords, slang):
     # One normalizer for every text, so memo keys written from an ASCII text
     # are read for a non-ASCII one and the other way round.
-    normalize = WordNormalizer(stopwords=stopwords, slang=slang, stem_rules=STEM_RULES,
-                               lemmas=LEMMAS, normalizer=normalizer)
+    normalize = WordNormalizer(stopwords=stopwords, slang=slang, stem_rules=stem_rules,
+                               lemmas=lemmas)
     for text in texts + texts[::-1]:
-        assert normalize.words(text) == regex_words(text, stopwords, slang, normalizer)
+        assert normalize.words(text) == regex_words(text, stopwords, slang, lemmas, stem_rules)
 
 
 def test_words_without_stem_rules_pass_words_through():
-    normalize = WordNormalizer(stem_rules=[], normalizer="stem")
+    normalize = WordNormalizer(stem_rules=[])
     assert normalize.words("Reopening STUDIES") == ["reopening", "studies"]

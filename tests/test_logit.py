@@ -208,6 +208,18 @@ class TestFit:
         assert np.array_equal(r1.beta, r2.beta)
         assert np.array_equal(r1.cov, r2.cov)
 
+    @pytest.mark.parametrize("limits", [
+        {"max_iter": 0}, {"max_iter": -5}, {"tol": -1.0}, {"tol": 0.0}, {"tol": math.nan},
+        {"tol": math.inf}, {"max_iter": -1, "tol": -1.0},
+    ])
+    def test_limits_that_cannot_stop_the_loop_rejected(self, limits):
+        with pytest.raises(ValueError, match="must be"):
+            fit(two_by_two_design(), **limits)
+
+    def test_one_iteration_is_a_valid_limit(self):
+        result = fit(two_by_two_design(), max_iter=1, tol=math.ulp(0.0))
+        assert result.n_iter == 1 and not result.converged
+
 
 class TestClassifyThreshold:
     def test_boundary_inclusive(self):

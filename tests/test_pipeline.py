@@ -320,18 +320,20 @@ class TestCli:
         assert main(self._args("fit", out)) == EXIT_SCHEMA
         assert f"{path}: header must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("binary, width", [("99999999999999999999", "5"),
-                                               ("1", "9" * 400)],
+    @pytest.mark.parametrize("binary, width, field", [("99999999999999999999", "5", "binary"),
+                                                      ("1", "9" * 400, "text_width")],
                              ids=["binary-past-int64", "width-past-float"])
-    def test_join_number_out_of_range_is_schema_error(self, tmp_path, capsys, binary, width):
+    def test_join_number_out_of_range_is_schema_error(self, tmp_path, capsys,
+                                                      binary, width, field):
         out = tmp_path / "out"
         for command in ("preprocess", "score"):
             assert main(self._args(command, out)) == EXIT_OK
         path = out / "scored.csv"
+        line = path.read_bytes().count(b"\n") + 1
         with open(path, "a", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(["zz", "NC", width, "0.5", "Positive", binary])
         assert main(self._args("join", out)) == EXIT_SCHEMA
-        assert f"{path}: number out of range" in capsys.readouterr().err
+        assert f"{path}:{line}: {field} " in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["scored.csv", "state_summary.csv",
                                                          "tokens.csv"]
 
@@ -344,7 +346,8 @@ class TestCli:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
 
-    @pytest.mark.parametrize("binary", ["5", "-3"])
+    # " 1", "+1", "01" and "0.7" pass int() or float(), but sentireg writes none of them.
+    @pytest.mark.parametrize("binary", ["5", "-3", " 1", "+1", "01", "0.7"])
     def test_join_binary_outside_0_1_names_file_and_line(self, tmp_path, capsys, binary):
         out = tmp_path / "out"
         for command in ("preprocess", "score", "join"):
@@ -377,6 +380,49 @@ class TestCli:
         must = "be 0 or 1" if column == "binary" else "be an integer"
         assert f"{path}:7: {column} must {must}, got {value!r}" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == before
+
+    def test_bad_width_past_the_first_score_chunk_names_its_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "tokens.csv"
+        rows = [["id", "state", "text_width", "tokens"]]
+        rows += [[f"d{i}", "NC", str(5 + i % 7), "great day"] for i in range(3000)]
+        rows[2500][2] = "x"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        assert pipeline.SCORE_CHUNK_DOCS < 2500
+        assert main(["score", "--out", str(out)]) == EXIT_SCHEMA
+        assert f"{path}:2501: text_width must be an integer, got 'x'" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["tokens.csv"]
+
+    @pytest.mark.parametrize("column, value, expected", [
+        ("m", "-2", "m must hold positive whole observation counts"),
+        ("TW", "nan", "design matrix contains non-finite entries"),
+    ])
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_bad_patterns_value_names_file(self, tmp_path, capsys, command,
+                                           column, value, expected):
+        out = tmp_path / "out"
+        for stage in ("preprocess", "score", "join", "fit"):
+            assert main(self._args(stage, out)) == EXIT_OK
+        reports = {name: (out / name).read_bytes() for name in ("fit_report.json", "fit_report.txt")}
+        path = out / "patterns.csv"
+        self._set_field(path, 3, column, value)
+        assert main(self._args(command, out)) == EXIT_SCHEMA
+        assert f"{path}: {expected}" in capsys.readouterr().err
+        for name, data in reports.items():
+            assert (out / name).read_bytes() == data, name
+
+    @pytest.mark.parametrize("limits", [{"max_iter": -1, "tol": -1}, {"max_iter": 0},
+                                        {"tol": "nan"}])
+    def test_fit_limits_that_cannot_stop_the_loop_are_schema_errors(self, tmp_path, capsys,
+                                                                    limits):
+        out = tmp_path / "out"
+        for stage in ("preprocess", "score", "join"):
+            assert main(self._args(stage, out)) == EXIT_OK
+        assert main(self._args("fit", out, **limits)) == EXIT_SCHEMA
+        assert f"{next(iter(limits))} must be" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
 
     @pytest.mark.parametrize("option, data, expected", [
         ("lexicon", "good\t1\nbad\tabc\n", "term<TAB>valence, got 'abc'"),

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import textwrap
 
 import numpy as np
@@ -34,9 +35,9 @@ def make_covariates(state="NC", **overrides):
     return StateCovariates(**base)
 
 
-def record(state, y, width=100):
-    """A scored.csv record as join reads it: (state, text width, binary)."""
-    return (state, width, y)
+def record(state, y, width=100, line=2):
+    """A scored.csv record as join reads it: (line, state, text width, binary)."""
+    return (line, state, width, y)
 
 
 class TestLoadCovariates:
@@ -130,21 +131,31 @@ class TestJoin:
         records = [record(s, i % 2, width=w) for i, (s, w)
                    in enumerate([("NC", 7), ("CA", 11), ("NC", 7), ("CA", 3), ("NC", 11)])]
         typed = join(records, covars)
-        read = join(iter([(s, str(w), str(y)) for s, w, y in records]), covars)
+        read = join(iter([(line, s, str(w), str(y)) for line, s, w, y in records]), covars)
         assert read.text == typed.text and read.covariates == typed.covariates
         assert read.pattern.tolist() == typed.pattern.tolist() == [0, 1, 0, 2, 3]
         assert read.y.dtype == np.int64 and read.y.tolist() == typed.y.tolist()
 
     def test_non_integer_width_rejected(self):
         with pytest.raises(ValueError):
-            join([("NC", "7.5", "1")], {"NC": make_covariates("NC")})
+            join([(2, "NC", "7.5", "1")], {"NC": make_covariates("NC")})
 
-    @pytest.mark.parametrize("binary", [5, -3, "2"])
+    # int() takes " 1", "+1", "01" and 0.7 too; a binary must be one sentireg writes.
+    @pytest.mark.parametrize("binary", [5, -3, "2", " 1", "+1", "01", "1.0", "", 0.7, None])
     def test_binary_outside_0_1_rejected(self, binary):
-        with pytest.raises(ValueError, match=f"record 1: binary must be 0 or 1, got {int(binary)}"):
-            join([record("NC", 1), record("NC", binary)], {"NC": make_covariates("NC")})
+        message = f"^4: binary must be 0 or 1, got {re.escape(repr(binary))}$"
+        with pytest.raises(ValueError, match=message):
+            join([record("NC", 1), record("NC", "0", line=3), record("NC", binary, line=4)],
+                 {"NC": make_covariates("NC")})
         with pytest.raises(TypeError):
-            join([("NC", 7.5, 1)], {"NC": make_covariates("NC")})
+            join([(2, "NC", 7.5, 1)], {"NC": make_covariates("NC")})
+
+    @pytest.mark.parametrize("width, want", [("", "must be an integer"), ("x7", "must be an integer"),
+                                             ("9" * 400, "must be within float range")])
+    def test_bad_width_names_its_line(self, width, want):
+        with pytest.raises(ValueError, match=f"^5: text_width {want}, got "):
+            join([record("NC", "1"), record("NC", "0", width=width, line=5)],
+                 {"NC": make_covariates("NC")})
 
     def test_missing_states_all_listed(self):
         records = [record("WY", 1), record("NC", 0), record("AK", 1), record("WY", 0)]
