@@ -1,13 +1,13 @@
-"""Corpus ingestion and text processing.
+"""Corpus ingestion, text processing, and the CSV reader and writer.
 
 Raw documents come in as CSV rows (id, state, text). Everything downstream
 works on token streams: tokenize, lowercase, drop stopwords/slang, stem or
 lemmatize, then count (bag of words, document-term matrix, n-grams) or tag.
 `preprocess` runs those steps in one pass: what becomes of a token depends
-only on its surface form, so a `WordNormalizer` memo normalizes each
-distinct surface once; it splits an ASCII text with no apostrophe by lower,
-translate and split, which give the word regex's tokens. All functions here
-are pure; the same input always yields the same output.
+only on its surface form, so a `WordNormalizer` memo normalizes each distinct
+surface once; it splits an ASCII text with no apostrophe by lower, a byte-table
+translate and split, which give the word regex's tokens. Every CSV is read by
+`read_columns` and written by `write_rows`; every other function is pure.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
+from typing import TextIO
 
 __all__ = [
     "STATE_CODES",
@@ -31,6 +33,7 @@ __all__ = [
     "CorpusLoadResult",
     "SchemaError",
     "read_columns",
+    "write_rows",
     "CorpusReader",
     "load_corpus",
     "tokenize",
@@ -103,6 +106,24 @@ def read_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple]:
             raise SchemaError(f"{path}:{start}: {exc}") from None
         except UnicodeDecodeError:  # decoded ahead of the parser: at or after start
             raise SchemaError(f"{path}:{start}: not UTF-8 at or after this line") from None
+
+
+WRITE_CHUNK_ROWS = 256  # rows write_rows joins at a time; bounds its buffers
+
+
+def write_rows(fh: TextIO, rows: Iterable[Sequence[str]]) -> None:
+    """Write rows of two or more str fields as csv.writer(fh).writerows does,
+    byte for byte. csv.writer quotes only a field that holds '"', ",", CR or LF
+    (or is a row's lone field, empty), so a chunk joined by "," and "\r\n" with no
+    '"' and no other ",", CR or LF is written as joined; any other goes to csv.writer."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
+        body = "\r\n".join(map(",".join, chunk))
+        if ('"' not in body and body.count("\n") == len(chunk) - 1 == body.count("\r")
+                and body.count(",") == sum(map(len, chunk)) - len(chunk)):
+            fh.writelines((body, "\r\n"))  # no copy of body
+        else:
+            csv.writer(fh).writerows(chunk)
 
 
 @dataclass(frozen=True)
@@ -221,9 +242,9 @@ _URL_RE = re.compile(r"(?<!\S)http\S*", re.IGNORECASE)
 
 
 # On ASCII, [^\W_] is [A-Za-z0-9] and ’ cannot occur, so in an ASCII text with
-# no ' a token is a maximal run of letters and digits: what split() returns
-# once _ASCII_GAPS has made every other character a space.
-_ASCII_GAPS = {c: " " for c in range(128) if not (chr(c).isalnum() or chr(c) == "'")}
+# no ' a token is a maximal run of letters and digits: what split() returns once
+# the bytes.translate table _ASCII_GAPS has made every other byte a space.
+_ASCII_GAPS = bytes(c if c > 127 or chr(c).isalnum() or chr(c) == "'" else 32 for c in range(256))
 
 
 def _surfaces(text: str) -> list[str]:
@@ -362,7 +383,7 @@ class WordNormalizer(dict):
             if "http" in text:
                 text = _URL_RE.sub(" ", text)
             surfaces = (_WORD_RE.findall(text) if "'" in text
-                        else text.translate(_ASCII_GAPS).split())
+                        else text.encode().translate(_ASCII_GAPS).decode().split())
         else:
             surfaces = _surfaces(text)
         return [w for w in map(self.__getitem__, surfaces) if w is not None]

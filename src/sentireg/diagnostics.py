@@ -12,7 +12,6 @@ classification summary and the margins give the same results on either.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
+from .corpus import write_rows
 from .logit import DegenerateFitError, DesignMatrix, LogitFit, classify_threshold, predict_prob
 from .special import chi2_sf, norm_ppf, two_sided_p
 
@@ -197,16 +197,12 @@ def marginal_effects(
 
 def write_margins_csv(path: str | Path, effects: list[MarginalEffect]) -> None:
     with atomic_open(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["variable", "kind", "dydx", "std_err", "z", "p"])
-        for e in effects:
-            w.writerow([e.name, e.kind, f"{e.dydx:.12g}", f"{e.std_err:.12g}",
-                        f"{e.z:.12g}", f"{e.p:.12g}"])
+        write_rows(fh, [("variable", "kind", "dydx", "std_err", "z", "p")])
+        write_rows(fh, ((e.name, e.kind, f"{e.dydx:.12g}", f"{e.std_err:.12g}",
+                         f"{e.z:.12g}", f"{e.p:.12g}") for e in effects))
 
 
 def write_qq_csv(path: str | Path, pairs: list[tuple[float, float]]) -> None:
     with atomic_open(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["theoretical_quantile", "pearson_residual"])
-        for theo, resid in pairs:
-            w.writerow([f"{theo:.12g}", f"{resid:.12g}"])
+        write_rows(fh, [("theoretical_quantile", "pearson_residual")])
+        write_rows(fh, ((f"{theo:.12g}", f"{resid:.12g}") for theo, resid in pairs))

@@ -2,9 +2,9 @@
 
 Each stage reads the previous stage's artifact and writes its own, so a
 monolithic run and a staged run produce byte-identical files. Preprocess
-streams the corpus, writing each kept row to tokens.csv as it is read.
-Score reads tokens.csv in chunks of SCORE_CHUNK_DOCS documents and scores
-each chunk as columns; scored.csv carries each document's text width, so
+streams the corpus and writes tokens.csv a chunk of kept rows at a time.
+Score reads tokens.csv in chunks of SCORE_CHUNK_DOCS documents, scores each
+chunk as columns and writes its rows; scored.csv carries each text width, so
 join reads scored.csv alone, passing its (line, state, width, binary)
 records straight to tabulate.join, which checks each field as it reads it.
 Join writes the row-level analysis_table.csv and its covariate patterns,
@@ -15,7 +15,6 @@ and artifact.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import platform
@@ -35,7 +34,7 @@ from . import logit as logit_mod
 from . import sentiment as sent_mod
 from . import tabulate as tab_mod
 from .atomic import atomic_open
-from .corpus import read_columns
+from .corpus import read_columns, write_rows
 
 __all__ = [
     "PipelineConfig",
@@ -111,7 +110,7 @@ def _sha256(path: Path) -> str:
 
 
 def stage_preprocess(config: PipelineConfig) -> Path:
-    """Tokenize and normalize the corpus, row by row as read; writes tokens.csv."""
+    """Tokenize and normalize the corpus as read; writes tokens.csv by chunks."""
     normalize = corpus_mod.WordNormalizer(
         stopwords=corpus_mod.load_wordlist(config.stopwords),
         slang=corpus_mod.load_wordlist(config.slang),
@@ -120,10 +119,9 @@ def stage_preprocess(config: PipelineConfig) -> Path:
     )
     out = config.out / "tokens.csv"
     with atomic_open(out) as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "state", "text_width", "tokens"])
-        w.writerows([doc_id, state, len(text), " ".join(normalize.words(text))]
-                    for doc_id, state, text in corpus_mod.CorpusReader(config.corpus))
+        write_rows(fh, [("id", "state", "text_width", "tokens")])
+        write_rows(fh, ((doc_id, state, str(len(text)), " ".join(normalize.words(text)))
+                        for doc_id, state, text in corpus_mod.CorpusReader(config.corpus)))
     return out
 
 
@@ -168,6 +166,8 @@ def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
     scored_path = config.out / "scored.csv"
     try:
         table = tab_mod.join(read_columns(scored_path, ("state", "text_width", "binary")), covars)
+    except tab_mod.MissingStatesError as exc:
+        raise corpus_mod.SchemaError(f"{scored_path}: {exc} in {config.covariates}") from None
     except corpus_mod.SchemaError:
         raise
     except ValueError as exc:  # a bad field, its message starting with the line

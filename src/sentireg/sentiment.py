@@ -5,14 +5,13 @@ and amplifiers in the two preceding tokens flipping or scaling each hit.
 The raw sum is scaled by the square root of the stream length and clamped
 to [-2, +2], so long rambling texts do not dominate.
 
-`score` scores one document. `score_batch` scores many at once as columns,
-with the same arithmetic in the same order, so its values equal a `score`
-loop's bit for bit; the pipeline scores the corpus with it chunk by chunk.
+`score` scores one document; `score_batch` scores many as columns, in the
+same arithmetic order, so its values equal a `score` loop's bit for bit. The
+pipeline scores the corpus with it, writing scored.csv chunk by chunk.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import Document, TokenStream, _tsv_pairs, load_wordlist
+from .corpus import Document, TokenStream, _tsv_pairs, load_wordlist, write_rows
 
 __all__ = [
     "Lexicon",
@@ -210,31 +209,28 @@ class ScoredChunk(NamedTuple):
 
 
 # The sign of a score -> its class and binary outcome.
-_CLASS_OF_SIGN = {1: (SentimentClass.POSITIVE.value, 1),
-                  -1: (SentimentClass.NEGATIVE.value, 0),
-                  0: (SentimentClass.NEUTRAL.value, 0)}
+_CLASS_OF_SIGN = {1: (SentimentClass.POSITIVE.value, "1"),
+                  -1: (SentimentClass.NEGATIVE.value, "0"),
+                  0: (SentimentClass.NEUTRAL.value, "0")}
 
 
 def write_scored_csv(path: str | Path, chunks: Iterable[ScoredChunk]) -> None:
     """One line per document, chunk by chunk, in SCORED_COLUMNS order."""
     with atomic_open(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(SCORED_COLUMNS)
+        write_rows(fh, [SCORED_COLUMNS])
         for c in chunks:
             signs = np.sign(c.value).astype(int).tolist()
-            w.writerows((doc_id, state, width, f"{value:.12g}", *_CLASS_OF_SIGN[sign])
-                        for doc_id, state, width, value, sign
-                        in zip(c.id, c.state, c.text_width, c.value.tolist(), signs))
+            write_rows(fh, ((doc_id, state, str(width), f"{value:.12g}", *_CLASS_OF_SIGN[sign])
+                            for doc_id, state, width, value, sign
+                            in zip(c.id, c.state, c.text_width, c.value.tolist(), signs)))
 
 
 def write_state_summary_csv(
     path: str | Path, summaries: list[StateSentimentSummary]
 ) -> None:
     with atomic_open(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["state", "n_docs", "mean_score", "share_positive",
-                    "share_negative", "share_neutral"])
-        for s in summaries:
-            w.writerow([s.state, s.n_docs, f"{s.mean_score:.12g}",
-                        f"{s.share_positive:.12g}", f"{s.share_negative:.12g}",
-                        f"{s.share_neutral:.12g}"])
+        write_rows(fh, [("state", "n_docs", "mean_score", "share_positive",
+                         "share_negative", "share_neutral")])
+        write_rows(fh, ((s.state, str(s.n_docs), f"{s.mean_score:.12g}",
+                         f"{s.share_positive:.12g}", f"{s.share_negative:.12g}",
+                         f"{s.share_neutral:.12g}") for s in summaries))

@@ -15,7 +15,6 @@ m and its number of positive rows y_sum.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import operator
@@ -27,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import STATE_CODES, SchemaError, read_columns
+from .corpus import STATE_CODES, SchemaError, read_columns, write_rows
 
 __all__ = [
     "REGIONS",
@@ -41,6 +40,7 @@ __all__ = [
     "load_covariates",
     "region_dummies",
     "join",
+    "MissingStatesError",
     "descriptive_stats",
     "write_analysis_csv",
     "read_analysis_csv",
@@ -219,6 +219,10 @@ def _state_row(c: StateCovariates) -> tuple[tuple, str]:
     return values, ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
+class MissingStatesError(SchemaError):
+    """Documents have states with no covariate row."""
+
+
 # A binary as sentireg writes it, in scored.csv or in memory, and its outcome.
 _OUTCOME = {"0": 0, "1": 1, 0: 0, 1: 1}
 
@@ -231,8 +235,8 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
     or exactly "0" or "1"; anything else is a ValueError whose message starts
     with the record's line. Patterns are keyed by their CSV text, which tells
     two covariate vectors apart exactly when their float values differ (repr
-    round-trips). Any document whose state has no covariate row is a hard
-    error; the message lists every missing state so the gap is auditable.
+    round-trips). Any document whose state has no covariate row is a
+    MissingStatesError whose message lists every such state, for an audit.
     """
     state_rows = {state: _state_row(c) for state, c in covars.items()}
     by_key: dict[tuple, int] = {}
@@ -265,7 +269,7 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
         except KeyError:
             raise ValueError(f"{line}: binary must be 0 or 1, got {binary!r}") from None
     if missing:
-        raise SchemaError(f"no covariate row for state(s): {sorted(missing)}")
+        raise MissingStatesError(f"no covariate row for state(s): {sorted(missing)}")
     return AnalysisTable(covariates, list(by_text), np.array(pattern, dtype=np.intp),
                          np.array(y, dtype=np.int64))
 
@@ -337,8 +341,6 @@ def read_patterns_csv(path: str | Path) -> Patterns:
 
 def write_descriptives_csv(path: str | Path, stats: dict[str, dict[str, float]]) -> None:
     with atomic_open(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["variable", "mean", "sd", "min", "max"])
-        for name, s in stats.items():
-            w.writerow([name, f"{s['mean']:.12g}", f"{s['sd']:.12g}",
-                        f"{s['min']:.12g}", f"{s['max']:.12g}"])
+        write_rows(fh, [("variable", "mean", "sd", "min", "max")])
+        write_rows(fh, ((name, f"{s['mean']:.12g}", f"{s['sd']:.12g}",
+                         f"{s['min']:.12g}", f"{s['max']:.12g}") for name, s in stats.items()))

@@ -1,11 +1,15 @@
+import csv
+import io
 import itertools
 import re
 import textwrap
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sentireg import corpus as corpus_mod
 from sentireg.corpus import (
     _ASCII_GAPS,
     _URL_RE,
@@ -30,6 +34,7 @@ from sentireg.corpus import (
     remove_stopwords,
     stem,
     tokenize,
+    write_rows,
 )
 from sentireg.pipeline import default_data_path
 
@@ -411,8 +416,11 @@ ASCII = "".join(map(chr, range(128)))
 
 
 def test_ascii_gaps_are_the_characters_no_token_holds():
+    assert len(_ASCII_GAPS) == 256
     for c in ASCII:
-        assert (_ASCII_GAPS.get(ord(c)) == " ") == (c != "'" and not _WORD_RE.match(c)), repr(c)
+        byte = _ASCII_GAPS[ord(c)]
+        assert byte in (ord(c), ord(" ")), repr(c)
+        assert (byte == ord(" ")) == (c != "'" and not _WORD_RE.match(c)), repr(c)
 
 
 def test_words_equal_the_word_pattern_on_every_short_ascii_string():
@@ -462,3 +470,32 @@ def test_words_equal_the_regex_oracle(lemmas, stem_rules, texts, stopwords, slan
 def test_words_without_stem_rules_pass_words_through():
     normalize = WordNormalizer(stem_rules=[])
     assert normalize.words("Reopening STUDIES") == ["reopening", "studies"]
+
+
+# -- write_rows, the joined fast path beside csv.writer ------------------------
+
+# Every character csv.writer quotes a field for, a space, an apostrophe and a
+# non-ASCII letter; a field may be empty.
+CSV_FIELDS = st.text(alphabet=[",", '"', "\r", "\n", " ", "'", "é", "a"], max_size=4)
+
+
+@given(st.lists(st.lists(st.lists(CSV_FIELDS, min_size=2, max_size=6), max_size=5),
+                max_size=4),
+       st.integers(min_value=1, max_value=3))
+def test_write_rows_equals_csv_writer(calls, chunk_rows):
+    expected, written = io.StringIO(), io.StringIO()
+    with mock.patch.object(corpus_mod, "WRITE_CHUNK_ROWS", chunk_rows):
+        for rows in calls:
+            csv.writer(expected).writerows(rows)
+            write_rows(written, rows)
+    assert written.getvalue() == expected.getvalue()
+
+
+def test_write_rows_joins_a_chunk_with_nothing_to_quote(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.writer called on a chunk with nothing to quote")
+
+    monkeypatch.setattr(corpus_mod.csv, "writer", refuse)
+    buf = io.StringIO()
+    write_rows(buf, iter([("id", "tokens"), ("s1", "reopen economy"), ("s2", "")]))
+    assert buf.getvalue() == "id,tokens\r\ns1,reopen economy\r\ns2,\r\n"

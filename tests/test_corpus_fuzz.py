@@ -36,13 +36,18 @@ from sentireg.corpus import (
     load_tsv_map,
     load_wordlist,
 )
+from sentireg import corpus as corpus_mod
+from sentireg import pipeline
 from sentireg.pipeline import default_data_path
+from sentireg.sentiment import SCORED_COLUMNS, load_lexicon, score, to_binary
 
 PREVIOUS_TOKENS = b"id,state,text_width,tokens\r\nold,NC,3,old\r\n"
 STOPWORDS = load_wordlist(default_data_path("stopwords.txt"))
 SLANG = load_wordlist(default_data_path("slang.txt"))
 STEM_RULES = load_stem_rules(default_data_path("stem_rules.tsv"))
 LEMMAS = load_tsv_map(default_data_path("lemmas.tsv"))
+LEXICON = load_lexicon(default_data_path("lexicon.tsv"), default_data_path("negators.txt"),
+                       default_data_path("amplifiers.tsv"))
 
 rows = st.tuples(
     st.sampled_from([*"abcdefghijklmnopqrstuvwxyz", "", "e,f", 'q"t', "n\x00l"]),
@@ -98,6 +103,39 @@ def oracle_tokens(path: Path) -> bytes:
     writer.writerows([doc.id, doc.state, doc.text_width, " ".join(regex_words(doc.text))]
                      for doc in load_corpus(path).documents)
     return buf.getvalue().encode("utf-8")
+
+
+def oracle_scored(path: Path) -> bytes:
+    """scored.csv from `score` over the regex word lists."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(SCORED_COLUMNS)
+    for doc in load_corpus(path).documents:
+        s = score(regex_words(doc.text), LEXICON)
+        writer.writerow([doc.id, doc.state, doc.text_width, f"{s.value:.12g}", s.label.value,
+                         to_binary(s.label)])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_artifacts_with_a_quoted_chunk_equal_the_csv_writer_oracle(tmp_path, monkeypatch):
+    # Two-row write chunks and three-document score chunks: the id with a
+    # comma and the id with a quote each fall in a chunk of their own, among
+    # chunks that are joined without csv.writer.
+    monkeypatch.setattr(corpus_mod, "WRITE_CHUNK_ROWS", 2)
+    monkeypatch.setattr(pipeline, "SCORE_CHUNK_DOCS", 3)
+    texts = ["reopen the economy", "great news", "not good at all", "very good",
+             "Café reopening is great", "bad, very bad", "stay home", "open now"]
+    ids = ["s1", "s2", "a,b", "s4", "s5", 'q"t', "s7", "s8"]
+    corpus = tmp_path / "corpus.csv"
+    with open(corpus, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("id", "state", "text"),
+                                  *((i, "NC", text) for i, text in zip(ids, texts))])
+    out = tmp_path / "out"
+    for command in ("preprocess", "score"):
+        assert main([command, "--corpus", str(corpus), "--out", str(out)]) == EXIT_OK
+    assert (out / "tokens.csv").read_bytes() == oracle_tokens(corpus)
+    assert (out / "scored.csv").read_bytes() == oracle_scored(corpus)
+    assert b'"a,b",NC,' in (out / "scored.csv").read_bytes()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -34,12 +34,18 @@ ARTIFACTS = [
     "qq.csv",
 ]
 
-# sha256 of the bundled fixture's row-level join artifacts as written when
-# join still built one row object per document; building each covariate
-# pattern once must not change a byte of them.
+# sha256 of the bundled fixture's artifacts. The two join artifacts are as
+# written when join still built one row object per document; the other four
+# as written when every CSV row still went through csv.writer. Building each
+# covariate pattern once, and joining rows without csv.writer, must not
+# change a byte of them.
 PINNED_SHA256 = {
     "analysis_table.csv": "39773e15b072140a667520368543e0f59724523f15d82a9190661a9c5de2e3a7",
     "descriptives.csv": "f55530e61a0f0740760d587f1d7c3693d9b1e9e046025ec3ffc72ad114df2c36",
+    "tokens.csv": "67fabf662a885786bb50a05d1cb39e809b9babf41f884e0a5ead0bc3132300aa",
+    "scored.csv": "feec296488c52eecdd3d7053ce03bd6f3f76ec82dd0de54d99b9bbab53e94f21",
+    "state_summary.csv": "99e82986533986b68bfaa1e9e2e6fed8b108c502f77d015f5696169f53eb689f",
+    "patterns.csv": "44328263c403195067457bf460e01f53ee5f0be08dcae5ddc0983163c18a791a",
 }
 
 
@@ -336,6 +342,20 @@ class TestCli:
         assert f"{path}:{line}: {field} " in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["scored.csv", "state_summary.csv",
                                                          "tokens.csv"]
+
+    def test_join_state_without_covariate_row_names_both_files(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for command in ("preprocess", "score"):
+            assert main(self._args(command, out)) == EXIT_OK
+        covariates = tmp_path / "covariates.csv"
+        lines = COVARIATES.read_bytes().splitlines(keepends=True)
+        covariates.write_bytes(b"".join(line for line in lines if not line.startswith(b"NC,")))
+        args = self._args("join", out)
+        args[args.index("--covariates") + 1] = str(covariates)
+        assert main(args) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"{out / 'scored.csv'}: " in err and str(covariates) in err
+        assert "['NC']" in err
 
     @staticmethod
     def _set_field(path, line, column, value):
