@@ -21,7 +21,7 @@ import numpy as np
 from .atomic import atomic_open
 from .corpus import write_rows
 from .logit import DegenerateFitError, DesignMatrix, LogitFit, classify_threshold, predict_prob
-from .special import chi2_sf, norm_ppf, two_sided_p
+from .special import P_HIGH, P_LOW, chi2_sf, norm_ppf, ppf_central, two_sided_p
 
 __all__ = [
     "ClassificationSummary",
@@ -130,8 +130,11 @@ def qq_export(result: LogitFit, data: DesignMatrix) -> list[tuple[float, float]]
     residual, one row per row of data, each a covariate pattern.
     """
     e, var = _residual_parts(result, data)
-    residuals = np.sort(e / np.sqrt(var)).tolist()
-    return [(norm_ppf((i + 0.5) / len(residuals)), r) for i, r in enumerate(residuals)]
+    # norm_ppf(p) bit for bit: the same float steps on the array; the tails call it
+    p = (np.arange(len(e)) + 0.5) / len(e)
+    z, tails = ppf_central(p - 0.5), np.flatnonzero((p < P_LOW) | (p > P_HIGH))
+    z[tails] = [norm_ppf(v) for v in p[tails].tolist()]
+    return list(zip(z.tolist(), np.sort(e / np.sqrt(var)).tolist()))
 
 
 def marginal_effects(

@@ -5,8 +5,8 @@ monolithic run and a staged run produce byte-identical files. Preprocess
 streams the corpus and writes tokens.csv a chunk of kept rows at a time.
 Score reads tokens.csv in chunks of SCORE_CHUNK_DOCS documents, scores each
 chunk as columns and writes its rows; scored.csv carries each text width, so
-join reads scored.csv alone, passing its (line, state, width, binary)
-records straight to tabulate.join, which checks each field as it reads it.
+join reads scored.csv alone: in byte blocks (tabulate.join_blocks) where the
+file is plain, else as records through tabulate.join, which names bad lines.
 Join writes the row-level analysis_table.csv and its covariate patterns,
 patterns.csv; fit and diagnose read only patterns.csv. Every artifact is
 written atomically. The run manifest records content hashes of every input
@@ -165,7 +165,9 @@ def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
     covars = tab_mod.load_covariates(config.covariates)
     scored_path = config.out / "scored.csv"
     try:
-        table = tab_mod.join(read_columns(scored_path, ("state", "text_width", "binary")), covars)
+        table = tab_mod.join_blocks(scored_path, covars)
+        if table is None:  # not plain: the per-record join, with each error's exact text
+            table = tab_mod.join(read_columns(scored_path, tab_mod.JOIN_COLUMNS), covars)
     except tab_mod.MissingStatesError as exc:
         raise corpus_mod.SchemaError(f"{scored_path}: {exc} in {config.covariates}") from None
     except corpus_mod.SchemaError:

@@ -96,23 +96,24 @@ _C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
 _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00)
 
-_P_LOW = 0.02425
-_P_HIGH = 1.0 - _P_LOW
+P_LOW = 0.02425
+P_HIGH = 1.0 - P_LOW
 
 
 def norm_ppf(p: float) -> float:
     """Standard normal quantile (inverse CDF) on the open interval (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > _P_HIGH:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
+    if P_LOW <= p <= P_HIGH:
+        return ppf_central(p - 0.5)
+    q = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))  # the tails mirror each other
+    z = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
+         / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
+    return z if p < P_LOW else -z
+
+
+def ppf_central(q):
+    """norm_ppf's branch for P_LOW <= p <= P_HIGH at q = p - 0.5, a float or an array."""
     r = q * q
     return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))

@@ -8,18 +8,20 @@ South as the omitted baseline.
 Every regressor but TW is a state value, so the joined table has few
 distinct covariate rows. `join` builds each one once and keeps the table
 as covariate patterns (distinct rows, numbered by first occurrence) plus
-each document's pattern and outcome. The row-level analysis_table.csv is
-written from that, and patterns.csv holds each pattern with its row count
-m and its number of positive rows y_sum.
+each document's pattern and outcome; `join_blocks` reads a plain scored.csv
+a block at a time and gives join's table. analysis_table.csv is written from
+that, and patterns.csv holds each pattern with its row count m and y_sum.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,6 +42,7 @@ __all__ = [
     "load_covariates",
     "region_dummies",
     "join",
+    "join_blocks",
     "MissingStatesError",
     "descriptive_stats",
     "write_analysis_csv",
@@ -195,7 +198,7 @@ class AnalysisTable(Sequence):
     def __getitem__(self, i: int) -> AnalysisRow:
         return AnalysisRow(int(self.y[i]), *self.covariates[self.pattern[i]])
 
-    @property
+    @cached_property
     def patterns(self) -> Patterns:
         n = len(self.text)
         return Patterns(
@@ -272,6 +275,67 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
         raise MissingStatesError(f"no covariate row for state(s): {sorted(missing)}")
     return AnalysisTable(covariates, list(by_text), np.array(pattern, dtype=np.intp),
                          np.array(y, dtype=np.int64))
+
+
+JOIN_BLOCK_BYTES = 1 << 16  # scored.csv bytes join_blocks reads at a time
+JOIN_COLUMNS = ("state", "text_width", "binary")
+
+
+def join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> AnalysisTable | None:
+    """join(read_columns(path, JOIN_COLUMNS), covars), the same table or error,
+    from a numpy pass per block; None unless the header and each block are ASCII
+    with no quote and no CR outside CRLF, and each line has the header's comma
+    count, fits csv.field_size_limit(), a state of at most 2 bytes, a width of 1
+    to 12 digits (a float exactly, and the low 40 bits of a packed key) and a
+    binary of 0 or 1. join builds the distinct keys' patterns in first-seen order."""
+    limit = csv.field_size_limit()
+    seen, ids, y = {}, [np.empty(0, np.intp)], [np.empty(0, np.int64)]  # seen: key -> number
+
+    def take(block: bytes) -> bool:
+        buf = np.frombuffer(block, np.uint8)
+        seps = np.flatnonzero((buf == 44) | (buf == 10))
+        if not block.isascii() or b'"' in block or len(seps) % (k + 1):
+            return False
+        grid = seps.reshape(-1, k + 1)  # each line's commas, then its LF
+        cr = buf[grid[:, k] - 1] == 13
+        if ((buf[grid] != [44] * k + [10]).any() or np.diff(grid[:, k], prepend=-1).max() > limit
+                or np.count_nonzero(buf == 13) != np.count_nonzero(cr)):
+            return False
+        edges = np.column_stack((np.r_[-1, grid[:-1, k]], grid[:, :k], grid[:, k] - cr))
+        (ss, se), (ws, we), (bs, be) = ((edges[:, c] + 1, edges[:, c + 1]) for c in cols)
+        ls, lw, binary = se - ss, we - ws, buf[bs] - 48  # uint8: any byte but "0" or "1" is above 1
+        at = we[:, None] - np.arange(min(lw.max(), 12), 0, -1)
+        digits = np.where(at >= ws[:, None], buf[np.maximum(at, 0)] - 48, 0)
+        if ((ls > 2) | (lw < 1) | (lw > 12) | (be - bs != 1) | (binary > 1)
+                | (digits > 9).any(1)).any():
+            return False
+        state = (buf[ss].astype(np.int64) << 8 | buf[ss + (ls > 1)]) * (ls > 0)
+        key = digits @ 10 ** np.arange(at.shape[1] - 1, -1, -1) | state << 40 | ls << 56
+        keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order, number = np.argsort(first), np.empty(len(keys), np.intp)
+        number[order] = [seen.setdefault(kk, len(seen)) for kk in keys[order].tolist()]
+        ids.append(number[inverse])
+        y.append(binary.astype(np.int64))
+        return True
+
+    with open(path, "rb") as fh:
+        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        names = header.decode("latin-1").split(",")
+        if (not header.isascii() or b'"' in header or b"\r" in header or len(header) > limit
+                or not set(JOIN_COLUMNS) <= set(names)):
+            return None
+        cols, k, carry = [names.index(c) for c in JOIN_COLUMNS], len(names) - 1, b""
+        for chunk in iter(lambda: fh.read(JOIN_BLOCK_BYTES), b""):
+            cut = (data := carry + chunk).rfind(b"\n") + 1
+            carry = data[cut:]
+            if len(carry) > limit or cut and not take(data[:cut]):
+                return None
+        if carry and (b"\r" in carry or not take(carry + b"\n")):
+            return None
+    distinct = join([(0, (kk >> 40 & 0xFFFF).to_bytes(2, "big")[:kk >> 56].decode(),
+                      kk & 0xFFFFFFFFFF, 0) for kk in seen], covars)
+    return AnalysisTable(distinct.covariates, distinct.text,
+                         distinct.pattern[np.concatenate(ids)], np.concatenate(y))
 
 
 def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:

@@ -12,7 +12,7 @@ from sentireg.diagnostics import (
     qq_export,
 )
 from sentireg.logit import DegenerateFitError, DesignMatrix, fit, predict_prob
-from sentireg.special import norm_ppf
+from sentireg.special import P_LOW, norm_ppf
 
 
 def grouped_design(rng, n_patterns=12, k=2, reps=(1, 6)):
@@ -252,6 +252,14 @@ class TestQQExport:
         y = np.array([r for _, r in pairs])
         slope = float(np.sum(x * y) / np.sum(x * x))
         assert 0.8 <= slope <= 1.2
+
+    # From n = 21 the first point, 0.5/n, is below P_LOW and takes norm_ppf's
+    # tail branch; 1910 and 7656 are the tweets and wide-vocab pattern counts.
+    @pytest.mark.parametrize("n", [1, 2, 20, 21, 42, 1910, 7656])
+    def test_plotting_positions_equal_norm_ppf(self, n):
+        assert (0.5 / n < P_LOW) == (n >= 21)
+        pairs = qq_export(*patterns_with_probs([(10, 5, 0.0)] * n))
+        assert [z for z, _ in pairs] == [norm_ppf((i + 0.5) / n) for i in range(n)]
 
 
 class TestMarginalEffects:

@@ -23,7 +23,13 @@ from sentireg.pipeline import (
     default_data_path,
     run_pipeline,
 )
-from sentireg.tabulate import ANALYSIS_COLUMNS, read_analysis_csv, read_patterns_csv
+from sentireg.tabulate import (
+    ANALYSIS_COLUMNS,
+    join_blocks,
+    load_covariates,
+    read_analysis_csv,
+    read_patterns_csv,
+)
 
 CORPUS = default_data_path("fixture_corpus.csv")
 COVARIATES = default_data_path("state_covariates.csv")
@@ -36,9 +42,10 @@ ARTIFACTS = [
 
 # sha256 of the bundled fixture's artifacts. The two join artifacts are as
 # written when join still built one row object per document; the other four
-# as written when every CSV row still went through csv.writer. Building each
-# covariate pattern once, and joining rows without csv.writer, must not
-# change a byte of them.
+# as written when every CSV row still went through csv.writer; qq.csv as
+# written when qq_export called norm_ppf once per point. Building each
+# covariate pattern once, joining rows without csv.writer, reading scored.csv
+# in blocks and computing the QQ positions on arrays must not change a byte.
 PINNED_SHA256 = {
     "analysis_table.csv": "39773e15b072140a667520368543e0f59724523f15d82a9190661a9c5de2e3a7",
     "descriptives.csv": "f55530e61a0f0740760d587f1d7c3693d9b1e9e046025ec3ffc72ad114df2c36",
@@ -46,6 +53,7 @@ PINNED_SHA256 = {
     "scored.csv": "feec296488c52eecdd3d7053ce03bd6f3f76ec82dd0de54d99b9bbab53e94f21",
     "state_summary.csv": "99e82986533986b68bfaa1e9e2e6fed8b108c502f77d015f5696169f53eb689f",
     "patterns.csv": "44328263c403195067457bf460e01f53ee5f0be08dcae5ddc0983163c18a791a",
+    "qq.csv": "b907ac70e9409b7db2e4cb071f3086e66cbb868e2590a22a677dac892915aaa9",
 }
 
 
@@ -584,6 +592,12 @@ class TestStageOutputs:
         assert patterns.y_sum.tolist() == expected.y.tolist()
         assert np.array_equal(patterns.X, expected.X[:, 1:])
         assert np.array_equal(X, expected.X[pattern])
+
+    def test_join_reads_the_fixture_scored_csv_in_blocks(self, tmp_path):
+        # scored.csv as score writes it is plain: join takes the block path
+        out = run_fixture(tmp_path / "run")
+        table = join_blocks(out / "scored.csv", load_covariates(COVARIATES))
+        assert table is not None and len(table) == 40
 
     def test_row_level_join_artifacts_unchanged(self, tmp_path):
         out = run_fixture(tmp_path / "run")

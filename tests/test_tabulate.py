@@ -1,12 +1,17 @@
 import csv
 import math
 import re
+import tempfile
 import textwrap
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from sentireg.corpus import SchemaError
+from sentireg import tabulate as tab_mod
+from sentireg.corpus import SchemaError, read_columns
 from sentireg.pipeline import default_data_path
 from sentireg.tabulate import (
     ANALYSIS_COLUMNS,
@@ -14,6 +19,7 @@ from sentireg.tabulate import (
     StateCovariates,
     descriptive_stats,
     join,
+    join_blocks,
     load_covariates,
     read_analysis_csv,
     read_patterns_csv,
@@ -316,3 +322,139 @@ def test_read_patterns_csv_equals_float_parse(tmp_path):
     patterns = read_patterns_csv(tmp_path / "patterns.csv")
     data = np.column_stack([patterns.m, patterns.y_sum, patterns.X])
     assert data.tobytes() == np.array(rows).tobytes()
+
+
+# -- join_blocks: the block kernel against the per-record join ------------------
+
+SCORED_HEADERS = ["id,state,text_width,score,class,binary", "binary,text_width,state",
+                  "state,id,binary,text_width"]
+# Fields as sentireg writes them, then odd ones: states with no covariate
+# row, and the forms the kernel leaves to the per-record join. A file is drawn
+# plain and gets a few odd lines, which often sit in a later block than plain ones.
+PLAIN_FIELDS = {"id": ["t1", "t22", "t333", "x\x00"], "state": ["NC", "CA"],
+                "text_width": ["7", "63", "007", "0", "999999999999"], "score": ["0.5"],
+                "class": ["Positive"], "binary": ["0", "1"]}
+ODD_FIELDS = {"id": ['"a,b"', '"q""t"', "é1"], "state": ["WY", "", "N", "NCX", "é"],
+              "text_width": ["+5", " 5", "5_0", "1" * 13, "", "x7", "9" * 400],
+              "binary": ["01", " 1", "2", ""]}
+
+
+@st.composite
+def scored_files(draw) -> bytes:
+    header = draw(st.sampled_from(SCORED_HEADERS)).split(",")
+    lines = [[draw(st.sampled_from(PLAIN_FIELDS[c])) for c in header]
+             for _ in range(draw(st.integers(0, 10)))]
+    eols = [draw(st.sampled_from(["\r\n", "\n"])) for _ in range(len(lines) + 1)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2])) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        odd = draw(st.sampled_from(["field"] * 4 + ["bare CR", "blank", "extra", "short"]))
+        if odd == "bare CR":
+            eols[i + 1] = "\r"
+        elif odd != "field":
+            lines[i] = {"blank": [], "extra": lines[i] + ["x"], "short": lines[i][:-1]}[odd]
+        elif len(lines[i]) == len(header):  # not made blank, longer or shorter before
+            c = draw(st.sampled_from(sorted(set(header) & set(ODD_FIELDS))))
+            lines[i][header.index(c)] = draw(st.sampled_from(ODD_FIELDS[c]))
+    text = "".join(",".join(line) + eol for line, eol in zip([header] + lines, eols))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # a last line without a terminator
+    return ("\ufeff" if draw(st.integers(0, 4)) == 0 else "").encode() + text.encode()
+
+
+def joined(run):
+    """What a join gives: the table's fields (None for no table), or the
+    error's type and text."""
+    try:
+        table = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if table is not None:
+        return (table.covariates, table.text, table.pattern.dtype, table.pattern.tolist(),
+                table.y.dtype, table.y.tolist())
+
+
+def join_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_limit()):
+    """join_blocks' and the per-record join's results on a scored.csv of data."""
+    covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA", FHH_pct=55.0)}
+    old_limit = csv.field_size_limit(field_limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(tab_mod, "JOIN_BLOCK_BYTES", block_bytes):
+            path = Path(tmp) / "scored.csv"
+            path.write_bytes(data)
+            return (joined(lambda: join_blocks(path, covars)),
+                    joined(lambda: join(read_columns(path, tab_mod.JOIN_COLUMNS), covars)))
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+PLAIN = b"id,state,text_width,binary\r\n" + b"".join(
+    b"t%d,%s,%d,%d\r\n" % (i, b"NC" if i % 3 else b"CA", 7 + i % 4, i % 2) for i in range(12))
+
+
+# The kernel either declines (None), and stage_join runs the per-record join,
+# or gives the per-record join's table or error.
+@settings(max_examples=300, deadline=None)
+@given(scored_files(), st.integers(min_value=8, max_value=64),
+       st.sampled_from([csv.field_size_limit()] * 3 + [24]))
+@example(PLAIN, 40, csv.field_size_limit())
+@example(PLAIN + b'"q,t",NC,7,1\r\n', 40, csv.field_size_limit())  # in a later block
+@example(PLAIN + "é,NC,7,1\r\n".encode(), 40, csv.field_size_limit())
+@example(PLAIN + b"t,WY,7,1\r\n", 40, csv.field_size_limit())
+def test_join_blocks_equals_the_per_record_join(data, block_bytes, field_limit):
+    kernel, per_record = join_both(data, block_bytes, field_limit)
+    assert kernel is None or kernel == per_record
+
+
+@pytest.mark.parametrize("tail, widths", [
+    (b"", [7.0, 8.0, 9.0, 10.0]),
+    (b"t,CA,007,1\nt,NC,999999999999,0", [7.0, 8.0, 9.0, 10.0, 999999999999.0]),
+])
+def test_join_blocks_reads_plain_blocks(tail, widths):
+    # LF and CRLF mixed, a last line without one, blocks of a line or two
+    kernel, per_record = join_both(PLAIN + tail, 40)
+    assert kernel == per_record
+    assert sorted({c[0] for c in kernel[0]}) == widths
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: "\ufeff".encode() + d,                      # a byte-order mark
+    lambda d: d.replace(b"\r\n", b"\r", 1),              # a bare CR
+    lambda d: d + b"\r\n",                               # a blank line
+    lambda d: d + b"t,NC,7,1\r",                          # a CR at the end of the file
+    lambda d: d + b'"t",NC,7,1\r\n',                      # a quote
+    lambda d: d + b"t,NC,7,1,x\r\n",                      # an extra field
+    lambda d: d + b"t,NCX,7,1\r\n",                       # a state of 3 bytes
+    lambda d: d + b"t,NC,+5,1\r\n",                       # a width int() takes
+    lambda d: d + b"t,NC,1234567890123,1\r\n",            # 13 digits
+    lambda d: d + b"t,NC,,1\r\n",                         # an empty width
+    lambda d: d + b"t,NC,7,01\r\n",                       # a binary int() takes
+    lambda d: d + b"t\r1,NC,7,1\r\n",                     # a bare CR inside a field
+    lambda d: d + b"t\xe9,NC,7,1\r\n",                    # a byte that is not UTF-8
+])
+def test_join_blocks_declines_what_is_not_plain(change):
+    kernel, per_record = join_both(change(PLAIN), 40)
+    assert kernel is None and per_record is not None
+
+
+# In 40-byte blocks the long line is carried over a block boundary; in 4096,
+# one block holds it.
+@pytest.mark.parametrize("block_bytes", [40, 4096])
+@pytest.mark.parametrize("data", [b"id,state,text_width,binary,c" + b"c" * 32 + b"\r\n",
+                                  PLAIN + b"t" * 40 + b",NC,7,1\r\n"])
+def test_join_blocks_declines_a_field_over_the_limit(data, block_bytes):
+    kernel, per_record = join_both(data, block_bytes, field_limit=32)
+    assert kernel is None and per_record[0] is SchemaError
+    assert per_record[1].endswith("field larger than field limit (32)")
+
+
+def test_join_blocks_lists_missing_states_as_join_does():
+    kernel, per_record = join_both(PLAIN + b"t,WY,7,1\r\nt,,7,0\r\n", 40)
+    assert kernel == per_record == (
+        tab_mod.MissingStatesError, "no covariate row for state(s): ['', 'WY']")
+
+
+def test_patterns_are_built_once_per_table():
+    table = join([record("NC", 1), record("NC", 0, width=7)], {"NC": make_covariates("NC")})
+    assert table.patterns is table.patterns
+    assert table.patterns.m.tolist() == [1, 1] and table.patterns.y_sum.tolist() == [1, 0]
