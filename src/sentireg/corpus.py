@@ -7,7 +7,9 @@ lemmatize, then count (bag of words, document-term matrix, n-grams) or tag.
 only on its surface form, so a `WordNormalizer` memo normalizes each distinct
 surface once; it splits an ASCII text with no apostrophe by lower, a byte-table
 translate and split, which give the word regex's tokens. Every CSV is read by
-`read_columns` and written by `write_rows`; every other function is pure.
+`read_columns` and written by `write_rows`; `plain_blocks` frames a file that
+csv.reader would split at its commas and line ends as numpy byte blocks, for
+the block kernels of score and join. Every other function is pure.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
+import numpy as np
+
 __all__ = [
     "STATE_CODES",
     "Document",
@@ -33,6 +37,8 @@ __all__ = [
     "CorpusLoadResult",
     "SchemaError",
     "read_columns",
+    "plain_blocks",
+    "ascii_int",
     "write_rows",
     "CorpusReader",
     "load_corpus",
@@ -106,6 +112,70 @@ def read_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple]:
             raise SchemaError(f"{path}:{start}: {exc}") from None
         except UnicodeDecodeError:  # decoded ahead of the parser: at or after start
             raise SchemaError(f"{path}:{start}: not UTF-8 at or after this line") from None
+
+
+def plain_blocks(path: str | Path, block_bytes: int) -> Iterator:
+    """A CSV file's header names, then (buf, edges) for each block of whole
+    lines, read block_bytes at a time, while read_columns would split the
+    file at exactly its commas and line ends; None, and nothing after it, at
+    the header or the first block where it might not.
+
+    That holds while the header and every line are ASCII with no quote and no
+    CR outside a CRLF line end, the header has a comma, every line has the
+    header's comma count, and no line without its end is longer than
+    csv.field_size_limit(), so no field is. An unterminated last line is
+    framed as if it ended in CRLF, so a CR in it is not plain. `buf` is the
+    block as uint8; line i's field c starts at `edges[i, c] + 1` and ends at
+    `edges[i, c + 1]`: at its comma, or at the CR or LF that ends the line.
+    """
+    limit = csv.field_size_limit()
+
+    def frame(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+        if not block.isascii() or b'"' in block:
+            return None
+        buf = np.frombuffer(block, np.uint8)
+        seps = np.flatnonzero((buf == 44) | (buf == 10))
+        if len(seps) % (k + 1):
+            return None
+        grid = seps.reshape(-1, k + 1)  # each line's commas, then its LF
+        ends = grid[:, k]
+        cr = buf[ends - 1] == 13
+        starts = np.r_[0, ends[:-1] + 1]
+        if ((buf[grid] != [44] * k + [10]).any() or (ends - cr - starts).max() > limit
+                or np.count_nonzero(buf == 13) != np.count_nonzero(cr)):
+            return None
+        return buf, np.column_stack((starts - 1, grid[:, :k], ends - cr))
+
+    with open(path, "rb") as fh:
+        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        if (not header.isascii() or b'"' in header or b"\r" in header or b"," not in header
+                or len(header) > limit):
+            yield None
+            return
+        names = header.decode().split(",")
+        yield names
+        k, carry = len(names) - 1, b""
+        for chunk in iter(lambda: fh.read(block_bytes), b""):
+            cut = (data := carry + chunk).rfind(b"\n") + 1
+            carry = data[cut:]
+            if len(carry) > limit:
+                yield None
+                return
+            if cut:
+                yield (block := frame(data[:cut]))
+                if block is None:
+                    return
+        if carry:
+            yield frame(carry + b"\r\n")
+
+
+def ascii_int(text: str) -> int:
+    """The int a field of ASCII digits spells, as sentireg writes a count.
+    Any other text is a ValueError, such as " 5", "+5", "5_0" or "\u0663",
+    which int() would take, or more digits than int() converts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)
 
 
 WRITE_CHUNK_ROWS = 256  # rows write_rows joins at a time; bounds its buffers

@@ -3,10 +3,15 @@
 Each stage reads the previous stage's artifact and writes its own, so a
 monolithic run and a staged run produce byte-identical files. Preprocess
 streams the corpus and writes tokens.csv a chunk of kept rows at a time.
-Score reads tokens.csv in chunks of SCORE_CHUNK_DOCS documents, scores each
-chunk as columns and writes its rows; scored.csv carries each text width, so
-join reads scored.csv alone: in byte blocks (tabulate.join_blocks) where the
-file is plain, else as records through tabulate.join, which names bad lines.
+Score reads tokens.csv in byte blocks (sentiment.score_blocks) where the file
+is plain: the exact header, ASCII with no quote, control bytes only at line
+ends, and in each line three commas, a non-empty id and state with no space,
+a width of 1 to 12 digits with no leading zero and tokens joined by single
+spaces. Any other file it reads in chunks of SCORE_CHUNK_DOCS records, which
+name bad lines, and scores each chunk as columns. scored.csv carries each
+text width, so join reads scored.csv alone: in byte blocks
+(tabulate.join_blocks) where the file is plain, else as records through
+tabulate.join, which names bad lines.
 Join writes the row-level analysis_table.csv and its covariate patterns,
 patterns.csv; fit and diagnose read only patterns.csv. Every artifact is
 written atomically. The run manifest records content hashes of every input
@@ -129,34 +134,35 @@ def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
     """Score normalized token streams; writes scored.csv and state_summary.csv."""
     lexicon = sent_mod.load_lexicon(config.lexicon, config.negators, config.amplifiers)
     tokens_path = config.out / "tokens.csv"
-    rows = read_columns(tokens_path, ("id", "state", "text_width", "tokens"))
-    states, values = [], []  # every document's, kept by chunks() for the state summary
-
-    def chunks() -> Iterator[sent_mod.ScoredChunk]:
-        while chunk := list(islice(rows, SCORE_CHUNK_DOCS)):
-            lines, ids, chunk_states, widths, tokens = zip(*chunk)
-            try:
-                widths = [int(w) for w in widths]
-            except ValueError:  # name the chunk's first width int() refuses
-                for line, width in zip(lines, widths):
-                    try:
-                        int(width)
-                    except ValueError:
-                        raise corpus_mod.SchemaError(f"{tokens_path}:{line}: text_width must "
-                                                     f"be an integer, got {width!r}") from None
-                raise
-            value, _ = sent_mod.score_batch([t.split() for t in tokens], lexicon)
-            states.append(np.array(chunk_states))
-            values.append(value)
-            yield sent_mod.ScoredChunk(ids, chunk_states, widths, value)
-
     scored_path = config.out / "scored.csv"
     summary_path = config.out / "state_summary.csv"
-    sent_mod.write_scored_csv(scored_path, chunks())
-    summaries = (sent_mod.aggregate_scores(np.concatenate(states), np.concatenate(values))
-                 if states else [])
-    sent_mod.write_state_summary_csv(summary_path, summaries)
+    totals = sent_mod.score_blocks(tokens_path, scored_path, lexicon)
+    if totals is None:  # not plain: the per-record path, with each error's exact text
+        totals = sent_mod.StateTotals()
+        sent_mod.write_scored_csv(scored_path, _scored_chunks(tokens_path, lexicon, totals))
+    sent_mod.write_state_summary_csv(summary_path, totals.summaries())
     return scored_path, summary_path
+
+
+def _scored_chunks(tokens_path: Path, lexicon: sent_mod.Lexicon,
+                   totals: sent_mod.StateTotals) -> Iterator[sent_mod.ScoredChunk]:
+    """tokens.csv's records scored SCORE_CHUNK_DOCS at a time; adds each chunk to totals."""
+    rows = read_columns(tokens_path, sent_mod.TOKENS_COLUMNS)
+    while chunk := list(islice(rows, SCORE_CHUNK_DOCS)):
+        lines, ids, states, widths, tokens = zip(*chunk)
+        try:
+            widths = list(map(corpus_mod.ascii_int, widths))
+        except ValueError:  # name the chunk's first width that is not one
+            for line, width in zip(lines, widths):
+                try:
+                    corpus_mod.ascii_int(width)
+                except ValueError:
+                    raise corpus_mod.SchemaError(f"{tokens_path}:{line}: text_width must "
+                                                 f"be an integer, got {width!r}") from None
+            raise
+        value, _ = sent_mod.score_batch([t.split() for t in tokens], lexicon)
+        totals.add(states, value)
+        yield sent_mod.ScoredChunk(ids, states, widths, value)
 
 
 def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:

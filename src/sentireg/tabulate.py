@@ -15,7 +15,6 @@ that, and patterns.csv holds each pattern with its row count m and y_sum.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import operator
@@ -28,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import STATE_CODES, SchemaError, read_columns, write_rows
+from .corpus import STATE_CODES, SchemaError, ascii_int, plain_blocks, read_columns, write_rows
 
 __all__ = [
     "REGIONS",
@@ -234,12 +233,13 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
     """Attach state covariates to each document's (line, state, text width,
     binary sentiment) record, as read_columns yields them from scored.csv.
     Each distinct (state, width) key's pattern is built once. A width must be
-    an integer or a string of one that converts to float, and a binary 0 or 1
-    or exactly "0" or "1"; anything else is a ValueError whose message starts
-    with the record's line. Patterns are keyed by their CSV text, which tells
-    two covariate vectors apart exactly when their float values differ (repr
-    round-trips). Any document whose state has no covariate row is a
-    MissingStatesError whose message lists every such state, for an audit.
+    an integer or a string of ASCII digits, either converting to float, and a
+    binary 0 or 1 or exactly "0" or "1"; anything else is a ValueError whose
+    message starts with the record's line. Patterns are keyed by their CSV
+    text, which tells two covariate vectors apart exactly when their float
+    values differ (repr round-trips). Any document whose state has no
+    covariate row is a MissingStatesError whose message lists every such
+    state, for an audit.
     """
     state_rows = {state: _state_row(c) for state, c in covars.items()}
     by_key: dict[tuple, int] = {}
@@ -254,7 +254,7 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
             return -1
         values, text = state_rows[state]
         try:
-            width = float(int(width) if isinstance(width, str) else operator.index(width))
+            width = float(ascii_int(width) if isinstance(width, str) else operator.index(width))
         except (ValueError, OverflowError) as exc:  # not an integer, or past float
             want = "an integer" if isinstance(exc, ValueError) else "within float range"
             raise ValueError(f"{line}: text_width must be {want}, got {width!r}") from None
@@ -283,25 +283,13 @@ JOIN_COLUMNS = ("state", "text_width", "binary")
 
 def join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> AnalysisTable | None:
     """join(read_columns(path, JOIN_COLUMNS), covars), the same table or error,
-    from a numpy pass per block; None unless the header and each block are ASCII
-    with no quote and no CR outside CRLF, and each line has the header's comma
-    count, fits csv.field_size_limit(), a state of at most 2 bytes, a width of 1
-    to 12 digits (a float exactly, and the low 40 bits of a packed key) and a
-    binary of 0 or 1. join builds the distinct keys' patterns in first-seen order."""
-    limit = csv.field_size_limit()
+    from a numpy pass per block; None unless corpus.plain_blocks frames every
+    block and each line has a state of at most 2 bytes, a width of 1 to 12
+    digits (a float exactly, and the low 40 bits of a packed key) and a binary
+    of 0 or 1. join builds the distinct keys' patterns in first-seen order."""
     seen, ids, y = {}, [np.empty(0, np.intp)], [np.empty(0, np.int64)]  # seen: key -> number
 
-    def take(block: bytes) -> bool:
-        buf = np.frombuffer(block, np.uint8)
-        seps = np.flatnonzero((buf == 44) | (buf == 10))
-        if not block.isascii() or b'"' in block or len(seps) % (k + 1):
-            return False
-        grid = seps.reshape(-1, k + 1)  # each line's commas, then its LF
-        cr = buf[grid[:, k] - 1] == 13
-        if ((buf[grid] != [44] * k + [10]).any() or np.diff(grid[:, k], prepend=-1).max() > limit
-                or np.count_nonzero(buf == 13) != np.count_nonzero(cr)):
-            return False
-        edges = np.column_stack((np.r_[-1, grid[:-1, k]], grid[:, :k], grid[:, k] - cr))
+    def take(buf: np.ndarray, edges: np.ndarray) -> bool:
         (ss, se), (ws, we), (bs, be) = ((edges[:, c] + 1, edges[:, c + 1]) for c in cols)
         ls, lw, binary = se - ss, we - ws, buf[bs] - 48  # uint8: any byte but "0" or "1" is above 1
         at = we[:, None] - np.arange(min(lw.max(), 12), 0, -1)
@@ -318,20 +306,13 @@ def join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> Analysi
         y.append(binary.astype(np.int64))
         return True
 
-    with open(path, "rb") as fh:
-        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
-        names = header.decode("latin-1").split(",")
-        if (not header.isascii() or b'"' in header or b"\r" in header or len(header) > limit
-                or not set(JOIN_COLUMNS) <= set(names)):
-            return None
-        cols, k, carry = [names.index(c) for c in JOIN_COLUMNS], len(names) - 1, b""
-        for chunk in iter(lambda: fh.read(JOIN_BLOCK_BYTES), b""):
-            cut = (data := carry + chunk).rfind(b"\n") + 1
-            carry = data[cut:]
-            if len(carry) > limit or cut and not take(data[:cut]):
-                return None
-        if carry and (b"\r" in carry or not take(carry + b"\n")):
-            return None
+    blocks = plain_blocks(path, JOIN_BLOCK_BYTES)
+    names = next(blocks)
+    if names is None or not set(JOIN_COLUMNS) <= set(names):
+        return None
+    cols = [names.index(c) for c in JOIN_COLUMNS]
+    if not all(block is not None and take(*block) for block in blocks):
+        return None
     distinct = join([(0, (kk >> 40 & 0xFFFF).to_bytes(2, "big")[:kk >> 56].decode(),
                       kk & 0xFFFFFFFFFF, 0) for kk in seen], covars)
     return AnalysisTable(distinct.covariates, distinct.text,
@@ -362,13 +343,19 @@ def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:
     return stats
 
 
+ANALYSIS_CHUNK_ROWS = 4096  # documents write_analysis_csv looks up at a time
+
+
 def write_analysis_csv(path: str | Path, table: AnalysisTable) -> None:
-    """One line per document: its outcome, then its pattern's CSV text."""
-    text = table.text
+    """One line per document: its outcome, then its pattern's CSV text. Each
+    of the 2 x patterns distinct lines is formatted once; the documents' line
+    numbers become Python ints ANALYSIS_CHUNK_ROWS at a time, not all at once."""
+    lines = [f"{y},{text}{_EOL}" for y in (0, 1) for text in table.text]
+    line = table.pattern + len(table.text) * table.y
     with atomic_open(path) as fh:
         fh.write(",".join(ANALYSIS_COLUMNS) + _EOL)
-        fh.writelines(f"{y},{text[j]}{_EOL}"
-                      for y, j in zip(table.y.tolist(), table.pattern.tolist()))
+        for i in range(0, len(line), ANALYSIS_CHUNK_ROWS):
+            fh.writelines(map(lines.__getitem__, line[i:i + ANALYSIS_CHUNK_ROWS].tolist()))
 
 
 def read_analysis_csv(path: str | Path) -> list[AnalysisRow]:

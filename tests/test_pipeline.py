@@ -14,6 +14,7 @@ import pytest
 
 import sentireg
 from sentireg import pipeline
+from sentireg import sentiment as sent_mod
 from sentireg.cli import EXIT_ESTIMATION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from sentireg.diagnostics import MarginalEffect, covariate_patterns, write_margins_csv
 from sentireg.logit import DesignMatrix
@@ -389,12 +390,17 @@ class TestCli:
         for name, data in joined.items():
             assert (out / name).read_bytes() == data, name
 
+    # int() takes "5_0", " 5", "+5" and "\u0663", but sentireg writes a width
+    # as ASCII digits only.
     @pytest.mark.parametrize("command, name, column, value", [
         ("score", "tokens.csv", "text_width", ""),
         ("score", "tokens.csv", "text_width", "5.0"),
         ("join", "scored.csv", "text_width", ""),
         ("join", "scored.csv", "binary", ""),
         ("join", "scored.csv", "binary", "x"),
+        *((command, name, "text_width", value)
+          for command, name in (("score", "tokens.csv"), ("join", "scored.csv"))
+          for value in ("5_0", " 5", "+5", "\u0663")),
     ])
     def test_non_integer_field_names_file_and_line(self, tmp_path, capsys,
                                                    command, name, column, value):
@@ -408,6 +414,26 @@ class TestCli:
         must = "be 0 or 1" if column == "binary" else "be an integer"
         assert f"{path}:7: {column} must {must}, got {value!r}" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == before
+
+    @pytest.mark.parametrize("scored_before", [False, True])
+    def test_tokens_declined_in_its_last_block_replaces_nothing(self, tmp_path, capsys,
+                                                                 monkeypatch, scored_before):
+        # Score's kernel writes the first blocks, then declines the last one; the
+        # per-record path then stops at its bad width.
+        out = tmp_path / "out"
+        for stage in ("preprocess", "score")[:1 + scored_before]:
+            assert main(self._args(stage, out)) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "tokens.csv"}
+        path = out / "tokens.csv"
+        line = path.read_bytes().count(b"\n") + 1
+        with open(path, "ab") as fh:
+            fh.write(b"zz,NC,+5,great day\r\n")
+        monkeypatch.setattr(sent_mod, "SCORE_BLOCK_BYTES", 256)
+        assert path.stat().st_size > 4 * sent_mod.SCORE_BLOCK_BYTES
+        assert main(self._args("score", out)) == EXIT_SCHEMA
+        assert f"{path}:{line}: text_width must be an integer, got '+5'" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "tokens.csv"} == before
+        assert (not scored_before) == (sorted(p.name for p in out.iterdir()) == ["tokens.csv"])
 
     def test_bad_width_past_the_first_score_chunk_names_its_line(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -545,6 +571,7 @@ class TestStageOutputs:
         out.mkdir()
         (out / "tokens.csv").write_bytes((default / "tokens.csv").read_bytes())
         monkeypatch.setattr(pipeline, "SCORE_CHUNK_DOCS", chunk_docs)
+        monkeypatch.setattr(sent_mod, "score_blocks", lambda *args: None)  # the chunked path
         pipeline.stage_score(PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out))
         for name in ("scored.csv", "state_summary.csv"):
             assert (out / name).read_bytes() == (default / name).read_bytes(), name
@@ -598,6 +625,24 @@ class TestStageOutputs:
         out = run_fixture(tmp_path / "run")
         table = join_blocks(out / "scored.csv", load_covariates(COVARIATES))
         assert table is not None and len(table) == 40
+
+    @pytest.mark.parametrize("block_bytes", [256, 1 << 16])
+    def test_score_reads_the_fixture_tokens_csv_in_blocks(self, tmp_path, monkeypatch,
+                                                          block_bytes):
+        # tokens.csv as preprocess writes it is plain: score takes the block path,
+        # and both paths write the pinned bytes
+        out = run_fixture(tmp_path / "run")
+        monkeypatch.setattr(sent_mod, "SCORE_BLOCK_BYTES", block_bytes)
+        lexicon = sent_mod.load_lexicon(default_data_path("lexicon.tsv"),
+                                        default_data_path("negators.txt"),
+                                        default_data_path("amplifiers.tsv"))
+        totals = sent_mod.score_blocks(out / "tokens.csv", tmp_path / "scored.csv", lexicon)
+        assert totals is not None and totals.n.sum() == 40
+        assert (tmp_path / "scored.csv").read_bytes() == (out / "scored.csv").read_bytes()
+        monkeypatch.setattr(sent_mod, "score_blocks", lambda *args: None)
+        pipeline.stage_score(PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out))
+        for name in ("scored.csv", "state_summary.csv"):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED_SHA256[name]
 
     def test_row_level_join_artifacts_unchanged(self, tmp_path):
         out = run_fixture(tmp_path / "run")

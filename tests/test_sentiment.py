@@ -1,23 +1,32 @@
+import csv
 import math
+import tempfile
 from itertools import product
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sentireg.corpus import Document, tokenize
+from sentireg import pipeline
+from sentireg import sentiment as sent_mod
+from sentireg.corpus import Document, SchemaError, tokenize
 from sentireg.sentiment import (
     Lexicon,
     SentimentClass,
+    StateTotals,
     aggregate_by_state,
     aggregate_scores,
     classify,
     load_lexicon,
     score,
     score_batch,
+    score_blocks,
     to_binary,
+    write_state_summary_csv,
 )
-from sentireg.pipeline import default_data_path
+from sentireg.pipeline import PipelineConfig, default_data_path
 
 
 def lex(valences=None, negators=(), amplifiers=None):
@@ -282,3 +291,164 @@ def test_aggregate_scores_matches_groupby_oracle(pairs):
         assert summary.share_positive == sum(v > 0 for v in values) / n
         assert summary.share_negative == sum(v < 0 for v in values) / n
         assert summary.share_neutral == sum(v == 0 for v in values) / n
+
+
+@given(st.lists(st.tuples(st.sampled_from(["NC", "CA", "WY"]),
+                          st.floats(min_value=-2, max_value=2, allow_nan=False)),
+                max_size=30),
+       st.integers(min_value=1, max_value=7))
+def test_state_totals_by_chunks_equal_one_pass(pairs, chunk):
+    whole, chunked = StateTotals(), StateTotals()
+    whole.add([s for s, _ in pairs], np.array([v for _, v in pairs]))
+    for i in range(0, len(pairs), chunk):
+        part = pairs[i:i + chunk]
+        chunked.add([s for s, _ in part], np.array([v for _, v in part]))
+    assert chunked.summaries() == whole.summaries()
+
+
+# -- score_blocks: the block kernel against the per-record path -----------------
+
+LEXICON = load_lexicon(default_data_path("lexicon.tsv"), default_data_path("negators.txt"),
+                       default_data_path("amplifiers.tsv"))
+TOKENS_HEADERS = ["id,state,text_width,tokens"] * 8 + ["state,id,tokens,text_width",
+                                                       "id,state,text_width,tokens,x"]
+WORDS = ["good", "bad", "not", "very", "day", "x"]
+PLAIN_TOKEN_FIELDS = {"id": ["t1", "t22", "t-3"], "state": ["NC", "CA", "WY"],
+                      "text_width": ["7", "63", "0", "999999999999"]}
+ODD_TOKEN_FIELDS = {"id": ['"a,b"', '"q""t"', "é1", "", "a b", "t\r1"],
+                    "state": ["", "N C", "é"],
+                    "text_width": ["007", "+5", " 5", "5_0", "1" * 13, "x", "", "٣"],
+                    "tokens": ["good  bad", " good", "good ", "good\tbad", "good\x1cbad",
+                               "café good", '"good, bad"', "good\x7fbad"]}
+
+
+@st.composite
+def tokens_files(draw) -> bytes:
+    header = draw(st.sampled_from(TOKENS_HEADERS)).split(",")
+
+    def field(column):
+        if column == "tokens":
+            return " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=5)))
+        return draw(st.sampled_from(PLAIN_TOKEN_FIELDS.get(column, ["x"])))
+
+    lines = [[field(c) for c in header] for _ in range(draw(st.integers(0, 10)))]
+    eols = [draw(st.sampled_from(["\r\n"] * 3 + ["\n"])) for _ in range(len(lines) + 1)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2])) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        odd = draw(st.sampled_from(["field"] * 4 + ["bare CR", "blank", "extra", "short"]))
+        if odd == "bare CR":
+            eols[i + 1] = "\r"
+        elif odd != "field":
+            lines[i] = {"blank": [], "extra": lines[i] + ["x"], "short": lines[i][:-1]}[odd]
+        elif len(lines[i]) == len(header):  # not made blank, longer or shorter before
+            c = draw(st.sampled_from(sorted(set(header) & set(ODD_TOKEN_FIELDS))))
+            lines[i][header.index(c)] = draw(st.sampled_from(ODD_TOKEN_FIELDS[c]))
+    text = "".join(",".join(line) + eol for line, eol in zip([header] + lines, eols))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # a last line without a terminator
+    return draw(st.sampled_from([""] * 9 + ["\ufeff"])).encode() + text.encode()
+
+
+def scored(run, out):
+    """What a score gives: scored.csv's and state_summary.csv's bytes, None
+    when the kernel declines, or the error's type and text."""
+    try:
+        if run() is None:
+            return None
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (out / "scored.csv").read_bytes(), (out / "state_summary.csv").read_bytes()
+
+
+def score_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_limit()):
+    """score_blocks' and the per-record path's results on a tokens.csv of data."""
+    old_limit = csv.field_size_limit(field_limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(sent_mod, "SCORE_BLOCK_BYTES", block_bytes):
+            out = Path(tmp)
+            (out / "tokens.csv").write_bytes(data)
+            config = PipelineConfig(corpus=out / "corpus.csv", covariates=out / "c.csv", out=out)
+
+            def kernel():
+                totals = score_blocks(out / "tokens.csv", out / "scored.csv", LEXICON)
+                if totals is None:  # declined: nothing written, not even a temp file
+                    assert [p.name for p in out.iterdir()] == ["tokens.csv"]
+                    return None
+                write_state_summary_csv(out / "state_summary.csv", totals.summaries())
+                return totals
+
+            def per_record():
+                with mock.patch.object(sent_mod, "score_blocks", lambda *args: None):
+                    return pipeline.stage_score(config)
+
+            return scored(kernel, out), scored(per_record, out)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+PLAIN_TOKENS = b"id,state,text_width,tokens\r\n" + b"".join(
+    b"t%d,%s,%d,%s\r\n" % (i, b"NC" if i % 3 else b"CA", 7 + i % 4,
+                           b" ".join([b"not", b"very", b"good", b"day", b"bad"][i % 5:]))
+    for i in range(12))
+
+
+# The kernel either declines (None), and stage_score runs the per-record
+# path, or writes the per-record path's bytes.
+@settings(max_examples=300, deadline=None)
+@given(tokens_files(), st.integers(min_value=8, max_value=64),
+       st.sampled_from([csv.field_size_limit()] * 3 + [30]))
+@example(PLAIN_TOKENS, 40, csv.field_size_limit())
+@example(PLAIN_TOKENS + b'"q,t",NC,7,good\r\n', 40, csv.field_size_limit())  # a later block
+@example(PLAIN_TOKENS + "t,NC,7,café\r\n".encode(), 40, csv.field_size_limit())
+@example(PLAIN_TOKENS + b"t,NC,+5,good\r\n", 40, csv.field_size_limit())
+def test_score_blocks_equals_the_per_record_path(data, block_bytes, field_limit):
+    kernel, per_record = score_both(data, block_bytes, field_limit)
+    assert kernel is None or kernel == per_record
+
+
+@pytest.mark.parametrize("tail", [b"", b"t,CA,0,\r\nt,NC,999999999999,good very bad\n",
+                                  b"t,NC,12,not good"])
+def test_score_blocks_reads_plain_blocks(tail):
+    # CRLF and LF, an empty tokens field and a last line without an end, in
+    # blocks of a line or two
+    kernel, per_record = score_both(PLAIN_TOKENS + tail, 40)
+    assert kernel == per_record
+    assert kernel[0].count(b"\r\n") == kernel[0].count(b"\n") == 13 + tail.count(b",") // 3
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: "\ufeff".encode() + d,                      # a byte-order mark
+    lambda d: d.replace(b"text_width,tokens", b"tokens,text_width", 1),  # another order
+    lambda d: d.replace(b"\r\n", b"\r", 2)[:-2] + b"\r\n",  # a bare CR
+    lambda d: d + b"t\r1,NC,7,good\r\n",                   # a bare CR inside a field
+    lambda d: d + b"t,NC,7,good\r",                         # a CR at the end of the file
+    lambda d: d + b"\r\n",                                 # a blank line
+    lambda d: d + b'"t",NC,7,good\r\n',                    # a quote
+    lambda d: d + b"t,NC,7,good,x\r\n",                    # an extra field
+    lambda d: d + b",NC,7,good\r\n",                       # an empty id
+    lambda d: d + b"t,,7,good\r\n",                        # an empty state
+    lambda d: d + b"t 1,NC,7,good\r\n",                    # a space in the id
+    lambda d: d + b"t,NC,007,good\r\n",                    # a leading zero
+    lambda d: d + b"t,NC,1234567890123,good\r\n",          # 13 digits
+    lambda d: d + b"t,NC,x,good\r\n",                      # not a number
+    lambda d: d + b"t,NC,,good\r\n",                       # an empty width
+    lambda d: d + b"t,NC,7,good  day\r\n",                 # a double space
+    lambda d: d + b"t,NC,7, good\r\n",                     # a leading space
+    lambda d: d + b"t,NC,7,good \r\n",                     # a trailing space
+    lambda d: d + b"t,NC,7,good\tday\r\n",                 # a tab
+    lambda d: d + b"t,NC,7,good\x1cday\r\n",               # a separator str.split splits at
+    lambda d: d + "t,NC,7,café\r\n".encode(),              # a non-ASCII token
+])
+def test_score_blocks_declines_what_is_not_plain(change):
+    kernel, per_record = score_both(change(PLAIN_TOKENS), 40)
+    assert kernel is None and per_record is not None
+
+
+@pytest.mark.parametrize("block_bytes", [40, 4096])
+@pytest.mark.parametrize("data", [b"id,state,text_width,tokens," + b"c" * 40 + b"\r\n",
+                                  PLAIN_TOKENS + b"t,NC,7," + b"good " * 8 + b"day\r\n"])
+def test_score_blocks_declines_a_field_over_the_limit(data, block_bytes):
+    kernel, per_record = score_both(data, block_bytes, field_limit=32)
+    assert kernel is None and per_record[0] is SchemaError
+    assert per_record[1].endswith("field larger than field limit (32)")
