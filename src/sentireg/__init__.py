@@ -10,12 +10,9 @@ from .corpus import (
     Token,
     TokenStream,
     bag_of_words,
-    build_dtm,
     lemmatize,
     load_corpus,
     lowercase,
-    ngrams,
-    pos_tag,
     preprocess,
     remove_stopwords,
     stem,

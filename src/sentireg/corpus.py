@@ -2,14 +2,17 @@
 
 Raw documents come in as CSV rows (id, state, text). Everything downstream
 works on token streams: tokenize, lowercase, drop stopwords/slang, stem or
-lemmatize, then count (bag of words, document-term matrix, n-grams) or tag.
-`preprocess` runs those steps in one pass: what becomes of a token depends
-only on its surface form, so a `WordNormalizer` memo normalizes each distinct
-surface once; it splits an ASCII text with no apostrophe by lower, a byte-table
-translate and split, which give the word regex's tokens. Every CSV is read by
-`read_columns` and written by `write_rows`; `plain_blocks` frames a file that
-csv.reader would split at its commas and line ends as numpy byte blocks, for
-the block kernels of score and join. Every other function is pure.
+lemmatize, then count (bag of words). `preprocess` runs those steps in one
+pass: what becomes of a token depends only on its surface form, so a
+`WordNormalizer` memo normalizes each distinct surface once; it splits an
+ASCII text with no apostrophe by lower, a byte-table translate and split,
+which give the word regex's tokens. Every CSV is read by `read_columns` and
+written by `write_rows`; `plain_blocks` frames a file that csv.reader would
+split at its commas and line ends as numpy byte blocks, for the block kernels
+of preprocess, score and join. `preprocess_blocks` writes tokens.csv for a
+plain corpus a block at a time: the kept texts of a block, each after a line
+mark, are lower-cased, stripped of URLs and split at once, and one pass
+through the memo gives every line's words. Every other function is pure.
 """
 
 from __future__ import annotations
@@ -19,12 +22,14 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import compress, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
+
+from .atomic import atomic_open
 
 __all__ = [
     "STATE_CODES",
@@ -32,10 +37,9 @@ __all__ = [
     "Token",
     "TokenStream",
     "BagOfWords",
-    "DocumentTermMatrix",
-    "PosTaggedStream",
     "CorpusLoadResult",
     "SchemaError",
+    "TOKENS_COLUMNS",
     "read_columns",
     "plain_blocks",
     "ascii_int",
@@ -48,15 +52,12 @@ __all__ = [
     "stem",
     "lemmatize",
     "bag_of_words",
-    "build_dtm",
-    "ngrams",
-    "pos_tag",
     "preprocess",
+    "preprocess_blocks",
     "WordNormalizer",
     "load_wordlist",
     "load_tsv_map",
     "load_stem_rules",
-    "POS_TAGS",
 ]
 
 # 50 states plus DC
@@ -68,7 +69,6 @@ STATE_CODES = frozenset({
     "WV", "WI", "WY",
 })
 
-POS_TAGS = ("NOUN", "VERB", "ADJ", "ART", "PRON", "OTHER")
 
 class SchemaError(ValueError):
     """An input file does not match its documented schema."""
@@ -242,30 +242,6 @@ class BagOfWords:
 
 
 @dataclass(frozen=True)
-class DocumentTermMatrix:
-    """Sparse doc x term count matrix; only nonzero cells are stored."""
-
-    doc_ids: tuple[str, ...]
-    terms: tuple[str, ...]
-    cells: dict[tuple[int, int], int]  # (row, col) -> count > 0
-
-    def row_sum(self, i: int) -> int:
-        return sum(v for (r, _), v in self.cells.items() if r == i)
-
-    def to_dense(self) -> list[list[int]]:
-        dense = [[0] * len(self.terms) for _ in self.doc_ids]
-        for (r, c), v in self.cells.items():
-            dense[r][c] = v
-        return dense
-
-
-@dataclass(frozen=True)
-class PosTaggedStream:
-    doc_id: str
-    pairs: tuple[tuple[Token, str], ...]
-
-
-@dataclass(frozen=True)
 class CorpusLoadResult:
     documents: list[Document]
     dropped: int  # rows discarded for unknown state codes
@@ -307,8 +283,10 @@ def load_corpus(path: str | Path) -> CorpusLoadResult:
 # everything else separates. The leading # or @ of hashtags/mentions is
 # therefore stripped while the word itself survives.
 _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
-# URLs are dropped wholesale before tokenization.
-_URL_RE = re.compile(r"(?<!\S)http\S*", re.IGNORECASE)
+# URLs are dropped wholesale before tokenization. The literal comes first, so
+# the engine looks for "http" before it tries the lookbehind: the same spans as
+# r"(?<!\S)http\S*", which tries the lookbehind at every character.
+_URL_RE = re.compile(r"http(?<!\Shttp)\S*", re.IGNORECASE)
 
 
 # On ASCII, [^\W_] is [A-Za-z0-9] and ’ cannot occur, so in an ASCII text with
@@ -383,34 +361,6 @@ def bag_of_words(stream: TokenStream) -> BagOfWords:
     return BagOfWords(counts=dict(Counter(stream.normalized)))
 
 
-def build_dtm(corpus: list[TokenStream]) -> DocumentTermMatrix:
-    if not corpus:
-        raise ValueError("cannot build a document-term matrix from an empty corpus")
-    vocab = sorted({term for s in corpus for term in s.normalized})
-    index = {term: j for j, term in enumerate(vocab)}
-    cells: dict[tuple[int, int], int] = {}
-    for i, s in enumerate(corpus):
-        for term, count in Counter(s.normalized).items():
-            cells[(i, index[term])] = count
-    return DocumentTermMatrix(
-        doc_ids=tuple(s.doc_id for s in corpus), terms=tuple(vocab), cells=cells
-    )
-
-
-def ngrams(stream: TokenStream, n: int) -> list[tuple[str, ...]]:
-    """All contiguous n-token windows, in order, over normalized forms."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    words = stream.normalized
-    return [tuple(words[i : i + n]) for i in range(len(words) - n + 1)]
-
-
-def pos_tag(stream: TokenStream, tag_lexicon: dict[str, str]) -> PosTaggedStream:
-    """Lexicon-lookup tagging; unknown tokens get OTHER."""
-    pairs = tuple((t, tag_lexicon.get(t.normalized, "OTHER")) for t in stream.tokens)
-    return PosTaggedStream(doc_id=stream.doc_id, pairs=pairs)
-
-
 class WordNormalizer(dict):
     """Memo from a token's surface form to its normalized form, or to None
     when the token is dropped. For w = surface.lower(): None if w is a
@@ -481,6 +431,75 @@ def preprocess(
     kept = [(i, s, normalize[s]) for i, s in enumerate(_surfaces(text))]
     return TokenStream(doc_id=doc_id, tokens=tuple(
         Token(surface=s, normalized=w, position=i) for i, s, w in kept if w is not None))
+
+
+PREPROCESS_BLOCK_BYTES = 1 << 14  # corpus bytes preprocess_blocks reads at a time
+TOKENS_COLUMNS = ("id", "state", "text_width", "tokens")
+# '×' is a surface of its own before each kept text: no token holds it.
+_LINE_MARK = "\xd7"
+# _URL_RE over bytes, and _WORD_RE or the line mark on ASCII lower case
+_URL_BYTES_RE = re.compile(rb"http(?<!\Shttp)\S*")
+_WORD_OR_MARK_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*|" + _LINE_MARK)
+
+
+class _NotPlain(Exception):
+    """A block that a block kernel leaves to the per-record path."""
+
+
+def preprocess_blocks(corpus_path: str | Path, tokens_path: str | Path,
+                      normalize: WordNormalizer) -> bool:
+    """Write tokens.csv for a corpus from a numpy pass per block, the bytes the
+    per-record path (CorpusReader, normalize.words, write_rows) writes; True.
+    False, with tokens.csv untouched and no temp file left, unless the header
+    is exactly id,state,text, plain_blocks frames every block, the only control
+    bytes are line ends, every id is non-empty and none repeats, no kept word
+    holds a quote, comma, CR or LF, and normalize keeps the line mark as it is.
+    A corpus declined after its first block is read again by the caller."""
+    blocks = plain_blocks(corpus_path, PREPROCESS_BLOCK_BYTES)
+    if next(blocks) != ["id", "state", "text"] or normalize[_LINE_MARK] != _LINE_MARK:
+        return False
+    seen: set[str] = set()  # every id, as CorpusReader keeps them
+    try:
+        with atomic_open(tokens_path) as fh:
+            write_rows(fh, [TOKENS_COLUMNS])
+            for block in blocks:
+                if block is None:
+                    raise _NotPlain
+                fh.write(_preprocess_block(*block, normalize, seen))
+    except _NotPlain:
+        return False
+    return True
+
+
+def _preprocess_block(buf: np.ndarray, edges: np.ndarray, normalize: WordNormalizer,
+                      seen: set[str]) -> str:
+    """A framed corpus block's tokens.csv lines; adds its ids to seen."""
+    if np.count_nonzero(buf < 32) != len(edges) + np.count_nonzero(buf == 13):
+        raise _NotPlain
+    # Each line is id,state,text and its end: with the ends as commas, one split.
+    fields = buf.tobytes().replace(b"\r\n", b",").replace(b"\n", b",").decode().split(",")
+    ids, states, texts = fields[0:-1:3], fields[1::3], fields[2::3]
+    n_seen = len(seen)
+    seen.update(ids)
+    if "" in ids or len(seen) != n_seen + len(ids):
+        raise _NotPlain
+    keep = list(map(STATE_CODES.__contains__, states))
+    texts = list(compress(texts, keep))
+    # The kept texts, each after a line mark, split into the words and the marks.
+    block = f" {_LINE_MARK} ".join(["", *texts]).encode("latin-1").lower()
+    if b"http" in block:
+        block = _URL_BYTES_RE.sub(b" ", block)
+    if b"'" in block:
+        surfaces = _WORD_OR_MARK_RE.findall(block.decode("latin-1"))
+    else:
+        surfaces = block.translate(_ASCII_GAPS).decode("latin-1").split()
+    joined = " ".join([w for w in map(normalize.__getitem__, surfaces) if w is not None])
+    if joined.count(_LINE_MARK) != len(texts) or any(c in joined for c in '",\r\n'):
+        raise _NotPlain
+    # Each text's kept words are " " and the words joined, or nothing.
+    words = (" " + joined).split(" " + _LINE_MARK)[1:]
+    return "".join([f"{doc_id},{state},{len(text)},{w[1:]}\r\n" for doc_id, state, text, w
+                    in zip(compress(ids, keep), compress(states, keep), texts, words)])
 
 
 def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:

@@ -2,12 +2,16 @@
 
 Each stage reads the previous stage's artifact and writes its own, so a
 monolithic run and a staged run produce byte-identical files. Preprocess
-streams the corpus and writes tokens.csv a chunk of kept rows at a time.
-Score reads tokens.csv in byte blocks (sentiment.score_blocks) where the file
-is plain: the exact header, ASCII with no quote, control bytes only at line
-ends, and in each line three commas, a non-empty id and state with no space,
-a width of 1 to 12 digits with no leading zero and tokens joined by single
-spaces. Any other file it reads in chunks of SCORE_CHUNK_DOCS records, which
+reads the corpus in byte blocks (corpus.preprocess_blocks) where it is plain:
+the exact header, ASCII with no quote, control bytes only at line ends, two
+commas a line, and ids that are non-empty and unique. Any other corpus it
+streams through corpus.CorpusReader, which names bad lines, and writes
+tokens.csv a chunk of kept rows at a time. Score reads tokens.csv in byte
+blocks (sentiment.score_blocks) where the file is plain: the exact header,
+ASCII with no quote, control bytes only at line ends, and in each line three
+commas, a non-empty id and state with no space, a width of 1 to 12 digits
+with no leading zero and tokens joined by single spaces. Any other file, or
+one with a NaN score, it reads in chunks of SCORE_CHUNK_DOCS records, which
 name bad lines, and scores each chunk as columns. scored.csv carries each
 text width, so join reads scored.csv alone: in byte blocks
 (tabulate.join_blocks) where the file is plain, else as records through
@@ -115,7 +119,8 @@ def _sha256(path: Path) -> str:
 
 
 def stage_preprocess(config: PipelineConfig) -> Path:
-    """Tokenize and normalize the corpus as read; writes tokens.csv by chunks."""
+    """Tokenize and normalize the corpus as read; writes tokens.csv in byte
+    blocks (corpus.preprocess_blocks) where the corpus is plain, else by chunks."""
     normalize = corpus_mod.WordNormalizer(
         stopwords=corpus_mod.load_wordlist(config.stopwords),
         slang=corpus_mod.load_wordlist(config.slang),
@@ -123,8 +128,10 @@ def stage_preprocess(config: PipelineConfig) -> Path:
         lemmas=corpus_mod.load_tsv_map(config.lemmas),
     )
     out = config.out / "tokens.csv"
-    with atomic_open(out) as fh:
-        write_rows(fh, [("id", "state", "text_width", "tokens")])
+    if corpus_mod.preprocess_blocks(config.corpus, out, normalize):
+        return out
+    with atomic_open(out) as fh:  # not plain: the per-record path, with each error's exact text
+        write_rows(fh, [corpus_mod.TOKENS_COLUMNS])
         write_rows(fh, ((doc_id, state, str(len(text)), " ".join(normalize.words(text)))
                         for doc_id, state, text in corpus_mod.CorpusReader(config.corpus)))
     return out
@@ -139,15 +146,17 @@ def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
     totals = sent_mod.score_blocks(tokens_path, scored_path, lexicon)
     if totals is None:  # not plain: the per-record path, with each error's exact text
         totals = sent_mod.StateTotals()
-        sent_mod.write_scored_csv(scored_path, _scored_chunks(tokens_path, lexicon, totals))
+        sent_mod.write_scored_csv(scored_path, _scored_chunks(tokens_path, lexicon, totals,
+                                                              config.amplifiers))
     sent_mod.write_state_summary_csv(summary_path, totals.summaries())
     return scored_path, summary_path
 
 
-def _scored_chunks(tokens_path: Path, lexicon: sent_mod.Lexicon,
-                   totals: sent_mod.StateTotals) -> Iterator[sent_mod.ScoredChunk]:
-    """tokens.csv's records scored SCORE_CHUNK_DOCS at a time; adds each chunk to totals."""
-    rows = read_columns(tokens_path, sent_mod.TOKENS_COLUMNS)
+def _scored_chunks(tokens_path: Path, lexicon: sent_mod.Lexicon, totals: sent_mod.StateTotals,
+                   amplifiers: Path) -> Iterator[sent_mod.ScoredChunk]:
+    """tokens.csv's records scored SCORE_CHUNK_DOCS at a time; adds each chunk to
+    totals. A NaN score, where amplifier multipliers overflow, is a SchemaError."""
+    rows = read_columns(tokens_path, corpus_mod.TOKENS_COLUMNS)
     while chunk := list(islice(rows, SCORE_CHUNK_DOCS)):
         lines, ids, states, widths, tokens = zip(*chunk)
         try:
@@ -161,6 +170,9 @@ def _scored_chunks(tokens_path: Path, lexicon: sent_mod.Lexicon,
                                                  f"be an integer, got {width!r}") from None
             raise
         value, _ = sent_mod.score_batch([t.split() for t in tokens], lexicon)
+        if (nan := np.flatnonzero(np.isnan(value))).size:
+            raise corpus_mod.SchemaError(f"{tokens_path}:{lines[nan[0]]}: score is NaN: the "
+                                         f"amplifier multipliers in {amplifiers} overflow to inf")
         totals.add(states, value)
         yield sent_mod.ScoredChunk(ids, states, widths, value)
 

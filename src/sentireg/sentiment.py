@@ -33,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import Document, TokenStream, _tsv_pairs, load_wordlist, plain_blocks, write_rows
+from .corpus import (TOKENS_COLUMNS, Document, TokenStream, _NotPlain, _tsv_pairs, load_wordlist,
+                     plain_blocks, write_rows)
 
 __all__ = [
     "Lexicon",
@@ -161,7 +162,8 @@ def _score_codes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each document's value and matched count, from `codes`, the lexicon
     codes of every document's words one document after another, and
-    `lengths`, each document's word count.
+    `lengths`, each document's word count. Two amplifiers can multiply to
+    inf, so a value can be NaN (inf - inf, or 0 * inf); the callers check.
 
     A hit's shifter window is the entries of the two words before it, with
     code 0 (no entry) before its document's start, so no window crosses
@@ -175,8 +177,9 @@ def _score_codes(
     prev1 = np.where(pos >= 1, codes[np.maximum(hits - 1, 0)], 0)
     prev2 = np.where(pos >= 2, codes[np.maximum(hits - 2, 0)], 0)
     sign = np.where(coded.is_negator[prev1] ^ coded.is_negator[prev2], -1.0, 1.0)
-    amp = coded.amplifier[prev2] * coded.amplifier[prev1]
-    hit_value = coded.valence[codes[hits]] * sign * amp
+    with np.errstate(over="ignore", invalid="ignore"):  # inf products, 0 * inf
+        amp = coded.amplifier[prev2] * coded.amplifier[prev1]
+        hit_value = coded.valence[codes[hits]] * sign * amp
     raw = np.bincount(doc, weights=hit_value, minlength=k)
     value = np.clip(raw / np.sqrt(np.maximum(lengths, 1)), -2.0, 2.0)
     return value, np.bincount(doc, minlength=k)
@@ -289,12 +292,7 @@ def write_scored_csv(path: str | Path, chunks: Iterable[ScoredChunk]) -> None:
 
 
 SCORE_BLOCK_BYTES = 1 << 16  # tokens.csv bytes score_blocks reads at a time
-TOKENS_COLUMNS = ("id", "state", "text_width", "tokens")
 _COMMA_TO_SPACE = bytes.maketrans(b",", b" ")
-
-
-class _NotPlain(Exception):
-    """A block that score_blocks leaves to the per-record path."""
 
 
 def score_blocks(tokens_path: str | Path, scored_path: str | Path,
@@ -305,7 +303,7 @@ def score_blocks(tokens_path: str | Path, scored_path: str | Path,
     TOKENS_COLUMNS, corpus.plain_blocks frames every block, and in each line
     only the line end is a control byte, the id and state are non-empty with
     no space, the width is 1 to 12 ASCII digits with no leading zero, and the
-    tokens are words joined by single spaces."""
+    tokens are words joined by single spaces, and no score is NaN."""
     blocks = plain_blocks(tokens_path, SCORE_BLOCK_BYTES)
     if next(blocks) != list(TOKENS_COLUMNS):
         return None
@@ -345,6 +343,8 @@ def _score_block(buf: np.ndarray, edges: np.ndarray, coded: _CodedLexicon,
     token[first[:, None] + np.arange(3)] = False
     codes = np.fromiter(map(coded.code.get, words, repeat(0)), np.intp, len(words))
     value, _ = _score_codes(codes[token], n, coded)
+    if np.isnan(value).any():  # the per-record path names its line
+        raise _NotPlain
     totals.add(list(map(words.__getitem__, (first + 1).tolist())), value)
     # Each line is its own id,state,width bytes, then the tail of its value,
     # formatted once per distinct value (by bits): two segments, gathered

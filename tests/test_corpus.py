@@ -1,15 +1,18 @@
 import csv
+import hashlib
 import io
 import itertools
 import re
+import tempfile
 import textwrap
-from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sentireg import corpus as corpus_mod
+from sentireg import pipeline
 from sentireg.corpus import (
     _ASCII_GAPS,
     _URL_RE,
@@ -21,22 +24,19 @@ from sentireg.corpus import (
     WordNormalizer,
     _stem_word,
     bag_of_words,
-    build_dtm,
     lemmatize,
     load_corpus,
     load_stem_rules,
     load_tsv_map,
     load_wordlist,
     lowercase,
-    ngrams,
-    pos_tag,
     preprocess,
     remove_stopwords,
     stem,
     tokenize,
     write_rows,
 )
-from sentireg.pipeline import default_data_path
+from sentireg.pipeline import PipelineConfig, default_data_path
 
 STEM_RULES = load_stem_rules(default_data_path("stem_rules.tsv"))
 LEMMAS = load_tsv_map(default_data_path("lemmas.tsv"))
@@ -230,64 +230,6 @@ class TestCounting:
     def test_bow_multiset(self):
         assert bag_of_words(stream_of("a", "a", "b")).counts == {"a": 2, "b": 1}
 
-    def test_dtm_hand_count(self):
-        dtm = build_dtm([stream_of("a", "b"), stream_of("b", "b")])
-        assert dtm.terms == ("a", "b")
-        assert dtm.to_dense() == [[1, 1], [0, 2]]
-
-    def test_dtm_single_doc(self):
-        dtm = build_dtm([stream_of("a")])
-        assert dtm.to_dense() == [[1]]
-
-    def test_dtm_disjoint_vocabularies_block_pattern(self):
-        # oracle: dense counting by hand, then sparsify
-        docs = [stream_of("a", "a"), stream_of("b"), stream_of("c", "c", "c")]
-        dtm = build_dtm(docs)
-        dense = dtm.to_dense()
-        for i, s in enumerate(docs):
-            expected = Counter(s.normalized)
-            for j, term in enumerate(dtm.terms):
-                assert dense[i][j] == expected.get(term, 0)
-        assert all(v > 0 for v in dtm.cells.values())
-
-    def test_dtm_empty_corpus(self):
-        with pytest.raises(ValueError):
-            build_dtm([])
-
-
-class TestNgrams:
-    def test_bigrams(self):
-        s = stream_of("reopen", "the", "economy")
-        assert ngrams(s, 2) == [("reopen", "the"), ("the", "economy")]
-
-    def test_unigrams_are_the_tokens(self):
-        s = stream_of("reopen", "the", "economy")
-        assert [g[0] for g in ngrams(s, 1)] == s.normalized
-
-    def test_window_larger_than_stream(self):
-        assert ngrams(stream_of("a", "b", "c"), 4) == []
-
-    def test_n_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ngrams(stream_of("a"), 0)
-
-
-class TestPosTag:
-    LEX = {"the": "ART", "economy": "NOUN"}
-
-    def test_lexicon_hits(self):
-        tagged = pos_tag(lowercase(stream_of("the", "economy")), self.LEX)
-        assert [(t.normalized, tag) for t, tag in tagged.pairs] == [
-            ("the", "ART"), ("economy", "NOUN"),
-        ]
-
-    def test_unknown_gets_other(self):
-        tagged = pos_tag(stream_of("zxqv"), self.LEX)
-        assert tagged.pairs[0][1] == "OTHER"
-
-    def test_empty(self):
-        assert pos_tag(tokenize(""), self.LEX).pairs == ()
-
 
 class TestPreprocessPipeline:
     def test_lemma_then_stem_misses(self):
@@ -380,14 +322,6 @@ def test_bow_total_equals_stream_length(words):
     assert bag_of_words(s).total == len(s)
 
 
-@given(st.lists(words_strategy, min_size=1, max_size=8))
-def test_dtm_row_sums(corpora):
-    streams = [stream_of(*w) if w else tokenize("") for w in corpora]
-    dtm = build_dtm(streams)
-    for i, s in enumerate(streams):
-        assert dtm.row_sum(i) == len(s)
-
-
 @given(st.lists(st.sampled_from([
     "http", "HTTP", "hTtP", "Https://a.b/c", "http://", "ht", "tp", "h", "t", "p", "s", "://",
     "x.co/y", "İ", "ı", "ſ", "\u212a", "Å", "ß", "é", " ", "\n", "\t", "#", "@",
@@ -396,18 +330,21 @@ def test_url_precheck_equals_unconditional_strip(text):
     assert _surfaces(text) == _WORD_RE.findall(_URL_RE.sub(" ", text))
 
 
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(["http", "HtTp", *"hHtTpP:/x \t\n\x1c\x1f\xa0İ\u212aſ"]),
+                max_size=16).map("".join))
+def test_url_pattern_equals_the_lookbehind_first_form(text):
+    # _URL_RE checks its lookbehind only after the literal; same spans
+    lookbehind_first = re.compile(r"(?<!\S)http\S*", re.IGNORECASE)
+    assert _URL_RE.sub(" ", text) == lookbehind_first.sub(" ", text)
+
+
 def test_only_ascii_letters_match_the_url_pattern_letters():
     # Why _surfaces may skip the URL regex on texts without "http": every
     # code point that matches h, t or p under IGNORECASE lowers to it.
     every = "".join(map(chr, range(0x110000)))
     for letter in "htp":
         assert {c.lower() for c in re.findall(letter, every, re.IGNORECASE)} == {letter}
-
-
-@given(words_strategy, st.integers(min_value=1, max_value=10))
-def test_ngram_count_formula(words, n):
-    s = stream_of(*words) if words else tokenize("")
-    assert len(ngrams(s, n)) == max(0, len(s) - n + 1)
 
 
 # -- the ASCII fast path of WordNormalizer.words ------------------------------
@@ -499,3 +436,163 @@ def test_write_rows_joins_a_chunk_with_nothing_to_quote(monkeypatch):
     buf = io.StringIO()
     write_rows(buf, iter([("id", "tokens"), ("s1", "reopen economy"), ("s2", "")]))
     assert buf.getvalue() == "id,tokens\r\ns1,reopen economy\r\ns2,\r\n"
+
+
+# -- preprocess_blocks: the block kernel against the per-record path -----------
+
+CORPUS_HEADERS = ["id,state,text"] * 8 + ["state,id,text", "id,state,text,x"]
+TEXT_PARTS = ["good", "Bad", "not", "very", "the", "Reopening", "STUDIES", "computing", "42",
+              "don't", "it''s", "''", "'", "http://a.b/c", "HTTPS://X.Y", "xhttp://q", "http",
+              "#reopen", "@gov", "a.b", "x_y", "\x7f", ""]
+PLAIN_CORPUS_FIELDS = {"id": ["t1", "t22", "t-3", "http://i"], "state": ["NC", "CA", "WY", "DC"]}
+ODD_CORPUS_FIELDS = {"id": ["", '"q,t"', "é1", "dup"], "state": ["PR", "ny", "NYC", ""],
+                     "text": ['"good, bad"', '"say ""hi"""', "café", "good\tbad", "good\x1cbad",
+                              "good\x7fbad", ""]}
+# Word lists with values the per-record path writes as they are (an empty
+# word, a space) or quoted (a comma), a value holding the line mark, a mark
+# that normalizes to another word, and a stopword list that drops the mark;
+# the first is the bundled lists.
+WORD_LISTS = [{}, {"lemmas": "good\t\nbad\tx y\n"}, {"lemmas": "bad\ta,b\n"},
+              {"lemmas": "not\t×\n"}, {"lemmas": "×\t×x\n"}, {"stopwords": "the\n×\n"}]
+
+
+@st.composite
+def corpus_files(draw) -> bytes:
+    header = draw(st.sampled_from(CORPUS_HEADERS)).split(",")
+
+    def field(column):
+        if column == "text":
+            parts = draw(st.lists(st.sampled_from(TEXT_PARTS), max_size=5))
+            return draw(st.sampled_from([" ", " ", ""])).join(parts)
+        return draw(st.sampled_from(PLAIN_CORPUS_FIELDS.get(column, ["x"])))
+
+    lines = [[field(c) for c in header] for _ in range(draw(st.integers(0, 10)))]
+    for i, line in enumerate(lines):  # unique ids unless made odd below
+        line[header.index("id")] += f"-{i}"
+    ids = [line[header.index("id")] for line in lines]
+    eols = [draw(st.sampled_from(["\r\n"] * 3 + ["\n"])) for _ in range(len(lines) + 1)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2])) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        odd = draw(st.sampled_from(["field"] * 4 + ["bare CR", "blank", "extra", "short"]))
+        if odd == "bare CR":
+            eols[i + 1] = "\r"
+        elif odd != "field":
+            lines[i] = {"blank": [], "extra": lines[i] + ["x"], "short": lines[i][:-1]}[odd]
+        elif len(lines[i]) == len(header):  # not made blank, longer or shorter before
+            c = draw(st.sampled_from(sorted(set(header) & set(ODD_CORPUS_FIELDS))))
+            value = draw(st.sampled_from(ODD_CORPUS_FIELDS[c]))
+            if value == "dup":  # a repeated id
+                value = draw(st.sampled_from(ids))
+            lines[i][header.index(c)] = value
+    text = "".join(",".join(line) + eol for line, eol in zip([header] + lines, eols))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # a last line without a terminator
+    return draw(st.sampled_from([""] * 9 + ["\ufeff"])).encode() + text.encode()
+
+
+def preprocessed(run, out):
+    """tokens.csv's bytes after a preprocess run, or the error's type and text."""
+    try:
+        run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (out / "tokens.csv").read_bytes()
+
+
+def preprocess_both(data: bytes, block_bytes: int, field_limit: int, word_lists: dict):
+    """Whether preprocess_blocks took a corpus of data; stage_preprocess's
+    result; and the per-record path's."""
+    old_limit = csv.field_size_limit(field_limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(corpus_mod, "PREPROCESS_BLOCK_BYTES", block_bytes):
+            tmp, out = Path(tmp), Path(tmp) / "out"
+            out.mkdir()
+            (tmp / "corpus.csv").write_bytes(data)
+            lists = {name: tmp / name for name in word_lists}
+            for name, path in lists.items():
+                path.write_text(word_lists[name], encoding="utf-8")
+            config = PipelineConfig(corpus=tmp / "corpus.csv", covariates=tmp / "c.csv",
+                                    out=out, **lists)
+            took, kernel = [], corpus_mod.preprocess_blocks
+
+            def recorded(*args):
+                took.append(kernel(*args))
+                if not took[-1]:  # declined: nothing written, not even a temp file
+                    assert list(out.iterdir()) == []
+                return took[-1]
+
+            with mock.patch.object(corpus_mod, "preprocess_blocks", recorded):
+                stage = preprocessed(lambda: pipeline.stage_preprocess(config), out)
+            (out / "tokens.csv").unlink(missing_ok=True)
+            with mock.patch.object(corpus_mod, "preprocess_blocks", lambda *args: False):
+                per_record = preprocessed(lambda: pipeline.stage_preprocess(config), out)
+            return took == [True], stage, per_record
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+PLAIN_CORPUS = b"id,state,text\r\n" + b"".join(
+    b"t%d,%s,%s\r\n" % (i, [b"NC", b"CA", b"PR"][i % 3],
+                        b" ".join([b"Not", b"very", b"good", b"http://x.y", b"day's"][i % 5:]))
+    for i in range(12))
+
+
+# Through stage_preprocess, the kernel either declines and the per-record
+# path runs, or writes the per-record path's bytes.
+@settings(max_examples=300, deadline=None)
+@given(corpus_files(), st.integers(min_value=8, max_value=64),
+       st.sampled_from([csv.field_size_limit()] * 4 + [30]),
+       st.sampled_from(WORD_LISTS[:1] * 4 + WORD_LISTS[1:]))
+@example(PLAIN_CORPUS, 40, csv.field_size_limit(), {})
+@example(PLAIN_CORPUS + b't,NC,"a, b"\r\n', 40, csv.field_size_limit(), {})  # a later block
+@example(PLAIN_CORPUS + b"t1,NC,x\r\n", 40, csv.field_size_limit(), {})  # a repeated id
+@example(PLAIN_CORPUS + "t,NC,café\r\n".encode(), 40, csv.field_size_limit(), WORD_LISTS[1])
+def test_preprocess_blocks_equals_the_per_record_path(data, block_bytes, field_limit,
+                                                      word_lists):
+    _, stage, per_record = preprocess_both(data, block_bytes, field_limit, word_lists)
+    assert stage == per_record
+
+
+@pytest.mark.parametrize("tail", [b"", b"t,CA,\r\nu,NC,http first\nv,ny,dropped\r\n",
+                                  b"t,NC,it's ''quoted'' https://a", b"t,NC,\x7fdel\x7f"])
+def test_preprocess_blocks_reads_plain_blocks(tail):
+    # CRLF and LF, an empty text, a dropped state, apostrophes, a URL and a
+    # last line without an end, in blocks of a line or two
+    took, stage, per_record = preprocess_both(PLAIN_CORPUS + tail, 40, csv.field_size_limit(), {})
+    assert took and stage == per_record
+    kept = 8 + tail.count(b",NC,") + tail.count(b",CA,")
+    assert stage.count(b"\r\n") == stage.count(b"\n") == 1 + kept
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: "\ufeff".encode() + d,                      # a byte-order mark
+    lambda d: d.replace(b"state,text", b"text,state", 1),  # another order
+    lambda d: d.replace(b"\r\n", b",x\r\n", 1),          # an extra column
+    lambda d: d.replace(b"\r\n", b"\r", 2)[:-2] + b"\r\n",  # a bare CR
+    lambda d: d + b"t,NC,good\r",                         # a CR at the end of the file
+    lambda d: d + b"\r\n",                                # a blank line
+    lambda d: d + b't,NC,"good"\r\n',                     # a quote
+    lambda d: d + "t,NC,café\r\n".encode(),               # non-ASCII text
+    lambda d: d + b",NC,good\r\n",                        # an empty id
+    lambda d: d + b"t0,PR,good\r\n",                      # a repeated id, on a dropped line
+    lambda d: d + b"t,NC,good\tday\r\n",                  # a tab
+    lambda d: d + b"t,NC,good\x1cday\r\n",                # a separator str.split splits at
+])
+def test_preprocess_blocks_declines_what_is_not_plain(change):
+    took, stage, per_record = preprocess_both(change(PLAIN_CORPUS), 40, csv.field_size_limit(), {})
+    assert not took and stage == per_record
+
+
+@pytest.mark.parametrize("block_bytes", [256, 1 << 14])
+def test_preprocess_blocks_takes_the_fixture(tmp_path, monkeypatch, block_bytes):
+    monkeypatch.setattr(corpus_mod, "PREPROCESS_BLOCK_BYTES", block_bytes)
+    config = PipelineConfig(corpus=default_data_path("fixture_corpus.csv"),
+                            covariates=tmp_path / "c.csv", out=tmp_path)
+    normalize = WordNormalizer(stopwords=load_wordlist(config.stopwords),
+                               slang=load_wordlist(config.slang),
+                               stem_rules=load_stem_rules(config.stem_rules),
+                               lemmas=load_tsv_map(config.lemmas))
+    assert corpus_mod.preprocess_blocks(config.corpus, tmp_path / "tokens.csv", normalize)
+    assert hashlib.sha256((tmp_path / "tokens.csv").read_bytes()).hexdigest() == (
+        "67fabf662a885786bb50a05d1cb39e809b9babf41f884e0a5ead0bc3132300aa")

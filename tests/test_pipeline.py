@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sentireg
+from sentireg import corpus as corpus_mod
 from sentireg import pipeline
 from sentireg import sentiment as sent_mod
 from sentireg.cli import EXIT_ESTIMATION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
@@ -298,6 +299,45 @@ class TestCli:
         assert f"{corpus}:{line}: duplicate id" in capsys.readouterr().err
         assert (out / "tokens.csv").read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["tokens.csv"]
+
+    def test_corpus_declined_in_its_last_block_keeps_previous_tokens(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # Preprocess's kernel writes the first blocks, then declines the last
+        # one; the per-record path then stops at the repeated id.
+        out = tmp_path / "out"
+        assert main(self._args("preprocess", out)) == EXIT_OK
+        before = (out / "tokens.csv").read_bytes()
+        corpus = tmp_path / "corpus.csv"
+        data = CORPUS.read_bytes()
+        corpus.write_bytes(data + b"t001,NC,a repeated id\r\n")
+        monkeypatch.setattr(corpus_mod, "PREPROCESS_BLOCK_BYTES", 256)
+        assert len(data) > 4 * corpus_mod.PREPROCESS_BLOCK_BYTES
+        assert main(["preprocess", "--corpus", str(corpus), "--out", str(out)]) == EXIT_SCHEMA
+        line = data.count(b"\n") + 1
+        assert f"{corpus}:{line}: duplicate id 't001'" in capsys.readouterr().err
+        assert (out / "tokens.csv").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["tokens.csv"]
+
+    @pytest.mark.parametrize("blocks", [True, False])
+    def test_nan_score_names_amplifiers_and_line(self, tmp_path, capsys, monkeypatch, blocks):
+        # Two amplifiers before each hit multiply to inf; a positive and a
+        # negative hit then sum to NaN. Either score path ends in exit 2.
+        out = tmp_path / "out"
+        assert main(self._args("run", out)) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        tokens = out / "tokens.csv"
+        lines = tokens.read_bytes().splitlines(keepends=True)
+        lines[5] = b"t,NC,28,very very good very very bad\r\n"
+        tokens.write_bytes(b"".join(lines))
+        amplifiers = tmp_path / "amplifiers.tsv"
+        amplifiers.write_text("very\t1e200\n", encoding="utf-8")
+        if not blocks:
+            monkeypatch.setattr(sent_mod, "score_blocks", lambda *args: None)
+        assert main(self._args("score", out, amplifiers=amplifiers)) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"{tokens}:6: score is NaN: the amplifier multipliers in {amplifiers}" in err
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "tokens.csv"}
+        assert after == {name: data for name, data in before.items() if name != "tokens.csv"}
 
     def test_byte_order_mark_in_resource_files_is_skipped(self, tmp_path):
         # Each list's first line is an entry the fixture uses, so a BOM kept
