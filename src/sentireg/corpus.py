@@ -8,11 +8,9 @@ pass: what becomes of a token depends only on its surface form, so a
 ASCII text with no apostrophe by lower, a byte-table translate and split,
 which give the word regex's tokens. Every CSV is read by `read_columns` and
 written by `write_rows`; `plain_blocks` frames a file that csv.reader would
-split at its commas and line ends as numpy byte blocks, for the block kernels
-of preprocess, score and join. `preprocess_blocks` writes tokens.csv for a
-plain corpus a block at a time: the kept texts of a block, each after a line
-mark, are lower-cased, stripped of URLs and split at once, and one pass
-through the memo gives every line's words. Every other function is pure.
+split at its commas and line ends as numpy byte blocks, for the block paths
+of preprocess, score and join. `write_tokens` writes tokens.csv for a corpus.
+Every other function is pure.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ __all__ = [
     "lemmatize",
     "bag_of_words",
     "preprocess",
-    "preprocess_blocks",
+    "write_tokens",
     "WordNormalizer",
     "load_wordlist",
     "load_tsv_map",
@@ -114,57 +112,57 @@ def read_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple]:
             raise SchemaError(f"{path}:{start}: not UTF-8 at or after this line") from None
 
 
-def plain_blocks(path: str | Path, block_bytes: int) -> Iterator:
-    """A CSV file's header names, then (buf, edges) for each block of whole
-    lines, read block_bytes at a time, while read_columns would split the
-    file at exactly its commas and line ends; None, and nothing after it, at
-    the header or the first block where it might not.
+class _NotPlain(Exception):
+    """A file, or a block of it, that a block path leaves to the per-record path."""
 
-    That holds while the header and every line are ASCII with no quote and no
-    CR outside a CRLF line end, the header has a comma, every line has the
-    header's comma count, and no line without its end is longer than
-    csv.field_size_limit(), so no field is. An unterminated last line is
-    framed as if it ended in CRLF, so a CR in it is not plain. `buf` is the
-    block as uint8; line i's field c starts at `edges[i, c] + 1` and ends at
-    `edges[i, c + 1]`: at its comma, or at the CR or LF that ends the line.
+
+def plain_blocks(path: str | Path, header: Sequence[str],
+                 block_bytes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(buf, edges) for each block of whole lines of a CSV file, read
+    block_bytes at a time, while read_columns would split the file at exactly
+    its commas and line ends and no byte but a line end is a control byte;
+    _NotPlain at the header or the first block where that might not hold.
+
+    That holds while the header line is exactly `header`, and every line is
+    ASCII with no quote, no byte below 0x20 but its LF and a CR before it,
+    the header's comma count and no more than csv.field_size_limit() bytes,
+    so no field is longer. An unterminated last line is framed as if it ended
+    in CRLF, so a CR in it is not plain. `buf` is the block as uint8; line
+    i's field c starts at `edges[i, c] + 1` and ends at `edges[i, c + 1]`: at
+    its comma, or at the CR or LF that ends the line.
     """
-    limit = csv.field_size_limit()
+    limit, k = csv.field_size_limit(), len(header) - 1
 
-    def frame(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    def frame(block: bytes) -> tuple[np.ndarray, np.ndarray]:
         if not block.isascii() or b'"' in block:
-            return None
+            raise _NotPlain
         buf = np.frombuffer(block, np.uint8)
         seps = np.flatnonzero((buf == 44) | (buf == 10))
         if len(seps) % (k + 1):
-            return None
+            raise _NotPlain
         grid = seps.reshape(-1, k + 1)  # each line's commas, then its LF
         ends = grid[:, k]
         cr = buf[ends - 1] == 13
         starts = np.r_[0, ends[:-1] + 1]
+        # Every LF ends a line, so the count of control bytes is the lines and
+        # their CRs only when there is no other control byte and no other CR.
         if ((buf[grid] != [44] * k + [10]).any() or (ends - cr - starts).max() > limit
-                or np.count_nonzero(buf == 13) != np.count_nonzero(cr)):
-            return None
+                or np.count_nonzero(buf < 32) != len(ends) + np.count_nonzero(cr)):
+            raise _NotPlain
         return buf, np.column_stack((starts - 1, grid[:, :k], ends - cr))
 
     with open(path, "rb") as fh:
-        header = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
-        if (not header.isascii() or b'"' in header or b"\r" in header or b"," not in header
-                or len(header) > limit):
-            yield None
-            return
-        names = header.decode().split(",")
-        yield names
-        k, carry = len(names) - 1, b""
+        line = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        if line != ",".join(header).encode() or len(line) > limit:
+            raise _NotPlain
+        carry = b""
         for chunk in iter(lambda: fh.read(block_bytes), b""):
             cut = (data := carry + chunk).rfind(b"\n") + 1
             carry = data[cut:]
             if len(carry) > limit:
-                yield None
-                return
+                raise _NotPlain
             if cut:
-                yield (block := frame(data[:cut]))
-                if block is None:
-                    return
+                yield frame(data[:cut])
         if carry:
             yield frame(carry + b"\r\n")
 
@@ -433,7 +431,7 @@ def preprocess(
         Token(surface=s, normalized=w, position=i) for i, s, w in kept if w is not None))
 
 
-PREPROCESS_BLOCK_BYTES = 1 << 14  # corpus bytes preprocess_blocks reads at a time
+PREPROCESS_BLOCK_BYTES = 1 << 14  # corpus bytes write_tokens reads at a time
 TOKENS_COLUMNS = ("id", "state", "text_width", "tokens")
 # '×' is a surface of its own before each kept text: no token holds it.
 _LINE_MARK = "\xd7"
@@ -442,40 +440,46 @@ _URL_BYTES_RE = re.compile(rb"http(?<!\Shttp)\S*")
 _WORD_OR_MARK_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*|" + _LINE_MARK)
 
 
-class _NotPlain(Exception):
-    """A block that a block kernel leaves to the per-record path."""
+def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormalizer) -> None:
+    """Write tokens.csv for a corpus: for each row CorpusReader keeps, its id,
+    state, text width and normalize.words(text) joined by spaces. An error
+    names its line, and tokens.csv is replaced only when every row is read.
 
-
-def preprocess_blocks(corpus_path: str | Path, tokens_path: str | Path,
-                      normalize: WordNormalizer) -> bool:
-    """Write tokens.csv for a corpus from a numpy pass per block, the bytes the
-    per-record path (CorpusReader, normalize.words, write_rows) writes; True.
-    False, with tokens.csv untouched and no temp file left, unless the header
-    is exactly id,state,text, plain_blocks frames every block, the only control
-    bytes are line ends, every id is non-empty and none repeats, no kept word
-    holds a quote, comma, CR or LF, and normalize keeps the line mark as it is.
-    A corpus declined after its first block is read again by the caller."""
-    blocks = plain_blocks(corpus_path, PREPROCESS_BLOCK_BYTES)
-    if next(blocks) != ["id", "state", "text"] or normalize[_LINE_MARK] != _LINE_MARK:
-        return False
-    seen: set[str] = set()  # every id, as CorpusReader keeps them
+    A plain corpus is read in blocks of PREPROCESS_BLOCK_BYTES, to the same
+    bytes: the kept texts of a block, each after a line mark, are lower-cased,
+    stripped of URLs and split at once, and one pass through the memo gives
+    every line's words. A corpus is plain when plain_blocks frames every
+    block of it with the header id,state,text, every id is non-empty and none
+    repeats, no kept word holds a quote, comma, CR or LF, and normalize keeps
+    the line mark as it is. Any other corpus is read again from its start,
+    row by row, and written a chunk of rows at a time.
+    """
     try:
-        with atomic_open(tokens_path) as fh:
-            write_rows(fh, [TOKENS_COLUMNS])
-            for block in blocks:
-                if block is None:
-                    raise _NotPlain
-                fh.write(_preprocess_block(*block, normalize, seen))
+        return _preprocess_blocks(corpus, tokens, normalize)
     except _NotPlain:
-        return False
-    return True
+        pass
+    with atomic_open(tokens) as fh:
+        write_rows(fh, [TOKENS_COLUMNS])
+        write_rows(fh, ((doc_id, state, str(len(text)), " ".join(normalize.words(text)))
+                        for doc_id, state, text in CorpusReader(corpus)))
+
+
+def _preprocess_blocks(corpus: str | Path, tokens: str | Path,
+                       normalize: WordNormalizer) -> None:
+    """write_tokens' block path; _NotPlain, with tokens.csv untouched and no
+    temp file left, where the corpus is not plain."""
+    if normalize[_LINE_MARK] != _LINE_MARK:
+        raise _NotPlain
+    seen: set[str] = set()  # every id, as CorpusReader keeps them
+    with atomic_open(tokens) as fh:
+        write_rows(fh, [TOKENS_COLUMNS])
+        for block in plain_blocks(corpus, ("id", "state", "text"), PREPROCESS_BLOCK_BYTES):
+            fh.write(_preprocess_block(*block, normalize, seen))
 
 
 def _preprocess_block(buf: np.ndarray, edges: np.ndarray, normalize: WordNormalizer,
                       seen: set[str]) -> str:
     """A framed corpus block's tokens.csv lines; adds its ids to seen."""
-    if np.count_nonzero(buf < 32) != len(edges) + np.count_nonzero(buf == 13):
-        raise _NotPlain
     # Each line is id,state,text and its end: with the ends as commas, one split.
     fields = buf.tobytes().replace(b"\r\n", b",").replace(b"\n", b",").decode().split(",")
     ids, states, texts = fields[0:-1:3], fields[1::3], fields[2::3]

@@ -91,7 +91,8 @@ class DesignMatrix:
             raise ValueError("names must match the number of columns")
         if y.shape != (n,) or m.shape != (n,):
             raise ValueError("y and m lengths must match the number of rows")
-        if not np.all((m >= 1) & (m == np.floor(m))):
+        # Above 2**53 a float no longer tells whole counts apart.
+        if not np.all((m >= 1) & (m <= 2.0**53) & (m == np.floor(m))):
             raise ValueError("m must hold positive whole observation counts")
         if not self.n_obs > p:
             raise ValueError(f"need more observations ({self.n_obs}) than parameters ({p})")

@@ -2,20 +2,10 @@
 
 Each stage reads the previous stage's artifact and writes its own, so a
 monolithic run and a staged run produce byte-identical files. Preprocess
-reads the corpus in byte blocks (corpus.preprocess_blocks) where it is plain:
-the exact header, ASCII with no quote, control bytes only at line ends, two
-commas a line, and ids that are non-empty and unique. Any other corpus it
-streams through corpus.CorpusReader, which names bad lines, and writes
-tokens.csv a chunk of kept rows at a time. Score reads tokens.csv in byte
-blocks (sentiment.score_blocks) where the file is plain: the exact header,
-ASCII with no quote, control bytes only at line ends, and in each line three
-commas, a non-empty id and state with no space, a width of 1 to 12 digits
-with no leading zero and tokens joined by single spaces. Any other file, or
-one with a NaN score, it reads in chunks of SCORE_CHUNK_DOCS records, which
-name bad lines, and scores each chunk as columns. scored.csv carries each
-text width, so join reads scored.csv alone: in byte blocks
-(tabulate.join_blocks) where the file is plain, else as records through
-tabulate.join, which names bad lines.
+writes tokens.csv with corpus.write_tokens, score writes scored.csv with
+sentiment.write_scored, and join reads scored.csv alone, as it carries each
+text width, with tabulate.read_scored; each reads its input in byte blocks
+where the file is plain and record by record, naming bad lines, otherwise.
 Join writes the row-level analysis_table.csv and its covariate patterns,
 patterns.csv; fit and diagnose read only patterns.csv. Every artifact is
 written atomically. The run manifest records content hashes of every input
@@ -28,10 +18,8 @@ import hashlib
 import json
 import platform
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +31,6 @@ from . import logit as logit_mod
 from . import sentiment as sent_mod
 from . import tabulate as tab_mod
 from .atomic import atomic_open
-from .corpus import read_columns, write_rows
 
 __all__ = [
     "PipelineConfig",
@@ -56,9 +43,6 @@ __all__ = [
     "run_pipeline",
     "MARGIN_KINDS",
 ]
-
-# Documents scored per vectorized pass; bounds the score stage's memory.
-SCORE_CHUNK_DOCS = 1024
 
 # Regional dummies change discretely; every other regressor is continuous.
 MARGIN_KINDS = {name: ("discrete" if name in ("NE", "MW", "WEST") else "continuous")
@@ -119,8 +103,7 @@ def _sha256(path: Path) -> str:
 
 
 def stage_preprocess(config: PipelineConfig) -> Path:
-    """Tokenize and normalize the corpus as read; writes tokens.csv in byte
-    blocks (corpus.preprocess_blocks) where the corpus is plain, else by chunks."""
+    """Tokenize and normalize the corpus as read; writes tokens.csv."""
     normalize = corpus_mod.WordNormalizer(
         stopwords=corpus_mod.load_wordlist(config.stopwords),
         slang=corpus_mod.load_wordlist(config.slang),
@@ -128,53 +111,18 @@ def stage_preprocess(config: PipelineConfig) -> Path:
         lemmas=corpus_mod.load_tsv_map(config.lemmas),
     )
     out = config.out / "tokens.csv"
-    if corpus_mod.preprocess_blocks(config.corpus, out, normalize):
-        return out
-    with atomic_open(out) as fh:  # not plain: the per-record path, with each error's exact text
-        write_rows(fh, [corpus_mod.TOKENS_COLUMNS])
-        write_rows(fh, ((doc_id, state, str(len(text)), " ".join(normalize.words(text)))
-                        for doc_id, state, text in corpus_mod.CorpusReader(config.corpus)))
+    corpus_mod.write_tokens(config.corpus, out, normalize)
     return out
 
 
 def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
     """Score normalized token streams; writes scored.csv and state_summary.csv."""
     lexicon = sent_mod.load_lexicon(config.lexicon, config.negators, config.amplifiers)
-    tokens_path = config.out / "tokens.csv"
     scored_path = config.out / "scored.csv"
     summary_path = config.out / "state_summary.csv"
-    totals = sent_mod.score_blocks(tokens_path, scored_path, lexicon)
-    if totals is None:  # not plain: the per-record path, with each error's exact text
-        totals = sent_mod.StateTotals()
-        sent_mod.write_scored_csv(scored_path, _scored_chunks(tokens_path, lexicon, totals,
-                                                              config.amplifiers))
+    totals = sent_mod.write_scored(config.out / "tokens.csv", scored_path, lexicon)
     sent_mod.write_state_summary_csv(summary_path, totals.summaries())
     return scored_path, summary_path
-
-
-def _scored_chunks(tokens_path: Path, lexicon: sent_mod.Lexicon, totals: sent_mod.StateTotals,
-                   amplifiers: Path) -> Iterator[sent_mod.ScoredChunk]:
-    """tokens.csv's records scored SCORE_CHUNK_DOCS at a time; adds each chunk to
-    totals. A NaN score, where amplifier multipliers overflow, is a SchemaError."""
-    rows = read_columns(tokens_path, corpus_mod.TOKENS_COLUMNS)
-    while chunk := list(islice(rows, SCORE_CHUNK_DOCS)):
-        lines, ids, states, widths, tokens = zip(*chunk)
-        try:
-            widths = list(map(corpus_mod.ascii_int, widths))
-        except ValueError:  # name the chunk's first width that is not one
-            for line, width in zip(lines, widths):
-                try:
-                    corpus_mod.ascii_int(width)
-                except ValueError:
-                    raise corpus_mod.SchemaError(f"{tokens_path}:{line}: text_width must "
-                                                 f"be an integer, got {width!r}") from None
-            raise
-        value, _ = sent_mod.score_batch([t.split() for t in tokens], lexicon)
-        if (nan := np.flatnonzero(np.isnan(value))).size:
-            raise corpus_mod.SchemaError(f"{tokens_path}:{lines[nan[0]]}: score is NaN: the "
-                                         f"amplifier multipliers in {amplifiers} overflow to inf")
-        totals.add(states, value)
-        yield sent_mod.ScoredChunk(ids, states, widths, value)
 
 
 def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
@@ -183,9 +131,7 @@ def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
     covars = tab_mod.load_covariates(config.covariates)
     scored_path = config.out / "scored.csv"
     try:
-        table = tab_mod.join_blocks(scored_path, covars)
-        if table is None:  # not plain: the per-record join, with each error's exact text
-            table = tab_mod.join(read_columns(scored_path, tab_mod.JOIN_COLUMNS), covars)
+        table = tab_mod.read_scored(scored_path, covars)
     except tab_mod.MissingStatesError as exc:
         raise corpus_mod.SchemaError(f"{scored_path}: {exc} in {config.covariates}") from None
     except corpus_mod.SchemaError:

@@ -7,34 +7,27 @@ to [-2, +2], so long rambling texts do not dominate.
 
 `score` scores one document; `score_batch` scores many as columns, in the
 same arithmetic order, so its values equal a `score` loop's bit for bit.
-Both it and `score_blocks` hand the words' lexicon codes to `_score_codes`.
-`score_blocks` scores a plain tokens.csv in byte blocks: one numpy pass per
-block checks that csv.reader and str.split would see the same fields and
-words (ASCII, no quote, control bytes only at line ends, three commas a line,
-a non-empty id and state with no space, a width of 1 to 12 digits with no
-leading zero, tokens joined by single spaces), one split gives every word,
-and each scored.csv line is gathered from its input line's bytes and the
-text of its distinct value. Any other file is left to the pipeline's
-per-record path, which scores `read_columns` chunks with `score_batch`.
-Either path adds each chunk to a `StateTotals`, the per-state running sums
-of the state summary.
+`write_scored` scores a tokens.csv into scored.csv, in byte blocks where the
+file is plain and in chunks of records otherwise; both paths hand the words'
+lexicon codes to `_score_codes` and add each chunk to a `StateTotals`, the
+per-state running sums of the state summary.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, islice, repeat, starmap
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import (TOKENS_COLUMNS, Document, TokenStream, _NotPlain, _tsv_pairs, load_wordlist,
-                     plain_blocks, write_rows)
+from .corpus import (TOKENS_COLUMNS, Document, SchemaError, TokenStream, _NotPlain, _tsv_pairs,
+                     ascii_int, load_wordlist, plain_blocks, read_columns, write_rows)
 
 __all__ = [
     "Lexicon",
@@ -47,7 +40,7 @@ __all__ = [
     "StateTotals",
     "score",
     "score_batch",
-    "score_blocks",
+    "write_scored",
     "classify",
     "to_binary",
     "aggregate_by_state",
@@ -58,6 +51,9 @@ __all__ = [
 ]
 
 SHIFTER_WINDOW = 2  # tokens before a valence hit that negators/amplifiers act from
+# A hit's two shifters multiply to at most 1e200, so with |valence| <= 2 a hit
+# is at most 2e200 in size: no sum of hits overflows, and no score is NaN.
+MAX_AMPLIFIER = 1e100
 
 
 class SentimentClass(str, Enum):
@@ -80,8 +76,9 @@ class Lexicon:
         if overlap:
             raise ValueError(f"negators/amplifiers overlap valence terms: {sorted(overlap)}")
         for term, m in self.amplifiers.items():
-            if not 1.0 < m < math.inf:
-                raise ValueError(f"amplifier multiplier for {term!r} must be finite, over 1: {m}")
+            if not 1.0 < m <= MAX_AMPLIFIER:
+                raise ValueError(f"amplifier multiplier for {term!r} must be over 1 and at most "
+                                 f"{MAX_AMPLIFIER:g}: {m}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +159,7 @@ def _score_codes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each document's value and matched count, from `codes`, the lexicon
     codes of every document's words one document after another, and
-    `lengths`, each document's word count. Two amplifiers can multiply to
-    inf, so a value can be NaN (inf - inf, or 0 * inf); the callers check.
+    `lengths`, each document's word count.
 
     A hit's shifter window is the entries of the two words before it, with
     code 0 (no entry) before its document's start, so no window crosses
@@ -177,9 +173,8 @@ def _score_codes(
     prev1 = np.where(pos >= 1, codes[np.maximum(hits - 1, 0)], 0)
     prev2 = np.where(pos >= 2, codes[np.maximum(hits - 2, 0)], 0)
     sign = np.where(coded.is_negator[prev1] ^ coded.is_negator[prev2], -1.0, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf products, 0 * inf
-        amp = coded.amplifier[prev2] * coded.amplifier[prev1]
-        hit_value = coded.valence[codes[hits]] * sign * amp
+    amp = coded.amplifier[prev2] * coded.amplifier[prev1]
+    hit_value = coded.valence[codes[hits]] * sign * amp
     raw = np.bincount(doc, weights=hit_value, minlength=k)
     value = np.clip(raw / np.sqrt(np.maximum(lengths, 1)), -2.0, 2.0)
     return value, np.bincount(doc, minlength=k)
@@ -291,32 +286,62 @@ def write_scored_csv(path: str | Path, chunks: Iterable[ScoredChunk]) -> None:
                             in zip(c.id, c.state, c.text_width, c.value.tolist(), signs)))
 
 
-SCORE_BLOCK_BYTES = 1 << 16  # tokens.csv bytes score_blocks reads at a time
+SCORE_BLOCK_BYTES = 1 << 16  # tokens.csv bytes write_scored reads at a time
+SCORE_CHUNK_DOCS = 1024  # records the per-record path scores at a time; bounds its memory
 _COMMA_TO_SPACE = bytes.maketrans(b",", b" ")
 
 
-def score_blocks(tokens_path: str | Path, scored_path: str | Path,
-                 lexicon: Lexicon) -> StateTotals | None:
-    """Write scored.csv for tokens.csv from a numpy pass per block, the bytes
-    the per-record path writes, and return the state totals. None, with
-    scored.csv untouched and no temp file left, unless the header is exactly
-    TOKENS_COLUMNS, corpus.plain_blocks frames every block, and in each line
-    only the line end is a control byte, the id and state are non-empty with
-    no space, the width is 1 to 12 ASCII digits with no leading zero, and the
-    tokens are words joined by single spaces, and no score is NaN."""
-    blocks = plain_blocks(tokens_path, SCORE_BLOCK_BYTES)
-    if next(blocks) != list(TOKENS_COLUMNS):
-        return None
-    coded, totals = _code_lexicon(lexicon), StateTotals()
+def write_scored(tokens: str | Path, scored: str | Path, lexicon: Lexicon) -> StateTotals:
+    """Score each document of tokens.csv, write scored.csv in SCORED_COLUMNS
+    order, and return the documents' state totals. A text width that is not
+    ASCII digits is a SchemaError naming its line, as is a CSV error, and
+    scored.csv is replaced only when every line is read.
+
+    A plain tokens.csv is read in blocks of SCORE_BLOCK_BYTES, to the same
+    bytes: one split gives every word, and each scored.csv line is gathered
+    from its input line's bytes and the text of its distinct value. The file
+    is plain when corpus.plain_blocks frames every block of it with the header
+    TOKENS_COLUMNS, and in each line the id and state are non-empty with no
+    space, the width is 1 to 12 ASCII digits with no leading zero, and the
+    tokens are words joined by single spaces. Any other file is read again
+    from its start, SCORE_CHUNK_DOCS records at a time.
+    """
     try:
-        with atomic_open(scored_path) as fh:
-            write_rows(fh, [SCORED_COLUMNS])
-            for block in blocks:
-                if block is None:
-                    raise _NotPlain
-                fh.write(_score_block(*block, coded, totals))
+        return _score_blocks(tokens, scored, lexicon)
     except _NotPlain:
-        return None
+        pass
+    totals = StateTotals()
+    write_scored_csv(scored, _scored_chunks(tokens, lexicon, totals))
+    return totals
+
+
+def _scored_chunks(path: str | Path, lexicon: Lexicon,
+                   totals: StateTotals) -> Iterator[ScoredChunk]:
+    """tokens.csv's records scored SCORE_CHUNK_DOCS at a time; adds each chunk
+    to totals. Each width is checked as it is read."""
+    def record(line: int, doc_id: str, state: str, width: str, tokens: str) -> tuple:
+        try:
+            return doc_id, state, ascii_int(width), tokens.split()
+        except ValueError:
+            raise SchemaError(f"{path}:{line}: text_width must be an integer, "
+                              f"got {width!r}") from None
+
+    rows = starmap(record, read_columns(path, TOKENS_COLUMNS))
+    while chunk := list(islice(rows, SCORE_CHUNK_DOCS)):
+        ids, states, widths, words = zip(*chunk)
+        value, _ = score_batch(words, lexicon)
+        totals.add(states, value)
+        yield ScoredChunk(ids, states, widths, value)
+
+
+def _score_blocks(tokens: str | Path, scored: str | Path, lexicon: Lexicon) -> StateTotals:
+    """write_scored's block path; _NotPlain, with scored.csv untouched and no
+    temp file left, where the file is not plain."""
+    coded, totals = _code_lexicon(lexicon), StateTotals()
+    with atomic_open(scored) as fh:
+        write_rows(fh, [SCORED_COLUMNS])
+        for block in plain_blocks(tokens, TOKENS_COLUMNS, SCORE_BLOCK_BYTES):
+            fh.write(_score_block(*block, coded, totals))
     return totals
 
 
@@ -329,8 +354,7 @@ def _score_block(buf: np.ndarray, edges: np.ndarray, coded: _CodedLexicon,
     digit = buf[np.maximum(at, 0)] - 48  # uint8: any byte but a digit is above 9
     space = np.flatnonzero(buf == 32)
     line = np.searchsorted(ends, space)
-    if (np.count_nonzero(buf < 32) != len(edges) + np.count_nonzero(buf == 13)
-            or (c1 - starts < 2).any() or (c2 - c1 < 2).any()
+    if ((c1 - starts < 2).any() or (c2 - c1 < 2).any()
             or ((width < 1) | (width > 12) | ((digit > 9) & (at > c2[:, None])).any(1)
                 | ((buf[c2 + 1] == 48) & (width > 1))).any()
             or ((space <= c3[line] + 1) | (buf[space + 1] <= 32)).any()):
@@ -343,8 +367,6 @@ def _score_block(buf: np.ndarray, edges: np.ndarray, coded: _CodedLexicon,
     token[first[:, None] + np.arange(3)] = False
     codes = np.fromiter(map(coded.code.get, words, repeat(0)), np.intp, len(words))
     value, _ = _score_codes(codes[token], n, coded)
-    if np.isnan(value).any():  # the per-record path names its line
-        raise _NotPlain
     totals.add(list(map(words.__getitem__, (first + 1).tolist())), value)
     # Each line is its own id,state,width bytes, then the tail of its value,
     # formatted once per distinct value (by bits): two segments, gathered

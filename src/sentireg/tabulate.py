@@ -8,16 +8,16 @@ South as the omitted baseline.
 Every regressor but TW is a state value, so the joined table has few
 distinct covariate rows. `join` builds each one once and keeps the table
 as covariate patterns (distinct rows, numbered by first occurrence) plus
-each document's pattern and outcome; `join_blocks` reads a plain scored.csv
-a block at a time and gives join's table. analysis_table.csv is written from
-that, and patterns.csv holds each pattern with its row count m and y_sum.
+each document's pattern and outcome; `read_scored` gives join's table for a
+scored.csv, reading a plain one a block at a time. analysis_table.csv is
+written from that, and patterns.csv holds each pattern with its row count m
+and y_sum.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -27,7 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import STATE_CODES, SchemaError, ascii_int, plain_blocks, read_columns, write_rows
+from .corpus import (STATE_CODES, SchemaError, _NotPlain, ascii_int, plain_blocks, read_columns,
+                     write_rows)
+from .sentiment import SCORED_COLUMNS
 
 __all__ = [
     "REGIONS",
@@ -41,7 +43,7 @@ __all__ = [
     "load_covariates",
     "region_dummies",
     "join",
-    "join_blocks",
+    "read_scored",
     "MissingStatesError",
     "descriptive_stats",
     "write_analysis_csv",
@@ -225,21 +227,20 @@ class MissingStatesError(SchemaError):
     """Documents have states with no covariate row."""
 
 
-# A binary as sentireg writes it, in scored.csv or in memory, and its outcome.
-_OUTCOME = {"0": 0, "1": 1, 0: 0, 1: 1}
+# A binary as scored.csv holds it, and its outcome.
+_OUTCOME = {"0": 0, "1": 1}
 
 
 def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> AnalysisTable:
     """Attach state covariates to each document's (line, state, text width,
     binary sentiment) record, as read_columns yields them from scored.csv.
     Each distinct (state, width) key's pattern is built once. A width must be
-    an integer or a string of ASCII digits, either converting to float, and a
-    binary 0 or 1 or exactly "0" or "1"; anything else is a ValueError whose
-    message starts with the record's line. Patterns are keyed by their CSV
-    text, which tells two covariate vectors apart exactly when their float
-    values differ (repr round-trips). Any document whose state has no
-    covariate row is a MissingStatesError whose message lists every such
-    state, for an audit.
+    ASCII digits that convert to float, and a binary exactly "0" or "1";
+    anything else is a ValueError whose message starts with the record's
+    line. Patterns are keyed by their CSV text, which tells two covariate
+    vectors apart exactly when their float values differ (repr round-trips).
+    Any document whose state has no covariate row is a MissingStatesError
+    whose message lists every such state, for an audit.
     """
     state_rows = {state: _state_row(c) for state, c in covars.items()}
     by_key: dict[tuple, int] = {}
@@ -254,7 +255,7 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
             return -1
         values, text = state_rows[state]
         try:
-            width = float(ascii_int(width) if isinstance(width, str) else operator.index(width))
+            width = float(ascii_int(width))
         except (ValueError, OverflowError) as exc:  # not an integer, or past float
             want = "an integer" if isinstance(exc, ValueError) else "within float range"
             raise ValueError(f"{line}: text_width must be {want}, got {width!r}") from None
@@ -277,26 +278,42 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
                          np.array(y, dtype=np.int64))
 
 
-JOIN_BLOCK_BYTES = 1 << 16  # scored.csv bytes join_blocks reads at a time
+JOIN_BLOCK_BYTES = 1 << 16  # scored.csv bytes read_scored reads at a time
 JOIN_COLUMNS = ("state", "text_width", "binary")
+_JOIN_FIELDS = [SCORED_COLUMNS.index(c) for c in JOIN_COLUMNS]
 
 
-def join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> AnalysisTable | None:
-    """join(read_columns(path, JOIN_COLUMNS), covars), the same table or error,
-    from a numpy pass per block; None unless corpus.plain_blocks frames every
-    block and each line has a state of at most 2 bytes, a width of 1 to 12
-    digits (a float exactly, and the low 40 bits of a packed key) and a binary
-    of 0 or 1. join builds the distinct keys' patterns in first-seen order."""
+def read_scored(path: str | Path, covars: dict[str, StateCovariates]) -> AnalysisTable:
+    """join(read_columns(path, JOIN_COLUMNS), covars): scored.csv's table, or
+    the error that names its line.
+
+    A plain scored.csv gives the same table or error from a numpy pass per
+    block of JOIN_BLOCK_BYTES, which groups the (state, text_width) keys;
+    join then builds the distinct keys' patterns in first-seen order. The
+    file is plain when corpus.plain_blocks frames every block of it with the
+    header SCORED_COLUMNS, and each line has a state of at most 2 bytes, a
+    width of 1 to 12 digits (a float exactly, and the low 40 bits of a
+    packed key) and a binary of 0 or 1. Any other file, such as one with its
+    columns in another order, is read again from its start, record by record.
+    """
+    try:
+        return _join_blocks(path, covars)
+    except _NotPlain:
+        pass
+    return join(read_columns(path, JOIN_COLUMNS), covars)
+
+
+def _join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> AnalysisTable:
+    """read_scored's block path; _NotPlain where the file is not plain."""
     seen, ids, y = {}, [np.empty(0, np.intp)], [np.empty(0, np.int64)]  # seen: key -> number
-
-    def take(buf: np.ndarray, edges: np.ndarray) -> bool:
-        (ss, se), (ws, we), (bs, be) = ((edges[:, c] + 1, edges[:, c + 1]) for c in cols)
+    for buf, edges in plain_blocks(path, SCORED_COLUMNS, JOIN_BLOCK_BYTES):
+        (ss, se), (ws, we), (bs, be) = ((edges[:, c] + 1, edges[:, c + 1]) for c in _JOIN_FIELDS)
         ls, lw, binary = se - ss, we - ws, buf[bs] - 48  # uint8: any byte but "0" or "1" is above 1
         at = we[:, None] - np.arange(min(lw.max(), 12), 0, -1)
         digits = np.where(at >= ws[:, None], buf[np.maximum(at, 0)] - 48, 0)
         if ((ls > 2) | (lw < 1) | (lw > 12) | (be - bs != 1) | (binary > 1)
                 | (digits > 9).any(1)).any():
-            return False
+            raise _NotPlain
         state = (buf[ss].astype(np.int64) << 8 | buf[ss + (ls > 1)]) * (ls > 0)
         key = digits @ 10 ** np.arange(at.shape[1] - 1, -1, -1) | state << 40 | ls << 56
         keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
@@ -304,17 +321,8 @@ def join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> Analysi
         number[order] = [seen.setdefault(kk, len(seen)) for kk in keys[order].tolist()]
         ids.append(number[inverse])
         y.append(binary.astype(np.int64))
-        return True
-
-    blocks = plain_blocks(path, JOIN_BLOCK_BYTES)
-    names = next(blocks)
-    if names is None or not set(JOIN_COLUMNS) <= set(names):
-        return None
-    cols = [names.index(c) for c in JOIN_COLUMNS]
-    if not all(block is not None and take(*block) for block in blocks):
-        return None
     distinct = join([(0, (kk >> 40 & 0xFFFF).to_bytes(2, "big")[:kk >> 56].decode(),
-                      kk & 0xFFFFFFFFFF, 0) for kk in seen], covars)
+                      str(kk & 0xFFFFFFFFFF), "0") for kk in seen], covars)
     return AnalysisTable(distinct.covariates, distinct.text,
                          distinct.pattern[np.concatenate(ids)], np.concatenate(y))
 

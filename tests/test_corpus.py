@@ -438,7 +438,7 @@ def test_write_rows_joins_a_chunk_with_nothing_to_quote(monkeypatch):
     assert buf.getvalue() == "id,tokens\r\ns1,reopen economy\r\ns2,\r\n"
 
 
-# -- preprocess_blocks: the block kernel against the per-record path -----------
+# -- write_tokens: the block path against the per-record path ----------------
 
 CORPUS_HEADERS = ["id,state,text"] * 8 + ["state,id,text", "id,state,text,x"]
 TEXT_PARTS = ["good", "Bad", "not", "very", "the", "Reopening", "STUDIES", "computing", "42",
@@ -499,9 +499,14 @@ def preprocessed(run, out):
     return (out / "tokens.csv").read_bytes()
 
 
+def not_plain(*args):
+    raise corpus_mod._NotPlain
+
+
 def preprocess_both(data: bytes, block_bytes: int, field_limit: int, word_lists: dict):
-    """Whether preprocess_blocks took a corpus of data; stage_preprocess's
-    result; and the per-record path's."""
+    """Whether write_tokens took the block path for a corpus of data;
+    stage_preprocess's result; and its result with plain_blocks declining
+    every file, which forces the per-record path."""
     old_limit = csv.field_size_limit(field_limit)
     try:
         with tempfile.TemporaryDirectory() as tmp, \
@@ -514,20 +519,22 @@ def preprocess_both(data: bytes, block_bytes: int, field_limit: int, word_lists:
                 path.write_text(word_lists[name], encoding="utf-8")
             config = PipelineConfig(corpus=tmp / "corpus.csv", covariates=tmp / "c.csv",
                                     out=out, **lists)
-            took, kernel = [], corpus_mod.preprocess_blocks
+            declined, kernel = [], corpus_mod._preprocess_blocks
 
             def recorded(*args):
-                took.append(kernel(*args))
-                if not took[-1]:  # declined: nothing written, not even a temp file
+                try:
+                    return kernel(*args)
+                except corpus_mod._NotPlain:
+                    declined.append(True)  # declined: nothing written, not even a temp file
                     assert list(out.iterdir()) == []
-                return took[-1]
+                    raise
 
-            with mock.patch.object(corpus_mod, "preprocess_blocks", recorded):
+            with mock.patch.object(corpus_mod, "_preprocess_blocks", recorded):
                 stage = preprocessed(lambda: pipeline.stage_preprocess(config), out)
             (out / "tokens.csv").unlink(missing_ok=True)
-            with mock.patch.object(corpus_mod, "preprocess_blocks", lambda *args: False):
+            with mock.patch.object(corpus_mod, "plain_blocks", not_plain):
                 per_record = preprocessed(lambda: pipeline.stage_preprocess(config), out)
-            return took == [True], stage, per_record
+            return not declined, stage, per_record
     finally:
         csv.field_size_limit(old_limit)
 
@@ -538,8 +545,8 @@ PLAIN_CORPUS = b"id,state,text\r\n" + b"".join(
     for i in range(12))
 
 
-# Through stage_preprocess, the kernel either declines and the per-record
-# path runs, or writes the per-record path's bytes.
+# Through stage_preprocess, the block path either declines and the
+# per-record path runs, or writes the per-record path's bytes.
 @settings(max_examples=300, deadline=None)
 @given(corpus_files(), st.integers(min_value=8, max_value=64),
        st.sampled_from([csv.field_size_limit()] * 4 + [30]),
@@ -587,12 +594,13 @@ def test_preprocess_blocks_declines_what_is_not_plain(change):
 @pytest.mark.parametrize("block_bytes", [256, 1 << 14])
 def test_preprocess_blocks_takes_the_fixture(tmp_path, monkeypatch, block_bytes):
     monkeypatch.setattr(corpus_mod, "PREPROCESS_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(corpus_mod, "CorpusReader", None)  # the per-record path cannot run
     config = PipelineConfig(corpus=default_data_path("fixture_corpus.csv"),
                             covariates=tmp_path / "c.csv", out=tmp_path)
     normalize = WordNormalizer(stopwords=load_wordlist(config.stopwords),
                                slang=load_wordlist(config.slang),
                                stem_rules=load_stem_rules(config.stem_rules),
                                lemmas=load_tsv_map(config.lemmas))
-    assert corpus_mod.preprocess_blocks(config.corpus, tmp_path / "tokens.csv", normalize)
+    corpus_mod.write_tokens(config.corpus, tmp_path / "tokens.csv", normalize)
     assert hashlib.sha256((tmp_path / "tokens.csv").read_bytes()).hexdigest() == (
         "67fabf662a885786bb50a05d1cb39e809b9babf41f884e0a5ead0bc3132300aa")

@@ -37,7 +37,7 @@ from sentireg.corpus import (
     load_wordlist,
 )
 from sentireg import corpus as corpus_mod
-from sentireg import pipeline
+from sentireg import sentiment as sent_mod
 from sentireg.pipeline import default_data_path
 from sentireg.sentiment import SCORED_COLUMNS, load_lexicon, score, to_binary
 
@@ -122,7 +122,7 @@ def test_artifacts_with_a_quoted_chunk_equal_the_csv_writer_oracle(tmp_path, mon
     # comma and the id with a quote each fall in a chunk of their own, among
     # chunks that are joined without csv.writer.
     monkeypatch.setattr(corpus_mod, "WRITE_CHUNK_ROWS", 2)
-    monkeypatch.setattr(pipeline, "SCORE_CHUNK_DOCS", 3)
+    monkeypatch.setattr(sent_mod, "SCORE_CHUNK_DOCS", 3)
     texts = ["reopen the economy", "great news", "not good at all", "very good",
              "Café reopening is great", "bad, very bad", "stay home", "open now"]
     ids = ["s1", "s2", "a,b", "s4", "s5", 'q"t', "s7", "s8"]

@@ -2,6 +2,7 @@ import ast
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -16,6 +17,7 @@ import sentireg
 from sentireg import corpus as corpus_mod
 from sentireg import pipeline
 from sentireg import sentiment as sent_mod
+from sentireg import tabulate as tab_mod
 from sentireg.cli import EXIT_ESTIMATION, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from sentireg.diagnostics import MarginalEffect, covariate_patterns, write_margins_csv
 from sentireg.logit import DesignMatrix
@@ -27,7 +29,6 @@ from sentireg.pipeline import (
 )
 from sentireg.tabulate import (
     ANALYSIS_COLUMNS,
-    join_blocks,
     load_covariates,
     read_analysis_csv,
     read_patterns_csv,
@@ -57,6 +58,14 @@ PINNED_SHA256 = {
     "patterns.csv": "44328263c403195067457bf460e01f53ee5f0be08dcae5ddc0983163c18a791a",
     "qq.csv": "b907ac70e9409b7db2e4cb071f3086e66cbb868e2590a22a677dac892915aaa9",
 }
+
+
+def not_plain(*args):
+    raise corpus_mod._NotPlain
+
+
+def refuse(*args):
+    raise AssertionError("the per-record path ran")
 
 
 def run_fixture(out):
@@ -318,10 +327,10 @@ class TestCli:
         assert (out / "tokens.csv").read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["tokens.csv"]
 
-    @pytest.mark.parametrize("blocks", [True, False])
-    def test_nan_score_names_amplifiers_and_line(self, tmp_path, capsys, monkeypatch, blocks):
-        # Two amplifiers before each hit multiply to inf; a positive and a
-        # negative hit then sum to NaN. Either score path ends in exit 2.
+    @pytest.mark.parametrize("multiplier", ["1e200", "inf", "1e100"])
+    def test_amplifier_over_the_bound_is_refused_at_load(self, tmp_path, capsys, multiplier):
+        # Over 1e100, two amplifiers before each hit could multiply to inf, and a
+        # positive and a negative hit sum to NaN; at 1e100 the score is finite.
         out = tmp_path / "out"
         assert main(self._args("run", out)) == EXIT_OK
         before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -330,12 +339,15 @@ class TestCli:
         lines[5] = b"t,NC,28,very very good very very bad\r\n"
         tokens.write_bytes(b"".join(lines))
         amplifiers = tmp_path / "amplifiers.tsv"
-        amplifiers.write_text("very\t1e200\n", encoding="utf-8")
-        if not blocks:
-            monkeypatch.setattr(sent_mod, "score_blocks", lambda *args: None)
+        amplifiers.write_text(f"very\t{multiplier}\n", encoding="utf-8")
+        if multiplier == "1e100":
+            assert main(self._args("score", out, amplifiers=amplifiers)) == EXIT_OK
+            with open(out / "scored.csv", newline="", encoding="utf-8") as fh:
+                assert all(math.isfinite(float(row["score"])) for row in csv.DictReader(fh))
+            return
         assert main(self._args("score", out, amplifiers=amplifiers)) == EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert f"{tokens}:6: score is NaN: the amplifier multipliers in {amplifiers}" in err
+        assert "amplifier multiplier for 'very' must be over 1 and at most 1e+100: " in err
         after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "tokens.csv"}
         assert after == {name: data for name, data in before.items() if name != "tokens.csv"}
 
@@ -484,13 +496,26 @@ class TestCli:
         rows[2500][2] = "x"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
-        assert pipeline.SCORE_CHUNK_DOCS < 2500
+        assert sent_mod.SCORE_CHUNK_DOCS < 2500
         assert main(["score", "--out", str(out)]) == EXIT_SCHEMA
         assert f"{path}:2501: text_width must be an integer, got 'x'" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["tokens.csv"]
 
+    def test_first_bad_line_of_a_score_chunk_is_named_first(self, tmp_path, capsys):
+        # A bad width on line 3 is named before the unterminated quote on line 4.
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "tokens.csv"
+        path.write_bytes(b'id,state,text_width,tokens\r\nd1,NC,5,great day\r\n'
+                         b'd2,NC,x,great day\r\nd3,NC,5,"great day\r\n')
+        assert main(["score", "--out", str(out)]) == EXIT_SCHEMA
+        assert f"{path}:3: text_width must be an integer, got 'x'" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["tokens.csv"]
+
     @pytest.mark.parametrize("column, value, expected", [
         ("m", "-2", "m must hold positive whole observation counts"),
+        ("m", "inf", "m must hold positive whole observation counts"),
+        ("m", "1e300", "m must hold positive whole observation counts"),
         ("TW", "nan", "design matrix contains non-finite entries"),
     ])
     @pytest.mark.parametrize("command", ["fit", "diagnose"])
@@ -610,8 +635,8 @@ class TestStageOutputs:
         out = tmp_path / "chunked"
         out.mkdir()
         (out / "tokens.csv").write_bytes((default / "tokens.csv").read_bytes())
-        monkeypatch.setattr(pipeline, "SCORE_CHUNK_DOCS", chunk_docs)
-        monkeypatch.setattr(sent_mod, "score_blocks", lambda *args: None)  # the chunked path
+        monkeypatch.setattr(sent_mod, "SCORE_CHUNK_DOCS", chunk_docs)
+        monkeypatch.setattr(sent_mod, "plain_blocks", not_plain)  # the chunked path
         pipeline.stage_score(PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out))
         for name in ("scored.csv", "state_summary.csv"):
             assert (out / name).read_bytes() == (default / name).read_bytes(), name
@@ -660,11 +685,12 @@ class TestStageOutputs:
         assert np.array_equal(patterns.X, expected.X[:, 1:])
         assert np.array_equal(X, expected.X[pattern])
 
-    def test_join_reads_the_fixture_scored_csv_in_blocks(self, tmp_path):
+    def test_join_reads_the_fixture_scored_csv_in_blocks(self, tmp_path, monkeypatch):
         # scored.csv as score writes it is plain: join takes the block path
         out = run_fixture(tmp_path / "run")
-        table = join_blocks(out / "scored.csv", load_covariates(COVARIATES))
-        assert table is not None and len(table) == 40
+        covars = load_covariates(COVARIATES)
+        monkeypatch.setattr(tab_mod, "read_columns", refuse)
+        assert len(tab_mod.read_scored(out / "scored.csv", covars)) == 40
 
     @pytest.mark.parametrize("block_bytes", [256, 1 << 16])
     def test_score_reads_the_fixture_tokens_csv_in_blocks(self, tmp_path, monkeypatch,
@@ -676,10 +702,12 @@ class TestStageOutputs:
         lexicon = sent_mod.load_lexicon(default_data_path("lexicon.tsv"),
                                         default_data_path("negators.txt"),
                                         default_data_path("amplifiers.tsv"))
-        totals = sent_mod.score_blocks(out / "tokens.csv", tmp_path / "scored.csv", lexicon)
-        assert totals is not None and totals.n.sum() == 40
+        with monkeypatch.context() as patched:
+            patched.setattr(sent_mod, "read_columns", refuse)
+            totals = sent_mod.write_scored(out / "tokens.csv", tmp_path / "scored.csv", lexicon)
+        assert totals.n.sum() == 40
         assert (tmp_path / "scored.csv").read_bytes() == (out / "scored.csv").read_bytes()
-        monkeypatch.setattr(sent_mod, "score_blocks", lambda *args: None)
+        monkeypatch.setattr(sent_mod, "plain_blocks", not_plain)
         pipeline.stage_score(PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out))
         for name in ("scored.csv", "state_summary.csv"):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED_SHA256[name]

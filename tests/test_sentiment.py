@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from sentireg import pipeline
 from sentireg import sentiment as sent_mod
-from sentireg.corpus import Document, SchemaError, tokenize
+from sentireg.corpus import Document, SchemaError, _NotPlain, tokenize
 from sentireg.sentiment import (
+    MAX_AMPLIFIER,
     Lexicon,
     SentimentClass,
     StateTotals,
@@ -22,9 +23,7 @@ from sentireg.sentiment import (
     load_lexicon,
     score,
     score_batch,
-    score_blocks,
     to_binary,
-    write_state_summary_csv,
 )
 from sentireg.pipeline import PipelineConfig, default_data_path
 
@@ -163,11 +162,13 @@ class TestLexiconValidation:
         with pytest.raises(ValueError):
             lex({"good": 1.0}, amplifiers={"kinda": 0.5})
 
-    @pytest.mark.parametrize("m", [math.inf, math.nan])
-    def test_amplifier_must_be_finite(self, m):
-        # An infinite multiplier makes "very good ... very bad" score inf - inf.
-        with pytest.raises(ValueError, match="finite"):
+    # Two multipliers over the bound can make "very very good very very bad"
+    # score inf - inf; at the bound no score can overflow.
+    @pytest.mark.parametrize("m", [math.inf, math.nan, 1e200, math.nextafter(MAX_AMPLIFIER, 2e100)])
+    def test_amplifier_must_be_at_most_max_amplifier(self, m):
+        with pytest.raises(ValueError, match="at most 1e[+]100"):
             lex({"good": 1.0}, amplifiers={"very": m})
+        assert lex({"good": 1.0}, amplifiers={"very": MAX_AMPLIFIER}).amplifiers["very"] == 1e100
 
     def test_bundled_lexicon_loads(self):
         lx = load_lexicon(
@@ -251,6 +252,22 @@ def test_score_batch_equals_score_loop(docs, valences):
     assert matched.tolist() == [s.matched_count for s in expected]
 
 
+@given(
+    st.lists(st.lists(st.sampled_from(batch_vocab), max_size=40), max_size=8),
+    st.dictionaries(st.sampled_from(["good", "bad"]),
+                    st.floats(min_value=-2, max_value=2, allow_nan=False)),
+    st.lists(st.one_of(st.just(MAX_AMPLIFIER),
+                       st.floats(min_value=1, max_value=MAX_AMPLIFIER, exclude_min=True)),
+             min_size=2, max_size=2),
+)
+def test_scores_stay_finite_up_to_the_amplifier_bound(docs, valences, multipliers):
+    lx = lex({"zero": 0.0, **valences}, negators={"not", "never", "hardly"},
+             amplifiers=dict(zip(["very", "hardly"], multipliers)))
+    value, _ = score_batch(docs, lx)
+    assert np.isfinite(value).all()
+    assert all(math.isfinite(score(words, lx).value) for words in docs)
+
+
 def test_score_batch_equals_score_on_every_short_document():
     # Every document of up to four words over a small vocabulary, in one
     # batch, so each shifter pair precedes each hit at every position.
@@ -306,7 +323,7 @@ def test_state_totals_by_chunks_equal_one_pass(pairs, chunk):
     assert chunked.summaries() == whole.summaries()
 
 
-# -- score_blocks: the block kernel against the per-record path -----------------
+# -- write_scored: the block path against the per-record path -----------------
 
 LEXICON = load_lexicon(default_data_path("lexicon.tsv"), default_data_path("negators.txt"),
                        default_data_path("amplifiers.tsv"))
@@ -350,18 +367,23 @@ def tokens_files(draw) -> bytes:
 
 
 def scored(run, out):
-    """What a score gives: scored.csv's and state_summary.csv's bytes, None
-    when the kernel declines, or the error's type and text."""
+    """What a score gives: scored.csv's and state_summary.csv's bytes, or the
+    error's type and text."""
     try:
-        if run() is None:
-            return None
+        run()
     except Exception as exc:
         return type(exc), str(exc)
     return (out / "scored.csv").read_bytes(), (out / "state_summary.csv").read_bytes()
 
 
+def not_plain(*args):
+    raise _NotPlain
+
+
 def score_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_limit()):
-    """score_blocks' and the per-record path's results on a tokens.csv of data."""
+    """Whether write_scored took the block path for a tokens.csv of data;
+    stage_score's result; and its result with plain_blocks declining every
+    file, which forces the per-record path."""
     old_limit = csv.field_size_limit(field_limit)
     try:
         with tempfile.TemporaryDirectory() as tmp, \
@@ -369,20 +391,23 @@ def score_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_
             out = Path(tmp)
             (out / "tokens.csv").write_bytes(data)
             config = PipelineConfig(corpus=out / "corpus.csv", covariates=out / "c.csv", out=out)
+            declined, kernel = [], sent_mod._score_blocks
 
-            def kernel():
-                totals = score_blocks(out / "tokens.csv", out / "scored.csv", LEXICON)
-                if totals is None:  # declined: nothing written, not even a temp file
+            def recorded(*args):
+                try:
+                    return kernel(*args)
+                except _NotPlain:
+                    declined.append(True)  # declined: nothing written, not even a temp file
                     assert [p.name for p in out.iterdir()] == ["tokens.csv"]
-                    return None
-                write_state_summary_csv(out / "state_summary.csv", totals.summaries())
-                return totals
+                    raise
 
-            def per_record():
-                with mock.patch.object(sent_mod, "score_blocks", lambda *args: None):
-                    return pipeline.stage_score(config)
-
-            return scored(kernel, out), scored(per_record, out)
+            with mock.patch.object(sent_mod, "_score_blocks", recorded):
+                stage = scored(lambda: pipeline.stage_score(config), out)
+            for name in ("scored.csv", "state_summary.csv"):
+                (out / name).unlink(missing_ok=True)
+            with mock.patch.object(sent_mod, "plain_blocks", not_plain):
+                per_record = scored(lambda: pipeline.stage_score(config), out)
+            return not declined, stage, per_record
     finally:
         csv.field_size_limit(old_limit)
 
@@ -393,8 +418,8 @@ PLAIN_TOKENS = b"id,state,text_width,tokens\r\n" + b"".join(
     for i in range(12))
 
 
-# The kernel either declines (None), and stage_score runs the per-record
-# path, or writes the per-record path's bytes.
+# Through stage_score, the block path either declines and the per-record
+# path runs, or writes the per-record path's bytes.
 @settings(max_examples=300, deadline=None)
 @given(tokens_files(), st.integers(min_value=8, max_value=64),
        st.sampled_from([csv.field_size_limit()] * 3 + [30]))
@@ -403,8 +428,8 @@ PLAIN_TOKENS = b"id,state,text_width,tokens\r\n" + b"".join(
 @example(PLAIN_TOKENS + "t,NC,7,café\r\n".encode(), 40, csv.field_size_limit())
 @example(PLAIN_TOKENS + b"t,NC,+5,good\r\n", 40, csv.field_size_limit())
 def test_score_blocks_equals_the_per_record_path(data, block_bytes, field_limit):
-    kernel, per_record = score_both(data, block_bytes, field_limit)
-    assert kernel is None or kernel == per_record
+    _, stage, per_record = score_both(data, block_bytes, field_limit)
+    assert stage == per_record
 
 
 @pytest.mark.parametrize("tail", [b"", b"t,CA,0,\r\nt,NC,999999999999,good very bad\n",
@@ -412,9 +437,9 @@ def test_score_blocks_equals_the_per_record_path(data, block_bytes, field_limit)
 def test_score_blocks_reads_plain_blocks(tail):
     # CRLF and LF, an empty tokens field and a last line without an end, in
     # blocks of a line or two
-    kernel, per_record = score_both(PLAIN_TOKENS + tail, 40)
-    assert kernel == per_record
-    assert kernel[0].count(b"\r\n") == kernel[0].count(b"\n") == 13 + tail.count(b",") // 3
+    took, stage, per_record = score_both(PLAIN_TOKENS + tail, 40)
+    assert took and stage == per_record
+    assert stage[0].count(b"\r\n") == stage[0].count(b"\n") == 13 + tail.count(b",") // 3
 
 
 @pytest.mark.parametrize("change", [
@@ -441,14 +466,14 @@ def test_score_blocks_reads_plain_blocks(tail):
     lambda d: d + "t,NC,7,café\r\n".encode(),              # a non-ASCII token
 ])
 def test_score_blocks_declines_what_is_not_plain(change):
-    kernel, per_record = score_both(change(PLAIN_TOKENS), 40)
-    assert kernel is None and per_record is not None
+    took, stage, per_record = score_both(change(PLAIN_TOKENS), 40)
+    assert not took and stage == per_record
 
 
 @pytest.mark.parametrize("block_bytes", [40, 4096])
 @pytest.mark.parametrize("data", [b"id,state,text_width,tokens," + b"c" * 40 + b"\r\n",
                                   PLAIN_TOKENS + b"t,NC,7," + b"good " * 8 + b"day\r\n"])
 def test_score_blocks_declines_a_field_over_the_limit(data, block_bytes):
-    kernel, per_record = score_both(data, block_bytes, field_limit=32)
-    assert kernel is None and per_record[0] is SchemaError
+    took, stage, per_record = score_both(data, block_bytes, field_limit=32)
+    assert not took and stage == per_record and per_record[0] is SchemaError
     assert per_record[1].endswith("field larger than field limit (32)")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sentireg import tabulate as tab_mod
-from sentireg.corpus import SchemaError, read_columns
+from sentireg.corpus import SchemaError, _NotPlain
 from sentireg.pipeline import default_data_path
 from sentireg.tabulate import (
     ANALYSIS_COLUMNS,
@@ -19,7 +19,6 @@ from sentireg.tabulate import (
     StateCovariates,
     descriptive_stats,
     join,
-    join_blocks,
     load_covariates,
     read_analysis_csv,
     read_patterns_csv,
@@ -43,7 +42,7 @@ def make_covariates(state="NC", **overrides):
 
 def record(state, y, width=100, line=2):
     """A scored.csv record as join reads it: (line, state, text width, binary)."""
-    return (line, state, width, y)
+    return (line, state, str(width), str(y))
 
 
 class TestLoadCovariates:
@@ -132,29 +131,26 @@ class TestJoin:
             join([record("WY", 1)], {"NC": make_covariates("NC")})
 
     def test_csv_string_records(self):
-        # scored.csv's fields arrive as strings and give the same table as ints.
+        # scored.csv's fields arrive as strings; each (state, width) key is one pattern.
         covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA", FHH_pct=55.0)}
         records = [record(s, i % 2, width=w) for i, (s, w)
                    in enumerate([("NC", 7), ("CA", 11), ("NC", 7), ("CA", 3), ("NC", 11)])]
-        typed = join(records, covars)
-        read = join(iter([(line, s, str(w), str(y)) for line, s, w, y in records]), covars)
-        assert read.text == typed.text and read.covariates == typed.covariates
-        assert read.pattern.tolist() == typed.pattern.tolist() == [0, 1, 0, 2, 3]
-        assert read.y.dtype == np.int64 and read.y.tolist() == typed.y.tolist()
+        read = join(iter(records), covars)
+        assert [c[0] for c in read.covariates] == [7.0, 11.0, 3.0, 11.0]
+        assert read.pattern.tolist() == [0, 1, 0, 2, 3]
+        assert read.y.dtype == np.int64 and read.y.tolist() == [0, 1, 0, 1, 0]
 
     def test_non_integer_width_rejected(self):
         with pytest.raises(ValueError):
             join([(2, "NC", "7.5", "1")], {"NC": make_covariates("NC")})
 
-    # int() takes " 1", "+1", "01" and 0.7 too; a binary must be one sentireg writes.
-    @pytest.mark.parametrize("binary", [5, -3, "2", " 1", "+1", "01", "1.0", "", 0.7, None])
+    # int() takes " 1", "+1" and "01" too; a binary must be one sentireg writes.
+    @pytest.mark.parametrize("binary", ["5", "-3", "2", " 1", "+1", "01", "1.0", "", "0.7"])
     def test_binary_outside_0_1_rejected(self, binary):
         message = f"^4: binary must be 0 or 1, got {re.escape(repr(binary))}$"
         with pytest.raises(ValueError, match=message):
             join([record("NC", 1), record("NC", "0", line=3), record("NC", binary, line=4)],
                  {"NC": make_covariates("NC")})
-        with pytest.raises(TypeError):
-            join([(2, "NC", 7.5, 1)], {"NC": make_covariates("NC")})
 
     @pytest.mark.parametrize("width, want", [("", "must be an integer"), ("x7", "must be an integer"),
                                              ("9" * 400, "must be within float range")])
@@ -324,10 +320,10 @@ def test_read_patterns_csv_equals_float_parse(tmp_path):
     assert data.tobytes() == np.array(rows).tobytes()
 
 
-# -- join_blocks: the block kernel against the per-record join ------------------
+# -- read_scored: the block path against the per-record join -------------------
 
-SCORED_HEADERS = ["id,state,text_width,score,class,binary", "binary,text_width,state",
-                  "state,id,binary,text_width"]
+SCORED_HEADERS = ["id,state,text_width,score,class,binary"] * 4 + [
+    "binary,text_width,state", "state,id,binary,text_width", "binary,state,text_width,id,class,score"]
 # Fields as sentireg writes them, then odd ones: states with no covariate
 # row, and the forms the kernel leaves to the per-record join. A file is drawn
 # plain and gets a few odd lines, which often sit in a later block than plain ones.
@@ -362,19 +358,23 @@ def scored_files(draw) -> bytes:
 
 
 def joined(run):
-    """What a join gives: the table's fields (None for no table), or the
-    error's type and text."""
+    """What a join gives: the table's fields, or the error's type and text."""
     try:
         table = run()
     except Exception as exc:
         return type(exc), str(exc)
-    if table is not None:
-        return (table.covariates, table.text, table.pattern.dtype, table.pattern.tolist(),
-                table.y.dtype, table.y.tolist())
+    return (table.covariates, table.text, table.pattern.dtype, table.pattern.tolist(),
+            table.y.dtype, table.y.tolist())
+
+
+def not_plain(*args):
+    raise _NotPlain
 
 
 def join_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_limit()):
-    """join_blocks' and the per-record join's results on a scored.csv of data."""
+    """Whether read_scored took the block path for a scored.csv of data; its
+    result; and its result with plain_blocks declining every file, which
+    forces the per-record join."""
     covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA", FHH_pct=55.0)}
     old_limit = csv.field_size_limit(field_limit)
     try:
@@ -382,75 +382,90 @@ def join_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_l
                 mock.patch.object(tab_mod, "JOIN_BLOCK_BYTES", block_bytes):
             path = Path(tmp) / "scored.csv"
             path.write_bytes(data)
-            return (joined(lambda: join_blocks(path, covars)),
-                    joined(lambda: join(read_columns(path, tab_mod.JOIN_COLUMNS), covars)))
+            declined, kernel = [], tab_mod._join_blocks
+
+            def recorded(*args):
+                try:
+                    return kernel(*args)
+                except _NotPlain:
+                    declined.append(True)
+                    raise
+
+            with mock.patch.object(tab_mod, "_join_blocks", recorded):
+                result = joined(lambda: tab_mod.read_scored(path, covars))
+            with mock.patch.object(tab_mod, "plain_blocks", not_plain):
+                per_record = joined(lambda: tab_mod.read_scored(path, covars))
+            return not declined, result, per_record
     finally:
         csv.field_size_limit(old_limit)
 
 
-PLAIN = b"id,state,text_width,binary\r\n" + b"".join(
-    b"t%d,%s,%d,%d\r\n" % (i, b"NC" if i % 3 else b"CA", 7 + i % 4, i % 2) for i in range(12))
+PLAIN = b"id,state,text_width,score,class,binary\r\n" + b"".join(
+    b"t%d,%s,%d,s,c,%d\r\n" % (i, b"NC" if i % 3 else b"CA", 7 + i % 4, i % 2) for i in range(12))
 
 
-# The kernel either declines (None), and stage_join runs the per-record join,
-# or gives the per-record join's table or error.
+# The block path either declines and the per-record join runs, or gives the
+# per-record join's table or error.
 @settings(max_examples=300, deadline=None)
 @given(scored_files(), st.integers(min_value=8, max_value=64),
-       st.sampled_from([csv.field_size_limit()] * 3 + [24]))
+       st.sampled_from([csv.field_size_limit()] * 3 + [40]))
 @example(PLAIN, 40, csv.field_size_limit())
-@example(PLAIN + b'"q,t",NC,7,1\r\n', 40, csv.field_size_limit())  # in a later block
-@example(PLAIN + "é,NC,7,1\r\n".encode(), 40, csv.field_size_limit())
-@example(PLAIN + b"t,WY,7,1\r\n", 40, csv.field_size_limit())
+@example(PLAIN + b'"q,t",NC,7,s,c,1\r\n', 40, csv.field_size_limit())  # in a later block
+@example(PLAIN + "é,NC,7,s,c,1\r\n".encode(), 40, csv.field_size_limit())
+@example(PLAIN + b"t,WY,7,s,c,1\r\n", 40, csv.field_size_limit())
 def test_join_blocks_equals_the_per_record_join(data, block_bytes, field_limit):
-    kernel, per_record = join_both(data, block_bytes, field_limit)
-    assert kernel is None or kernel == per_record
+    _, result, per_record = join_both(data, block_bytes, field_limit)
+    assert result == per_record
 
 
 @pytest.mark.parametrize("tail, widths", [
     (b"", [7.0, 8.0, 9.0, 10.0]),
-    (b"t,CA,007,1\nt,NC,999999999999,0", [7.0, 8.0, 9.0, 10.0, 999999999999.0]),
+    (b"t,CA,007,s,c,1\nt,NC,999999999999,s,c,0", [7.0, 8.0, 9.0, 10.0, 999999999999.0]),
 ])
 def test_join_blocks_reads_plain_blocks(tail, widths):
     # LF and CRLF mixed, a last line without one, blocks of a line or two
-    kernel, per_record = join_both(PLAIN + tail, 40)
-    assert kernel == per_record
-    assert sorted({c[0] for c in kernel[0]}) == widths
+    took, result, per_record = join_both(PLAIN + tail, 40)
+    assert took and result == per_record
+    assert sorted({c[0] for c in result[0]}) == widths
 
 
 @pytest.mark.parametrize("change", [
     lambda d: "\ufeff".encode() + d,                      # a byte-order mark
     lambda d: d.replace(b"\r\n", b"\r", 1),              # a bare CR
     lambda d: d + b"\r\n",                               # a blank line
-    lambda d: d + b"t,NC,7,1\r",                          # a CR at the end of the file
-    lambda d: d + b'"t",NC,7,1\r\n',                      # a quote
-    lambda d: d + b"t,NC,7,1,x\r\n",                      # an extra field
-    lambda d: d + b"t,NCX,7,1\r\n",                       # a state of 3 bytes
-    lambda d: d + b"t,NC,+5,1\r\n",                       # a width int() takes
-    lambda d: d + b"t,NC,1234567890123,1\r\n",            # 13 digits
-    lambda d: d + b"t,NC,,1\r\n",                         # an empty width
-    lambda d: d + b"t,NC,7,01\r\n",                       # a binary int() takes
-    lambda d: d + b"t\r1,NC,7,1\r\n",                     # a bare CR inside a field
-    lambda d: d + b"t\xe9,NC,7,1\r\n",                    # a byte that is not UTF-8
+    lambda d: d + b"t,NC,7,s,c,1\r",                      # a CR at the end of the file
+    lambda d: d + b'"t",NC,7,s,c,1\r\n',                  # a quote
+    lambda d: d + b"t,NC,7,s,c,1,x\r\n",                  # an extra field
+    lambda d: d + b"t,NCX,7,s,c,1\r\n",                   # a state of 3 bytes
+    lambda d: d + b"t,NC,+5,s,c,1\r\n",                   # a width int() takes
+    lambda d: d + b"t,NC,1234567890123,s,c,1\r\n",        # 13 digits
+    lambda d: d + b"t,NC,,s,c,1\r\n",                     # an empty width
+    lambda d: d + b"t,NC,7,s,c,01\r\n",                   # a binary int() takes
+    lambda d: d + b"t\r1,NC,7,s,c,1\r\n",                 # a bare CR inside a field
+    lambda d: d + b"t\x00,NC,7,s,c,1\r\n",                # a NUL, which csv.reader reads as data
+    lambda d: d + b"t\xe9,NC,7,s,c,1\r\n",                # a byte that is not UTF-8
+    lambda d: d.replace(b"score,class,", b"", 1),         # no score and class columns
+    lambda d: d.replace(b"text_width,score", b"score,text_width", 1),  # another order
 ])
 def test_join_blocks_declines_what_is_not_plain(change):
-    kernel, per_record = join_both(change(PLAIN), 40)
-    assert kernel is None and per_record is not None
+    took, result, per_record = join_both(change(PLAIN), 40)
+    assert not took and result == per_record
 
 
 # In 40-byte blocks the long line is carried over a block boundary; in 4096,
 # one block holds it.
 @pytest.mark.parametrize("block_bytes", [40, 4096])
-@pytest.mark.parametrize("data", [b"id,state,text_width,binary,c" + b"c" * 32 + b"\r\n",
-                                  PLAIN + b"t" * 40 + b",NC,7,1\r\n"])
+@pytest.mark.parametrize("data", [b"id,state,text_width,score,class,binary,c" + b"c" * 40 + b"\r\n",
+                                  PLAIN + b"t" * 48 + b",NC,7,s,c,1\r\n"])
 def test_join_blocks_declines_a_field_over_the_limit(data, block_bytes):
-    kernel, per_record = join_both(data, block_bytes, field_limit=32)
-    assert kernel is None and per_record[0] is SchemaError
-    assert per_record[1].endswith("field larger than field limit (32)")
+    took, result, per_record = join_both(data, block_bytes, field_limit=40)
+    assert not took and result == per_record and per_record[0] is SchemaError
+    assert per_record[1].endswith("field larger than field limit (40)")
 
 
 def test_join_blocks_lists_missing_states_as_join_does():
-    kernel, per_record = join_both(PLAIN + b"t,WY,7,1\r\nt,,7,0\r\n", 40)
-    assert kernel == per_record == (
+    took, result, per_record = join_both(PLAIN + b"t,WY,7,s,c,1\r\nt,,7,s,c,0\r\n", 40)
+    assert took and result == per_record == (
         tab_mod.MissingStatesError, "no covariate row for state(s): ['', 'WY']")
 
 
