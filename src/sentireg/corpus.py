@@ -5,22 +5,24 @@ works on token streams: tokenize, lowercase, drop stopwords/slang, stem or
 lemmatize, then count (bag of words). `preprocess` runs those steps in one
 pass: what becomes of a token depends only on its surface form, so a
 `WordNormalizer` memo normalizes each distinct surface once; it splits an
-ASCII text with no apostrophe by lower, a byte-table translate and split,
-which give the word regex's tokens. Every CSV is read by `read_columns` and
-written by `write_rows`; `plain_blocks` frames a file that csv.reader would
-split at its commas and line ends as numpy byte blocks, for the block paths
-of preprocess, score and join. `write_tokens` writes tokens.csv for a corpus.
-Every other function is pure.
+ASCII text by lower, a blank for each apostrophe not inside a word, a
+byte-table translate and split, which give the word regex's tokens. Every
+CSV is read by `read_columns` and written by `write_rows`; `plain_blocks`
+frames a file with no quote that csv.reader would split at its commas and
+line ends as numpy byte blocks, for the block paths of score and join.
+`write_tokens` writes tokens.csv for a corpus, framing its blocks at the
+commas and line ends outside quoted fields. Every other function is pure.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import compress, islice
+from itertools import compress, filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
@@ -124,9 +126,10 @@ def plain_blocks(path: str | Path, header: Sequence[str],
     _NotPlain at the header or the first block where that might not hold.
 
     That holds while the header line is exactly `header`, and every line is
-    ASCII with no quote, no byte below 0x20 but its LF and a CR before it,
+    UTF-8 with no quote, no byte below 0x20 but its LF and a CR before it,
     the header's comma count and no more than csv.field_size_limit() bytes,
-    so no field is longer. An unterminated last line is framed as if it ended
+    so no field is longer. No byte of a multi-byte UTF-8 character is a
+    comma, quote, CR or LF. An unterminated last line is framed as if it ended
     in CRLF, so a CR in it is not plain. `buf` is the block as uint8; line
     i's field c starts at `edges[i, c] + 1` and ends at `edges[i, c + 1]`: at
     its comma, or at the CR or LF that ends the line.
@@ -134,8 +137,13 @@ def plain_blocks(path: str | Path, header: Sequence[str],
     limit, k = csv.field_size_limit(), len(header) - 1
 
     def frame(block: bytes) -> tuple[np.ndarray, np.ndarray]:
-        if not block.isascii() or b'"' in block:
+        if b'"' in block:
             raise _NotPlain
+        if not block.isascii():
+            try:  # no byte of a multi-byte character is below 0x80
+                block.decode()
+            except UnicodeDecodeError:
+                raise _NotPlain from None
         buf = np.frombuffer(block, np.uint8)
         seps = np.flatnonzero((buf == 44) | (buf == 10))
         if len(seps) % (k + 1):
@@ -287,10 +295,20 @@ _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
 _URL_RE = re.compile(r"http(?<!\Shttp)\S*", re.IGNORECASE)
 
 
-# On ASCII, [^\W_] is [A-Za-z0-9] and ’ cannot occur, so in an ASCII text with
-# no ' a token is a maximal run of letters and digits: what split() returns once
-# the bytes.translate table _ASCII_GAPS has made every other byte a space.
+# On ASCII lower case, [^\W_] is [a-z0-9] and ’ cannot occur, so a token is a
+# maximal run of [a-z0-9] with single apostrophes inside it: what split()
+# returns once every apostrophe that is not between two of [a-z0-9] is a
+# space and the bytes.translate table _ASCII_GAPS has made every other byte
+# but a letter, digit or apostrophe a space.
+_LONE_APOSTROPHE_RE = re.compile(rb"'(?:(?<![a-z0-9]')|(?![a-z0-9]))")
 _ASCII_GAPS = bytes(c if c > 127 or chr(c).isalnum() or chr(c) == "'" else 32 for c in range(256))
+
+
+def _ascii_surfaces(data: bytes) -> bytes:
+    """ASCII lower case with a space for every byte that no token holds."""
+    if b"'" in data:
+        data = _LONE_APOSTROPHE_RE.sub(b" ", data)
+    return data.translate(_ASCII_GAPS)
 
 
 def _surfaces(text: str) -> list[str]:
@@ -378,6 +396,8 @@ class WordNormalizer(dict):
         self._lemmas = lemmas or {}
         self._rules = stem_rules or []
         self._suffixes = tuple(suffix for suffix, _ in self._rules)
+        self._dropped = frozenset(self._stopwords | self._slang)
+        self._lemma_words = frozenset(self._lemmas)
 
     def __missing__(self, surface: str) -> str | None:
         word = surface.lower()
@@ -390,6 +410,24 @@ class WordNormalizer(dict):
         self[surface] = value
         return value
 
+    def fill(self, surfaces: Iterable[str]) -> None:
+        """Memoize at once each lower-case surface the memo lacks, to the
+        value __missing__ gives it, sorting the new words with set operations."""
+        new = set(filterfalse(self.__contains__, set(surfaces)))
+        dropped = new & self._dropped
+        lemmatized = new & self._lemma_words - dropped
+        rules, suffixes, lemmas = self._rules, self._suffixes, self._lemmas
+        self.update(dict.fromkeys(dropped))
+        self.update({w: lemmas[w] for w in lemmatized})
+        self.update({w: _stem_word(w, rules) if w.endswith(suffixes) else w
+                     for w in new - dropped - lemmatized})
+
+    def forms_avoid(self, chars: str) -> bool:
+        """Whether no lemma and no stem rule's replacement holds any of chars,
+        so that no word without them normalizes to a form with one."""
+        forms = [*self._lemmas.values(), *(repl for _, repl in self._rules)]
+        return not any(c in form for form in forms for c in chars)
+
     def words(self, text: str) -> list[str]:
         """Normalized forms of the tokens of text that are kept, in order.
 
@@ -400,8 +438,7 @@ class WordNormalizer(dict):
             text = text.lower()
             if "http" in text:
                 text = _URL_RE.sub(" ", text)
-            surfaces = (_WORD_RE.findall(text) if "'" in text
-                        else text.encode().translate(_ASCII_GAPS).decode().split())
+            surfaces = _ascii_surfaces(text.encode()).decode().split()
         else:
             surfaces = _surfaces(text)
         return [w for w in map(self.__getitem__, surfaces) if w is not None]
@@ -433,11 +470,13 @@ def preprocess(
 
 PREPROCESS_BLOCK_BYTES = 1 << 14  # corpus bytes write_tokens reads at a time
 TOKENS_COLUMNS = ("id", "state", "text_width", "tokens")
-# '×' is a surface of its own before each kept text: no token holds it.
+# '×' is a surface of its own before each kept text: no ASCII token holds it.
 _LINE_MARK = "\xd7"
-# _URL_RE over bytes, and _WORD_RE or the line mark on ASCII lower case
+# _URL_RE over the bytes of ASCII lower case with no 0x1C-0x1F, where \s agrees
 _URL_BYTES_RE = re.compile(rb"http(?<!\Shttp)\S*")
-_WORD_OR_MARK_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)*|" + _LINE_MARK)
+# Bytes at which a quote may open a quoted field, or after which it may close
+# one: a separator, a line end, or the other quote of a "" pair.
+_FIELD_EDGE = np.array([c in b',\n\r"' for c in range(256)])
 
 
 def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormalizer) -> None:
@@ -445,14 +484,22 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     state, text width and normalize.words(text) joined by spaces. An error
     names its line, and tokens.csv is replaced only when every row is read.
 
-    A plain corpus is read in blocks of PREPROCESS_BLOCK_BYTES, to the same
-    bytes: the kept texts of a block, each after a line mark, are lower-cased,
-    stripped of URLs and split at once, and one pass through the memo gives
-    every line's words. A corpus is plain when plain_blocks frames every
-    block of it with the header id,state,text, every id is non-empty and none
-    repeats, no kept word holds a quote, comma, CR or LF, and normalize keeps
-    the line mark as it is. Any other corpus is read again from its start,
-    row by row, and written a chunk of rows at a time.
+    A corpus whose header is exactly id,state,text is read in blocks of
+    PREPROCESS_BLOCK_BYTES, to the same bytes. Each block is framed at the
+    commas and line ends outside quoted fields, found from the parity of the
+    quotes before them; the kept ASCII texts of a block, each after a line
+    mark, are lower-cased, stripped of URLs and split at once, and one pass
+    through the memo gives their words. A line the framing cannot split
+    into an id, state and text (a blank line, a field too many or too few,
+    a bare CR, a control byte but a line end or a CR or LF in quotes, a
+    line longer than csv.field_size_limit()) is read by csv.reader alone,
+    and a text that is not ASCII goes through normalize.words alone, in
+    file order. Any other corpus is read row by row from its start: one
+    with another header, a quote csv.reader would refuse or read as a
+    character of an unquoted field, a byte that is not UTF-8, an empty or
+    repeated id, a row too short, or word lists that could write the line
+    mark, a quote, comma, CR or LF. So a corpus is read twice only when it
+    is in error or holds a quote in an unquoted field.
     """
     try:
         return _preprocess_blocks(corpus, tokens, normalize)
@@ -467,43 +514,168 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
 def _preprocess_blocks(corpus: str | Path, tokens: str | Path,
                        normalize: WordNormalizer) -> None:
     """write_tokens' block path; _NotPlain, with tokens.csv untouched and no
-    temp file left, where the corpus is not plain."""
-    if normalize[_LINE_MARK] != _LINE_MARK:
+    temp file left, where the corpus must be read row by row.
+
+    The memo is filled a block at a time (WordNormalizer.fill) after a block
+    that grew it, so a block whose words all hit it costs no extra pass."""
+    if normalize[_LINE_MARK] != _LINE_MARK or not normalize.forms_avoid(_LINE_MARK + '",\r\n'):
         raise _NotPlain
     seen: set[str] = set()  # every id, as CorpusReader keeps them
+    grew = True
     with atomic_open(tokens) as fh:
         write_rows(fh, [TOKENS_COLUMNS])
-        for block in plain_blocks(corpus, ("id", "state", "text"), PREPROCESS_BLOCK_BYTES):
-            fh.write(_preprocess_block(*block, normalize, seen))
+        for block in _record_blocks(corpus, PREPROCESS_BLOCK_BYTES):
+            size = len(normalize)
+            fh.write(_preprocess_block(block, normalize, seen, grew))
+            grew = len(normalize) > size
 
 
-def _preprocess_block(buf: np.ndarray, edges: np.ndarray, normalize: WordNormalizer,
-                      seen: set[str]) -> str:
-    """A framed corpus block's tokens.csv lines; adds its ids to seen."""
-    # Each line is id,state,text and its end: with the ends as commas, one split.
-    fields = buf.tobytes().replace(b"\r\n", b",").replace(b"\n", b",").decode().split(",")
-    ids, states, texts = fields[0:-1:3], fields[1::3], fields[2::3]
+def _record_blocks(path: str | Path, block_bytes: int) -> Iterator[bytes]:
+    """Each block of whole records of a corpus read block_bytes at a time: it
+    ends at the last LF with an even count of quotes before it, so outside
+    quotes, and an unterminated last line gets an LF. _NotPlain unless the
+    header line is exactly id,state,text, at an unterminated quote, and at
+    a record over 16 * csv.field_size_limit() bytes: longer than three
+    fields at the limit can be, with a quote doubled or 4 bytes to a
+    character."""
+    bound = 16 * csv.field_size_limit()
+    with open(path, "rb") as fh:
+        if fh.readline().removesuffix(b"\n").removesuffix(b"\r") != b"id,state,text":
+            raise _NotPlain
+        carry = b""
+        for chunk in iter(lambda: fh.read(block_bytes), b""):
+            data = carry + chunk
+            cut = data.rfind(b"\n")
+            while cut >= 0 and data.count(b'"', 0, cut) % 2:  # an LF in a quoted field
+                cut = data.rfind(b"\n", 0, cut)
+            carry = data[cut + 1:]
+            if len(carry) > bound:
+                raise _NotPlain
+            if cut >= 0:
+                yield data[:cut + 1]
+        if carry.count(b'"') % 2:
+            raise _NotPlain
+        if carry:
+            yield carry + b"\n"
+
+
+def _preprocess_block(block: bytes, normalize: WordNormalizer, seen: set[str],
+                      fill: bool) -> str:
+    """A corpus block's tokens.csv lines; adds its ids to seen."""
+    ids, states, texts, alone = _block_records(block)
     n_seen = len(seen)
     seen.update(ids)
     if "" in ids or len(seen) != n_seen + len(ids):
         raise _NotPlain
     keep = list(map(STATE_CODES.__contains__, states))
     texts = list(compress(texts, keep))
-    # The kept texts, each after a line mark, split into the words and the marks.
-    block = f" {_LINE_MARK} ".join(["", *texts]).encode("latin-1").lower()
-    if b"http" in block:
-        block = _URL_BYTES_RE.sub(b" ", block)
-    if b"'" in block:
-        surfaces = _WORD_OR_MARK_RE.findall(block.decode("latin-1"))
-    else:
-        surfaces = block.translate(_ASCII_GAPS).decode("latin-1").split()
+    if block.isascii() and not any(alone):
+        words = _block_words(texts, normalize, fill)
+    else:  # a text that is not ASCII, or from a line csv.reader read, goes alone
+        solo = [a or not t.isascii() for a, t in zip(compress(alone, keep), texts)]
+        batch = iter(_block_words([t for a, t in zip(solo, texts) if not a], normalize, fill))
+        words = [" ".join(normalize.words(t)) if a else next(batch) for a, t in zip(solo, texts)]
+    lines = "".join([f"{doc_id},{state},{len(text)},{w}\r\n" for doc_id, state, text, w
+                     in zip(compress(ids, keep), compress(states, keep), texts, words)])
+    # No word holds a quote, comma, CR or LF, and no id or state does unless it
+    # was quoted or read by csv.reader; when no field holds one, these are
+    # csv.writer's bytes.
+    n = len(texts)
+    if (b'"' not in block and not any(alone)) or (
+            lines.count(",") == 3 * n and '"' not in lines
+            and lines.count("\r") == n == lines.count("\n")):
+        return lines
+    out = io.StringIO()
+    write_rows(out, zip(compress(ids, keep), compress(states, keep), map(str, map(len, texts)),
+                        words))
+    return out.getvalue()
+
+
+def _block_records(block: bytes) -> tuple[list, ...]:
+    """A block's ids, states and texts as csv.reader reads them, and for each
+    record whether it came from a line csv.reader read alone. _NotPlain
+    where csv.reader would raise, or where a quote is not one it reads as
+    the edge of a quoted field or half of a "" pair."""
+    if not block.isascii():
+        try:
+            block.decode()
+        except UnicodeDecodeError:
+            raise _NotPlain from None
+    buf = np.frombuffer(block, np.uint8)
+    at = np.flatnonzero((buf == 44) | (buf == 10))  # the commas and LFs
+    quotes = np.flatnonzero(buf == 34) if b'"' in block else np.empty(0, np.intp)
+    if len(quotes):
+        # Quote 2k opens a quoted field and quote 2k + 1 closes it, as
+        # csv.reader(strict=True) reads them when each opens right after a
+        # separator and closes right before one or is half of a "" pair. A
+        # byte is in a quoted field when an odd count of quotes is before it.
+        opens, closes = quotes[0::2], quotes[1::2]
+        if not (_FIELD_EDGE[buf[opens - 1]].all() and _FIELD_EDGE[buf[closes + 1]].all()):
+            raise _NotPlain
+        at = at[np.searchsorted(quotes, at) % 2 == 0]
+    kinds = buf[at]
+    lf = np.flatnonzero(kinds == 10)
+    ends = at[lf]
+    cr = buf[ends - 1] == 13
+    # A line is read alone unless it has two commas, fits the field size
+    # limit and has no control byte but its line end and CRs and LFs in quotes.
+    odd = np.zeros(len(ends), bool)
+    if len(at) != 3 * len(ends) or not (kinds[2::3] == 10).all():
+        odd |= np.diff(lf, prepend=-1) != 3
+    if len(block) > csv.field_size_limit():
+        odd |= np.diff(ends, prepend=-1) > csv.field_size_limit() + 1
+    control = buf < 32
+    if np.count_nonzero(control) != len(ends) + np.count_nonzero(cr):
+        control[ends] = control[ends[cr] - 1] = False
+        other = np.flatnonzero(control)
+        quoted = np.searchsorted(quotes, other) % 2 == 1
+        other = other[~(quoted & ((buf[other] == 10) | (buf[other] == 13)))]
+        odd[np.searchsorted(ends, other)] = True
+    if not len(quotes) and not odd.any():
+        fields = block.replace(b"\r\n", b",").replace(b"\n", b",").decode().split(",")
+        return fields[0:-1:3], fields[1::3], fields[2::3], [False] * len(ends)
+    # Each separator outside quotes becomes 0xFF, which no UTF-8 text holds;
+    # the CR of each line end and the quotes csv.reader drops go.
+    text = buf.copy()
+    text[at] = 255
+    keep = np.ones(len(buf), bool)
+    keep[ends[cr] - 1] = keep[quotes] = False
+    if len(quotes):
+        keep[opens[buf[opens - 1] == 34]] = True  # a "" pair's second quote
+    fields = text[keep].tobytes().decode("utf-8", "surrogateescape").split("\udcff")
+    if not odd.any():
+        return fields[0:-1:3], fields[1::3], fields[2::3], [False] * len(ends)
+    # Line i starts after byte ends[i - 1], and its fields after separator lf[i - 1].
+    records = []
+    for is_odd, start, end, j in zip(odd.tolist(), [0, *(ends[:-1] + 1).tolist()],
+                                     (ends + 1).tolist(), [0, *(lf[:-1] + 1).tolist()]):
+        if not is_odd:
+            records.append((*fields[j:j + 3], False))
+            continue
+        try:
+            rows = [row for row in csv.reader(io.StringIO(block[start:end].decode(), newline=""),
+                                              strict=True) if row]
+        except csv.Error:
+            raise _NotPlain from None
+        if any(len(row) < 3 for row in rows):
+            raise _NotPlain
+        records.extend((*row[:3], True) for row in rows)
+    ids, states, texts, alone = map(list, zip(*records)) if records else ([], [], [], [])
+    return ids, states, texts, alone
+
+
+def _block_words(texts: list[str], normalize: WordNormalizer, fill: bool) -> list[str]:
+    """Each ASCII text's kept words joined by spaces, as normalize.words gives
+    them, from one lower, URL strip and split of all the texts at once."""
+    data = f" {_LINE_MARK} ".join(["", *texts]).encode("latin-1").lower()
+    if b"http" in data:
+        data = _URL_BYTES_RE.sub(b" ", data)
+    surfaces = _ascii_surfaces(data).decode("latin-1").split()
+    if fill:
+        normalize.fill(surfaces)
     joined = " ".join([w for w in map(normalize.__getitem__, surfaces) if w is not None])
-    if joined.count(_LINE_MARK) != len(texts) or any(c in joined for c in '",\r\n'):
-        raise _NotPlain
     # Each text's kept words are " " and the words joined, or nothing.
-    words = (" " + joined).split(" " + _LINE_MARK)[1:]
-    return "".join([f"{doc_id},{state},{len(text)},{w[1:]}\r\n" for doc_id, state, text, w
-                    in zip(compress(ids, keep), compress(states, keep), texts, words)])
+    return [w[1:] for w in (" " + joined).split(" " + _LINE_MARK)[1:]]
 
 
 def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -522,11 +694,13 @@ def _content_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             raise SchemaError(f"{path}:{lineno + 1}: not UTF-8 at or after this line") from None
 
 
-def _tsv_pairs(path: str | Path, expected: str,
-               value: Callable[[str], object] = str) -> Iterator[tuple[str, object]]:
+def _tsv_pairs(path: str | Path, expected: str, value: Callable[[str], object] = str,
+               check: Callable[[str, object], str | None] = lambda key, value: None,
+               ) -> Iterator[tuple[str, object]]:
     """The two tab-separated fields of each content line, the second passed
     through value; any other field count, or a ValueError from value, is a
-    SchemaError that says the line should be `expected`."""
+    SchemaError that says the line should be `expected`. A problem that
+    check(key, value) names is a SchemaError naming the line too."""
     for lineno, line in _content_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
@@ -536,6 +710,8 @@ def _tsv_pairs(path: str | Path, expected: str,
         except ValueError:
             raise SchemaError(f"{path}:{lineno}: expected {expected}, "
                               f"got {parts[1]!r}") from None
+        if problem := check(parts[0], converted):
+            raise SchemaError(f"{path}:{lineno}: {problem}")
         yield parts[0], converted
 
 

@@ -6,6 +6,7 @@ writes tokens.csv with corpus.write_tokens, score writes scored.csv with
 sentiment.write_scored, and join reads scored.csv alone, as it carries each
 text width, with tabulate.read_scored; each reads its input in byte blocks
 where the file is plain and record by record, naming bad lines, otherwise.
+Preprocess frames quoted fields in its blocks and reads an odd line alone.
 Join writes the row-level analysis_table.csv and its covariate patterns,
 patterns.csv; fit and diagnose read only patterns.csv. Every artifact is
 written atomically. The run manifest records content hashes of every input

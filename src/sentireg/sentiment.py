@@ -16,6 +16,7 @@ per-state running sums of the state summary.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -62,6 +63,19 @@ class SentimentClass(str, Enum):
     NEUTRAL = "Neutral"
 
 
+def _valence_problem(term: str, v: float) -> str | None:
+    if not -2.0 <= v <= 2.0:  # NaN too
+        return f"valence for {term!r} out of [-2, +2]: {v}"
+    return None
+
+
+def _amplifier_problem(term: str, m: float) -> str | None:
+    if not 1.0 < m <= MAX_AMPLIFIER:  # NaN too
+        return (f"amplifier multiplier for {term!r} must be over 1 and at most "
+                f"{MAX_AMPLIFIER:g}: {m}")
+    return None
+
+
 @dataclass(frozen=True)
 class Lexicon:
     valences: dict[str, float]
@@ -69,16 +83,15 @@ class Lexicon:
     amplifiers: dict[str, float]
 
     def __post_init__(self):
-        for term, v in self.valences.items():
-            if not math.isfinite(v) or not -2.0 <= v <= 2.0:
-                raise ValueError(f"valence for {term!r} out of [-2, +2]: {v}")
+        for problem in map(_valence_problem, self.valences, self.valences.values()):
+            if problem:
+                raise ValueError(problem)
         overlap = (self.negators | set(self.amplifiers)) & set(self.valences)
         if overlap:
             raise ValueError(f"negators/amplifiers overlap valence terms: {sorted(overlap)}")
-        for term, m in self.amplifiers.items():
-            if not 1.0 < m <= MAX_AMPLIFIER:
-                raise ValueError(f"amplifier multiplier for {term!r} must be over 1 and at most "
-                                 f"{MAX_AMPLIFIER:g}: {m}")
+        for problem in map(_amplifier_problem, self.amplifiers, self.amplifiers.values()):
+            if problem:
+                raise ValueError(problem)
 
 
 @dataclass(frozen=True)
@@ -249,12 +262,13 @@ def load_lexicon(
     amplifiers_path: str | Path | None = None,
 ) -> Lexicon:
     """Load a lexicon from TSVs: term<TAB>valence, one negator per line,
-    and term<TAB>multiplier."""
-    valences = dict(_tsv_pairs(valences_path, "term<TAB>valence", float))
+    and term<TAB>multiplier. A value that is not a number, or is out of its
+    range, is a SchemaError naming the file and the line."""
+    valences = dict(_tsv_pairs(valences_path, "term<TAB>valence", float, _valence_problem))
     negators = set() if negators_path is None else {
         line.split("\t")[0] for line in load_wordlist(negators_path)}
     amplifiers = {} if amplifiers_path is None else dict(
-        _tsv_pairs(amplifiers_path, "term<TAB>multiplier", float))
+        _tsv_pairs(amplifiers_path, "term<TAB>multiplier", float, _amplifier_problem))
     return Lexicon(valences=valences, negators=frozenset(negators), amplifiers=amplifiers)
 
 
@@ -289,6 +303,7 @@ def write_scored_csv(path: str | Path, chunks: Iterable[ScoredChunk]) -> None:
 SCORE_BLOCK_BYTES = 1 << 16  # tokens.csv bytes write_scored reads at a time
 SCORE_CHUNK_DOCS = 1024  # records the per-record path scores at a time; bounds its memory
 _COMMA_TO_SPACE = bytes.maketrans(b",", b" ")
+_NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
 
 
 def write_scored(tokens: str | Path, scored: str | Path, lexicon: Lexicon) -> StateTotals:
@@ -301,10 +316,12 @@ def write_scored(tokens: str | Path, scored: str | Path, lexicon: Lexicon) -> St
     bytes: one split gives every word, and each scored.csv line is gathered
     from its input line's bytes and the text of its distinct value. The file
     is plain when corpus.plain_blocks frames every block of it with the header
-    TOKENS_COLUMNS, and in each line the id and state are non-empty with no
+    TOKENS_COLUMNS, no character is a space str.split splits at but the
+    ASCII space, and in each line the id and state are non-empty with no
     space, the width is 1 to 12 ASCII digits with no leading zero, and the
-    tokens are words joined by single spaces. Any other file is read again
-    from its start, SCORE_CHUNK_DOCS records at a time.
+    tokens are words joined by single spaces. Words may be any UTF-8. Any
+    other file is read again from its start, SCORE_CHUNK_DOCS records at a
+    time.
     """
     try:
         return _score_blocks(tokens, scored, lexicon)
@@ -361,7 +378,10 @@ def _score_block(buf: np.ndarray, edges: np.ndarray, coded: _CodedLexicon,
         raise _NotPlain
     # With commas as spaces, line i splits into its id, state, width and n[i] tokens.
     n = np.bincount(line, minlength=len(edges)) + (ends - c3 > 1)
-    words = buf.tobytes().translate(_COMMA_TO_SPACE).decode().split()
+    text = buf.tobytes().translate(_COMMA_TO_SPACE).decode()
+    if not text.isascii() and _NON_ASCII_SPACE.search(text):  # str.split splits at U+00A0
+        raise _NotPlain
+    words = text.split()
     first = np.cumsum(n + 3) - (n + 3)
     token = np.ones(len(words), bool)
     token[first[:, None] + np.arange(3)] = False

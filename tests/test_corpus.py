@@ -368,6 +368,18 @@ def test_words_equal_the_word_pattern_on_every_short_ascii_string():
             assert normalize.words(text) == [s.lower() for s in _WORD_RE.findall(text)], text
 
 
+@settings(max_examples=300)
+@given(st.lists(st.text(alphabet=st.sampled_from(list("aZ09'_ .,-\t#")) | st.characters(
+    max_codepoint=127), max_size=12), max_size=5))
+def test_the_apostrophe_rule_equals_the_word_pattern_on_ascii(texts):
+    # As the block path splits texts: each after a line mark set off by
+    # spaces, all lower-cased and split at once, then cut at the marks.
+    data = f" {corpus_mod._LINE_MARK} ".join(["", *texts]).encode("latin-1").lower()
+    split = " ".join(corpus_mod._ascii_surfaces(data).decode("latin-1").split())
+    assert [part.split() for part in split.split(corpus_mod._LINE_MARK)[1:]] == [
+        _WORD_RE.findall(text.lower()) for text in texts]
+
+
 def regex_words(text, stopwords, slang, lemmas, stem_rules):
     """WordNormalizer.words without the memo or the ASCII path: every surface
     the Unicode regex finds, lower-cased, then dropped, lemmatized or stemmed."""
@@ -409,6 +421,22 @@ def test_words_without_stem_rules_pass_words_through():
     assert normalize.words("Reopening STUDIES") == ["reopening", "studies"]
 
 
+@EACH_NORMALIZATION
+@given(st.lists(st.lists(st.sampled_from(sorted(LEMMAS)[:20] + DROP_WORDS + [
+    "reopening", "studies", "ies", "ing", "s", "xs"]) | st.text(alphabet="abegins'", max_size=6),
+    max_size=12), max_size=4), droplist_strategy, droplist_strategy)
+def test_fill_equals_missing(lemmas, stem_rules, batches, stopwords, slang):
+    # Batches of lower-case surfaces, some in the memo already, as the block
+    # path fills them: every key and value is the one __missing__ gives.
+    lists = {"stopwords": stopwords, "slang": slang, "stem_rules": stem_rules, "lemmas": lemmas}
+    filled, missed = WordNormalizer(**lists), WordNormalizer(**lists)
+    for batch in batches:
+        filled.fill(batch)
+        for word in batch:
+            missed[word]
+        assert filled == missed
+
+
 # -- write_rows, the joined fast path beside csv.writer ------------------------
 
 # Every character csv.writer quotes a field for, a space, an apostrophe and a
@@ -442,18 +470,26 @@ def test_write_rows_joins_a_chunk_with_nothing_to_quote(monkeypatch):
 
 CORPUS_HEADERS = ["id,state,text"] * 8 + ["state,id,text", "id,state,text,x"]
 TEXT_PARTS = ["good", "Bad", "not", "very", "the", "Reopening", "STUDIES", "computing", "42",
-              "don't", "it''s", "''", "'", "http://a.b/c", "HTTPS://X.Y", "xhttp://q", "http",
-              "#reopen", "@gov", "a.b", "x_y", "\x7f", ""]
+              "don't", "it''s", "''", "'", "'tis", "goin'", "http://a.b/c", "HTTPS://X.Y",
+              "xhttp://q", "http", "#reopen", "@gov", "a.b", "x_y", "\x7f", "",
+              "café", "Ärger", "x’y", "İ", "a,b", 'say "hi"', "\r\n", "\n", "\r", "\x1c"]
 PLAIN_CORPUS_FIELDS = {"id": ["t1", "t22", "t-3", "http://i"], "state": ["NC", "CA", "WY", "DC"]}
-ODD_CORPUS_FIELDS = {"id": ["", '"q,t"', "é1", "dup"], "state": ["PR", "ny", "NYC", ""],
+ODD_CORPUS_FIELDS = {"id": ["", '"q,t"', "é1", "dup", '"a""b"', '"t\n1"'],
+                     "state": ["PR", "ny", "NYC", "", '"NC"', "é"],
                      "text": ['"good, bad"', '"say ""hi"""', "café", "good\tbad", "good\x1cbad",
-                              "good\x7fbad", ""]}
+                              "good\x7fbad", "", '"good\tbad"', '"a\x1cb"', 'go"od',
+                              '"go"od', '"unterminated']}
 # Word lists with values the per-record path writes as they are (an empty
 # word, a space) or quoted (a comma), a value holding the line mark, a mark
 # that normalizes to another word, and a stopword list that drops the mark;
 # the first is the bundled lists.
 WORD_LISTS = [{}, {"lemmas": "good\t\nbad\tx y\n"}, {"lemmas": "bad\ta,b\n"},
               {"lemmas": "not\t×\n"}, {"lemmas": "×\t×x\n"}, {"stopwords": "the\n×\n"}]
+
+
+def quoted(field: str) -> str:
+    """A field as csv.writer quotes it."""
+    return '"' + field.replace('"', '""') + '"'
 
 
 @st.composite
@@ -463,7 +499,10 @@ def corpus_files(draw) -> bytes:
     def field(column):
         if column == "text":
             parts = draw(st.lists(st.sampled_from(TEXT_PARTS), max_size=5))
-            return draw(st.sampled_from([" ", " ", ""])).join(parts)
+            text = draw(st.sampled_from([" ", " ", ""])).join(parts)
+            # quoted where csv.writer would quote it, and at times where it need not be
+            return quoted(text) if any(c in text for c in ',"\r\n') or draw(
+                st.integers(0, 4)) == 0 else text
         return draw(st.sampled_from(PLAIN_CORPUS_FIELDS.get(column, ["x"])))
 
     lines = [[field(c) for c in header] for _ in range(draw(st.integers(0, 10)))]
@@ -471,7 +510,7 @@ def corpus_files(draw) -> bytes:
         line[header.index("id")] += f"-{i}"
     ids = [line[header.index("id")] for line in lines]
     eols = [draw(st.sampled_from(["\r\n"] * 3 + ["\n"])) for _ in range(len(lines) + 1)]
-    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2])) if lines else 0):
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3])) if lines else 0):
         i = draw(st.integers(0, len(lines) - 1))
         odd = draw(st.sampled_from(["field"] * 4 + ["bare CR", "blank", "extra", "short"]))
         if odd == "bare CR":
@@ -505,7 +544,7 @@ def not_plain(*args):
 
 def preprocess_both(data: bytes, block_bytes: int, field_limit: int, word_lists: dict):
     """Whether write_tokens took the block path for a corpus of data;
-    stage_preprocess's result; and its result with plain_blocks declining
+    stage_preprocess's result; and its result with _record_blocks declining
     every file, which forces the per-record path."""
     old_limit = csv.field_size_limit(field_limit)
     try:
@@ -532,7 +571,7 @@ def preprocess_both(data: bytes, block_bytes: int, field_limit: int, word_lists:
             with mock.patch.object(corpus_mod, "_preprocess_blocks", recorded):
                 stage = preprocessed(lambda: pipeline.stage_preprocess(config), out)
             (out / "tokens.csv").unlink(missing_ok=True)
-            with mock.patch.object(corpus_mod, "plain_blocks", not_plain):
+            with mock.patch.object(corpus_mod, "_record_blocks", not_plain):
                 per_record = preprocessed(lambda: pipeline.stage_preprocess(config), out)
             return not declined, stage, per_record
     finally:
@@ -572,23 +611,60 @@ def test_preprocess_blocks_reads_plain_blocks(tail):
     assert stage.count(b"\r\n") == stage.count(b"\n") == 1 + kept
 
 
-@pytest.mark.parametrize("change", [
-    lambda d: "\ufeff".encode() + d,                      # a byte-order mark
-    lambda d: d.replace(b"state,text", b"text,state", 1),  # another order
-    lambda d: d.replace(b"\r\n", b",x\r\n", 1),          # an extra column
-    lambda d: d.replace(b"\r\n", b"\r", 2)[:-2] + b"\r\n",  # a bare CR
-    lambda d: d + b"t,NC,good\r",                         # a CR at the end of the file
-    lambda d: d + b"\r\n",                                # a blank line
-    lambda d: d + b't,NC,"good"\r\n',                     # a quote
-    lambda d: d + "t,NC,café\r\n".encode(),               # non-ASCII text
-    lambda d: d + b",NC,good\r\n",                        # an empty id
-    lambda d: d + b"t0,PR,good\r\n",                      # a repeated id, on a dropped line
-    lambda d: d + b"t,NC,good\tday\r\n",                  # a tab
-    lambda d: d + b"t,NC,good\x1cday\r\n",                # a separator str.split splits at
+@pytest.mark.parametrize("tail", [
+    b"t,NC,good\r",                        # a CR at the end of the file
+    b"\r\n",                               # a blank line
+    b't,NC,"good"\r\n',                    # a quote
+    "t,NC,café\r\n".encode(),              # non-ASCII text
+    b"t,NC,good\tday\r\n",                 # a tab
+    b"t,NC,good\x1cday\r\n",               # a separator str.split splits at
+    b"t,NC,http://a\x1cb\r\n",             # and the URL pattern stops at
+    b"t,NC,good\ru,NC,day\r\n",            # a bare CR
+    b't,NC,"a, ""b""\r\nc\nd"\r\n',        # a quoted comma, "" pair, CRLF and LF
+    b't,NC,"it\'s"\r\nu,NC,\'tis goin\'\r\n',  # apostrophes at a text's edges
+    b"t,NC,good,x\r\n",                    # an extra field
+    b'"t,1",NC,good\r\n',                  # an id csv.writer quotes
+    "t,é,café\r\nu,NC,\"Ärger, x’y\"\r\n".encode(),  # a non-ASCII state, a quoted text
 ])
-def test_preprocess_blocks_declines_what_is_not_plain(change):
+def test_preprocess_blocks_takes_quotes_utf8_and_odd_lines(tail):
+    took, stage, per_record = preprocess_both(PLAIN_CORPUS + tail, 40, csv.field_size_limit(), {})
+    assert took and stage == per_record
+
+
+def test_quoted_texts_are_split_with_their_block(tmp_path, monkeypatch):
+    # A comma, a "" pair and line ends in a quoted text: no line is read alone.
+    def refuse(*args):
+        raise AssertionError("a line was read alone")
+
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes(PLAIN_CORPUS + b't,NC,"Good, ""very"" good\r\nday\nhttp://x\ry"\r\n'
+                       + b'u,NC,"it\'s"\n')
+    monkeypatch.setattr(corpus_mod, "CorpusReader", None)
+    monkeypatch.setattr(corpus_mod.csv, "reader", refuse)
+    monkeypatch.setattr(WordNormalizer, "words", refuse)
+    corpus_mod.write_tokens(corpus, tmp_path / "tokens.csv", WordNormalizer())
+    assert (tmp_path / "tokens.csv").read_bytes().endswith(
+        b"t,NC,33,good very good day y\r\nu,NC,4,it's\r\n")
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda d: "\ufeff".encode() + d, None),                      # a byte-order mark
+    (lambda d: d.replace(b"state,text", b"text,state", 1), None),  # another order
+    (lambda d: d.replace(b"\r\n", b",x\r\n", 1), None),          # an extra column
+    (lambda d: d.replace(b"\r\n", b"\r", 2)[:-2] + b"\r\n", None),  # a header ending in a bare CR
+    (lambda d: d + b't,NC,go"od\r\n', None),  # a quote csv.reader reads as a character
+    (lambda d: d + b",NC,good\r\n", "empty id"),
+    (lambda d: d + b"t0,PR,good\r\n", "duplicate id 't0'"),  # on a dropped line
+    (lambda d: d + b"t,NC\r\n", "malformed row"),
+    (lambda d: d + b't,NC,"go"od\r\n', "',' expected after '\"'"),  # a stray quote
+    (lambda d: d + b't,NC,"good\r\nu,NC,day\r\n', "unexpected end of data"),  # unterminated
+    (lambda d: d + b"t,NC,go\xe9d\r\n", "not UTF-8"),
+])
+def test_preprocess_blocks_declines_what_is_not_plain(change, error):
+    # A corpus in error is declined and the per-record path names its line.
     took, stage, per_record = preprocess_both(change(PLAIN_CORPUS), 40, csv.field_size_limit(), {})
     assert not took and stage == per_record
+    assert error is None or (stage[0] is SchemaError and error in stage[1]), stage
 
 
 @pytest.mark.parametrize("block_bytes", [256, 1 << 14])

@@ -1,6 +1,7 @@
 import ast
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -557,6 +558,21 @@ class TestCli:
         assert f"{path}:{data.count(chr(10))}: expected {expected}" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["tokens.csv"]
 
+    @pytest.mark.parametrize("option, data, expected", [
+        ("lexicon", "nice\t1\ngood\t3\n", "valence for 'good' out of [-2, +2]: 3.0"),
+        ("amplifiers", "# multipliers\nreally\t1.5\nvery\t1e200\n",
+         "amplifier multiplier for 'very' must be over 1 and at most 1e+100: 1e+200"),
+    ])
+    def test_resource_value_out_of_range_names_file_and_line(self, tmp_path, capsys,
+                                                               option, data, expected):
+        out = tmp_path / "out"
+        assert main(self._args("preprocess", out)) == EXIT_OK
+        path = tmp_path / f"{option}.tsv"
+        path.write_text(data, encoding="utf-8")
+        assert main(self._args("score", out, **{option: path})) == EXIT_SCHEMA
+        assert f"{path}:{data.count(chr(10))}: {expected}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["tokens.csv"]
+
     @pytest.mark.parametrize("command, option, data", [
         ("preprocess", "stopwords", "the\nand\n" + "filler\n" * 3000 + "caf\xe9\n"),
         ("score", "lexicon", "good\t1\n" + "x\t0.5\n" * 3000 + "caf\xe9\t1\n"),
@@ -741,3 +757,66 @@ class TestAtomicWrites:
         with pytest.raises(AttributeError):
             write_margins_csv(tmp_path / "margins.csv", [None])
         assert list(tmp_path.iterdir()) == []
+
+
+# -- which path each stage takes on realistic text ----------------------------
+
+def load_widevocab():
+    """perfbench's wide-vocab corpus generator, read from the repository."""
+    spec = importlib.util.spec_from_file_location(
+        "widevocab", Path(__file__).resolve().parents[1] / "perfbench" / "widevocab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Patches that refuse the whole-file per-record paths, so a stage that
+# declines a file fails, and patches that force them.
+BLOCK_PATHS_ONLY = [(corpus_mod, "CorpusReader", None), (sent_mod, "read_columns", refuse)]
+PER_RECORD_ONLY = [(corpus_mod, "_record_blocks", not_plain), (sent_mod, "plain_blocks", not_plain)]
+
+
+def preprocess_and_score(corpus: Path, out: Path, monkeypatch, patches) -> dict[str, bytes]:
+    """tokens.csv, scored.csv and state_summary.csv as the two stages write
+    them with patches applied."""
+    out.mkdir()
+    config = PipelineConfig(corpus=corpus, covariates=COVARIATES, out=out)
+    with monkeypatch.context() as patched:
+        for module, name, value in patches:
+            patched.setattr(module, name, value)
+        pipeline.stage_preprocess(config)
+        pipeline.stage_score(config)
+    return {name: (out / name).read_bytes()
+            for name in ("tokens.csv", "scored.csv", "state_summary.csv")}
+
+
+def test_wide_vocab_corpus_stays_on_the_block_paths(tmp_path, monkeypatch):
+    # Most of its texts are quoted, as csv.writer quotes a text with a comma.
+    widevocab = load_widevocab()
+    corpus = tmp_path / "corpus.csv"
+    widevocab.write_corpus_csv(corpus, widevocab.make_corpus(7, 500))
+    assert corpus.read_bytes().count(b',"') > 250  # quoted texts, in every block
+    blocks = preprocess_and_score(corpus, tmp_path / "blocks", monkeypatch, BLOCK_PATHS_ONLY)
+    assert blocks == preprocess_and_score(corpus, tmp_path / "records", monkeypatch,
+                                          PER_RECORD_ONLY)
+
+
+def test_an_accented_line_alone_takes_the_per_record_code(tmp_path, monkeypatch):
+    lines = CORPUS.read_bytes().splitlines(keepends=True)
+    accented = lines[20].decode().rstrip("\r\n").split(",")[2] + " café très"
+    lines[20] = lines[20].rstrip(b"\r\n") + " café très\r\n".encode()
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes(b"".join(lines))
+    texts = []
+    words = corpus_mod.WordNormalizer.words
+
+    def recorded(self, text):
+        texts.append(text)
+        return words(self, text)
+
+    monkeypatch.setattr(corpus_mod.WordNormalizer, "words", recorded)
+    blocks = preprocess_and_score(corpus, tmp_path / "blocks", monkeypatch, BLOCK_PATHS_ONLY)
+    assert texts == [accented]
+    assert "café".encode() in blocks["tokens.csv"]  # so score reads UTF-8 words in blocks
+    assert blocks == preprocess_and_score(corpus, tmp_path / "records", monkeypatch,
+                                          PER_RECORD_ONLY)

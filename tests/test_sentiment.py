@@ -329,14 +329,15 @@ LEXICON = load_lexicon(default_data_path("lexicon.tsv"), default_data_path("nega
                        default_data_path("amplifiers.tsv"))
 TOKENS_HEADERS = ["id,state,text_width,tokens"] * 8 + ["state,id,tokens,text_width",
                                                        "id,state,text_width,tokens,x"]
-WORDS = ["good", "bad", "not", "very", "day", "x"]
-PLAIN_TOKEN_FIELDS = {"id": ["t1", "t22", "t-3"], "state": ["NC", "CA", "WY"],
+WORDS = ["good", "bad", "not", "very", "day", "x", "café", "très", "don't", "goin'", "'tis"]
+PLAIN_TOKEN_FIELDS = {"id": ["t1", "t22", "t-3", "é1"], "state": ["NC", "CA", "WY"],
                       "text_width": ["7", "63", "0", "999999999999"]}
-ODD_TOKEN_FIELDS = {"id": ['"a,b"', '"q""t"', "é1", "", "a b", "t\r1"],
-                    "state": ["", "N C", "é"],
+ODD_TOKEN_FIELDS = {"id": ['"a,b"', '"q""t"', "", "a b", "t\r1", "t\xa01", '"t\r\n1"'],
+                    "state": ["", "N C", "é", '"NC"'],
                     "text_width": ["007", "+5", " 5", "5_0", "1" * 13, "x", "", "٣"],
                     "tokens": ["good  bad", " good", "good ", "good\tbad", "good\x1cbad",
-                               "café good", '"good, bad"', "good\x7fbad"]}
+                               '"good, bad"', '"good ""bad"""', '"good\r\nbad"', '"good\nbad"',
+                               "good\x7fbad", "good\xa0bad", "good\u2028bad", "good\x85bad"]}
 
 
 @st.composite
@@ -433,10 +434,11 @@ def test_score_blocks_equals_the_per_record_path(data, block_bytes, field_limit)
 
 
 @pytest.mark.parametrize("tail", [b"", b"t,CA,0,\r\nt,NC,999999999999,good very bad\n",
-                                  b"t,NC,12,not good"])
+                                  b"t,NC,12,not good", "t,NC,7,café\r\n".encode(),
+                                  "é1,NC,9,très good\r\n".encode()])
 def test_score_blocks_reads_plain_blocks(tail):
-    # CRLF and LF, an empty tokens field and a last line without an end, in
-    # blocks of a line or two
+    # CRLF and LF, an empty tokens field, a last line without an end and
+    # UTF-8 words, in blocks of a line or two
     took, stage, per_record = score_both(PLAIN_TOKENS + tail, 40)
     assert took and stage == per_record
     assert stage[0].count(b"\r\n") == stage[0].count(b"\n") == 13 + tail.count(b",") // 3
@@ -463,7 +465,10 @@ def test_score_blocks_reads_plain_blocks(tail):
     lambda d: d + b"t,NC,7,good \r\n",                     # a trailing space
     lambda d: d + b"t,NC,7,good\tday\r\n",                 # a tab
     lambda d: d + b"t,NC,7,good\x1cday\r\n",               # a separator str.split splits at
-    lambda d: d + "t,NC,7,café\r\n".encode(),              # a non-ASCII token
+    lambda d: d + "t,NC,7,good\xa0day\r\n".encode(),       # a space str.split splits at
+    lambda d: d + "t\u2028,NC,7,good\r\n".encode(),         # and one in an id
+    lambda d: d + "t,NC,7,good\xa0bad\r\n\xa0,NC,7,x\r\n".encode(),  # one more word, one less
+    lambda d: d + b"t,NC,7,caf\xe9\r\n",                   # a byte that is not UTF-8
 ])
 def test_score_blocks_declines_what_is_not_plain(change):
     took, stage, per_record = score_both(change(PLAIN_TOKENS), 40)
