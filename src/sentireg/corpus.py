@@ -120,8 +120,8 @@ class _NotPlain(Exception):
 
 def plain_blocks(path: str | Path, header: Sequence[str],
                  block_bytes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(buf, edges) for each block of whole lines of a CSV file, read
-    block_bytes at a time, while read_columns would split the file at exactly
+    """(buf, edges) for each block of whole lines of a CSV file that
+    _record_blocks reads block_bytes at a time, while read_columns would split the file at exactly
     its commas and line ends and no byte but a line end is a control byte;
     _NotPlain at the header or the first block where that might not hold.
 
@@ -159,20 +159,95 @@ def plain_blocks(path: str | Path, header: Sequence[str],
             raise _NotPlain
         return buf, np.column_stack((starts - 1, grid[:, :k], ends - cr))
 
+    for block, _ in _record_blocks(path, header, block_bytes):
+        yield frame(block)
+
+
+# Bytes after which a quote may open a quoted field, or before which it may
+# close one: a separator, a line end, or the other quote of a "" pair.
+_FIELD_EDGE = np.array([c in b',\n\r"' for c in range(256)])
+_NO_QUOTES = np.empty(0, np.intp)
+
+
+def _record_blocks(path: str | Path, header: Sequence[str],
+                   block_bytes: int) -> Iterator[tuple[bytes, np.ndarray]]:
+    """(block, quotes) for each block of whole records of a CSV file after
+    its header line, read block_bytes at a time: a block ends at the last LF
+    outside quoted fields read so far, and an unterminated last line gets a
+    CRLF, so a CR at its end is a bare CR. `quotes` holds the offsets of the
+    block's quotes that open or close a quoted field as csv.reader
+    (strict=True) reads them: a quote right after a comma, CR, LF or closing
+    quote opens one, the next quote closes it, and any other quote is a
+    character of its field. _NotPlain unless the header line is exactly
+    `header`, at an unterminated quote, and at a record over
+    16 * csv.field_size_limit() bytes: longer than three fields at the limit
+    can be, with a quote doubled or 4 bytes to a character.
+
+    Each read's quotes are classified once, from where the read before left
+    off: inside a quoted field or not, and its last byte."""
+    limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         line = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
         if line != ",".join(header).encode() or len(line) > limit:
             raise _NotPlain
-        carry = b""
+        # The bytes after the last cut and their quotes' offsets; whether
+        # they end in a quoted field; their last byte, 0 for a character quote.
+        pieces, marks, size, inq, before = [], [], 0, False, 10
         for chunk in iter(lambda: fh.read(block_bytes), b""):
-            cut = (data := carry + chunk).rfind(b"\n") + 1
-            carry = data[cut:]
-            if len(carry) > limit:
-                raise _NotPlain
-            if cut:
-                yield frame(data[:cut])
-        if carry:
-            yield frame(carry + b"\r\n")
+            if b'"' in chunk:
+                buf = np.frombuffer(chunk, np.uint8)
+                quotes = _framing_quotes(buf, inq, before)
+                cut = chunk.rfind(b"\n")
+                # An LF with an odd count of quotes before it, counting one
+                # when the read starts in a quoted field, is in the field the
+                # last of them opened: look before that quote.
+                while cut >= 0 and (n := int(np.searchsorted(quotes, cut))) + inq & 1:
+                    cut = chunk.rfind(b"\n", 0, quotes[n - 1]) if n else -1
+                inq ^= len(quotes) % 2 == 1
+                last = len(quotes) and quotes[-1] == len(chunk) - 1
+                before = chunk[-1] if chunk[-1] != 34 or last else 0
+            else:
+                quotes, cut, before = _NO_QUOTES, -1 if inq else chunk.rfind(b"\n"), chunk[-1]
+            if cut < 0:
+                pieces.append(chunk)
+                marks.append(quotes + size)
+                size += len(chunk)
+                if size > 16 * limit:
+                    raise _NotPlain
+                continue
+            n = int(np.searchsorted(quotes, cut))
+            pieces.append(chunk[:cut + 1])
+            marks.append(quotes[:n] + size)
+            yield b"".join(pieces), np.concatenate(marks)
+            pieces, marks = [chunk[cut + 1:]], [quotes[n:] - (cut + 1)]
+            size = len(chunk) - cut - 1
+        if inq:
+            raise _NotPlain
+        if size:
+            yield b"".join(pieces) + b"\r\n", np.concatenate(marks)
+
+
+def _framing_quotes(buf: np.ndarray, inq: bool, before: int) -> np.ndarray:
+    """The offsets of the quotes in buf that open or close a quoted field,
+    for a read that starts inside one when inq, after the byte `before`."""
+    at = np.flatnonzero(buf == 34)
+    prev = buf[at - 1]
+    if at[0] == 0:
+        prev[0] = before
+    # When every other quote, from the first that opens, follows a field edge,
+    # all the quotes open and close in turn: a quote that follows another
+    # quote then follows the one that closed a field.
+    if _FIELD_EDGE[prev[int(inq)::2]].all():
+        return at
+    kept, closed = [], -1 if before == 34 else None
+    for p, b in zip(at.tolist(), prev.tolist()):
+        if inq:
+            kept.append(p)
+            inq, closed = False, p
+        elif b in (44, 10, 13) or (b == 34 and closed == p - 1):
+            kept.append(p)
+            inq = True
+    return np.array(kept, np.intp)
 
 
 def ascii_int(text: str) -> int:
@@ -474,9 +549,6 @@ TOKENS_COLUMNS = ("id", "state", "text_width", "tokens")
 _LINE_MARK = "\xd7"
 # _URL_RE over the bytes of ASCII lower case with no 0x1C-0x1F, where \s agrees
 _URL_BYTES_RE = re.compile(rb"http(?<!\Shttp)\S*")
-# Bytes at which a quote may open a quoted field, or after which it may close
-# one: a separator, a line end, or the other quote of a "" pair.
-_FIELD_EDGE = np.array([c in b',\n\r"' for c in range(256)])
 
 
 def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormalizer) -> None:
@@ -487,7 +559,8 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     A corpus whose header is exactly id,state,text is read in blocks of
     PREPROCESS_BLOCK_BYTES, to the same bytes. Each block is framed at the
     commas and line ends outside quoted fields, found from the parity of the
-    quotes before them; the kept ASCII texts of a block, each after a line
+    quotes before them that open or close one (a quote inside an unquoted
+    field, as in `5" screen`, is a character); the kept ASCII texts of a block, each after a line
     mark, are lower-cased, stripped of URLs and split at once, and one pass
     through the memo gives their words. A line the framing cannot split
     into an id, state and text (a blank line, a field too many or too few,
@@ -495,11 +568,10 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     line longer than csv.field_size_limit()) is read by csv.reader alone,
     and a text that is not ASCII goes through normalize.words alone, in
     file order. Any other corpus is read row by row from its start: one
-    with another header, a quote csv.reader would refuse or read as a
-    character of an unquoted field, a byte that is not UTF-8, an empty or
-    repeated id, a row too short, or word lists that could write the line
-    mark, a quote, comma, CR or LF. So a corpus is read twice only when it
-    is in error or holds a quote in an unquoted field.
+    with another header, a quote csv.reader would refuse, a byte that is
+    not UTF-8, an empty or repeated id, a row too short, or word lists that
+    could write the line mark, a quote, comma, CR or LF. So a corpus is read
+    twice only when it is in error.
     """
     try:
         return _preprocess_blocks(corpus, tokens, normalize)
@@ -524,45 +596,17 @@ def _preprocess_blocks(corpus: str | Path, tokens: str | Path,
     grew = True
     with atomic_open(tokens) as fh:
         write_rows(fh, [TOKENS_COLUMNS])
-        for block in _record_blocks(corpus, PREPROCESS_BLOCK_BYTES):
+        for block, quotes in _record_blocks(corpus, ("id", "state", "text"),
+                                            PREPROCESS_BLOCK_BYTES):
             size = len(normalize)
-            fh.write(_preprocess_block(block, normalize, seen, grew))
+            _preprocess_block(fh, block, quotes, normalize, seen, grew)
             grew = len(normalize) > size
 
 
-def _record_blocks(path: str | Path, block_bytes: int) -> Iterator[bytes]:
-    """Each block of whole records of a corpus read block_bytes at a time: it
-    ends at the last LF with an even count of quotes before it, so outside
-    quotes, and an unterminated last line gets an LF. _NotPlain unless the
-    header line is exactly id,state,text, at an unterminated quote, and at
-    a record over 16 * csv.field_size_limit() bytes: longer than three
-    fields at the limit can be, with a quote doubled or 4 bytes to a
-    character."""
-    bound = 16 * csv.field_size_limit()
-    with open(path, "rb") as fh:
-        if fh.readline().removesuffix(b"\n").removesuffix(b"\r") != b"id,state,text":
-            raise _NotPlain
-        carry = b""
-        for chunk in iter(lambda: fh.read(block_bytes), b""):
-            data = carry + chunk
-            cut = data.rfind(b"\n")
-            while cut >= 0 and data.count(b'"', 0, cut) % 2:  # an LF in a quoted field
-                cut = data.rfind(b"\n", 0, cut)
-            carry = data[cut + 1:]
-            if len(carry) > bound:
-                raise _NotPlain
-            if cut >= 0:
-                yield data[:cut + 1]
-        if carry.count(b'"') % 2:
-            raise _NotPlain
-        if carry:
-            yield carry + b"\n"
-
-
-def _preprocess_block(block: bytes, normalize: WordNormalizer, seen: set[str],
-                      fill: bool) -> str:
-    """A corpus block's tokens.csv lines; adds its ids to seen."""
-    ids, states, texts, alone = _block_records(block)
+def _preprocess_block(fh: TextIO, block: bytes, quotes: np.ndarray, normalize: WordNormalizer,
+                      seen: set[str], fill: bool) -> None:
+    """Write a corpus block's tokens.csv lines to fh; adds its ids to seen."""
+    ids, states, texts, alone = _block_records(block, quotes)
     n_seen = len(seen)
     seen.update(ids)
     if "" in ids or len(seen) != n_seen + len(ids):
@@ -575,27 +619,19 @@ def _preprocess_block(block: bytes, normalize: WordNormalizer, seen: set[str],
         solo = [a or not t.isascii() for a, t in zip(compress(alone, keep), texts)]
         batch = iter(_block_words([t for a, t in zip(solo, texts) if not a], normalize, fill))
         words = [" ".join(normalize.words(t)) if a else next(batch) for a, t in zip(solo, texts)]
-    lines = "".join([f"{doc_id},{state},{len(text)},{w}\r\n" for doc_id, state, text, w
-                     in zip(compress(ids, keep), compress(states, keep), texts, words)])
-    # No word holds a quote, comma, CR or LF, and no id or state does unless it
-    # was quoted or read by csv.reader; when no field holds one, these are
-    # csv.writer's bytes.
-    n = len(texts)
-    if (b'"' not in block and not any(alone)) or (
-            lines.count(",") == 3 * n and '"' not in lines
-            and lines.count("\r") == n == lines.count("\n")):
-        return lines
-    out = io.StringIO()
-    write_rows(out, zip(compress(ids, keep), compress(states, keep), map(str, map(len, texts)),
-                        words))
-    return out.getvalue()
+    ids, states = compress(ids, keep), compress(states, keep)
+    if b'"' in block or any(alone):  # a field may hold a quote, comma, CR or LF
+        write_rows(fh, zip(ids, states, map(str, map(len, texts)), words))
+    else:  # no field does, as no word does: these are csv.writer's bytes
+        fh.write("".join([f"{doc_id},{state},{len(text)},{w}\r\n"
+                          for doc_id, state, text, w in zip(ids, states, texts, words)]))
 
 
-def _block_records(block: bytes) -> tuple[list, ...]:
-    """A block's ids, states and texts as csv.reader reads them, and for each
-    record whether it came from a line csv.reader read alone. _NotPlain
-    where csv.reader would raise, or where a quote is not one it reads as
-    the edge of a quoted field or half of a "" pair."""
+def _block_records(block: bytes, quotes: np.ndarray) -> tuple[list, ...]:
+    """A block's ids, states and texts as csv.reader reads them, given the
+    offsets of the quotes that open and close its quoted fields, and for
+    each record whether it came from a line csv.reader read alone.
+    _NotPlain where csv.reader would raise."""
     if not block.isascii():
         try:
             block.decode()
@@ -603,14 +639,13 @@ def _block_records(block: bytes) -> tuple[list, ...]:
             raise _NotPlain from None
     buf = np.frombuffer(block, np.uint8)
     at = np.flatnonzero((buf == 44) | (buf == 10))  # the commas and LFs
-    quotes = np.flatnonzero(buf == 34) if b'"' in block else np.empty(0, np.intp)
     if len(quotes):
-        # Quote 2k opens a quoted field and quote 2k + 1 closes it, as
-        # csv.reader(strict=True) reads them when each opens right after a
-        # separator and closes right before one or is half of a "" pair. A
-        # byte is in a quoted field when an odd count of quotes is before it.
+        # Quote 2k opens a quoted field and quote 2k + 1 closes it, so a byte
+        # is in one when an odd count of quotes is before it. csv.reader
+        # (strict=True) refuses a closing quote but before a separator or as
+        # half of a "" pair.
         opens, closes = quotes[0::2], quotes[1::2]
-        if not (_FIELD_EDGE[buf[opens - 1]].all() and _FIELD_EDGE[buf[closes + 1]].all()):
+        if not _FIELD_EDGE[buf[closes + 1]].all():
             raise _NotPlain
         at = at[np.searchsorted(quotes, at) % 2 == 0]
     kinds = buf[at]

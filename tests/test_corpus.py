@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -5,9 +6,11 @@ import itertools
 import re
 import tempfile
 import textwrap
+import time
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -474,11 +477,11 @@ TEXT_PARTS = ["good", "Bad", "not", "very", "the", "Reopening", "STUDIES", "comp
               "xhttp://q", "http", "#reopen", "@gov", "a.b", "x_y", "\x7f", "",
               "café", "Ärger", "x’y", "İ", "a,b", 'say "hi"', "\r\n", "\n", "\r", "\x1c"]
 PLAIN_CORPUS_FIELDS = {"id": ["t1", "t22", "t-3", "http://i"], "state": ["NC", "CA", "WY", "DC"]}
-ODD_CORPUS_FIELDS = {"id": ["", '"q,t"', "é1", "dup", '"a""b"', '"t\n1"'],
+ODD_CORPUS_FIELDS = {"id": ["", '"q,t"', "é1", "dup", '"a""b"', '"t\n1"', 't"1'],
                      "state": ["PR", "ny", "NYC", "", '"NC"', "é"],
                      "text": ['"good, bad"', '"say ""hi"""', "café", "good\tbad", "good\x1cbad",
                               "good\x7fbad", "", '"good\tbad"', '"a\x1cb"', 'go"od',
-                              '"go"od', '"unterminated']}
+                              '5" x "y', 'a""b', '\x00"a', '"go"od', '"unterminated']}
 # Word lists with values the per-record path writes as they are (an empty
 # word, a space) or quoted (a comma), a value holding the line mark, a mark
 # that normalizes to another word, and a stopword list that drops the mark;
@@ -621,6 +624,8 @@ def test_preprocess_blocks_reads_plain_blocks(tail):
     b"t,NC,http://a\x1cb\r\n",             # and the URL pattern stops at
     b"t,NC,good\ru,NC,day\r\n",            # a bare CR
     b't,NC,"a, ""b""\r\nc\nd"\r\n',        # a quoted comma, "" pair, CRLF and LF
+    b't,NC,go"od\r\n',                     # a quote csv.reader reads as a character
+    b't"1,NC,a 5" x ""y""\r\nu,NC,"z"\r\n',  # more of them, and a quoted field after
     b't,NC,"it\'s"\r\nu,NC,\'tis goin\'\r\n',  # apostrophes at a text's edges
     b"t,NC,good,x\r\n",                    # an extra field
     b'"t,1",NC,good\r\n',                  # an id csv.writer quotes
@@ -652,7 +657,6 @@ def test_quoted_texts_are_split_with_their_block(tmp_path, monkeypatch):
     (lambda d: d.replace(b"state,text", b"text,state", 1), None),  # another order
     (lambda d: d.replace(b"\r\n", b",x\r\n", 1), None),          # an extra column
     (lambda d: d.replace(b"\r\n", b"\r", 2)[:-2] + b"\r\n", None),  # a header ending in a bare CR
-    (lambda d: d + b't,NC,go"od\r\n', None),  # a quote csv.reader reads as a character
     (lambda d: d + b",NC,good\r\n", "empty id"),
     (lambda d: d + b"t0,PR,good\r\n", "duplicate id 't0'"),  # on a dropped line
     (lambda d: d + b"t,NC\r\n", "malformed row"),
@@ -665,6 +669,62 @@ def test_preprocess_blocks_declines_what_is_not_plain(change, error):
     took, stage, per_record = preprocess_both(change(PLAIN_CORPUS), 40, csv.field_size_limit(), {})
     assert not took and stage == per_record
     assert error is None or (stage[0] is SchemaError and error in stage[1]), stage
+
+
+def frombuffer_bytes(monkeypatch) -> list[int]:
+    """The sizes of the buffers np.frombuffer is given from now on."""
+    sizes, frombuffer = [], np.frombuffer
+
+    def counted(buffer, *args, **kwargs):
+        sizes.append(len(buffer))
+        return frombuffer(buffer, *args, **kwargs)
+
+    monkeypatch.setattr(np, "frombuffer", counted)
+    return sizes
+
+
+def test_quotes_read_as_characters_keep_the_blocks_short(tmp_path, monkeypatch):
+    # After `5" screen` an odd count of quotes is before every line end, yet
+    # each block stays about a read long and numpy sees each byte about once.
+    lines = [b"id,state,text", b"s,NC,a 5\" screen"] + [
+        b't%d,NC,"good, day"' % i if i % 2 else b'u%d,NC,it\'s 5"" wide' % i for i in range(2000)]
+    data = b"\r\n".join(lines) + b"\r\n"
+    took, stage, per_record = preprocess_both(data, 64, csv.field_size_limit(), {})
+    assert took and stage == per_record
+    (tmp_path / "corpus.csv").write_bytes(data)
+    monkeypatch.setattr(corpus_mod, "PREPROCESS_BLOCK_BYTES", 64)
+    monkeypatch.setattr(corpus_mod, "CorpusReader", None)
+    sizes = frombuffer_bytes(monkeypatch)
+    corpus_mod.write_tokens(tmp_path / "corpus.csv", tmp_path / "tokens.csv", WordNormalizer())
+    assert sum(sizes) < 3 * len(data) and max(sizes) < 64 + max(map(len, lines))
+
+
+@pytest.mark.parametrize("rest, error", [
+    (b"t%d,NC,good day\r\n", "unexpected end of data"),  # no quote closes it
+    (b't%d,NC,5" wide\r\n', "',' expected after '\"'"),  # the next quote closes it
+])
+def test_an_unterminated_quote_declines_in_one_pass(tmp_path, monkeypatch, rest, error):
+    data = b"id,state,text\r\ns,NC,\"good\r\n" + b"".join(rest % i for i in range(2000))
+    sizes = frombuffer_bytes(monkeypatch)
+    took, stage, per_record = preprocess_both(data, 64, csv.field_size_limit(), {})
+    assert not took and stage == per_record and error in stage[1]
+    assert sum(sizes) < 3 * len(data)
+
+    def reading_seconds(data):  # the best of three reads of the file in 64-byte blocks
+        (tmp_path / "corpus.csv").write_bytes(data)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with contextlib.suppress(corpus_mod._NotPlain):
+                for _ in corpus_mod._record_blocks(tmp_path / "corpus.csv", ("id", "state", "text"),
+                                                   64):
+                    pass
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    # A search for the cut that went back over what was read would take
+    # hundreds of times as long as the read of the file without the quote.
+    assert reading_seconds(data) < 20 * reading_seconds(data.replace(b'"good', b"good")) + 0.05
 
 
 @pytest.mark.parametrize("block_bytes", [256, 1 << 14])
