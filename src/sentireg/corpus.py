@@ -121,9 +121,10 @@ class _NotPlain(Exception):
 def plain_blocks(path: str | Path, header: Sequence[str],
                  block_bytes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(buf, edges) for each block of whole lines of a CSV file that
-    _record_blocks reads block_bytes at a time, while read_columns would split the file at exactly
-    its commas and line ends and no byte but a line end is a control byte;
-    _NotPlain at the header or the first block where that might not hold.
+    _record_blocks reads block_bytes at a time, while read_columns would
+    split the file at exactly its commas and line ends and no byte but a line
+    end is a control byte; _NotPlain at the header or the first block where
+    that might not hold.
 
     That holds while the header line is exactly `header`, and every line is
     UTF-8 with no quote, no byte below 0x20 but its LF and a CR before it,
@@ -191,7 +192,8 @@ def _record_blocks(path: str | Path, header: Sequence[str],
         if line != ",".join(header).encode() or len(line) > limit:
             raise _NotPlain
         # The bytes after the last cut and their quotes' offsets; whether
-        # they end in a quoted field; their last byte, 0 for a character quote.
+        # they end in a quoted field; the last byte read, 0 for a character
+        # quote.
         pieces, marks, size, inq, before = [], [], 0, False, 10
         for chunk in iter(lambda: fh.read(block_bytes), b""):
             if b'"' in chunk:
@@ -560,9 +562,9 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     PREPROCESS_BLOCK_BYTES, to the same bytes. Each block is framed at the
     commas and line ends outside quoted fields, found from the parity of the
     quotes before them that open or close one (a quote inside an unquoted
-    field, as in `5" screen`, is a character); the kept ASCII texts of a block, each after a line
-    mark, are lower-cased, stripped of URLs and split at once, and one pass
-    through the memo gives their words. A line the framing cannot split
+    field, as in `5" screen`, is a character); the kept ASCII texts of a
+    block, each after a line mark, are lower-cased, stripped of URLs and
+    split at once, and one pass through the memo gives their words. A line the framing cannot split
     into an id, state and text (a blank line, a field too many or too few,
     a bare CR, a control byte but a line end or a CR or LF in quotes, a
     line longer than csv.field_size_limit()) is read by csv.reader alone,
