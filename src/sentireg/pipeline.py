@@ -8,9 +8,10 @@ text width, with tabulate.read_scored; each reads its input in byte blocks
 where the file is plain and record by record, naming bad lines, otherwise.
 Preprocess frames quoted fields in its blocks and reads an odd line alone.
 Join writes the row-level analysis_table.csv and its covariate patterns,
-patterns.csv; fit and diagnose read only patterns.csv. Every artifact is
-written atomically. The run manifest records content hashes of every input
-and artifact.
+patterns.csv; fit and diagnose read only patterns.csv, with
+tabulate.read_patterns_csv, which parses each distinct covariate tail once.
+Every artifact is written atomically. The run manifest records content
+hashes of every input and artifact.
 """
 
 from __future__ import annotations

@@ -6,12 +6,12 @@ the model as natural logs; Census region enters as three dummies with
 South as the omitted baseline.
 
 Every regressor but TW is a state value, so the joined table has few
-distinct covariate rows. `join` builds each one once and keeps the table
-as covariate patterns (distinct rows, numbered by first occurrence) plus
-each document's pattern and outcome; `read_scored` gives join's table for a
-scored.csv, reading a plain one a block at a time. analysis_table.csv is
-written from that, and patterns.csv holds each pattern with its row count m
-and y_sum.
+distinct covariate rows. `join` keeps the table as covariate patterns
+(distinct rows, numbered by first occurrence) plus each document's pattern
+and outcome, built once from the distinct (state, width) keys; `read_scored`
+gives join's table for a scored.csv, reading a plain one a block at a time.
+analysis_table.csv is written from that, and patterns.csv holds each pattern
+with its row count m and y_sum.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import io
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -178,32 +178,31 @@ class Patterns(NamedTuple):
     y_sum: np.ndarray  # of those, rows with sentiment 1
 
 
+@dataclass(eq=False)
 class AnalysisTable(Sequence):
     """The joined table, one AnalysisRow per document, stored by pattern.
 
-    covariates[j] holds pattern j's values in ANALYSIS_COLUMNS[1:] order
-    and text[j] the same values as analysis_table.csv writes them; row i
-    has covariates pattern[i] and outcome y[i].
+    X[j] holds pattern j's values in ANALYSIS_COLUMNS[1:] order and text[j]
+    the same values as analysis_table.csv writes them; row i has covariates
+    X[pattern[i]] and outcome y[i].
     """
-
-    def __init__(self, covariates: list[tuple], text: list[str],
-                 pattern: np.ndarray, y: np.ndarray):
-        self.covariates = covariates
-        self.text = text
-        self.pattern = pattern
-        self.y = y
+    X: np.ndarray
+    text: list[str]
+    pattern: np.ndarray
+    y: np.ndarray
 
     def __len__(self) -> int:
         return len(self.y)
 
     def __getitem__(self, i: int) -> AnalysisRow:
-        return AnalysisRow(int(self.y[i]), *self.covariates[self.pattern[i]])
+        tw, ne, mw, west, *rest = self.X[self.pattern[i]].tolist()
+        return AnalysisRow(int(self.y[i]), tw, int(ne), int(mw), int(west), *rest)
 
     @cached_property
     def patterns(self) -> Patterns:
         n = len(self.text)
         return Patterns(
-            X=np.array(self.covariates, dtype=float).reshape(n, len(ANALYSIS_COLUMNS) - 1),
+            X=self.X,
             m=np.bincount(self.pattern, minlength=n),
             y_sum=np.bincount(self.pattern, weights=self.y, minlength=n).astype(int),
         )
@@ -215,14 +214,6 @@ _EOL = "\r\n"
 PATTERN_COLUMNS = ("m", "y_sum") + ANALYSIS_COLUMNS[1:]
 
 
-def _state_row(c: StateCovariates) -> tuple[tuple, str]:
-    """A state's regressors, in ANALYSIS_COLUMNS[2:] order, and their CSV text."""
-    values = (*region_dummies(c.region), math.log(c.FHH_pct), c.AFS, c.EDU2, c.EDU3,
-              c.AGE2, c.WP, c.OCH, c.PWHI, c.LF, math.log(c.POPDEN), c.CASES, c.PR,
-              c.MHHI, c.GR)
-    return values, ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
-
-
 class MissingStatesError(SchemaError):
     """Documents have states with no covariate row."""
 
@@ -231,51 +222,60 @@ class MissingStatesError(SchemaError):
 _OUTCOME = {"0": 0, "1": 1}
 
 
+def _patterns(states: list[str], state: np.ndarray, width: np.ndarray,
+              covars: dict[str, StateCovariates]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The covariate patterns of distinct (states[state[k]], width[k]) keys in
+    first-seen order: each key's pattern number, and each pattern's X row and
+    CSV text. Keys share a pattern when their widths and their states' texts
+    are equal (repr round-trips, so equal texts are equal values); patterns
+    are numbered by first key. A MissingStatesError lists any state not in covars.
+    """
+    if missing := sorted(s for s in states if s not in covars):
+        raise MissingStatesError(f"no covariate row for state(s): {missing}")
+    rows = [(*region_dummies(c.region), math.log(c.FHH_pct), c.AFS, c.EDU2, c.EDU3, c.AGE2,
+             c.WP, c.OCH, c.PWHI, c.LF, math.log(c.POPDEN), c.CASES, c.PR, c.MHHI, c.GR)
+            for c in map(covars.get, states)]
+    texts = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    first_with: dict[str, int] = {}  # covariate text -> the first state with it
+    same_as = np.array([first_with.setdefault(text, k) for k, text in enumerate(texts)])
+    _, first, inverse = np.unique(np.column_stack([same_as[state], width]), axis=0,
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct rows in first-occurrence order
+    key = first[order]  # each pattern's first key
+    text = [f"{w!r},{texts[k]}" for w, k in zip(width[key].tolist(), state[key].tolist())]
+    values = np.array(rows, dtype=float).reshape(len(rows), len(ANALYSIS_COLUMNS) - 2)
+    X = np.column_stack([width[key], values[state[key]]])
+    return np.argsort(order)[inverse.reshape(-1)], X, text
+
+
 def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> AnalysisTable:
     """Attach state covariates to each document's (line, state, text width,
     binary sentiment) record, as read_columns yields them from scored.csv.
-    Each distinct (state, width) key's pattern is built once. A width must be
-    ASCII digits that convert to float, and a binary exactly "0" or "1";
-    anything else is a ValueError whose message starts with the record's
-    line. Patterns are keyed by their CSV text, which tells two covariate
-    vectors apart exactly when their float values differ (repr round-trips).
-    Any document whose state has no covariate row is a MissingStatesError
-    whose message lists every such state, for an audit.
+    Each distinct (state, width) key is read once. A width must be ASCII
+    digits that convert to float, and a binary exactly "0" or "1"; anything
+    else is a ValueError whose message starts with the record's line. Any
+    document whose state has no covariate row is a MissingStatesError whose
+    message lists every such state, for an audit.
     """
-    state_rows = {state: _state_row(c) for state, c in covars.items()}
-    by_key: dict[tuple, int] = {}
-    by_text: dict[str, int] = {}
-    covariates: list[tuple] = []
-    missing: set[str] = set()
-
-    def new_pattern(line: int, key: tuple) -> int:
-        state, width = key
-        if state not in state_rows:
-            missing.add(state)
-            return -1
-        values, text = state_rows[state]
-        try:
-            width = float(ascii_int(width))
-        except (ValueError, OverflowError) as exc:  # not an integer, or past float
-            want = "an integer" if isinstance(exc, ValueError) else "within float range"
-            raise ValueError(f"{line}: text_width must be {want}, got {width!r}") from None
-        j = by_key[key] = by_text.setdefault(repr(width) + "," + text, len(by_text))
-        if j == len(covariates):
-            covariates.append((width, *values))
-        return j
-
-    pattern, y = [], []
-    for line, state, width, binary in records:
-        key = state, width
-        pattern.append(by_key[key] if key in by_key else new_pattern(line, key))
+    by_key: dict[tuple, int] = {}  # (state, width text) -> key number, first seen first
+    states: dict[str, int] = {}
+    state, width, key, y = [], [], [], []
+    for line, s, w, binary in records:
+        if (s, w) not in by_key:
+            by_key[s, w] = len(by_key)
+            state.append(states.setdefault(s, len(states)))
+            try:  # a width whose state has no covariate row is not read
+                width.append(float(ascii_int(w)) if s in covars else 0.0)
+            except (ValueError, OverflowError) as exc:  # not an integer, or past float
+                want = "an integer" if isinstance(exc, ValueError) else "within float range"
+                raise ValueError(f"{line}: text_width must be {want}, got {w!r}") from None
+        key.append(by_key[s, w])
         try:
             y.append(_OUTCOME[binary])
         except KeyError:
             raise ValueError(f"{line}: binary must be 0 or 1, got {binary!r}") from None
-    if missing:
-        raise MissingStatesError(f"no covariate row for state(s): {sorted(missing)}")
-    return AnalysisTable(covariates, list(by_text), np.array(pattern, dtype=np.intp),
-                         np.array(y, dtype=np.int64))
+    number, X, text = _patterns(list(states), np.array(state, np.intp), np.array(width), covars)
+    return AnalysisTable(X, text, number[np.array(key, np.intp)], np.array(y, dtype=np.int64))
 
 
 JOIN_BLOCK_BYTES = 1 << 16  # scored.csv bytes read_scored reads at a time
@@ -288,11 +288,11 @@ def read_scored(path: str | Path, covars: dict[str, StateCovariates]) -> Analysi
     the error that names its line.
 
     A plain scored.csv gives the same table or error from a numpy pass per
-    block of JOIN_BLOCK_BYTES, which groups the (state, text_width) keys;
-    join then builds the distinct keys' patterns in first-seen order. The
-    file is plain when corpus.plain_blocks frames every block of it with the
-    header SCORED_COLUMNS, and each line has a state of at most 2 bytes, a
-    width of 1 to 12 digits (a float exactly, and the low 40 bits of a
+    block of JOIN_BLOCK_BYTES, which numbers the (state, text_width) keys in
+    first-seen order; join's pattern builder then takes the distinct keys.
+    The file is plain when corpus.plain_blocks frames every block of it with
+    the header SCORED_COLUMNS, and each line has a state of at most 2 bytes,
+    a width of 1 to 12 digits (a float exactly, and the low 40 bits of a
     packed key) and a binary of 0 or 1. Any other file, such as one with its
     columns in another order, is read again from its start, record by record.
     """
@@ -305,7 +305,10 @@ def read_scored(path: str | Path, covars: dict[str, StateCovariates]) -> Analysi
 
 def _join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> AnalysisTable:
     """read_scored's block path; _NotPlain where the file is not plain."""
-    seen, ids, y = {}, [np.empty(0, np.intp)], [np.empty(0, np.int64)]  # seen: key -> number
+    # The keys seen, sorted, and their numbers in first-seen order; each ends
+    # in a sentinel above every key, so a search always lands on an entry.
+    known, numbers = np.array([np.iinfo(np.int64).max]), np.array([-1], np.intp)
+    seen, ids, y = [np.empty(0, np.int64)], [np.empty(0, np.intp)], [np.empty(0, np.int64)]
     for buf, edges in plain_blocks(path, SCORED_COLUMNS, JOIN_BLOCK_BYTES):
         (ss, se), (ws, we), (bs, be) = ((edges[:, c] + 1, edges[:, c + 1]) for c in _JOIN_FIELDS)
         ls, lw, binary = se - ss, we - ws, buf[bs] - 48  # uint8: any byte but "0" or "1" is above 1
@@ -317,14 +320,21 @@ def _join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> Analys
         state = (buf[ss].astype(np.int64) << 8 | buf[ss + (ls > 1)]) * (ls > 0)
         key = digits @ 10 ** np.arange(at.shape[1] - 1, -1, -1) | state << 40 | ls << 56
         keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order, number = np.argsort(first), np.empty(len(keys), np.intp)
-        number[order] = [seen.setdefault(kk, len(seen)) for kk in keys[order].tolist()]
+        at = np.searchsorted(known, keys)
+        number, fresh = numbers[at], known[at] != keys
+        new = np.flatnonzero(fresh)[np.argsort(first[fresh])]  # first seen first
+        number[new] = np.arange(len(known) - 1, len(known) - 1 + len(new))
+        seen.append(keys[new])
+        known = np.insert(known, at[fresh], keys[fresh])
+        numbers = np.insert(numbers, at[fresh], number[fresh])
         ids.append(number[inverse])
         y.append(binary.astype(np.int64))
-    distinct = join([(0, (kk >> 40 & 0xFFFF).to_bytes(2, "big")[:kk >> 56].decode(),
-                      str(kk & 0xFFFFFFFFFF), "0") for kk in seen], covars)
-    return AnalysisTable(distinct.covariates, distinct.text,
-                         distinct.pattern[np.concatenate(ids)], np.concatenate(y))
+    seen = np.concatenate(seen)
+    codes, state = np.unique(seen >> 40, return_inverse=True)  # (length, bytes) of each state
+    states = [(c & 0xFFFF).to_bytes(2, "big")[:c >> 16].decode() for c in codes.tolist()]
+    number, X, text = _patterns(states, state.reshape(-1), (seen & 0xFFFFFFFFFF).astype(float),
+                                covars)
+    return AnalysisTable(X, text, number[np.concatenate(ids)], np.concatenate(y))
 
 
 def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:
@@ -382,15 +392,44 @@ def write_patterns_csv(path: str | Path, table: AnalysisTable) -> None:
                       in zip(patterns.m.tolist(), patterns.y_sum.tolist(), table.text))
 
 
+_loadtxt = partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
+
+
+def _parse_body(body: str) -> np.ndarray:
+    """_loadtxt(body)'s array or error. Where each line has four fields, no
+    m,y_sum,TW head holds a CR and no tail is blank, the heads are parsed in
+    one call and each distinct covariate tail (a state's, on each of its
+    widths' lines) once. np.loadtxt reads a CR that ends a listed line as a
+    line end, as at the end of a line of body, and any other CR as an error:
+    it would end a head."""
+    lines = body.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    try:
+        tails = [line.split(",", 3)[3] for line in lines]
+    except IndexError:  # a blank line, or one of fewer than four fields
+        return _loadtxt(io.StringIO(body))
+    heads = [line[:len(line) - len(tail) - 1] for line, tail in zip(lines, tails)]
+    distinct = {tail: j for j, tail in enumerate(dict.fromkeys(tails))}
+    if "\r" in "".join(heads) or {"", "\r"} & distinct.keys():  # a blank tail would be skipped
+        return _loadtxt(io.StringIO(body))
+    rows = _loadtxt(list(distinct))
+    row = np.fromiter(map(distinct.get, tails), np.intp, len(tails))
+    return np.column_stack([_loadtxt(heads), rows[row]])
+
+
 def read_patterns_csv(path: str | Path) -> Patterns:
-    with open(path, newline="", encoding="utf-8") as fh:
+    """patterns.csv's columns, each field parsed as np.loadtxt parses it, or
+    a SchemaError that names the file. The header must be exactly
+    PATTERN_COLUMNS, after an optional BOM; blank lines are skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         if fh.readline().rstrip("\r\n") != ",".join(PATTERN_COLUMNS):
             raise SchemaError(f"{path}: header must be {','.join(PATTERN_COLUMNS)}")
         body = fh.read()
     if not body.strip():
         raise SchemaError(f"{path}: no covariate patterns")
     try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        data = _parse_body(body)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     if data.shape[1] != len(PATTERN_COLUMNS):

@@ -312,6 +312,7 @@ ARTIFACT_READERS = {
        st.integers(0, 5))
 @example("scored.csv", True, -1, 1)  # whole file, then a binary past int64
 @example("scored.csv", True, -1, 2)  # whole file, then a width past float
+@example("patterns.csv", False, 150, 0)  # the first pattern, cut inside its covariates
 def test_stage_reading_a_cut_artifact_ends_in_a_documented_exit(staged, name, at_line_end,
                                                                  cut, tail):
     # The cut is at any byte, or after any line; -1 keeps the whole file.

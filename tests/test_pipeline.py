@@ -378,6 +378,18 @@ class TestCli:
         for name in ("tokens.csv", "scored.csv"):
             assert (runs[b""] / name).read_bytes() == (runs[b"\xef\xbb\xbf"] / name).read_bytes()
 
+    def test_byte_order_mark_in_patterns_csv_is_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        for command in ("preprocess", "score", "join", "fit", "diagnose"):
+            assert main(self._args(command, out)) == EXIT_OK
+        plain = {name: (out / name).read_bytes()
+                 for name in ("fit_report.json", "fit_report.txt", "margins.csv", "qq.csv")}
+        path = out / "patterns.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for command in ("fit", "diagnose"):
+            assert main(self._args(command, out)) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in plain} == plain
+
     def test_long_patterns_header_is_schema_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         for command in ("preprocess", "score", "join"):

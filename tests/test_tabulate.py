@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import re
 import tempfile
@@ -15,6 +16,7 @@ from sentireg.corpus import SchemaError, _NotPlain
 from sentireg.pipeline import default_data_path
 from sentireg.tabulate import (
     ANALYSIS_COLUMNS,
+    PATTERN_COLUMNS,
     REGION_OF_STATE,
     StateCovariates,
     descriptive_stats,
@@ -136,7 +138,7 @@ class TestJoin:
         records = [record(s, i % 2, width=w) for i, (s, w)
                    in enumerate([("NC", 7), ("CA", 11), ("NC", 7), ("CA", 3), ("NC", 11)])]
         read = join(iter(records), covars)
-        assert [c[0] for c in read.covariates] == [7.0, 11.0, 3.0, 11.0]
+        assert read.X[:, 0].tolist() == [7.0, 11.0, 3.0, 11.0]
         assert read.pattern.tolist() == [0, 1, 0, 2, 3]
         assert read.y.dtype == np.int64 and read.y.tolist() == [0, 1, 0, 1, 0]
 
@@ -320,6 +322,112 @@ def test_read_patterns_csv_equals_float_parse(tmp_path):
     assert data.tobytes() == np.array(rows).tobytes()
 
 
+def loadtxt_reader(path):
+    """read_patterns_csv as it parsed the body: in one np.loadtxt call."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\r\n") != ",".join(PATTERN_COLUMNS):
+            raise SchemaError(f"{path}: header must be {','.join(PATTERN_COLUMNS)}")
+        body = fh.read()
+    if not body.strip():
+        raise SchemaError(f"{path}: no covariate patterns")
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    if data.shape[1] != len(PATTERN_COLUMNS):
+        raise SchemaError(f"{path}: malformed row, {data.shape[1]} fields")
+    return tab_mod.Patterns(X=data[:, 2:], m=data[:, 0], y_sum=data[:, 1])
+
+
+def read_both(body: str):
+    """read_patterns_csv's and the whole-body reader's arrays, or SchemaError,
+    for a patterns.csv of body."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "patterns.csv"
+        path.write_bytes((",".join(PATTERN_COLUMNS) + "\r\n" + body).encode())
+        results = []
+        for read in (read_patterns_csv, loadtxt_reader):
+            try:
+                results.append([(a.dtype, a.shape, a.tobytes()) for a in read(path)])
+            except SchemaError:
+                results.append(SchemaError)
+        return results
+
+
+# Covariate tails as join writes them (NC's and SC's are equal), and one
+# spelled another way.
+PATTERN_TAILS = [text.split(",", 1)[1] for text in join(
+    [record(s, 0) for s in ("NC", "SC", "CA")],
+    {"NC": make_covariates("NC"), "SC": make_covariates("SC"),
+     "CA": make_covariates("CA", FHH_pct=55.0)}).text]
+PATTERN_TAILS.append(PATTERN_TAILS[0].replace("0,0,0,", "0.0,0,-0,", 1))
+ODD_PATTERN_FIELDS = ["1_9", "944.0 # x", '"19"', " 7 ", "\t3", "nan", "1e400", "", "x",
+                      "7\r", "\r"]
+
+
+@st.composite
+def pattern_bodies(draw) -> str:
+    lines = [[draw(st.sampled_from(["1", "12", "0", "3.0"])), draw(st.sampled_from(["0", "1"])),
+              draw(st.sampled_from(["7.0", "45.0", "8"]))] + tail.split(",")
+             for tail in draw(st.lists(st.sampled_from(PATTERN_TAILS), min_size=1, max_size=8))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(lines) - 1))
+        odd = draw(st.sampled_from(["field"] * 4 + ["blank", "whitespace", "short", "long"]))
+        if odd == "field":
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i][j] = draw(st.sampled_from(ODD_PATTERN_FIELDS))
+        elif odd in ("blank", "whitespace"):
+            lines.insert(i, [""] if odd == "blank" else [draw(st.sampled_from([" ", "\t", "  "]))])
+        else:
+            lines[i] = lines[i][:-1] if odd == "short" else lines[i] + ["1"]
+    text = "".join(",".join(line) + draw(st.sampled_from(["\r\n", "\n"])) for line in lines)
+    end = draw(st.sampled_from(["whole", "whole", "unterminated", "cut"]))
+    if end == "unterminated":
+        text = text.rstrip("\r\n")
+    elif end == "cut":  # inside the last line's covariates
+        text = text.rstrip("\r\n")[:-draw(st.integers(1, 60))]
+    return text
+
+
+ROW = "1,0,7.0," + PATTERN_TAILS[0]
+
+
+# Whatever the body, read_patterns_csv gives the whole-body reader's arrays
+# or, exactly when it does, a SchemaError.
+@settings(max_examples=300, deadline=None)
+@given(pattern_bodies())
+@example(f"{ROW}\r\n\r\n{ROW}\r\n")                         # a blank line, accepted
+@example(f"{ROW}\n \n{ROW}\n")                              # a whitespace-only line
+@example(f"1_9,0,7.0,{PATTERN_TAILS[0]}\n")
+@example(f"{ROW}\n{ROW[:-1]}944.0 # x\n")
+@example(f'"19",0,7.0,{PATTERN_TAILS[0]}\n')
+@example(f" 1 ,0, 7.0 ,{PATTERN_TAILS[0]} \n2,1,8.0,{PATTERN_TAILS[0]}\r\n")
+@example(f"{ROW}\n{ROW.rsplit(',', 1)[0]}\n")               # a short row
+@example(f"{ROW}\n{ROW},1\n")                               # a long row
+@example(f"{ROW}\r\n{ROW[:-30]}")                           # cut inside its tail
+@example(f"{ROW[:-30]}")                                    # the only line, cut
+@example(f"nan,1e400,7.0,{PATTERN_TAILS[0]}\r\n")
+@example(f"{ROW}\r{ROW}\r\n")                               # a bare CR
+@example(f"{ROW}\r")                                        # a CR at the end
+@example(f"1,0,7.0\r,{PATTERN_TAILS[0]}\r\n")               # a CR ending a head
+@example(f"1,0,7.0,\r\n{ROW}\r\n")                          # a tail of a CR alone
+@example("1,0,7.0,\n")                                      # the only tail, blank
+def test_read_patterns_csv_equals_the_whole_body_parse(body):
+    ours, oracle = read_both(body)
+    assert ours == oracle
+
+
+def test_read_patterns_csv_parses_each_distinct_tail_once(monkeypatch):
+    parsed, loadtxt = [], tab_mod._loadtxt
+    monkeypatch.setattr(tab_mod, "_loadtxt", lambda lines: parsed.append(lines) or loadtxt(lines))
+    rows = [f"{i},0,{w}.0,{tail}" for i, (w, tail) in enumerate(
+        [(7, PATTERN_TAILS[0]), (7, PATTERN_TAILS[2]), (8, PATTERN_TAILS[0])])]
+    ours, oracle = read_both("\r\n".join(rows) + "\r\n")
+    assert ours == oracle
+    assert parsed == [[PATTERN_TAILS[0] + "\r", PATTERN_TAILS[2] + "\r"],
+                      ["0,0,7.0", "1,0,7.0", "2,0,8.0"]]
+
+
 # -- read_scored: the block path against the per-record join -------------------
 
 SCORED_HEADERS = ["id,state,text_width,score,class,binary"] * 4 + [
@@ -363,8 +471,8 @@ def joined(run):
         table = run()
     except Exception as exc:
         return type(exc), str(exc)
-    return (table.covariates, table.text, table.pattern.dtype, table.pattern.tolist(),
-            table.y.dtype, table.y.tolist())
+    return (table.X.tolist(), table.X.shape, table.X.dtype, table.text,
+            table.pattern.dtype, table.pattern.tolist(), table.y.dtype, table.y.tolist())
 
 
 def not_plain(*args):
@@ -473,3 +581,49 @@ def test_patterns_are_built_once_per_table():
     table = join([record("NC", 1), record("NC", 0, width=7)], {"NC": make_covariates("NC")})
     assert table.patterns is table.patterns
     assert table.patterns.m.tolist() == [1, 1] and table.patterns.y_sum.tolist() == [1, 0]
+
+
+# NC and SC share every covariate, so one pattern spans both states; CA differs.
+SHARED_COVARIATES = {"NC": make_covariates("NC"), "SC": make_covariates("SC"),
+                     "CA": make_covariates("CA", FHH_pct=55.0)}
+
+
+def covariate_row(c: StateCovariates, width: str) -> tuple:
+    """A document's regressors, from its state's covariates by hand."""
+    return (float(int(width)), int(c.region == "Northeast"), int(c.region == "Midwest"),
+            int(c.region == "West"), math.log(c.FHH_pct), c.AFS, c.EDU2, c.EDU3, c.AGE2, c.WP,
+            c.OCH, c.PWHI, c.LF, math.log(c.POPDEN), c.CASES, c.PR, c.MHHI, c.GR)
+
+
+# Both join paths group the documents' covariate rows by value, in
+# first-occurrence order. In blocks of a line or two, a later block often
+# brings a key that sorts before every key seen (CA after NC or SC).
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(SHARED_COVARIATES)),
+                          st.sampled_from(["7", "007", "9", "12", "0"]), st.sampled_from("01")),
+                max_size=30),
+       st.integers(min_value=8, max_value=64))
+@example([("SC", "12", "0"), ("NC", "9", "1"), ("CA", "7", "1"), ("NC", "012", "0")], 24)
+def test_both_join_paths_group_covariate_rows_by_value(docs, block_bytes):
+    groups: dict[tuple, list[int]] = {}
+    for i, (state, width, _) in enumerate(docs):
+        groups.setdefault(covariate_row(SHARED_COVARIATES[state], width), []).append(i)
+    number = {row: j for j, row in enumerate(groups)}
+    want_X = np.array(list(groups), dtype=float).reshape(len(groups), len(ANALYSIS_COLUMNS) - 1)
+    data = "id,state,text_width,score,class,binary\r\n" + "".join(
+        f"t{i},{state},{width},0.5,Positive,{binary}\r\n"
+        for i, (state, width, binary) in enumerate(docs))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(tab_mod, "JOIN_BLOCK_BYTES", block_bytes):
+        path = Path(tmp) / "scored.csv"
+        path.write_text(data, encoding="utf-8", newline="")
+        blocks = tab_mod._join_blocks(path, SHARED_COVARIATES)
+    per_record = join([(i + 2, *doc) for i, doc in enumerate(docs)], SHARED_COVARIATES)
+    for table in (blocks, per_record):
+        assert table.pattern.tolist() == [
+            number[covariate_row(SHARED_COVARIATES[s], w)] for s, w, _ in docs]
+        assert table.text == [",".join(map(repr, row)) for row in groups]
+        X, m, y_sum = table.patterns
+        assert (X.dtype, X.shape, X.tobytes()) == (want_X.dtype, want_X.shape, want_X.tobytes())
+        assert m.tolist() == [len(g) for g in groups.values()]
+        assert y_sum.tolist() == [sum(int(docs[i][2]) for i in g) for g in groups.values()]
