@@ -1,0 +1,97 @@
+"""Time and size each pipeline stage, and one whole run, at a corpus size.
+
+    python scripts/scale_probe.py N [--work DIR]
+
+Writes make_fixtures.make_corpus(7, n_docs=N) as corpus.csv in DIR (a temp
+directory by default), then runs each stage of sentireg.pipeline in order,
+each in a fresh Python process, and one run_pipeline in another fresh
+process on its own output directory. Each child imports sentireg from this
+checkout's src/ with BLAS pinned to one thread, and reports the seconds its
+stage took and its max RSS (resource.getrusage, which counts the import
+baseline too). Linux carries a process's max RSS over into the processes
+it starts, so the corpus is written in a child too, and this process
+imports nothing that would raise the children's. Prints one JSON line:
+
+    {"n_docs": N, "stages": {"preprocess": {"s": ..., "max_rss_mb": ...}, ...},
+     "run_pipeline": {"s": ..., "max_rss_mb": ...}}
+
+Exits non-zero when a child fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+STAGES = ("preprocess", "score", "join", "fit", "diagnose")
+BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def child(stage: str, work: Path, n_docs: int) -> None:
+    """Write the corpus, or run one stage (or "run" for run_pipeline) and
+    print its seconds and max RSS."""
+    if stage == "corpus":
+        sys.path.insert(0, str(ROOT / "scripts"))
+        import make_fixtures
+
+        docs = make_fixtures.make_corpus(7, n_docs=n_docs)
+        return make_fixtures.write_corpus_csv(work / "corpus.csv", docs)
+    sys.path.insert(0, str(ROOT / "src"))
+    from sentireg import pipeline
+
+    out = work / ("run" if stage == "run" else "staged")
+    config = pipeline.PipelineConfig(
+        corpus=work / "corpus.csv", out=out,
+        covariates=pipeline.default_data_path("state_covariates.csv"))
+    out.mkdir(exist_ok=True)
+    call = pipeline.run_pipeline if stage == "run" else getattr(pipeline, f"stage_{stage}")
+    start = time.perf_counter()
+    call(config)
+    seconds = time.perf_counter() - start
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    print(json.dumps({"s": round(seconds, 3), "max_rss_mb": round(rss_kb / 1024, 1)}))
+
+
+def launch(stage: str, work: Path, n_docs: int) -> dict | None:
+    """Run child(stage) in a fresh process; what it printed, read as JSON."""
+    proc = subprocess.run([sys.executable, __file__, str(n_docs), "--child", stage,
+                           "--work", str(work)],
+                          capture_output=True, text=True, env={**os.environ, **BLAS_ENV})
+    if proc.returncode:
+        raise SystemExit(f"{stage} failed (exit {proc.returncode}):\n{proc.stderr}")
+    return json.loads(proc.stdout) if proc.stdout.strip() else None
+
+
+def probe(n_docs: int, work: Path) -> dict:
+    launch("corpus", work, n_docs)
+    return {"n_docs": n_docs, "stages": {stage: launch(stage, work, n_docs) for stage in STAGES},
+            "run_pipeline": launch("run", work, n_docs)}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("n_docs", type=int, metavar="N")
+    parser.add_argument("--work", type=Path, help="directory for the corpus and artifacts")
+    parser.add_argument("--child", choices=("corpus", *STAGES, "run"), help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        return child(args.child, args.work, args.n_docs)
+    if args.work:
+        args.work.mkdir(parents=True, exist_ok=True)
+        result = probe(args.n_docs, args.work)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            result = probe(args.n_docs, Path(tmp))
+    print(json.dumps(result))
+
+
+if __name__ == "__main__":
+    main()

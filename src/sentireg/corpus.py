@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -551,6 +552,7 @@ TOKENS_COLUMNS = ("id", "state", "text_width", "tokens")
 _LINE_MARK = "\xd7"
 # _URL_RE over the bytes of ASCII lower case with no 0x1C-0x1F, where \s agrees
 _URL_BYTES_RE = re.compile(rb"http(?<!\Shttp)\S*")
+_id_hash = hash  # an id's 64 bits for the block path's repeat check
 
 
 def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormalizer) -> None:
@@ -571,9 +573,10 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     and a text that is not ASCII goes through normalize.words alone, in
     file order. Any other corpus is read row by row from its start: one
     with another header, a quote csv.reader would refuse, a byte that is
-    not UTF-8, an empty or repeated id, a row too short, or word lists that
+    not UTF-8, an empty id, a row too short, two ids with equal hashes (a
+    repeated id, or a collision, which is not an error), or word lists that
     could write the line mark, a quote, comma, CR or LF. So a corpus is read
-    twice only when it is in error.
+    twice only when it is in error or two of its ids' hashes collide.
     """
     try:
         return _preprocess_blocks(corpus, tokens, normalize)
@@ -591,28 +594,32 @@ def _preprocess_blocks(corpus: str | Path, tokens: str | Path,
     temp file left, where the corpus must be read row by row.
 
     The memo is filled a block at a time (WordNormalizer.fill) after a block
-    that grew it, so a block whose words all hit it costs no extra pass."""
+    that grew it, so a block whose words all hit it costs no extra pass.
+    Every row's id, kept or dropped, is checked for repeats as CorpusReader
+    checks it, from 8 bytes a row: its _id_hash, sorted in place at the end."""
     if normalize[_LINE_MARK] != _LINE_MARK or not normalize.forms_avoid(_LINE_MARK + '",\r\n'):
         raise _NotPlain
-    seen: set[str] = set()  # every id, as CorpusReader keeps them
-    grew = True
+    hashes, grew = array("q"), True
     with atomic_open(tokens) as fh:
         write_rows(fh, [TOKENS_COLUMNS])
         for block, quotes in _record_blocks(corpus, ("id", "state", "text"),
                                             PREPROCESS_BLOCK_BYTES):
             size = len(normalize)
-            _preprocess_block(fh, block, quotes, normalize, seen, grew)
+            _preprocess_block(fh, block, quotes, normalize, hashes, grew)
             grew = len(normalize) > size
+        hashes = np.asarray(hashes)  # int64, a view of the array
+        hashes.sort()
+        if (hashes[1:] == hashes[:-1]).any():  # a repeated id, or a collision
+            raise _NotPlain
 
 
 def _preprocess_block(fh: TextIO, block: bytes, quotes: np.ndarray, normalize: WordNormalizer,
-                      seen: set[str], fill: bool) -> None:
-    """Write a corpus block's tokens.csv lines to fh; adds its ids to seen."""
+                      hashes: array, fill: bool) -> None:
+    """Write a corpus block's tokens.csv lines to fh; adds its ids' hashes to hashes."""
     ids, states, texts, alone = _block_records(block, quotes)
-    n_seen = len(seen)
-    seen.update(ids)
-    if "" in ids or len(seen) != n_seen + len(ids):
+    if "" in ids:
         raise _NotPlain
+    hashes.extend(map(_id_hash, ids))
     keep = list(map(STATE_CODES.__contains__, states))
     texts = list(compress(texts, keep))
     if block.isascii() and not any(alone):

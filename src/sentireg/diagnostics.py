@@ -152,6 +152,9 @@ def marginal_effects(
       dAME_j/dbeta = e_j * mean(w) + beta_j * mean(w (1 - 2p) x)
     - discrete, AME_j = mean(p1 - p0), with p1 and p0 at x_j = 1 and 0:
       dAME_j/dbeta = mean(w1 x1 - w0 x0)
+
+    The discrete targets share one scratch copy of X: column j is set to 1,
+    then to 0, then restored, so each product sees x1's and x0's values.
     """
     targets = []
     for j, name in enumerate(result.names):
@@ -171,19 +174,22 @@ def marginal_effects(
     dw = (weight * w * (1.0 - 2.0 * p)) @ X   # mean(w (1 - 2p) x)
     ame = np.empty(len(targets))
     jac = np.empty((len(targets), len(beta)))
+    scratch = X.copy()  # the discrete targets' x1 and x0, a column at a time
     for t, (j, kind) in enumerate(targets):
         if kind == "continuous":
             ame[t] = beta[j] * mean_w
             jac[t] = beta[j] * dw
             jac[t, j] += mean_w
         else:
-            X1 = X.copy()
-            X1[:, j] = 1.0
-            X0 = X.copy()
-            X0[:, j] = 0.0
-            p1, p0 = predict_prob(X1, beta), predict_prob(X0, beta)
+            scratch[:, j] = 1.0
+            p1 = predict_prob(scratch, beta)
+            dw1 = (weight * p1 * (1.0 - p1)) @ scratch
+            scratch[:, j] = 0.0
+            p0 = predict_prob(scratch, beta)
+            dw0 = (weight * p0 * (1.0 - p0)) @ scratch
+            scratch[:, j] = X[:, j]
             ame[t] = float(weight @ (p1 - p0))
-            jac[t] = (weight * p1 * (1.0 - p1)) @ X1 - (weight * p0 * (1.0 - p0)) @ X0
+            jac[t] = dw1 - dw0
     var = jac @ result.cov @ jac.T
     se = np.sqrt(np.maximum(np.diag(var), 0.0))
 

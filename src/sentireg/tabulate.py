@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import math
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
@@ -184,12 +185,18 @@ class AnalysisTable(Sequence):
 
     X[j] holds pattern j's values in ANALYSIS_COLUMNS[1:] order and text[j]
     the same values as analysis_table.csv writes them; row i has covariates
-    X[pattern[i]] and outcome y[i].
+    X[pattern[i]] and outcome y[i]. Each row holds 5 bytes: pattern is
+    np.int32 (there are never more patterns than rows) and y np.bool_.
     """
     X: np.ndarray
     text: list[str]
     pattern: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):  # y indexes as a mask: an int y would index rows
+        if self.pattern.dtype != np.int32 or self.y.dtype != np.bool_:
+            raise TypeError(f"pattern must be int32 and y bool, not {self.pattern.dtype} "
+                            f"and {self.y.dtype}")
 
     def __len__(self) -> int:
         return len(self.y)
@@ -200,12 +207,17 @@ class AnalysisTable(Sequence):
 
     @cached_property
     def patterns(self) -> Patterns:
+        """The patterns with their row counts, counted a chunk of rows at a
+        time: a chunk is as long as the larger of ANALYSIS_CHUNK_ROWS and the
+        pattern count, so each bincount's work is mostly rows."""
         n = len(self.text)
-        return Patterns(
-            X=self.X,
-            m=np.bincount(self.pattern, minlength=n),
-            y_sum=np.bincount(self.pattern, weights=self.y, minlength=n).astype(int),
-        )
+        m, y_sum = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        step = max(ANALYSIS_CHUNK_ROWS, n)
+        for i in range(0, len(self.y), step):
+            pattern = self.pattern[i:i + step]
+            m += np.bincount(pattern, minlength=n)
+            y_sum += np.bincount(pattern[self.y[i:i + step]], minlength=n)
+        return Patterns(X=self.X, m=m, y_sum=y_sum)
 
 
 # csv.writer's default line terminator; the CSV artifacts all end rows with it.
@@ -259,7 +271,7 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
     """
     by_key: dict[tuple, int] = {}  # (state, width text) -> key number, first seen first
     states: dict[str, int] = {}
-    state, width, key, y = [], [], [], []
+    state, width, key, y = [], [], array("i"), bytearray()
     for line, s, w, binary in records:
         if (s, w) not in by_key:
             by_key[s, w] = len(by_key)
@@ -275,7 +287,8 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
         except KeyError:
             raise ValueError(f"{line}: binary must be 0 or 1, got {binary!r}") from None
     number, X, text = _patterns(list(states), np.array(state, np.intp), np.array(width), covars)
-    return AnalysisTable(X, text, number[np.array(key, np.intp)], np.array(y, dtype=np.int64))
+    return AnalysisTable(X, text, number.astype(np.int32)[np.frombuffer(key, np.intc)],
+                         np.frombuffer(y, np.bool_))
 
 
 JOIN_BLOCK_BYTES = 1 << 16  # scored.csv bytes read_scored reads at a time
@@ -307,8 +320,8 @@ def _join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> Analys
     """read_scored's block path; _NotPlain where the file is not plain."""
     # The keys seen, sorted, and their numbers in first-seen order; each ends
     # in a sentinel above every key, so a search always lands on an entry.
-    known, numbers = np.array([np.iinfo(np.int64).max]), np.array([-1], np.intp)
-    seen, ids, y = [np.empty(0, np.int64)], [np.empty(0, np.intp)], [np.empty(0, np.int64)]
+    known, numbers = np.array([np.iinfo(np.int64).max]), np.array([-1], np.int32)
+    seen, ids, y = [np.empty(0, np.int64)], [np.empty(0, np.int32)], [np.empty(0, np.bool_)]
     for buf, edges in plain_blocks(path, SCORED_COLUMNS, JOIN_BLOCK_BYTES):
         (ss, se), (ws, we), (bs, be) = ((edges[:, c] + 1, edges[:, c + 1]) for c in _JOIN_FIELDS)
         ls, lw, binary = se - ss, we - ws, buf[bs] - 48  # uint8: any byte but "0" or "1" is above 1
@@ -328,13 +341,14 @@ def _join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> Analys
         known = np.insert(known, at[fresh], keys[fresh])
         numbers = np.insert(numbers, at[fresh], number[fresh])
         ids.append(number[inverse])
-        y.append(binary.astype(np.int64))
+        y.append(binary == 1)
     seen = np.concatenate(seen)
     codes, state = np.unique(seen >> 40, return_inverse=True)  # (length, bytes) of each state
     states = [(c & 0xFFFF).to_bytes(2, "big")[:c >> 16].decode() for c in codes.tolist()]
     number, X, text = _patterns(states, state.reshape(-1), (seen & 0xFFFFFFFFFF).astype(float),
                                 covars)
-    return AnalysisTable(X, text, number[np.concatenate(ids)], np.concatenate(y))
+    ids = np.concatenate(ids)  # the blocks' arrays go before the table's is made
+    return AnalysisTable(X, text, number.astype(np.int32)[ids], np.concatenate(y))
 
 
 def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:
@@ -361,19 +375,21 @@ def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:
     return stats
 
 
-ANALYSIS_CHUNK_ROWS = 4096  # documents write_analysis_csv looks up at a time
+ANALYSIS_CHUNK_ROWS = 4096  # documents write_analysis_csv and patterns take at a time
 
 
 def write_analysis_csv(path: str | Path, table: AnalysisTable) -> None:
     """One line per document: its outcome, then its pattern's CSV text. Each
     of the 2 x patterns distinct lines is formatted once; the documents' line
-    numbers become Python ints ANALYSIS_CHUNK_ROWS at a time, not all at once."""
+    numbers are built and become Python ints ANALYSIS_CHUNK_ROWS at a time,
+    not all at once."""
     lines = [f"{y},{text}{_EOL}" for y in (0, 1) for text in table.text]
-    line = table.pattern + len(table.text) * table.y
     with atomic_open(path) as fh:
         fh.write(",".join(ANALYSIS_COLUMNS) + _EOL)
-        for i in range(0, len(line), ANALYSIS_CHUNK_ROWS):
-            fh.writelines(map(lines.__getitem__, line[i:i + ANALYSIS_CHUNK_ROWS].tolist()))
+        for i in range(0, len(table), ANALYSIS_CHUNK_ROWS):
+            line = table.pattern[i:i + ANALYSIS_CHUNK_ROWS].astype(np.intp)
+            line[table.y[i:i + ANALYSIS_CHUNK_ROWS]] += len(table.text)
+            fh.writelines(map(lines.__getitem__, line.tolist()))
 
 
 def read_analysis_csv(path: str | Path) -> list[AnalysisRow]:

@@ -749,3 +749,39 @@ def test_preprocess_blocks_takes_the_fixture(tmp_path, monkeypatch, block_bytes)
     corpus_mod.write_tokens(config.corpus, tmp_path / "tokens.csv", normalize)
     assert hashlib.sha256((tmp_path / "tokens.csv").read_bytes()).hexdigest() == (
         "67fabf662a885786bb50a05d1cb39e809b9babf41f884e0a5ead0bc3132300aa")
+
+
+@pytest.mark.parametrize("data", [
+    default_data_path("fixture_corpus.csv").read_bytes(),
+    PLAIN_CORPUS + b't,NC,"Good, ""very"" good\r\nday"\r\nu,CA,"x, y"\r\nv,PR,"z"\r\n',
+])
+def test_a_hash_collision_is_not_reported_as_a_duplicate(data, monkeypatch):
+    # With every id hashed alike the block path declines at the end of the
+    # file, leaving nothing behind, and the per-record path, which compares
+    # the ids themselves, writes the block path's bytes.
+    took, blocks, _ = preprocess_both(data, 256, csv.field_size_limit(), {})
+    assert took and isinstance(blocks, bytes)
+    monkeypatch.setattr(corpus_mod, "_id_hash", lambda doc_id: 0)
+    took, stage, per_record = preprocess_both(data, 256, csv.field_size_limit(), {})
+    assert not took and stage == per_record == blocks
+
+
+def test_a_duplicate_id_in_the_last_block_keeps_the_previous_tokens(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus_mod, "PREPROCESS_BLOCK_BYTES", 40)
+    corpus, out = tmp_path / "corpus.csv", tmp_path / "out"
+    corpus.write_bytes(PLAIN_CORPUS + b"u,NC,good\r\nt0,CA,again\r\n")
+    out.mkdir()
+    (out / "tokens.csv").write_bytes(b"previous")
+    blocks, record_blocks = [], corpus_mod._record_blocks
+
+    def recorded(*args):
+        for block in record_blocks(*args):
+            blocks.append(block[0])
+            yield block
+
+    monkeypatch.setattr(corpus_mod, "_record_blocks", recorded)
+    with pytest.raises(SchemaError, match=re.escape(f"{corpus}:15: duplicate id 't0'")):
+        corpus_mod.write_tokens(corpus, out / "tokens.csv", WordNormalizer())
+    assert blocks[-1].endswith(b"t0,CA,again\r\n") and b"t0,NC" not in blocks[-1]
+    assert list(out.iterdir()) == [out / "tokens.csv"]
+    assert (out / "tokens.csv").read_bytes() == b"previous"

@@ -419,3 +419,58 @@ class TestGroupedDiagnostics:
             assert np.array_equal(pattern, np.repeat(np.arange(len(grouped.m)), grouped.m.astype(int)))
             assert pearson_chi2(g, grouped)["chi2"] == pytest.approx(
                 pearson_chi2(r, regrouped)["chi2"], rel=1e-9)
+
+
+def two_copy_margins(result, data, kinds):
+    """marginal_effects' AMEs and standard errors as computed with a fresh
+    X1 and X0, copies of X with column j at 1 and at 0, for each discrete
+    target j."""
+    targets = [(j, kinds[name]) for j, name in enumerate(result.names) if j]
+    beta, X = result.beta, data.X
+    weight = data.m / data.n_obs
+    p = predict_prob(X, beta)
+    w = p * (1.0 - p)
+    mean_w = float(weight @ w)
+    dw = (weight * w * (1.0 - 2.0 * p)) @ X
+    ame = np.empty(len(targets))
+    jac = np.empty((len(targets), len(beta)))
+    for t, (j, kind) in enumerate(targets):
+        if kind == "continuous":
+            ame[t] = beta[j] * mean_w
+            jac[t] = beta[j] * dw
+            jac[t, j] += mean_w
+        else:
+            X1 = X.copy()
+            X1[:, j] = 1.0
+            X0 = X.copy()
+            X0[:, j] = 0.0
+            p1, p0 = predict_prob(X1, beta), predict_prob(X0, beta)
+            ame[t] = float(weight @ (p1 - p0))
+            jac[t] = (weight * p1 * (1.0 - p1)) @ X1 - (weight * p0 * (1.0 - p0)) @ X0
+    var = jac @ result.cov @ jac.T
+    return ame, np.sqrt(np.maximum(np.diag(var), 0.0))
+
+
+def test_margins_equal_the_two_copy_formula_bit_for_bit():
+    # A grouped design with the pipeline's regional dummies, all three
+    # discrete, between two continuous columns.
+    rng = np.random.default_rng(7272)
+    n = 300
+    region = np.arange(n) % 4  # South, Northeast, Midwest, West
+    rng.shuffle(region)
+    X = np.column_stack([np.ones(n), rng.integers(5, 200, n).astype(float),
+                         *(region == r for r in (1, 2, 3)),
+                         55000.0 + 12000.0 * rng.standard_normal(n)])
+    m = rng.integers(1, 9, n)
+    y_sum = rng.binomial(m, predict_prob(X, np.array([0.3, 0.004, -0.4, 0.3, 0.5, -1e-5])))
+    kinds = {"TW": "continuous", "NE": "discrete", "MW": "discrete", "WEST": "discrete",
+             "MHHI": "continuous"}
+    design = DesignMatrix(X=X, y=y_sum, m=m, names=("Constant", *kinds))
+    result = fit(design)
+    before = design.X.tobytes()
+    effects = marginal_effects(result, design, kinds)
+    ame, se = two_copy_margins(result, design, kinds)
+    assert [e.kind for e in effects].count("discrete") == 3
+    assert np.array([e.dydx for e in effects]).tobytes() == ame.tobytes()
+    assert np.array([e.std_err for e in effects]).tobytes() == se.tobytes()
+    assert design.X.tobytes() == before

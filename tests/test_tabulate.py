@@ -16,6 +16,7 @@ from sentireg.corpus import SchemaError, _NotPlain
 from sentireg.pipeline import default_data_path
 from sentireg.tabulate import (
     ANALYSIS_COLUMNS,
+    AnalysisTable,
     PATTERN_COLUMNS,
     REGION_OF_STATE,
     StateCovariates,
@@ -139,8 +140,8 @@ class TestJoin:
                    in enumerate([("NC", 7), ("CA", 11), ("NC", 7), ("CA", 3), ("NC", 11)])]
         read = join(iter(records), covars)
         assert read.X[:, 0].tolist() == [7.0, 11.0, 3.0, 11.0]
-        assert read.pattern.tolist() == [0, 1, 0, 2, 3]
-        assert read.y.dtype == np.int64 and read.y.tolist() == [0, 1, 0, 1, 0]
+        assert read.pattern.dtype == np.int32 and read.pattern.tolist() == [0, 1, 0, 2, 3]
+        assert read.y.dtype == np.bool_ and read.y.tolist() == [0, 1, 0, 1, 0]
 
     def test_non_integer_width_rejected(self):
         with pytest.raises(ValueError):
@@ -627,3 +628,13 @@ def test_both_join_paths_group_covariate_rows_by_value(docs, block_bytes):
         assert (X.dtype, X.shape, X.tobytes()) == (want_X.dtype, want_X.shape, want_X.tobytes())
         assert m.tolist() == [len(g) for g in groups.values()]
         assert y_sum.tolist() == [sum(int(docs[i][2]) for i in g) for g in groups.values()]
+
+
+def test_analysis_table_refuses_other_dtypes():
+    # patterns and write_analysis_csv take y as a mask: an int y would index rows.
+    X, text = np.zeros((1, len(ANALYSIS_COLUMNS) - 1)), ["0.0"]
+    with pytest.raises(TypeError, match="pattern must be int32 and y bool"):
+        AnalysisTable(X, text, np.zeros(2, np.int32), np.array([0, 1]))
+    with pytest.raises(TypeError):
+        AnalysisTable(X, text, np.zeros(2, np.intp), np.zeros(2, np.bool_))
+    assert len(AnalysisTable(X, text, np.zeros(2, np.int32), np.zeros(2, np.bool_))) == 2
