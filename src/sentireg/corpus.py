@@ -7,15 +7,17 @@ pass: what becomes of a token depends only on its surface form, so a
 `WordNormalizer` memo normalizes each distinct surface once; it splits an
 ASCII text by lower, a blank for each apostrophe not inside a word, a
 byte-table translate and split, which give the word regex's tokens. Every
-CSV is read by `read_columns` and written by `write_rows`; `plain_blocks`
-frames a file with no quote that csv.reader would split at its commas and
-line ends as numpy byte blocks, for the block paths of score and join.
-`write_tokens` writes tokens.csv for a corpus, framing its blocks at the
-commas and line ends outside quoted fields. Every other function is pure.
+CSV is read by `read_columns` and written by `write_rows`. The block paths
+read a CSV as numpy byte blocks of whole records, and one framer, `_frame`,
+splits each at the commas and line ends outside quoted fields as csv.reader
+would: for `write_tokens`, and for score and join through `plain_blocks`,
+which takes only blocks with no quote and no line csv.reader must read
+alone. Every other function is pure.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import re
@@ -121,48 +123,21 @@ class _NotPlain(Exception):
 
 def plain_blocks(path: str | Path, header: Sequence[str],
                  block_bytes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(buf, edges) for each block of whole lines of a CSV file that
-    _record_blocks reads block_bytes at a time, while read_columns would
-    split the file at exactly its commas and line ends and no byte but a line
-    end is a control byte; _NotPlain at the header or the first block where
-    that might not hold.
-
-    That holds while the header line is exactly `header`, and every line is
-    UTF-8 with no quote, no byte below 0x20 but its LF and a CR before it,
-    the header's comma count and no more than csv.field_size_limit() bytes,
-    so no field is longer. No byte of a multi-byte UTF-8 character is a
-    comma, quote, CR or LF. An unterminated last line is framed as if it ended
-    in CRLF, so a CR in it is not plain. `buf` is the block as uint8; line
-    i's field c starts at `edges[i, c] + 1` and ends at `edges[i, c + 1]`: at
-    its comma, or at the CR or LF that ends the line.
+    """(buf, edges) for each block of _record_blocks(path, header,
+    block_bytes) that holds no quote and in which _frame finds no odd line,
+    so read_columns would split it at exactly its commas and line ends;
+    _NotPlain at the header or the first other block. `buf` is the block as
+    uint8; line i's field c starts at `edges[i, c] + 1` and ends at
+    `edges[i, c + 1]`: at its comma, or at the CR or LF that ends the line.
     """
-    limit, k = csv.field_size_limit(), len(header) - 1
-
-    def frame(block: bytes) -> tuple[np.ndarray, np.ndarray]:
+    for block, quotes in _record_blocks(path, header, block_bytes):
         if b'"' in block:
             raise _NotPlain
-        if not block.isascii():
-            try:  # no byte of a multi-byte character is below 0x80
-                block.decode()
-            except UnicodeDecodeError:
-                raise _NotPlain from None
-        buf = np.frombuffer(block, np.uint8)
-        seps = np.flatnonzero((buf == 44) | (buf == 10))
-        if len(seps) % (k + 1):
+        buf, at, _, ends, cr, odd = _frame(block, quotes, len(header))
+        if odd.any():
             raise _NotPlain
-        grid = seps.reshape(-1, k + 1)  # each line's commas, then its LF
-        ends = grid[:, k]
-        cr = buf[ends - 1] == 13
-        starts = np.r_[0, ends[:-1] + 1]
-        # Every LF ends a line, so the count of control bytes is the lines and
-        # their CRs only when there is no other control byte and no other CR.
-        if ((buf[grid] != [44] * k + [10]).any() or (ends - cr - starts).max() > limit
-                or np.count_nonzero(buf < 32) != len(ends) + np.count_nonzero(cr)):
-            raise _NotPlain
-        return buf, np.column_stack((starts - 1, grid[:, :k], ends - cr))
-
-    for block, _ in _record_blocks(path, header, block_bytes):
-        yield frame(block)
+        grid = at.reshape(-1, len(header))  # each line's commas, then its LF
+        yield buf, np.column_stack((np.concatenate(([-1], ends[:-1])), grid[:, :-1], ends - cr))
 
 
 # Bytes after which a quote may open a quoted field, or before which it may
@@ -180,8 +155,9 @@ def _record_blocks(path: str | Path, header: Sequence[str],
     block's quotes that open or close a quoted field as csv.reader
     (strict=True) reads them: a quote right after a comma, CR, LF or closing
     quote opens one, the next quote closes it, and any other quote is a
-    character of its field. _NotPlain unless the header line is exactly
-    `header`, at an unterminated quote, and at a record over
+    character of its field. _NotPlain unless the header line, after a UTF-8
+    byte-order mark if any, is exactly `header`, at an unterminated quote,
+    and at a record over
     16 * csv.field_size_limit() bytes: longer than three fields at the limit
     can be, with a quote doubled or 4 bytes to a character.
 
@@ -189,7 +165,7 @@ def _record_blocks(path: str | Path, header: Sequence[str],
     off: inside a quoted field or not, and its last byte."""
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
-        line = fh.readline().removesuffix(b"\n").removesuffix(b"\r")
+        line = fh.readline().removeprefix(codecs.BOM_UTF8).removesuffix(b"\n").removesuffix(b"\r")
         if line != ",".join(header).encode() or len(line) > limit:
             raise _NotPlain
         # The bytes after the last cut and their quotes' offsets; whether
@@ -251,6 +227,52 @@ def _framing_quotes(buf: np.ndarray, inq: bool, before: int) -> np.ndarray:
             kept.append(p)
             inq = True
     return np.array(kept, np.intp)
+
+
+def _frame(block: bytes, quotes: np.ndarray, n_fields: int) -> tuple[np.ndarray, ...]:
+    """How csv.reader (strict=True) splits a block of _record_blocks, given
+    the offsets of the quotes that open and close its quoted fields: (buf,
+    at, lf, ends, cr, odd). `buf` is the block as uint8 and `at` the offsets
+    of its commas and LFs outside quoted fields; lf[i] is the index in `at`
+    of line i's LF, ends[i] its offset, and cr[i] whether a CR is before it.
+    odd[i] where csv.reader must read line i alone: its field count is not
+    n_fields, it holds a control byte but its line end and CRs and LFs in
+    quotes, or its bytes before the line end are over csv.field_size_limit().
+    _NotPlain where csv.reader would raise: at a byte that is not UTF-8 or a
+    closing quote that is not before a separator or another quote. No byte
+    of a multi-byte UTF-8 character is a comma, quote, CR or LF."""
+    if not block.isascii():
+        try:  # no byte of a multi-byte character is below 0x80
+            block.decode()
+        except UnicodeDecodeError:
+            raise _NotPlain from None
+    buf = np.frombuffer(block, np.uint8)
+    at = np.flatnonzero((buf == 44) | (buf == 10))  # the commas and LFs
+    if len(quotes):
+        # Quote 2k opens a quoted field and quote 2k + 1 closes it, so a byte
+        # is in one when an odd count of quotes is before it. csv.reader
+        # (strict=True) refuses a closing quote but before a separator or as
+        # half of a "" pair.
+        if not _FIELD_EDGE[buf[quotes[1::2] + 1]].all():
+            raise _NotPlain
+        at = at[np.searchsorted(quotes, at) % 2 == 0]
+    kinds = buf[at]
+    lf = np.flatnonzero(kinds == 10)
+    ends = at[lf]
+    cr = buf[ends - 1] == 13
+    odd = ends - cr - np.concatenate(([0], ends[:-1] + 1)) > csv.field_size_limit()
+    if len(at) != n_fields * len(ends) or not (kinds[n_fields - 1::n_fields] == 10).all():
+        odd |= np.diff(lf, prepend=-1) != n_fields
+    # Every LF outside quotes ends a line, so the count of control bytes is
+    # the lines and their CRs only when there is no other control byte.
+    control = buf < 32
+    if np.count_nonzero(control) != len(ends) + np.count_nonzero(cr):
+        control[ends] = control[ends[cr] - 1] = False
+        other = np.flatnonzero(control)
+        quoted = np.searchsorted(quotes, other) % 2 == 1
+        other = other[~(quoted & ((buf[other] == 10) | (buf[other] == 13)))]
+        odd[np.searchsorted(ends, other)] = True
+    return buf, at, lf, ends, cr, odd
 
 
 def ascii_int(text: str) -> int:
@@ -560,17 +582,18 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     state, text width and normalize.words(text) joined by spaces. An error
     names its line, and tokens.csv is replaced only when every row is read.
 
-    A corpus whose header is exactly id,state,text is read in blocks of
-    PREPROCESS_BLOCK_BYTES, to the same bytes. Each block is framed at the
-    commas and line ends outside quoted fields, found from the parity of the
-    quotes before them that open or close one (a quote inside an unquoted
-    field, as in `5" screen`, is a character); the kept ASCII texts of a
-    block, each after a line mark, are lower-cased, stripped of URLs and
-    split at once, and one pass through the memo gives their words. A line the framing cannot split
-    into an id, state and text (a blank line, a field too many or too few,
-    a bare CR, a control byte but a line end or a CR or LF in quotes, a
-    line longer than csv.field_size_limit()) is read by csv.reader alone,
-    and a text that is not ASCII goes through normalize.words alone, in
+    A corpus whose header is exactly id,state,text, after a byte-order mark
+    if any, is read in blocks of PREPROCESS_BLOCK_BYTES, to the same bytes.
+    _frame splits each block at the commas and line ends outside quoted
+    fields, found from the parity of the quotes before them that open or
+    close one (a quote inside an unquoted field, as in `5" screen`, is a
+    character); the kept ASCII texts of a block, each after a line mark, are
+    lower-cased, stripped of URLs and split at once, and one pass through
+    the memo gives their words. A line the framing cannot split into an id,
+    state and text (a blank line, a field too many or too few, a bare CR, a
+    control byte but a line end or a CR or LF in quotes, over
+    csv.field_size_limit() bytes before its line end) is read by csv.reader
+    alone, and a text that is not ASCII goes through normalize.words alone, in
     file order. Any other corpus is read row by row from its start: one
     with another header, a quote csv.reader would refuse, a byte that is
     not UTF-8, an empty id, a row too short, two ids with equal hashes (a
@@ -641,40 +664,7 @@ def _block_records(block: bytes, quotes: np.ndarray) -> tuple[list, ...]:
     offsets of the quotes that open and close its quoted fields, and for
     each record whether it came from a line csv.reader read alone.
     _NotPlain where csv.reader would raise."""
-    if not block.isascii():
-        try:
-            block.decode()
-        except UnicodeDecodeError:
-            raise _NotPlain from None
-    buf = np.frombuffer(block, np.uint8)
-    at = np.flatnonzero((buf == 44) | (buf == 10))  # the commas and LFs
-    if len(quotes):
-        # Quote 2k opens a quoted field and quote 2k + 1 closes it, so a byte
-        # is in one when an odd count of quotes is before it. csv.reader
-        # (strict=True) refuses a closing quote but before a separator or as
-        # half of a "" pair.
-        opens, closes = quotes[0::2], quotes[1::2]
-        if not _FIELD_EDGE[buf[closes + 1]].all():
-            raise _NotPlain
-        at = at[np.searchsorted(quotes, at) % 2 == 0]
-    kinds = buf[at]
-    lf = np.flatnonzero(kinds == 10)
-    ends = at[lf]
-    cr = buf[ends - 1] == 13
-    # A line is read alone unless it has two commas, fits the field size
-    # limit and has no control byte but its line end and CRs and LFs in quotes.
-    odd = np.zeros(len(ends), bool)
-    if len(at) != 3 * len(ends) or not (kinds[2::3] == 10).all():
-        odd |= np.diff(lf, prepend=-1) != 3
-    if len(block) > csv.field_size_limit():
-        odd |= np.diff(ends, prepend=-1) > csv.field_size_limit() + 1
-    control = buf < 32
-    if np.count_nonzero(control) != len(ends) + np.count_nonzero(cr):
-        control[ends] = control[ends[cr] - 1] = False
-        other = np.flatnonzero(control)
-        quoted = np.searchsorted(quotes, other) % 2 == 1
-        other = other[~(quoted & ((buf[other] == 10) | (buf[other] == 13)))]
-        odd[np.searchsorted(ends, other)] = True
+    buf, at, lf, ends, cr, odd = _frame(block, quotes, 3)
     if not len(quotes) and not odd.any():
         fields = block.replace(b"\r\n", b",").replace(b"\n", b",").decode().split(",")
         return fields[0:-1:3], fields[1::3], fields[2::3], [False] * len(ends)
@@ -684,8 +674,8 @@ def _block_records(block: bytes, quotes: np.ndarray) -> tuple[list, ...]:
     text[at] = 255
     keep = np.ones(len(buf), bool)
     keep[ends[cr] - 1] = keep[quotes] = False
-    if len(quotes):
-        keep[opens[buf[opens - 1] == 34]] = True  # a "" pair's second quote
+    opens = quotes[0::2]
+    keep[opens[buf[opens - 1] == 34]] = True  # a "" pair's second quote
     fields = text[keep].tobytes().decode("utf-8", "surrogateescape").split("\udcff")
     if not odd.any():
         return fields[0:-1:3], fields[1::3], fields[2::3], [False] * len(ends)

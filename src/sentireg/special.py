@@ -76,11 +76,6 @@ def chi2_sf(x: float, df: float) -> float:
     return gamma_q(df / 2.0, x / 2.0)
 
 
-def norm_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
 def two_sided_p(z: float) -> float:
     """Two-sided normal p-value for a z statistic."""
     return math.erfc(abs(z) / math.sqrt(2.0))

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -608,16 +609,20 @@ def test_preprocess_blocks_equals_the_per_record_path(data, block_bytes, field_l
     # No valid corpus is declined that has the kernel's header and word lists
     # whose forms it can write.
     if (isinstance(stage, bytes) and word_lists in WORD_LISTS[:2]
-            and data.split(b"\n", 1)[0].rstrip(b"\r") == b"id,state,text"):
+            and data.removeprefix(codecs.BOM_UTF8).split(b"\n", 1)[0].rstrip(b"\r")
+            == b"id,state,text"):
         assert took
 
 
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
 @pytest.mark.parametrize("tail", [b"", b"t,CA,\r\nu,NC,http first\nv,ny,dropped\r\n",
                                   b"t,NC,it's ''quoted'' https://a", b"t,NC,\x7fdel\x7f"])
-def test_preprocess_blocks_reads_plain_blocks(tail):
+def test_preprocess_blocks_reads_plain_blocks(tail, bom):
     # CRLF and LF, an empty text, a dropped state, apostrophes, a URL and a
-    # last line without an end, in blocks of a line or two
-    took, stage, per_record = preprocess_both(PLAIN_CORPUS + tail, 40, csv.field_size_limit(), {})
+    # last line without an end, in blocks of a line or two, after a
+    # byte-order mark or none
+    took, stage, per_record = preprocess_both(bom + PLAIN_CORPUS + tail, 40,
+                                              csv.field_size_limit(), {})
     assert took and stage == per_record
     kept = 8 + tail.count(b",NC,") + tail.count(b",CA,")
     assert stage.count(b"\r\n") == stage.count(b"\n") == 1 + kept
@@ -662,7 +667,6 @@ def test_quoted_texts_are_split_with_their_block(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("change, error", [
-    (lambda d: "\ufeff".encode() + d, None),                      # a byte-order mark
     (lambda d: d.replace(b"state,text", b"text,state", 1), None),  # another order
     (lambda d: d.replace(b"\r\n", b",x\r\n", 1), None),          # an extra column
     (lambda d: d.replace(b"\r\n", b"\r", 2)[:-2] + b"\r\n", None),  # a header ending in a bare CR
@@ -785,3 +789,73 @@ def test_a_duplicate_id_in_the_last_block_keeps_the_previous_tokens(tmp_path, mo
     assert blocks[-1].endswith(b"t0,CA,again\r\n") and b"t0,NC" not in blocks[-1]
     assert list(out.iterdir()) == [out / "tokens.csv"]
     assert (out / "tokens.csv").read_bytes() == b"previous"
+
+
+# A plain_blocks field is mostly plain UTF-8, at times with a quote, a
+# control byte csv.reader reads as data or as a line end, or a comma, quoted,
+# or longer than a limit of 30.
+PLAIN_CHARS = ["a", "1", " ", "é", "€", "\U0001d11e"]
+ODD_CHARS = ['"', "\r", "\n", "\t", "\x00", "\x1c", ","]
+
+
+@st.composite
+def framed_files(draw) -> tuple[bytes, list[str], list[str]]:
+    """A CSV file of 4 or 6 columns; its header; and its lines after the
+    header, without their line ends."""
+    header = [f"c{i}" for i in range(draw(st.sampled_from([4, 6])))]
+    widths = st.sampled_from([len(header)] * 8 + [len(header) - 1, len(header) + 1])
+
+    def field():
+        text, odd = draw(st.text(PLAIN_CHARS, max_size=6)), draw(st.sampled_from(ODD_CHARS))
+        return draw(st.sampled_from([text] * 24 + [odd + text, text + odd, quoted(odd + text),
+                                                   "a" * 31]))
+
+    lines = [",".join(field() for _ in range(draw(widths))) for _ in range(draw(st.integers(0, 8)))]
+    eols = [draw(st.sampled_from(["\r\n", "\n"])) for _ in range(len(lines) + 1)]
+    head = draw(st.sampled_from([",".join(header)] * 9 + [",".join(reversed(header))]))
+    text = "".join(line + eol for line, eol in zip([head] + lines, eols))
+    if lines and draw(st.booleans()):
+        text = text.removesuffix(eols[-1])  # a last line without a terminator
+    return draw(st.sampled_from([""] * 4 + ["\ufeff"])).encode() + text.encode(), header, lines
+
+
+# Each line plain_blocks yields is split at its edges into csv.reader's
+# fields, and it yields every line of a file with the header's field count
+# on each line, no quote, no control byte but a line end and no line over
+# the limit.
+@settings(max_examples=300, deadline=None)
+@given(framed_files(), st.integers(min_value=8, max_value=64),
+       st.sampled_from([csv.field_size_limit()] * 3 + [30]))
+@example((b"c0,c1,c2,c3\r\n" + b"a,b,c,d\r\n" * 3, ["c0", "c1", "c2", "c3"], ["a,b,c,d"] * 3),
+         8, csv.field_size_limit())
+@example((b"c0,c1,c2,c3\r\n" + b"a" * 24 + b",b,c,d\r\n", ["c0", "c1", "c2", "c3"],
+          ["a" * 24 + ",b,c,d"]), 16, 30)  # a CRLF line of exactly the limit
+@example((b"c0,c1,c2,c3\r\n" + b"a" * 31 + b",b,c,d\r\n", ["c0", "c1", "c2", "c3"],
+          ["a" * 31 + ",b,c,d"]), 64, 30)  # a field over it
+def test_plain_blocks_edges_split_as_csv_reader(file, block_bytes, field_limit):
+    data, header, lines = file
+    old_limit = csv.field_size_limit(field_limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.csv"
+            path.write_bytes(data)
+            framed = []
+            try:
+                for buf, edges in corpus_mod.plain_blocks(path, header, block_bytes):
+                    block = buf.tobytes()
+                    framed.extend([[block[s + 1:e].decode() for s, e in zip(row, row[1:])]
+                                   for row in edges.tolist()])
+                took = True
+            except corpus_mod._NotPlain:
+                took = False
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                rows = csv.reader(fh, strict=True)  # the header, then the lines framed
+                assert [next(rows) for _ in range(len(framed) + 1)][1:] == framed
+    finally:
+        csv.field_size_limit(old_limit)
+    first = data.removeprefix(codecs.BOM_UTF8).split(b"\n", 1)[0].removesuffix(b"\r")
+    if first == ",".join(header).encode() and all(
+            line.count(",") == len(header) - 1 and '"' not in line
+            and min(line, default=" ") >= " " and len(line.encode()) <= field_limit
+            for line in lines):
+        assert took and len(framed) == len(lines)

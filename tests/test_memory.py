@@ -3,9 +3,12 @@ a row. Each test takes the traced heap's peak (tracemalloc, which numpy's
 buffers report to) at two corpus sizes and bounds its growth per extra row,
 so the per-block and per-pattern parts, equal at both sizes, cancel."""
 
+import codecs
 import importlib.util
 import tracemalloc
 from pathlib import Path
+
+import pytest
 
 from sentireg import corpus as corpus_mod
 from sentireg import tabulate as tab_mod
@@ -47,15 +50,18 @@ def bytes_per_extra_row(run_at) -> float:
     return (peaks[1] - peaks[0]) / (SIZES[1] - SIZES[0])
 
 
-def test_preprocess_holds_under_16_bytes_per_row(tmp_path, monkeypatch):
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
+def test_preprocess_holds_under_16_bytes_per_row(tmp_path, monkeypatch, bom):
     # A set of every id held about 180 bytes a row; a hash of each holds 8.
+    # A corpus with a byte-order mark takes the block path too.
     monkeypatch.setattr(corpus_mod, "CorpusReader", None)  # the block path only
     fixtures, normalize = make_fixtures(), WordNormalizer()
 
     def run_at(n):
-        fixtures.write_corpus_csv(tmp_path / "corpus.csv", fixtures.make_corpus(7, n_docs=n))
-        return lambda: corpus_mod.write_tokens(tmp_path / "corpus.csv", tmp_path / "tokens.csv",
-                                               normalize)
+        corpus = tmp_path / "corpus.csv"
+        fixtures.write_corpus_csv(corpus, fixtures.make_corpus(7, n_docs=n))
+        corpus.write_bytes(bom + corpus.read_bytes())
+        return lambda: corpus_mod.write_tokens(corpus, tmp_path / "tokens.csv", normalize)
 
     assert bytes_per_extra_row(run_at) < 16
 

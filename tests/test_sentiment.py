@@ -1,3 +1,4 @@
+import codecs
 import csv
 import math
 import tempfile
@@ -436,16 +437,16 @@ def test_score_blocks_equals_the_per_record_path(data, block_bytes, field_limit)
 @pytest.mark.parametrize("tail", [b"", b"t,CA,0,\r\nt,NC,999999999999,good very bad\n",
                                   b"t,NC,12,not good", "t,NC,7,café\r\n".encode(),
                                   "é1,NC,9,très good\r\n".encode()])
-def test_score_blocks_reads_plain_blocks(tail):
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
+def test_score_blocks_reads_plain_blocks(tail, bom):
     # CRLF and LF, an empty tokens field, a last line without an end and
-    # UTF-8 words, in blocks of a line or two
-    took, stage, per_record = score_both(PLAIN_TOKENS + tail, 40)
+    # UTF-8 words, in blocks of a line or two, after a byte-order mark or none
+    took, stage, per_record = score_both(bom + PLAIN_TOKENS + tail, 40)
     assert took and stage == per_record
     assert stage[0].count(b"\r\n") == stage[0].count(b"\n") == 13 + tail.count(b",") // 3
 
 
 @pytest.mark.parametrize("change", [
-    lambda d: "\ufeff".encode() + d,                      # a byte-order mark
     lambda d: d.replace(b"text_width,tokens", b"tokens,text_width", 1),  # another order
     lambda d: d.replace(b"\r\n", b"\r", 2)[:-2] + b"\r\n",  # a bare CR
     lambda d: d + b"t\r1,NC,7,good\r\n",                   # a bare CR inside a field

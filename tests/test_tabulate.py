@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import math
@@ -531,15 +532,16 @@ def test_join_blocks_equals_the_per_record_join(data, block_bytes, field_limit):
     (b"", [7.0, 8.0, 9.0, 10.0]),
     (b"t,CA,007,s,c,1\nt,NC,999999999999,s,c,0", [7.0, 8.0, 9.0, 10.0, 999999999999.0]),
 ])
-def test_join_blocks_reads_plain_blocks(tail, widths):
-    # LF and CRLF mixed, a last line without one, blocks of a line or two
-    took, result, per_record = join_both(PLAIN + tail, 40)
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
+def test_join_blocks_reads_plain_blocks(tail, widths, bom):
+    # LF and CRLF mixed, a last line without one, blocks of a line or two,
+    # after a byte-order mark or none
+    took, result, per_record = join_both(bom + PLAIN + tail, 40)
     assert took and result == per_record
     assert sorted({c[0] for c in result[0]}) == widths
 
 
 @pytest.mark.parametrize("change", [
-    lambda d: "\ufeff".encode() + d,                      # a byte-order mark
     lambda d: d.replace(b"\r\n", b"\r", 1),              # a bare CR
     lambda d: d + b"\r\n",                               # a blank line
     lambda d: d + b"t,NC,7,s,c,1\r",                      # a CR at the end of the file
