@@ -1,9 +1,12 @@
 """Time and size each pipeline stage, and one whole run, at a corpus size.
 
-    python scripts/scale_probe.py N [--work DIR]
+    python scripts/scale_probe.py N [--corpus tweets|wide-vocab] [--work DIR]
 
-Writes make_fixtures.make_corpus(7, n_docs=N) as corpus.csv in DIR (a temp
-directory by default), then runs each stage of sentireg.pipeline in order,
+Writes an N-document corpus as corpus.csv in DIR (a temp directory by
+default): make_fixtures.make_corpus(7, n_docs=N), the paper's tweet shape
+with about a hundred words, or with --corpus wide-vocab the benchmark's
+perfbench/widevocab.make_corpus(7, N), whose vocabulary grows with N (it is
+read, not changed). Then it runs each stage of sentireg.pipeline in order,
 each in a fresh Python process, and one run_pipeline in another fresh
 process on its own output directory. Each child imports sentireg from this
 checkout's src/ with BLAS pinned to one thread, and reports the seconds its
@@ -12,8 +15,8 @@ baseline too). Linux carries a process's max RSS over into the processes
 it starts, so the corpus is written in a child too, and this process
 imports nothing that would raise the children's. Prints one JSON line:
 
-    {"n_docs": N, "stages": {"preprocess": {"s": ..., "max_rss_mb": ...}, ...},
-     "run_pipeline": {"s": ..., "max_rss_mb": ...}}
+    {"n_docs": N, "corpus": "tweets", "stages": {"preprocess": {"s": ...,
+     "max_rss_mb": ...}, ...}, "run_pipeline": {"s": ..., "max_rss_mb": ...}}
 
 Exits non-zero when a child fails.
 """
@@ -21,6 +24,7 @@ Exits non-zero when a child fails.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import resource
@@ -35,15 +39,17 @@ STAGES = ("preprocess", "score", "join", "fit", "diagnose")
 BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def child(stage: str, work: Path, n_docs: int) -> None:
+CORPORA = {"tweets": ROOT / "scripts" / "make_fixtures.py",
+           "wide-vocab": ROOT / "perfbench" / "widevocab.py"}
+
+
+def child(stage: str, work: Path, n_docs: int, corpus: str) -> None:
     """Write the corpus, or run one stage (or "run" for run_pipeline) and
     print its seconds and max RSS."""
     if stage == "corpus":
-        sys.path.insert(0, str(ROOT / "scripts"))
-        import make_fixtures
-
-        docs = make_fixtures.make_corpus(7, n_docs=n_docs)
-        return make_fixtures.write_corpus_csv(work / "corpus.csv", docs)
+        sys.path.insert(0, str(CORPORA[corpus].parent))
+        generator = importlib.import_module(CORPORA[corpus].stem)
+        return generator.write_corpus_csv(work / "corpus.csv", generator.make_corpus(7, n_docs))
     sys.path.insert(0, str(ROOT / "src"))
     from sentireg import pipeline
 
@@ -60,36 +66,39 @@ def child(stage: str, work: Path, n_docs: int) -> None:
     print(json.dumps({"s": round(seconds, 3), "max_rss_mb": round(rss_kb / 1024, 1)}))
 
 
-def launch(stage: str, work: Path, n_docs: int) -> dict | None:
+def launch(stage: str, work: Path, n_docs: int, corpus: str) -> dict | None:
     """Run child(stage) in a fresh process; what it printed, read as JSON."""
     proc = subprocess.run([sys.executable, __file__, str(n_docs), "--child", stage,
-                           "--work", str(work)],
+                           "--corpus", corpus, "--work", str(work)],
                           capture_output=True, text=True, env={**os.environ, **BLAS_ENV})
     if proc.returncode:
         raise SystemExit(f"{stage} failed (exit {proc.returncode}):\n{proc.stderr}")
     return json.loads(proc.stdout) if proc.stdout.strip() else None
 
 
-def probe(n_docs: int, work: Path) -> dict:
-    launch("corpus", work, n_docs)
-    return {"n_docs": n_docs, "stages": {stage: launch(stage, work, n_docs) for stage in STAGES},
-            "run_pipeline": launch("run", work, n_docs)}
+def probe(n_docs: int, work: Path, corpus: str) -> dict:
+    launch("corpus", work, n_docs, corpus)
+    return {"n_docs": n_docs, "corpus": corpus,
+            "stages": {stage: launch(stage, work, n_docs, corpus) for stage in STAGES},
+            "run_pipeline": launch("run", work, n_docs, corpus)}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n_docs", type=int, metavar="N")
+    parser.add_argument("--corpus", choices=tuple(CORPORA), default="tweets",
+                        help="corpus generator (default: tweets)")
     parser.add_argument("--work", type=Path, help="directory for the corpus and artifacts")
     parser.add_argument("--child", choices=("corpus", *STAGES, "run"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        return child(args.child, args.work, args.n_docs)
+        return child(args.child, args.work, args.n_docs, args.corpus)
     if args.work:
         args.work.mkdir(parents=True, exist_ok=True)
-        result = probe(args.n_docs, args.work)
+        result = probe(args.n_docs, args.work, args.corpus)
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            result = probe(args.n_docs, Path(tmp))
+            result = probe(args.n_docs, Path(tmp), args.corpus)
     print(json.dumps(result))
 
 

@@ -353,29 +353,56 @@ class CorpusLoadResult:
     dropped: int  # rows discarded for unknown state codes
 
 
+_id_hash = hash  # an id's 64 bits for the repeat checks
+
+
 class CorpusReader:
     """(id, state, text) for each row of a corpus CSV (columns id, state,
     text; extras ignored) whose state is a US state or DC, read as iterated.
     Other rows are counted in `dropped`, afresh on each pass; an empty or
-    duplicate id is a SchemaError naming its line. Only the ids seen so far
-    are held."""
+    duplicate id is a SchemaError naming its line.
+
+    Each id is held as its 8-byte _id_hash, not as itself, and the hashes
+    are sorted once the last row is read. Where two are equal (a repeated
+    id, or a collision, which is not an error), or another error stops the
+    read, the file is read again with a set of the ids themselves, which
+    names the first bad line: a repeated id before that error is named
+    first, as a reader that checked each row in turn would name it."""
 
     def __init__(self, path: str | Path):
         self.path, self.dropped = path, 0
 
     def __iter__(self) -> Iterator[tuple[str, str, str]]:
-        path, seen = self.path, set()
+        hashes = array("q")
         self.dropped = 0
-        for lineno, doc_id, state, text in read_columns(path, ("id", "state", "text")):
-            if not doc_id:
-                raise SchemaError(f"{path}:{lineno}: empty id")
+        try:
+            for lineno, doc_id, state, text in self._records():
+                hashes.append(_id_hash(doc_id))
+                if state in STATE_CODES:
+                    yield doc_id, state, text
+                else:
+                    self.dropped += 1
+        except SchemaError:
+            self._check_ids()
+            raise
+        if _repeats(hashes):
+            self._check_ids()
+
+    def _records(self) -> Iterator[tuple[int, str, str, str]]:
+        for record in read_columns(self.path, ("id", "state", "text")):
+            if not record[1]:
+                raise SchemaError(f"{self.path}:{record[0]}: empty id")
+            yield record
+
+    def _check_ids(self) -> None:
+        """Read the file again with a set of the ids and raise the SchemaError
+        of its first empty or repeated id or other error; return where there
+        is none, as after a collision of two ids' hashes."""
+        seen = set()
+        for lineno, doc_id, _, _ in self._records():
             if doc_id in seen:
-                raise SchemaError(f"{path}:{lineno}: duplicate id {doc_id!r}")
+                raise SchemaError(f"{self.path}:{lineno}: duplicate id {doc_id!r}")
             seen.add(doc_id)
-            if state in STATE_CODES:
-                yield doc_id, state, text
-            else:
-                self.dropped += 1
 
 
 def load_corpus(path: str | Path) -> CorpusLoadResult:
@@ -477,6 +504,9 @@ def bag_of_words(stream: TokenStream) -> BagOfWords:
     return BagOfWords(counts=dict(Counter(stream.normalized)))
 
 
+MEMO_WORDS = 1 << 14  # words a WordNormalizer holds before it is cleared
+
+
 class WordNormalizer(dict):
     """Memo from a token's surface form to its normalized form, or to None
     when the token is dropped. For w = surface.lower(): None if w is a
@@ -485,6 +515,11 @@ class WordNormalizer(dict):
     depends only on w, `words` keys the memo by the surface, lower-cased in
     ASCII texts, with the same values. The memo holds only for the word
     lists it was built from: build one per set of lists.
+
+    The memo is a bounded cache, so its size does not grow with a corpus's
+    vocabulary: a miss clears it once it holds more than MEMO_WORDS words,
+    and write_tokens' block path clears it before a block once it does. A
+    value is a pure function of the word, so a clear changes no output.
     """
 
     def __init__(self, *, stopwords: set[str] | None = None, slang: set[str] | None = None,
@@ -500,6 +535,8 @@ class WordNormalizer(dict):
         self._lemma_words = frozenset(self._lemmas)
 
     def __missing__(self, surface: str) -> str | None:
+        if len(self) > MEMO_WORDS:
+            self.clear()
         word = surface.lower()
         if word in self._stopwords or word in self._slang:
             value = None
@@ -574,7 +611,6 @@ TOKENS_COLUMNS = ("id", "state", "text_width", "tokens")
 _LINE_MARK = "\xd7"
 # _URL_RE over the bytes of ASCII lower case with no 0x1C-0x1F, where \s agrees
 _URL_BYTES_RE = re.compile(rb"http(?<!\Shttp)\S*")
-_id_hash = hash  # an id's 64 bits for the block path's repeat check
 
 
 def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormalizer) -> None:
@@ -599,7 +635,12 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     not UTF-8, an empty id, a row too short, two ids with equal hashes (a
     repeated id, or a collision, which is not an error), or word lists that
     could write the line mark, a quote, comma, CR or LF. So a corpus is read
-    twice only when it is in error or two of its ids' hashes collide.
+    more than once only when it is in error or two of its ids' hashes
+    collide: CorpusReader then reads it once more to name the first bad line.
+
+    On either path what is held grows by an 8-byte id hash a row, whatever
+    the vocabulary: the memo is cleared once it holds more than MEMO_WORDS
+    words, and the output is written a block, or a chunk of rows, at a time.
     """
     try:
         return _preprocess_blocks(corpus, tokens, normalize)
@@ -617,9 +658,11 @@ def _preprocess_blocks(corpus: str | Path, tokens: str | Path,
     temp file left, where the corpus must be read row by row.
 
     The memo is filled a block at a time (WordNormalizer.fill) after a block
-    that grew it, so a block whose words all hit it costs no extra pass.
-    Every row's id, kept or dropped, is checked for repeats as CorpusReader
-    checks it, from 8 bytes a row: its _id_hash, sorted in place at the end."""
+    that changed its size, so a block whose words all hit it costs no extra
+    pass. It is cleared before a block once it holds more than MEMO_WORDS
+    words, and that block then fills it in one batch. Every row's id, kept
+    or dropped, is checked for repeats as CorpusReader checks it, from 8
+    bytes a row: its _id_hash, sorted in place at the end."""
     if normalize[_LINE_MARK] != _LINE_MARK or not normalize.forms_avoid(_LINE_MARK + '",\r\n'):
         raise _NotPlain
     hashes, grew = array("q"), True
@@ -627,13 +670,22 @@ def _preprocess_blocks(corpus: str | Path, tokens: str | Path,
         write_rows(fh, [TOKENS_COLUMNS])
         for block, quotes in _record_blocks(corpus, ("id", "state", "text"),
                                             PREPROCESS_BLOCK_BYTES):
+            if len(normalize) > MEMO_WORDS:
+                normalize.clear()
+                grew = True
             size = len(normalize)
             _preprocess_block(fh, block, quotes, normalize, hashes, grew)
-            grew = len(normalize) > size
-        hashes = np.asarray(hashes)  # int64, a view of the array
-        hashes.sort()
-        if (hashes[1:] == hashes[:-1]).any():  # a repeated id, or a collision
+            grew = len(normalize) != size  # a miss may have cleared it too
+        if _repeats(hashes):
             raise _NotPlain
+
+
+def _repeats(hashes: array) -> bool:
+    """Whether two of the int64s in hashes are equal, found by sorting them
+    in place: a repeated id, or a collision of two ids' hashes."""
+    hashes = np.asarray(hashes)  # int64, a view of the array
+    hashes.sort()
+    return bool((hashes[1:] == hashes[:-1]).any())
 
 
 def _preprocess_block(fh: TextIO, block: bytes, quotes: np.ndarray, normalize: WordNormalizer,

@@ -19,11 +19,13 @@ from __future__ import annotations
 import io
 import math
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
+from itertools import count, filterfalse
+from operator import itemgetter, methodcaller
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -249,15 +251,22 @@ def _patterns(states: list[str], state: np.ndarray, width: np.ndarray,
             for c in map(covars.get, states)]
     texts = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     first_with: dict[str, int] = {}  # covariate text -> the first state with it
-    same_as = np.array([first_with.setdefault(text, k) for k, text in enumerate(texts)])
-    _, first, inverse = np.unique(np.column_stack([same_as[state], width]), axis=0,
-                                  return_index=True, return_inverse=True)
-    order = np.argsort(first)  # the distinct rows in first-occurrence order
+    same_as = np.array([first_with.setdefault(text, k) for k, text in enumerate(texts)],
+                       np.intp)[state]
+    # A stable sort by (covariates, width): each run of equal pairs starts
+    # at its first key, and `run` numbers every key's run.
+    by = np.lexsort((width, same_as))
+    starts = np.ones(len(by), bool)
+    starts[1:] = (same_as[by[1:]] != same_as[by[:-1]]) | (width[by[1:]] != width[by[:-1]])
+    run = np.empty(len(by), np.intp)
+    run[by] = np.cumsum(starts) - 1
+    first = by[starts]
+    order = np.argsort(first)  # the runs in first-occurrence order
     key = first[order]  # each pattern's first key
     text = [f"{w!r},{texts[k]}" for w, k in zip(width[key].tolist(), state[key].tolist())]
     values = np.array(rows, dtype=float).reshape(len(rows), len(ANALYSIS_COLUMNS) - 2)
     X = np.column_stack([width[key], values[state[key]]])
-    return np.argsort(order)[inverse.reshape(-1)], X, text
+    return np.argsort(order)[run], X, text
 
 
 def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> AnalysisTable:
@@ -359,37 +368,42 @@ def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:
         raise ValueError("descriptive statistics need at least 2 rows")
     X, m, y_sum = table.patterns
     positives = float(y_sum.sum())
-    columns = {"sentiment": (np.array([0.0, 1.0]), np.array([n - positives, positives]))}
+    w = np.array([n - positives, positives])
+    stats = {"sentiment": _weighted_stats(np.array([0.0, 1.0])[w > 0], w[w > 0], n)}
+    w = m.astype(float)  # one weight vector for every covariate column
+    kept = w > 0
+    w = w[kept]
     for j, name in enumerate(ANALYSIS_COLUMNS[1:]):
-        columns[name] = (X[:, j], m.astype(float))
-    stats = {}
-    for name, (x, w) in columns.items():
-        x, w = x[w > 0], w[w > 0]
-        mean = float(w @ x) / n
-        stats[name] = {
-            "mean": mean,
-            "sd": math.sqrt(float(w @ (x - mean) ** 2) / (n - 1)),
-            "min": float(x.min()),
-            "max": float(x.max()),
-        }
+        stats[name] = _weighted_stats(X[kept, j], w, n)
     return stats
 
 
-ANALYSIS_CHUNK_ROWS = 4096  # documents write_analysis_csv and patterns take at a time
+def _weighted_stats(x: np.ndarray, w: np.ndarray, n: int) -> dict[str, float]:
+    """Mean, sample sd, min and max of values x with row counts w, n in all."""
+    mean = float(w @ x) / n
+    return {
+        "mean": mean,
+        "sd": math.sqrt(float(w @ (x - mean) ** 2) / (n - 1)),
+        "min": float(x.min()),
+        "max": float(x.max()),
+    }
+
+
+ANALYSIS_CHUNK_ROWS = 1024  # documents write_analysis_csv and patterns take at a time
 
 
 def write_analysis_csv(path: str | Path, table: AnalysisTable) -> None:
-    """One line per document: its outcome, then its pattern's CSV text. Each
-    of the 2 x patterns distinct lines is formatted once; the documents' line
-    numbers are built and become Python ints ANALYSIS_CHUNK_ROWS at a time,
-    not all at once."""
-    lines = [f"{y},{text}{_EOL}" for y in (0, 1) for text in table.text]
+    """One line per document: its outcome, then its pattern's CSV text. The
+    lines are formatted and written ANALYSIS_CHUNK_ROWS documents at a time,
+    one write a chunk, so what is held grows with neither the documents nor
+    the patterns."""
+    text, step = table.text, ANALYSIS_CHUNK_ROWS
     with atomic_open(path) as fh:
         fh.write(",".join(ANALYSIS_COLUMNS) + _EOL)
-        for i in range(0, len(table), ANALYSIS_CHUNK_ROWS):
-            line = table.pattern[i:i + ANALYSIS_CHUNK_ROWS].astype(np.intp)
-            line[table.y[i:i + ANALYSIS_CHUNK_ROWS]] += len(table.text)
-            fh.writelines(map(lines.__getitem__, line.tolist()))
+        for i in range(0, len(table), step):
+            y = table.y[i:i + step].view(np.uint8).tolist()
+            pattern = table.pattern[i:i + step].tolist()
+            fh.write("".join([f"{b},{text[j]}{_EOL}" for b, j in zip(y, pattern)]))
 
 
 def read_analysis_csv(path: str | Path) -> list[AnalysisRow]:
@@ -411,43 +425,91 @@ def write_patterns_csv(path: str | Path, table: AnalysisTable) -> None:
 _loadtxt = partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
 
 
-def _parse_body(body: str) -> np.ndarray:
-    """_loadtxt(body)'s array or error. Where each line has four fields, no
-    m,y_sum,TW head holds a CR and no tail is blank, the heads are parsed in
-    one call and each distinct covariate tail (a state's, on each of its
-    widths' lines) once. np.loadtxt reads a CR that ends a listed line as a
-    line end, as at the end of a line of body, and any other CR as an error:
-    it would end a head."""
-    lines = body.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    try:
-        tails = [line.split(",", 3)[3] for line in lines]
-    except IndexError:  # a blank line, or one of fewer than four fields
-        return _loadtxt(io.StringIO(body))
-    heads = [line[:len(line) - len(tail) - 1] for line, tail in zip(lines, tails)]
-    distinct = {tail: j for j, tail in enumerate(dict.fromkeys(tails))}
-    if "\r" in "".join(heads) or {"", "\r"} & distinct.keys():  # a blank tail would be skipped
-        return _loadtxt(io.StringIO(body))
-    rows = _loadtxt(list(distinct))
-    row = np.fromiter(map(distinct.get, tails), np.intp, len(tails))
-    return np.column_stack([_loadtxt(heads), rows[row]])
+PATTERN_CHUNK_CHARS = 1 << 16  # patterns.csv characters read_patterns_csv reads at a time
+
+
+def _line_chunks(fh: TextIO) -> Iterator[str]:
+    """The rest of fh in pieces of whole lines, read PATTERN_CHUNK_CHARS
+    characters at a time and cut after the last LF of each read; the last
+    piece lacks an LF when the file does not end in one."""
+    rest = ""
+    for chunk in iter(partial(fh.read, PATTERN_CHUNK_CHARS), ""):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield rest + chunk[:cut]
+            rest = chunk[cut:]
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def _parse_lines(fh: TextIO) -> np.ndarray | None:
+    """_loadtxt's array for the rest of fh, its lines split at LF alone, or
+    None where it must be parsed whole: where a line has fewer than four
+    fields, an m,y_sum,TW head holds a CR, a tail is blank, the tails'
+    field counts differ, or _loadtxt refuses a field, so that its error
+    names the line. A CR that ends a line ends it for np.loadtxt, in a list
+    of lines as in the whole body; any other CR would end a head.
+
+    The lines are read a piece of _line_chunks at a time. Each piece's
+    heads are parsed in one call, and each distinct covariate tail (a
+    state's, on each of its widths' lines) once, where it first appears;
+    only the parsed heads and each line's tail number are kept."""
+    distinct: dict[str, int] = {}
+    tails, heads, numbers = [], [], []
+    for piece in _line_chunks(fh):
+        lines = piece.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        try:
+            tail = list(map(itemgetter(3), map(methodcaller("split", ",", 3), lines)))
+        except IndexError:  # a blank line, or one of fewer than four fields
+            return None
+        head = list(map(str.removesuffix, lines, map(",".__add__, tail)))
+        new = list(filterfalse(distinct.__contains__, dict.fromkeys(tail)))
+        if "\r" in "".join(head) or {"", "\r"}.intersection(new):  # a blank tail would be skipped
+            return None
+        try:
+            if new:
+                tails.append(_loadtxt(new))
+            heads.append(_loadtxt(head))
+        except ValueError:
+            return None
+        distinct.update(zip(new, count(len(distinct))))
+        numbers.append(np.fromiter(map(distinct.__getitem__, tail), np.intp, len(tail)))
+    if not heads or len({t.shape[1] for t in tails}) > 1:
+        return None
+    rows = np.concatenate(tails)
+    data = np.empty((sum(map(len, numbers)), 3 + rows.shape[1]))
+    at = 0
+    for head, number in zip(heads, numbers):
+        data[at:at + len(number), :3] = head
+        data[at:at + len(number), 3:] = rows[number]
+        at += len(number)
+    return data
 
 
 def read_patterns_csv(path: str | Path) -> Patterns:
     """patterns.csv's columns, each field parsed as np.loadtxt parses it, or
     a SchemaError that names the file. The header must be exactly
-    PATTERN_COLUMNS, after an optional BOM; blank lines are skipped."""
+    PATTERN_COLUMNS, after an optional BOM; blank lines are skipped. The
+    body is read a piece at a time (_parse_lines); a body that must be
+    parsed whole, such as one with a blank line or in error, is read again
+    whole and parsed by one np.loadtxt call."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         if fh.readline().rstrip("\r\n") != ",".join(PATTERN_COLUMNS):
             raise SchemaError(f"{path}: header must be {','.join(PATTERN_COLUMNS)}")
-        body = fh.read()
-    if not body.strip():
-        raise SchemaError(f"{path}: no covariate patterns")
-    try:
-        data = _parse_body(body)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+        start = fh.tell()
+        if (data := _parse_lines(fh)) is None:
+            fh.seek(start)
+            body = fh.read()
+            if not body.strip():
+                raise SchemaError(f"{path}: no covariate patterns")
+            try:
+                data = _loadtxt(io.StringIO(body))
+            except ValueError as exc:
+                raise SchemaError(f"{path}: {exc}") from None
     if data.shape[1] != len(PATTERN_COLUMNS):
         raise SchemaError(f"{path}: malformed row, {data.shape[1]} fields")
     return Patterns(X=data[:, 2:], m=data[:, 0], y_sum=data[:, 1])

@@ -157,6 +157,30 @@ class TestLoadCorpus:
             assert list(rows) == [("b", "NC", "hello")]
             assert rows.dropped == 2
 
+    # The reader keeps a hash of each id and names a repeat once the file is
+    # read, or another error stops it: the first bad line is named either way.
+    @pytest.mark.parametrize("body, error", [
+        ("a,NC,x\nb,CA,y\na,NY,z\n", "corpus.csv:4: duplicate id 'a'"),
+        ("a,NC,x\na,CA,y\n,NY,z\n", "corpus.csv:3: duplicate id 'a'"),  # before an empty id
+        ("a,NC,x\n,CA,y\na,NY,z\n", "corpus.csv:3: empty id"),           # after one
+        ("a,NC,x\na,CA,y\nb,NY\n", "corpus.csv:3: duplicate id 'a'"),    # before a short row
+        ('a,NC,x\na,CA,y\nb,NY,"z\n', "corpus.csv:3: duplicate id 'a'"),  # an unterminated quote
+        ('a,NC,x\nb,CA,"y"z\na,NY,z\n', "corpus.csv:3: ',' expected"),   # a stray quote first
+    ])
+    def test_reader_names_the_first_bad_line(self, tmp_path, body, error):
+        p = self._write(tmp_path, "id,state,text\n" + body)
+        with pytest.raises(SchemaError, match=re.escape(error)):
+            list(CorpusReader(p))
+
+    def test_reader_takes_a_hash_collision_for_no_repeat(self, tmp_path, monkeypatch):
+        p = self._write(tmp_path, "id,state,text\na,NC,x\nb,PR,y\nc,CA,z\n")
+        monkeypatch.setattr(corpus_mod, "_id_hash", lambda doc_id: 0)
+        rows = CorpusReader(p)
+        assert list(rows) == [("a", "NC", "x"), ("c", "CA", "z")] and rows.dropped == 1
+        p.write_text("id,state,text\na,NC,x\nb,PR,y\nb,CA,z\n")
+        with pytest.raises(SchemaError, match=re.escape("corpus.csv:4: duplicate id 'b'")):
+            list(rows)
+
 
 def test_wordlist_byte_order_mark_is_skipped(tmp_path):
     p = tmp_path / "stopwords.txt"
@@ -439,6 +463,39 @@ def test_fill_equals_missing(lemmas, stem_rules, batches, stopwords, slang):
         for word in batch:
             missed[word]
         assert filled == missed
+
+
+def test_a_miss_clears_a_full_memo(monkeypatch):
+    monkeypatch.setattr(corpus_mod, "MEMO_WORDS", 4)
+    normalize = WordNormalizer(stem_rules=[("s", "")])
+    for i in range(20):
+        assert normalize[f"Word{i}s"] == f"word{i}"
+        assert len(normalize) <= 5
+
+
+@pytest.mark.parametrize("columns", [("id", "state", "text"), ("state", "id", "text")],
+                         ids=["block-path", "per-record-path"])
+def test_a_bounded_memo_writes_the_same_tokens(tmp_path, monkeypatch, columns):
+    # 300 documents of about 900 distinct words, some of them not ASCII, in
+    # blocks of a few lines, with the memo cleared past 8 words.
+    docs = [{"id": f"t{i}", "state": "NC",
+             "text": f"Word{i} word{i % 7}s día{i} {'studies' if i % 2 else 'Reopening'}"}
+            for i in range(300)]
+    corpus = tmp_path / "corpus.csv"
+    with open(corpus, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, columns)
+        writer.writeheader()
+        writer.writerows(docs)
+    lists = {"stem_rules": [("ies", "y"), ("s", "")], "lemmas": {"reopening": "reopen"}}
+    corpus_mod.write_tokens(corpus, tmp_path / "unbounded.csv", WordNormalizer(**lists))
+    monkeypatch.setattr(corpus_mod, "MEMO_WORDS", 8)
+    monkeypatch.setattr(corpus_mod, "PREPROCESS_BLOCK_BYTES", 256)
+    if columns[0] == "id":
+        monkeypatch.setattr(corpus_mod, "CorpusReader", None)  # the block path only
+    normalize = WordNormalizer(**lists)
+    corpus_mod.write_tokens(corpus, tmp_path / "tokens.csv", normalize)
+    assert (tmp_path / "tokens.csv").read_bytes() == (tmp_path / "unbounded.csv").read_bytes()
+    assert len(normalize) < 50
 
 
 # -- write_rows, the joined fast path beside csv.writer ------------------------

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -173,6 +174,46 @@ class TestJoin:
         rows = join([record(s, i % 2) for i, s in enumerate(sorted(covars))], covars)
         for row in rows:
             assert row.NE + row.MW + row.WEST in (0, 1)
+
+
+def unique_patterns(states, state, width, covars):
+    """_patterns' numbering and first keys as np.unique(axis=0) gives them:
+    the distinct (first state with equal covariates, width) rows, numbered
+    by first key."""
+    texts = [repr(dataclasses.astuple(covars[s])[1:]) for s in states]
+    same_as = np.array([texts.index(t) for t in texts])[state]
+    _, first, inverse = np.unique(np.column_stack([same_as, width]), axis=0,
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse.reshape(-1)], first[order]
+
+
+@st.composite
+def pattern_keys(draw):
+    """States some of which share every covariate, and (state, width) keys
+    with repeated widths, as join passes them to _patterns."""
+    states = draw(st.lists(st.sampled_from(sorted(REGION_OF_STATE)), min_size=1, max_size=6,
+                           unique=True))
+    covars = {s: make_covariates(s, MHHI=draw(st.sampled_from([50000.0, 61000.5])),
+                                 region="South") for s in states}
+    n = draw(st.integers(1, 40))
+    state = np.array(draw(st.lists(st.integers(0, len(states) - 1), min_size=n, max_size=n)),
+                     np.intp)
+    width = np.array(draw(st.lists(st.sampled_from([0.0, 3.0, 7.0, 45.0]), min_size=n,
+                                   max_size=n)))
+    return states, state, width, covars
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_keys())
+def test_patterns_number_keys_as_np_unique_does(keys):
+    states, state, width, covars = keys
+    number, X, text = tab_mod._patterns(*keys)
+    want, first = unique_patterns(*keys)
+    assert number.tolist() == want.tolist()
+    # Each pattern's row and text are its first key's, as join gives them.
+    firsts = join([record(states[state[k]], 0, width=int(width[k])) for k in first], covars)
+    assert X.tolist() == firsts.X.tolist() and text == firsts.text
 
 
 class TestDescriptiveStats:
@@ -416,6 +457,20 @@ ROW = "1,0,7.0," + PATTERN_TAILS[0]
 @example("1,0,7.0,\n")                                      # the only tail, blank
 def test_read_patterns_csv_equals_the_whole_body_parse(body):
     ours, oracle = read_both(body)
+    assert ours == oracle
+
+
+# The same, read a few characters to a few lines at a time: a read may end
+# inside a line or between its CR and LF, and a later piece hold the first
+# odd line or a new tail.
+@settings(max_examples=300, deadline=None)
+@given(pattern_bodies(), st.integers(min_value=1, max_value=400))
+@example(f"{ROW}\r\n{ROW.replace(',0,0,0,', ',0.0,0,-0,', 1)}\r\n", 200)
+@example(f"{ROW}\r\n\r\n{ROW}\r\n", 200)
+@example(f"{ROW}\r\n{ROW},1\r\n", 200)
+def test_read_patterns_csv_in_pieces_equals_the_whole_body_parse(body, chunk_chars):
+    with mock.patch.object(tab_mod, "PATTERN_CHUNK_CHARS", chunk_chars):
+        ours, oracle = read_both(body)
     assert ours == oracle
 
 
