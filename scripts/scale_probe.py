@@ -8,12 +8,15 @@ with about a hundred words, or with --corpus wide-vocab the benchmark's
 perfbench/widevocab.make_corpus(7, N), whose vocabulary grows with N (it is
 read, not changed). Then it runs each stage of sentireg.pipeline in order,
 each in a fresh Python process, and one run_pipeline in another fresh
-process on its own output directory. Each child imports sentireg from this
-checkout's src/ with BLAS pinned to one thread, and reports the seconds its
-stage took and its max RSS (resource.getrusage, which counts the import
-baseline too). Linux carries a process's max RSS over into the processes
-it starts, so the corpus is written in a child too, and this process
-imports nothing that would raise the children's. Prints one JSON line:
+process on its own output directory. Before them it compiles this
+checkout's src/ in a child that may write bytecode (PYTHONDONTWRITEBYTECODE
+unset), so that no stage child spends time and memory compiling a changed
+module. Each child imports sentireg from this checkout's src/ with BLAS
+pinned to one thread, and reports the seconds its stage took and its max
+RSS (resource.getrusage, which counts the import baseline too). Linux
+carries a process's max RSS over into the processes it starts, so the
+corpus is written in a child too, and this process imports nothing that
+would raise the children's. Prints one JSON line:
 
     {"n_docs": N, "corpus": "tweets", "stages": {"preprocess": {"s": ...,
      "max_rss_mb": ...}, ...}, "run_pipeline": {"s": ..., "max_rss_mb": ...}}
@@ -76,7 +79,15 @@ def launch(stage: str, work: Path, n_docs: int, corpus: str) -> dict | None:
     return json.loads(proc.stdout) if proc.stdout.strip() else None
 
 
+def compile_src() -> None:
+    """Write src/'s bytecode, in a child whose environment allows it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src")], env=env,
+                   check=True)
+
+
 def probe(n_docs: int, work: Path, corpus: str) -> dict:
+    compile_src()
     launch("corpus", work, n_docs, corpus)
     return {"n_docs": n_docs, "corpus": corpus,
             "stages": {stage: launch(stage, work, n_docs, corpus) for stage in STAGES},

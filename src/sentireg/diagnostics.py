@@ -153,8 +153,10 @@ def marginal_effects(
     - discrete, AME_j = mean(p1 - p0), with p1 and p0 at x_j = 1 and 0:
       dAME_j/dbeta = mean(w1 x1 - w0 x0)
 
-    The discrete targets share one scratch copy of X: column j is set to 1,
-    then to 0, then restored, so each product sees x1's and x0's values.
+    The discrete targets set column j of data.X itself to 1, then to 0,
+    and restore it from a saved copy of the column even when a prediction
+    raises, so each product sees x1's and x0's values and no copy of X is
+    made; a read-only X is copied once.
     """
     targets = []
     for j, name in enumerate(result.names):
@@ -172,24 +174,29 @@ def marginal_effects(
     w = p * (1.0 - p)
     mean_w = float(weight @ w)
     dw = (weight * w * (1.0 - 2.0 * p)) @ X   # mean(w (1 - 2p) x)
+    del p, w  # the discrete targets' n-vectors take their place
     ame = np.empty(len(targets))
     jac = np.empty((len(targets), len(beta)))
-    scratch = X.copy()  # the discrete targets' x1 and x0, a column at a time
+    if not X.flags.writeable:
+        X = X.copy()
     for t, (j, kind) in enumerate(targets):
         if kind == "continuous":
             ame[t] = beta[j] * mean_w
             jac[t] = beta[j] * dw
             jac[t, j] += mean_w
-        else:
-            scratch[:, j] = 1.0
-            p1 = predict_prob(scratch, beta)
-            dw1 = (weight * p1 * (1.0 - p1)) @ scratch
-            scratch[:, j] = 0.0
-            p0 = predict_prob(scratch, beta)
-            dw0 = (weight * p0 * (1.0 - p0)) @ scratch
-            scratch[:, j] = X[:, j]
-            ame[t] = float(weight @ (p1 - p0))
-            jac[t] = dw1 - dw0
+            continue
+        saved = X[:, j].copy()
+        try:
+            X[:, j] = 1.0
+            p1 = predict_prob(X, beta)
+            dw1 = (weight * p1 * (1.0 - p1)) @ X
+            X[:, j] = 0.0
+            p0 = predict_prob(X, beta)
+            dw0 = (weight * p0 * (1.0 - p0)) @ X
+        finally:
+            X[:, j] = saved
+        ame[t] = float(weight @ (p1 - p0))
+        jac[t] = dw1 - dw0
     var = jac @ result.cov @ jac.T
     se = np.sqrt(np.maximum(np.diag(var), 0.0))
 

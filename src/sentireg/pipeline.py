@@ -8,8 +8,9 @@ text width, with tabulate.read_scored; each reads its input in byte blocks
 where the file is plain and record by record, naming bad lines, otherwise.
 Preprocess frames quoted fields in its blocks and reads an odd line alone.
 Join writes the row-level analysis_table.csv and its covariate patterns,
-patterns.csv; fit and diagnose read only patterns.csv, with
-tabulate.read_patterns_csv, which parses each distinct covariate tail once.
+patterns.csv; fit and diagnose read only patterns.csv, with tabulate's
+patterns reader, which parses each distinct covariate tail once, straight
+into one design array.
 Every artifact is written atomically. The run manifest records content
 hashes of every input and artifact.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 import time
 from dataclasses import dataclass
@@ -152,14 +154,15 @@ def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
 
 def read_design(config: PipelineConfig) -> logit_mod.DesignMatrix:
     """patterns.csv -> grouped design matrix with intercept, one row per
-    covariate pattern, in the report's column order."""
+    covariate pattern, in the report's column order. The file is read
+    into one patterns x 19 array whose intercept column is then filled;
+    m and y_sum are arrays of their own."""
     path = config.out / "patterns.csv"
-    X, m, y_sum = tab_mod.read_patterns_csv(path)
+    X, m, y_sum = tab_mod._read_patterns(path, 1)
+    X[:, 0] = 1.0
     try:
-        return logit_mod.DesignMatrix(
-            X=np.column_stack([np.ones(len(m)), X]), y=y_sum, m=m,
-            names=("Constant",) + tab_mod.ANALYSIS_COLUMNS[1:],
-        )
+        return logit_mod.DesignMatrix(X=X, y=y_sum, m=m,
+                                      names=("Constant",) + tab_mod.ANALYSIS_COLUMNS[1:])
     except ValueError as exc:
         raise corpus_mod.SchemaError(f"{path}: {exc}") from None
 
@@ -181,15 +184,51 @@ def fit_report_dict(result: logit_mod.LogitFit) -> dict:
     }
 
 
-def fit_from_report(report: dict) -> logit_mod.LogitFit:
+_REPORT_NUMBERS = ("ll", "ll0", "lr_chi2", "df", "lr_p", "pseudo_r2", "n_obs", "n_iter")
+_COEFFICIENT_NUMBERS = ("coef", "std_err", "z", "p")
+
+
+def _finite(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def fit_from_report(report: dict, names: tuple[str, ...]) -> logit_mod.LogitFit:
+    """The fit a fit_report.json holds, for a design whose columns are
+    names; a ValueError where the report lacks a key fit_report_dict
+    writes, its coefficients are not names in order, its cov is not
+    len(names) square, or a number in it is not finite."""
+    if not isinstance(report, dict):
+        raise ValueError(f"must hold an object, not {type(report).__name__}")
+    if missing := [key for key in ("coefficients", "cov", "converged", *_REPORT_NUMBERS)
+                   if key not in report]:
+        raise ValueError(f"missing key(s) {missing}")
     coefs = report["coefficients"]
+    if not (isinstance(coefs, list) and all(
+            isinstance(c, dict) and {"name", *_COEFFICIENT_NUMBERS} <= c.keys() for c in coefs)):
+        raise ValueError("coefficients must be a list of objects with a name, "
+                         + ", ".join(_COEFFICIENT_NUMBERS))
+    if (got := tuple(c["name"] for c in coefs)) != names:
+        raise ValueError(f"coefficients {list(got)} are not the design's {list(names)}")
+    cov = report["cov"]
+    if not (isinstance(cov, list) and len(cov) == len(names)
+            and all(isinstance(row, list) and len(row) == len(names) for row in cov)):
+        raise ValueError(f"cov must be {len(names)} rows of {len(names)} numbers")
+    for i, row in enumerate(cov):
+        for j, v in enumerate(row):
+            _finite(v, f"cov[{i}][{j}]")
+    for c in coefs:
+        for key in _COEFFICIENT_NUMBERS:
+            _finite(c[key], f"{c['name']} {key}")
+    for key in _REPORT_NUMBERS:
+        _finite(report[key], key)
     return logit_mod.LogitFit(
-        names=tuple(c["name"] for c in coefs),
-        beta=np.array([c["coef"] for c in coefs]),
-        cov=np.array(report["cov"]),
-        std_err=np.array([c["std_err"] for c in coefs]),
-        z=np.array([c["z"] for c in coefs]),
-        p=np.array([c["p"] for c in coefs]),
+        names=names,
+        beta=np.array([c["coef"] for c in coefs], dtype=float),
+        cov=np.array(cov, dtype=float),
+        std_err=np.array([c["std_err"] for c in coefs], dtype=float),
+        z=np.array([c["z"] for c in coefs], dtype=float),
+        p=np.array([c["p"] for c in coefs], dtype=float),
         ll=report["ll"], ll0=report["ll0"], n_obs=report["n_obs"],
         n_iter=report["n_iter"], converged=report["converged"],
     )
@@ -251,9 +290,14 @@ def stage_fit(config: PipelineConfig) -> tuple[Path, Path]:
 def stage_diagnose(config: PipelineConfig) -> tuple[Path, Path]:
     """Goodness-of-fit, classification, QQ, and margins for an existing fit;
     appends to the fit report and writes margins.csv and qq.csv."""
-    report = json.loads((config.out / "fit_report.json").read_text(encoding="utf-8"))
-    result = fit_from_report(report)
+    path = config.out / "fit_report.json"
+    text = path.read_text(encoding="utf-8")
     design = read_design(config)  # its rows are the covariate patterns already
+    try:
+        report = json.loads(text)
+        result = fit_from_report(report, design.names)
+    except ValueError as exc:
+        raise corpus_mod.SchemaError(f"{path}: {exc}") from None
     pearson = diag_mod.pearson_chi2(result, design)
     cls = diag_mod.classification_summary(result, design, cutoff=config.cutoff)
     effects = diag_mod.marginal_effects(result, design, MARGIN_KINDS)

@@ -6,12 +6,14 @@ the model as natural logs; Census region enters as three dummies with
 South as the omitted baseline.
 
 Every regressor but TW is a state value, so the joined table has few
-distinct covariate rows. `join` keeps the table as covariate patterns
-(distinct rows, numbered by first occurrence) plus each document's pattern
-and outcome, built once from the distinct (state, width) keys; `read_scored`
-gives join's table for a scored.csv, reading a plain one a block at a time.
-analysis_table.csv is written from that, and patterns.csv holds each pattern
-with its row count m and y_sum.
+distinct covariate rows. `join` keeps the table normalized: one covariate
+row and CSV text per state, each covariate pattern (distinct row, numbered
+by first occurrence) as a state number and a text width, and each
+document's pattern and outcome, built once from the distinct (state, width)
+keys; `read_scored` gives join's table for a scored.csv, reading a plain
+one a block at a time. analysis_table.csv is written from that a chunk of
+rows at a time, and patterns.csv holds each pattern with its row count m
+and y_sum; no patterns x predictors matrix is made.
 """
 
 from __future__ import annotations
@@ -183,15 +185,19 @@ class Patterns(NamedTuple):
 
 @dataclass(eq=False)
 class AnalysisTable(Sequence):
-    """The joined table, one AnalysisRow per document, stored by pattern.
+    """The joined table, one AnalysisRow per document, stored normalized.
 
-    X[j] holds pattern j's values in ANALYSIS_COLUMNS[1:] order and text[j]
-    the same values as analysis_table.csv writes them; row i has covariates
-    X[pattern[i]] and outcome y[i]. Each row holds 5 bytes: pattern is
-    np.int32 (there are never more patterns than rows) and y np.bool_.
+    rows[s] holds state row s's values in ANALYSIS_COLUMNS[2:] order and
+    texts[s] the same values as analysis_table.csv writes them. Pattern j
+    is text width width[j] on state row state[j], and document i has
+    pattern pattern[i] and outcome y[i]. Each document holds 5 bytes:
+    pattern is np.int32 (there are never more patterns than rows) and y
+    np.bool_; each pattern an np.intp and a float.
     """
-    X: np.ndarray
-    text: list[str]
+    rows: np.ndarray
+    texts: list[str]
+    state: np.ndarray
+    width: np.ndarray
     pattern: np.ndarray
     y: np.ndarray
 
@@ -204,22 +210,42 @@ class AnalysisTable(Sequence):
         return len(self.y)
 
     def __getitem__(self, i: int) -> AnalysisRow:
-        tw, ne, mw, west, *rest = self.X[self.pattern[i]].tolist()
-        return AnalysisRow(int(self.y[i]), tw, int(ne), int(mw), int(west), *rest)
+        j = self.pattern[i]
+        ne, mw, west, *rest = self.rows[self.state[j]].tolist()
+        return AnalysisRow(int(self.y[i]), float(self.width[j]), int(ne), int(mw), int(west),
+                           *rest)
+
+    @property
+    def X(self) -> np.ndarray:
+        """Each pattern's values in ANALYSIS_COLUMNS[1:] order, made anew on
+        each call; join, its writers and descriptive_stats never make it."""
+        return np.column_stack([self.width, self.rows[self.state]])
+
+    @property
+    def text(self) -> list[str]:
+        """Each pattern's values as analysis_table.csv writes them, made anew
+        on each call."""
+        return [f"{w!r},{self.texts[s]}" for w, s in zip(self.width.tolist(), self.state.tolist())]
 
     @cached_property
-    def patterns(self) -> Patterns:
-        """The patterns with their row counts, counted a chunk of rows at a
-        time: a chunk is as long as the larger of ANALYSIS_CHUNK_ROWS and the
-        pattern count, so each bincount's work is mostly rows."""
-        n = len(self.text)
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each pattern's row count m and positives y_sum, counted a chunk of
+        rows at a time: a chunk is as long as the larger of
+        ANALYSIS_CHUNK_ROWS and the pattern count, so each bincount's work
+        is mostly rows."""
+        n = len(self.width)
         m, y_sum = np.zeros(n, np.int64), np.zeros(n, np.int64)
         step = max(ANALYSIS_CHUNK_ROWS, n)
         for i in range(0, len(self.y), step):
             pattern = self.pattern[i:i + step]
             m += np.bincount(pattern, minlength=n)
             y_sum += np.bincount(pattern[self.y[i:i + step]], minlength=n)
-        return Patterns(X=self.X, m=m, y_sum=y_sum)
+        return m, y_sum
+
+    @cached_property
+    def patterns(self) -> Patterns:
+        """The patterns with their row counts, X made once per table."""
+        return Patterns(self.X, *self.counts)
 
 
 # csv.writer's default line terminator; the CSV artifacts all end rows with it.
@@ -236,20 +262,28 @@ class MissingStatesError(SchemaError):
 _OUTCOME = {"0": 0, "1": 1}
 
 
-def _patterns(states: list[str], state: np.ndarray, width: np.ndarray,
-              covars: dict[str, StateCovariates]) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """The covariate patterns of distinct (states[state[k]], width[k]) keys in
-    first-seen order: each key's pattern number, and each pattern's X row and
-    CSV text. Keys share a pattern when their widths and their states' texts
-    are equal (repr round-trips, so equal texts are equal values); patterns
-    are numbered by first key. A MissingStatesError lists any state not in covars.
-    """
+def _state_rows(states: list[str],
+                covars: dict[str, StateCovariates]) -> tuple[np.ndarray, list[str]]:
+    """Each state's covariate row, in ANALYSIS_COLUMNS[2:] order, and its
+    CSV text; a MissingStatesError lists any state not in covars."""
     if missing := sorted(s for s in states if s not in covars):
         raise MissingStatesError(f"no covariate row for state(s): {missing}")
     rows = [(*region_dummies(c.region), math.log(c.FHH_pct), c.AFS, c.EDU2, c.EDU3, c.AGE2,
              c.WP, c.OCH, c.PWHI, c.LF, math.log(c.POPDEN), c.CASES, c.PR, c.MHHI, c.GR)
             for c in map(covars.get, states)]
     texts = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return np.array(rows, dtype=float).reshape(len(rows), len(ANALYSIS_COLUMNS) - 2), texts
+
+
+def _patterns(texts: list[str], state: np.ndarray,
+              width: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The covariate patterns of distinct (state[k], width[k]) keys in
+    first-seen order, given each state's CSV text: each key's pattern
+    number, and each pattern's state and width, its first key's. Keys share
+    a pattern when their widths and their states' texts are equal (repr
+    round-trips, so equal texts are equal values); patterns are numbered by
+    first key.
+    """
     first_with: dict[str, int] = {}  # covariate text -> the first state with it
     same_as = np.array([first_with.setdefault(text, k) for k, text in enumerate(texts)],
                        np.intp)[state]
@@ -263,10 +297,23 @@ def _patterns(states: list[str], state: np.ndarray, width: np.ndarray,
     first = by[starts]
     order = np.argsort(first)  # the runs in first-occurrence order
     key = first[order]  # each pattern's first key
-    text = [f"{w!r},{texts[k]}" for w, k in zip(width[key].tolist(), state[key].tolist())]
-    values = np.array(rows, dtype=float).reshape(len(rows), len(ANALYSIS_COLUMNS) - 2)
-    X = np.column_stack([width[key], values[state[key]]])
-    return np.argsort(order)[run], X, text
+    return np.argsort(order)[run], state[key], width[key]
+
+
+def _table(states: list[str], state: np.ndarray, width: np.ndarray,
+           covars: dict[str, StateCovariates], key: array, y: bytearray) -> AnalysisTable:
+    """The table of documents with key numbers `key` (C ints) and outcomes
+    `y` (bytes 0 or 1), key k being (states[state[k]], width[k]). The key
+    numbers become pattern numbers in place, ANALYSIS_CHUNK_ROWS at a time,
+    so the table's arrays are the buffers of key and y."""
+    rows, texts = _state_rows(states, covars)
+    number, pattern_state, pattern_width = _patterns(texts, state, width)
+    pattern = np.frombuffer(key, np.intc)
+    for i in range(0, len(pattern), ANALYSIS_CHUNK_ROWS):
+        chunk = pattern[i:i + ANALYSIS_CHUNK_ROWS]
+        chunk[:] = number[chunk]
+    return AnalysisTable(rows, texts, pattern_state, pattern_width, pattern,
+                         np.frombuffer(y, np.bool_))
 
 
 def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> AnalysisTable:
@@ -295,9 +342,7 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
             y.append(_OUTCOME[binary])
         except KeyError:
             raise ValueError(f"{line}: binary must be 0 or 1, got {binary!r}") from None
-    number, X, text = _patterns(list(states), np.array(state, np.intp), np.array(width), covars)
-    return AnalysisTable(X, text, number.astype(np.int32)[np.frombuffer(key, np.intc)],
-                         np.frombuffer(y, np.bool_))
+    return _table(list(states), np.array(state, np.intp), np.array(width), covars, key, y)
 
 
 JOIN_BLOCK_BYTES = 1 << 16  # scored.csv bytes read_scored reads at a time
@@ -326,11 +371,12 @@ def read_scored(path: str | Path, covars: dict[str, StateCovariates]) -> Analysi
 
 
 def _join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> AnalysisTable:
-    """read_scored's block path; _NotPlain where the file is not plain."""
+    """read_scored's block path; _NotPlain where the file is not plain. The
+    documents' key numbers and outcomes grow in one buffer each, as join's do."""
     # The keys seen, sorted, and their numbers in first-seen order; each ends
     # in a sentinel above every key, so a search always lands on an entry.
-    known, numbers = np.array([np.iinfo(np.int64).max]), np.array([-1], np.int32)
-    seen, ids, y = [np.empty(0, np.int64)], [np.empty(0, np.int32)], [np.empty(0, np.bool_)]
+    known, numbers = np.array([np.iinfo(np.int64).max]), np.array([-1], np.intc)
+    seen, ids, y = [np.empty(0, np.int64)], array("i"), bytearray()
     for buf, edges in plain_blocks(path, SCORED_COLUMNS, JOIN_BLOCK_BYTES):
         (ss, se), (ws, we), (bs, be) = ((edges[:, c] + 1, edges[:, c + 1]) for c in _JOIN_FIELDS)
         ls, lw, binary = se - ss, we - ws, buf[bs] - 48  # uint8: any byte but "0" or "1" is above 1
@@ -349,32 +395,31 @@ def _join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> Analys
         seen.append(keys[new])
         known = np.insert(known, at[fresh], keys[fresh])
         numbers = np.insert(numbers, at[fresh], number[fresh])
-        ids.append(number[inverse])
-        y.append(binary == 1)
+        ids.frombytes(number[inverse].tobytes())
+        y += binary.tobytes()
     seen = np.concatenate(seen)
     codes, state = np.unique(seen >> 40, return_inverse=True)  # (length, bytes) of each state
     states = [(c & 0xFFFF).to_bytes(2, "big")[:c >> 16].decode() for c in codes.tolist()]
-    number, X, text = _patterns(states, state.reshape(-1), (seen & 0xFFFFFFFFFF).astype(float),
-                                covars)
-    ids = np.concatenate(ids)  # the blocks' arrays go before the table's is made
-    return AnalysisTable(X, text, number.astype(np.int32)[ids], np.concatenate(y))
+    return _table(states, state.reshape(-1), (seen & 0xFFFFFFFFFF).astype(float), covars, ids, y)
 
 
 def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:
     """Per-variable mean, sample sd (n-1), min, max over the analysis table's
-    rows, computed once per distinct value with its row count as weight."""
+    rows, computed once per distinct value with its row count as weight.
+    Each covariate column is gathered per pattern, one column at a time."""
     n = len(table)
     if n < 2:
         raise ValueError("descriptive statistics need at least 2 rows")
-    X, m, y_sum = table.patterns
+    m, y_sum = table.counts
     positives = float(y_sum.sum())
     w = np.array([n - positives, positives])
     stats = {"sentiment": _weighted_stats(np.array([0.0, 1.0])[w > 0], w[w > 0], n)}
     w = m.astype(float)  # one weight vector for every covariate column
     kept = w > 0
-    w = w[kept]
-    for j, name in enumerate(ANALYSIS_COLUMNS[1:]):
-        stats[name] = _weighted_stats(X[kept, j], w, n)
+    w, state = w[kept], table.state[kept]
+    stats["TW"] = _weighted_stats(table.width[kept], w, n)
+    for j, name in enumerate(ANALYSIS_COLUMNS[2:]):
+        stats[name] = _weighted_stats(table.rows[state, j], w, n)
     return stats
 
 
@@ -389,21 +434,27 @@ def _weighted_stats(x: np.ndarray, w: np.ndarray, n: int) -> dict[str, float]:
     }
 
 
-ANALYSIS_CHUNK_ROWS = 1024  # documents write_analysis_csv and patterns take at a time
+ANALYSIS_CHUNK_ROWS = 1024  # documents or patterns the table's loops take at a time
 
 
 def write_analysis_csv(path: str | Path, table: AnalysisTable) -> None:
-    """One line per document: its outcome, then its pattern's CSV text. The
-    lines are formatted and written ANALYSIS_CHUNK_ROWS documents at a time,
-    one write a chunk, so what is held grows with neither the documents nor
-    the patterns."""
-    text, step = table.text, ANALYSIS_CHUNK_ROWS
+    """One line per document: its outcome and its pattern's width, then its
+    state's CSV text. The lines are formatted and written
+    ANALYSIS_CHUNK_ROWS documents at a time, one write a chunk, so what is
+    held grows with neither the documents nor the patterns. A chunk formats
+    each of its distinct widths once, after an outcome of 0 and of 1, and
+    joins those heads and the states' texts in one call."""
+    tails, step = [text + _EOL for text in table.texts], ANALYSIS_CHUNK_ROWS
     with atomic_open(path) as fh:
         fh.write(",".join(ANALYSIS_COLUMNS) + _EOL)
         for i in range(0, len(table), step):
-            y = table.y[i:i + step].view(np.uint8).tolist()
-            pattern = table.pattern[i:i + step].tolist()
-            fh.write("".join([f"{b},{text[j]}{_EOL}" for b, j in zip(y, pattern)]))
+            pattern = table.pattern[i:i + step]
+            widths, which = np.unique(table.width[pattern], return_inverse=True)
+            heads = [f"{b},{w!r}," for w in widths.tolist() for b in (0, 1)]
+            parts = [""] * (2 * len(pattern))
+            parts[0::2] = map(heads.__getitem__, (2 * which + table.y[i:i + step]).tolist())
+            parts[1::2] = map(tails.__getitem__, table.state[pattern].tolist())
+            fh.write("".join(parts))
 
 
 def read_analysis_csv(path: str | Path) -> list[AnalysisRow]:
@@ -414,12 +465,16 @@ def read_analysis_csv(path: str | Path) -> list[AnalysisRow]:
 
 def write_patterns_csv(path: str | Path, table: AnalysisTable) -> None:
     """One line per covariate pattern, in pattern order: m, y_sum, then the
-    covariates as analysis_table.csv writes them."""
-    patterns = table.patterns
+    covariates as analysis_table.csv writes them, formatted and written
+    ANALYSIS_CHUNK_ROWS patterns at a time."""
+    (m, y_sum), step = table.counts, ANALYSIS_CHUNK_ROWS
+    tails = [text + _EOL for text in table.texts]
     with atomic_open(path) as fh:
         fh.write(",".join(PATTERN_COLUMNS) + _EOL)
-        fh.writelines(f"{m},{y_sum},{text}{_EOL}" for m, y_sum, text
-                      in zip(patterns.m.tolist(), patterns.y_sum.tolist(), table.text))
+        for i in range(0, len(m), step):
+            fh.write("".join([f"{a},{b},{w!r},{tails[s]}" for a, b, w, s in zip(
+                m[i:i + step].tolist(), y_sum[i:i + step].tolist(),
+                table.width[i:i + step].tolist(), table.state[i:i + step].tolist())]))
 
 
 _loadtxt = partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
@@ -444,13 +499,14 @@ def _line_chunks(fh: TextIO) -> Iterator[str]:
         yield rest
 
 
-def _parse_lines(fh: TextIO) -> np.ndarray | None:
-    """_loadtxt's array for the rest of fh, its lines split at LF alone, or
-    None where it must be parsed whole: where a line has fewer than four
-    fields, an m,y_sum,TW head holds a CR, a tail is blank, the tails'
-    field counts differ, or _loadtxt refuses a field, so that its error
-    names the line. A CR that ends a line ends it for np.loadtxt, in a list
-    of lines as in the whole body; any other CR would end a head.
+def _parse_lines(fh: TextIO, lead: int) -> Patterns | None:
+    """The columns of _loadtxt's array for the rest of fh, its lines split
+    at LF alone, as _read_patterns gives them, or None where it must be
+    parsed whole: where a line has fewer than four fields, an m,y_sum,TW
+    head holds a CR, a tail is blank or not of the 17 covariate fields, or
+    _loadtxt refuses a field, so that its error names the line. A CR that
+    ends a line ends it for np.loadtxt, in a list of lines as in the whole
+    body; any other CR would end a head.
 
     The lines are read a piece of _line_chunks at a time. Each piece's
     heads are parsed in one call, and each distinct covariate tail (a
@@ -478,16 +534,18 @@ def _parse_lines(fh: TextIO) -> np.ndarray | None:
             return None
         distinct.update(zip(new, count(len(distinct))))
         numbers.append(np.fromiter(map(distinct.__getitem__, tail), np.intp, len(tail)))
-    if not heads or len({t.shape[1] for t in tails}) > 1:
+    if not heads or {t.shape[1] for t in tails} != {len(PATTERN_COLUMNS) - 3}:
         return None
     rows = np.concatenate(tails)
-    data = np.empty((sum(map(len, numbers)), 3 + rows.shape[1]))
+    n = sum(map(len, numbers))
+    X, m, y_sum = np.empty((n, lead + 1 + rows.shape[1])), np.empty(n), np.empty(n)
     at = 0
     for head, number in zip(heads, numbers):
-        data[at:at + len(number), :3] = head
-        data[at:at + len(number), 3:] = rows[number]
+        part = slice(at, at + len(number))
+        m[part], y_sum[part], X[part, lead] = head.T
+        X[part, lead + 1:] = rows[number]
         at += len(number)
-    return data
+    return Patterns(X, m, y_sum)
 
 
 def read_patterns_csv(path: str | Path) -> Patterns:
@@ -497,22 +555,32 @@ def read_patterns_csv(path: str | Path) -> Patterns:
     body is read a piece at a time (_parse_lines); a body that must be
     parsed whole, such as one with a blank line or in error, is read again
     whole and parsed by one np.loadtxt call."""
+    return _read_patterns(path, 0)
+
+
+def _read_patterns(path: str | Path, lead: int) -> Patterns:
+    """read_patterns_csv's Patterns, with X, m and y_sum each an array of
+    its own, and `lead` columns left unset before X's: a design's
+    intercept is filled in place, with no second copy of X."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         if fh.readline().rstrip("\r\n") != ",".join(PATTERN_COLUMNS):
             raise SchemaError(f"{path}: header must be {','.join(PATTERN_COLUMNS)}")
         start = fh.tell()
-        if (data := _parse_lines(fh)) is None:
-            fh.seek(start)
-            body = fh.read()
-            if not body.strip():
-                raise SchemaError(f"{path}: no covariate patterns")
-            try:
-                data = _loadtxt(io.StringIO(body))
-            except ValueError as exc:
-                raise SchemaError(f"{path}: {exc}") from None
+        if (patterns := _parse_lines(fh, lead)) is not None:
+            return patterns
+        fh.seek(start)
+        body = fh.read()
+    if not body.strip():
+        raise SchemaError(f"{path}: no covariate patterns")
+    try:
+        data = _loadtxt(io.StringIO(body))
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     if data.shape[1] != len(PATTERN_COLUMNS):
         raise SchemaError(f"{path}: malformed row, {data.shape[1]} fields")
-    return Patterns(X=data[:, 2:], m=data[:, 0], y_sum=data[:, 1])
+    X = np.empty((len(data), lead + data.shape[1] - 2))
+    X[:, lead:] = data[:, 2:]
+    return Patterns(X, data[:, 0].copy(), data[:, 1].copy())
 
 
 def write_descriptives_csv(path: str | Path, stats: dict[str, dict[str, float]]) -> None:

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sentireg import diagnostics
 from sentireg.diagnostics import (
     classification_summary,
     covariate_patterns,
@@ -451,9 +452,9 @@ def two_copy_margins(result, data, kinds):
     return ame, np.sqrt(np.maximum(np.diag(var), 0.0))
 
 
-def test_margins_equal_the_two_copy_formula_bit_for_bit():
-    # A grouped design with the pipeline's regional dummies, all three
-    # discrete, between two continuous columns.
+def margins_design():
+    """A grouped design with the pipeline's regional dummies, all three
+    discrete, between two continuous columns; its fit and kinds."""
     rng = np.random.default_rng(7272)
     n = 300
     region = np.arange(n) % 4  # South, Northeast, Midwest, West
@@ -466,7 +467,11 @@ def test_margins_equal_the_two_copy_formula_bit_for_bit():
     kinds = {"TW": "continuous", "NE": "discrete", "MW": "discrete", "WEST": "discrete",
              "MHHI": "continuous"}
     design = DesignMatrix(X=X, y=y_sum, m=m, names=("Constant", *kinds))
-    result = fit(design)
+    return fit(design), design, kinds
+
+
+def test_margins_equal_the_two_copy_formula_bit_for_bit():
+    result, design, kinds = margins_design()
     before = design.X.tobytes()
     effects = marginal_effects(result, design, kinds)
     ame, se = two_copy_margins(result, design, kinds)
@@ -474,3 +479,30 @@ def test_margins_equal_the_two_copy_formula_bit_for_bit():
     assert np.array([e.dydx for e in effects]).tobytes() == ame.tobytes()
     assert np.array([e.std_err for e in effects]).tobytes() == se.tobytes()
     assert design.X.tobytes() == before
+
+
+@pytest.mark.parametrize("fail_at", [2, 3, 4])  # x1 or x0 of NE, or x1 of MW
+def test_marginal_effects_restores_x_when_a_prediction_raises(monkeypatch, fail_at):
+    result, design, kinds = margins_design()
+    before = design.X.tobytes()
+    calls = []
+
+    def failing(X, beta):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise FloatingPointError("planted")
+        return predict_prob(X, beta)
+
+    monkeypatch.setattr(diagnostics, "predict_prob", failing)
+    with pytest.raises(FloatingPointError, match="planted"):
+        marginal_effects(result, design, kinds)
+    assert design.X.tobytes() == before
+
+
+def test_marginal_effects_on_a_read_only_design():
+    result, design, kinds = margins_design()
+    want = marginal_effects(result, design, kinds)
+    before = design.X.tobytes()
+    design.X.flags.writeable = False
+    assert marginal_effects(result, design, kinds) == want
+    assert design.X.tobytes() == before and not design.X.flags.writeable

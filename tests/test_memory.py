@@ -1,9 +1,11 @@
 """Memory guards: what preprocess and join hold grows by a few bytes a row,
-whatever the corpus's vocabulary, and what the pattern artifacts' writer and
-reader hold does not grow with the patterns, or stays within a few times the
-file. Most tests take the traced heap's peak (tracemalloc, which numpy's
-buffers report to) at two sizes and bound its growth per extra row or
-pattern, so the parts equal at both sizes cancel."""
+whatever the corpus's vocabulary; what join holds grows by a few words a
+pattern; what the pattern artifacts' writer and reader hold does not grow
+with the patterns, or stays within a few times the file; and fit's and
+diagnose's design is made once and never copied. Most tests take the
+traced heap's peak (tracemalloc, which numpy's buffers report to) at two
+sizes and bound its growth per extra row or pattern, so the parts equal at
+both sizes cancel."""
 
 import codecs
 import csv
@@ -17,7 +19,9 @@ import pytest
 from sentireg import corpus as corpus_mod
 from sentireg import tabulate as tab_mod
 from sentireg.corpus import WordNormalizer
-from sentireg.pipeline import default_data_path
+from sentireg.diagnostics import marginal_effects
+from sentireg.logit import DesignMatrix, LogitFit
+from sentireg.pipeline import PipelineConfig, default_data_path, read_design, stage_join
 from sentireg.sentiment import SCORED_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,14 +105,15 @@ def test_per_record_preprocess_holds_under_16_bytes_per_row(tmp_path):
     assert bytes_per_extra_row(run_at) < 16
 
 
-def test_join_holds_under_16_bytes_per_row(tmp_path, monkeypatch):
+def test_join_holds_under_8_bytes_per_row(tmp_path, monkeypatch):
     # Five states and seven widths: 35 keys, so only per-row state grows. An
     # intp pattern number and an int64 outcome per row, each copied as the
     # blocks are joined and again for the analysis_table.csv line numbers,
-    # held about 34 bytes a row; an int32 and a bool, counted and written a
-    # chunk at a time, hold about 11 (the blocks' arrays and the joined one
-    # are held at once). Any one of those copies or wider types, put back,
-    # crosses 18.
+    # held about 34 bytes a row. An int32 and a bool in per-block arrays,
+    # joined into a copy and counted and written a chunk at a time, held
+    # about 10 from 2e4 to 2e5 rows. One buffer each, grown as the blocks
+    # are read and renumbered in place, holds about 5.2; the per-block
+    # arrays and the joined copy, or a wider type, put back, cross 8.
     monkeypatch.setattr(tab_mod, "JOIN_BLOCK_BYTES", 4096)  # a small per-block part
     monkeypatch.setattr(tab_mod, "join", None)  # the block path only
     covars = tab_mod.load_covariates(default_data_path("state_covariates.csv"))
@@ -121,22 +126,42 @@ def test_join_holds_under_16_bytes_per_row(tmp_path, monkeypatch):
 
         def run():
             table = tab_mod.read_scored(tmp_path / "scored.csv", covars)
-            assert table.patterns.m.sum() == n
+            assert table.counts[0].sum() == n
             tab_mod.write_analysis_csv(tmp_path / "analysis_table.csv", table)
 
         return run
 
-    assert bytes_per_extra_row(run_at) < 16
+    assert bytes_per_extra_row(run_at, (20_000, 200_000)) < 8
+
+
+def test_join_holds_under_128_bytes_per_pattern(tmp_path):
+    # 20 000 documents over 500 or 10 500 patterns, all 51 states at ever
+    # more widths, through the whole join stage. A patterns x 18 matrix, a
+    # second one stacked to make it and a CSV text per pattern held about
+    # 550 bytes a pattern; a state number, a width and two counts hold 32,
+    # and the per-key arrays of numbering them a few times that for a while.
+    covariates = default_data_path("state_covariates.csv")
+    states = sorted(tab_mod.load_covariates(covariates))
+    config = PipelineConfig(corpus=tmp_path / "corpus.csv", covariates=covariates, out=tmp_path)
+
+    def run_at(n_patterns):
+        lines = [",".join(SCORED_COLUMNS)] + [
+            f"t{i},{states[k % 51]},{1 + k // 51},0.5,Positive,{i % 2}"
+            for i, k in enumerate(np.arange(20_000) % n_patterns)]
+        (tmp_path / "scored.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+        return lambda: stage_join(config)
+
+    assert bytes_per_extra_row(run_at, (500, 10_500)) < 128
 
 
 def pattern_table(n_patterns: int, n_rows: int = 20_000) -> tab_mod.AnalysisTable:
-    """A table of n_rows documents over n_patterns patterns whose texts are
-    all as long as a real pattern's."""
+    """A table of n_rows documents over n_patterns patterns of 51 states
+    whose texts are as long as a real state's, at 8-digit widths."""
     rng = np.random.default_rng(5)
-    tail = ",0,0,0,4.1805,3.2,47.0,8.3,22.0,70.0,62.0,10.0,63.0,5.3,5000.0,13.0,60000.0,1000.0"
+    text = "0,0,0,4.1805,3.2,47.0,8.3,22.0,70.0,62.0,10.0,63.0,5.3,5000.0,13.0,60000.0,1000.0"
     return tab_mod.AnalysisTable(
-        X=np.zeros((n_patterns, len(tab_mod.ANALYSIS_COLUMNS) - 1)),
-        text=[f"{k:08d}.0{tail}" for k in range(n_patterns)],
+        rows=np.zeros((51, len(tab_mod.ANALYSIS_COLUMNS) - 2)), texts=[text] * 51,
+        state=np.arange(n_patterns) % 51, width=10_000_000.0 + np.arange(n_patterns),
         pattern=rng.integers(0, n_patterns, n_rows).astype(np.int32),
         y=rng.integers(0, 2, n_rows).astype(np.bool_))
 
@@ -159,3 +184,36 @@ def test_read_patterns_csv_holds_under_2_5_times_the_file(tmp_path):
     tab_mod.write_patterns_csv(path, table)
     tab_mod.read_patterns_csv(path)
     assert traced_peak(lambda: tab_mod.read_patterns_csv(path)) < 2.5 * path.stat().st_size
+
+
+def test_read_design_holds_under_1_9_times_the_design(tmp_path):
+    # 51 states at 100 widths: 5 100 patterns. The patterns.csv array, an
+    # intercept column and the design stacked from them held about 2.18
+    # times the design; the file read into the design itself, with m and
+    # y_sum and the parse's per-line parts, about 1.7.
+    covars = tab_mod.load_covariates(default_data_path("state_covariates.csv"))
+    table = tab_mod.join([(2, state, str(width), str(width % 2)) for state in sorted(covars)
+                          for width in range(1, 101)], covars)
+    tab_mod.write_patterns_csv(tmp_path / "patterns.csv", table)
+    config = PipelineConfig(corpus=tmp_path / "corpus.csv", covariates=tmp_path / "c.csv",
+                            out=tmp_path)
+    design = read_design(config)
+    assert design.X.shape == (5_100, 19)
+    assert traced_peak(lambda: read_design(config)) < 1.9 * design.X.nbytes
+
+
+def test_marginal_effects_makes_no_copy_of_the_design():
+    # A scratch copy of X held 1 times X's bytes; the n-vectors of the
+    # products, a few at a time, hold under a half on a 19-column design.
+    rng = np.random.default_rng(3)
+    n, kinds = 20_000, dict.fromkeys(("NE", "MW", "WEST"), "discrete")
+    kinds.update({f"x{j}": "continuous" for j in range(15)})
+    X = np.column_stack([np.ones(n), *(rng.integers(0, 2, (3, n))),
+                         rng.standard_normal((n, 15))])
+    m = rng.integers(1, 5, n)
+    design = DesignMatrix(X=X, y=rng.binomial(m, 0.4), m=m, names=("Constant", *kinds))
+    result = LogitFit(names=design.names, beta=np.full(19, 0.01), cov=np.eye(19) * 1e-4,
+                      std_err=np.full(19, 0.01), z=np.ones(19), p=np.full(19, 0.3),
+                      ll=-1.0, ll0=-2.0, n_obs=design.n_obs, n_iter=1, converged=True)
+    marginal_effects(result, design, kinds)
+    assert traced_peak(lambda: marginal_effects(result, design, kinds)) < 0.5 * X.nbytes

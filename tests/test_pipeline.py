@@ -225,6 +225,38 @@ class TestCli:
         assert main(self._args("diagnose", out)) == EXIT_ESTIMATION
         assert "degenerate fitted probability" in capsys.readouterr().err
 
+    def _swap_tw_ne(report):
+        c = report["coefficients"]
+        c[1]["name"], c[2]["name"] = c[2]["name"], c[1]["name"]
+        return report
+
+    def _nan_coef(report):
+        report["coefficients"][3]["coef"] = math.nan
+        return report
+
+    # A fit_report.json that is not the fit of patterns.csv's design is a
+    # schema error that names the file, not a KeyError, a numpy message or
+    # margins of the wrong columns.
+    @pytest.mark.parametrize("broken, want", [
+        (lambda report: {}, "missing key"),
+        (lambda report: [1, 2], "must hold an object"),
+        (lambda report: {**report, "cov": report["cov"][:3]}, "cov must be 19 rows of 19"),
+        (_swap_tw_ne, "are not the design's"),
+        (_nan_coef, "MW coef must be a finite number, got nan"),
+    ], ids=["empty", "list", "3-row cov", "TW and NE swapped", "nan coef"])
+    def test_diagnose_checks_the_fit_report(self, tmp_path, capsys, broken, want):
+        out = tmp_path / "out"
+        for command in ("preprocess", "score", "join", "fit"):
+            assert main(self._args(command, out)) == EXIT_OK
+        report_path = out / "fit_report.json"
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report_path.write_text(json.dumps(broken(report)), encoding="utf-8")
+        capsys.readouterr()
+        assert main(self._args("diagnose", out)) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"{report_path}: " in err and want in err
+        assert not (out / "margins.csv").exists()
+
     def test_invalid_cutoff_rejected(self, tmp_path):
         assert main(self._args("run", tmp_path / "out", cutoff="1.5")) == EXIT_SCHEMA
 

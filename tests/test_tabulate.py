@@ -208,12 +208,15 @@ def pattern_keys(draw):
 @given(pattern_keys())
 def test_patterns_number_keys_as_np_unique_does(keys):
     states, state, width, covars = keys
-    number, X, text = tab_mod._patterns(*keys)
+    rows, texts = tab_mod._state_rows(states, covars)
+    number, pattern_state, pattern_width = tab_mod._patterns(texts, state, width)
     want, first = unique_patterns(*keys)
     assert number.tolist() == want.tolist()
     # Each pattern's row and text are its first key's, as join gives them.
+    table = AnalysisTable(rows, texts, pattern_state, pattern_width, np.zeros(0, np.int32),
+                          np.zeros(0, np.bool_))
     firsts = join([record(states[state[k]], 0, width=int(width[k])) for k in first], covars)
-    assert X.tolist() == firsts.X.tolist() and text == firsts.text
+    assert table.X.tolist() == firsts.X.tolist() and table.text == firsts.text
 
 
 class TestDescriptiveStats:
@@ -689,9 +692,88 @@ def test_both_join_paths_group_covariate_rows_by_value(docs, block_bytes):
 
 def test_analysis_table_refuses_other_dtypes():
     # patterns and write_analysis_csv take y as a mask: an int y would index rows.
-    X, text = np.zeros((1, len(ANALYSIS_COLUMNS) - 1)), ["0.0"]
+    patterns = (np.zeros((1, len(ANALYSIS_COLUMNS) - 2)), ["0"], np.zeros(1, np.intp),
+                np.zeros(1))
     with pytest.raises(TypeError, match="pattern must be int32 and y bool"):
-        AnalysisTable(X, text, np.zeros(2, np.int32), np.array([0, 1]))
+        AnalysisTable(*patterns, np.zeros(2, np.int32), np.array([0, 1]))
     with pytest.raises(TypeError):
-        AnalysisTable(X, text, np.zeros(2, np.intp), np.zeros(2, np.bool_))
-    assert len(AnalysisTable(X, text, np.zeros(2, np.int32), np.zeros(2, np.bool_))) == 2
+        AnalysisTable(*patterns, np.zeros(2, np.intp), np.zeros(2, np.bool_))
+    assert len(AnalysisTable(*patterns, np.zeros(2, np.int32), np.zeros(2, np.bool_))) == 2
+
+
+# NC and SC share every covariate; CA and NY differ, with long reprs.
+WRITER_COVARIATES = {**SHARED_COVARIATES,
+                     "NY": make_covariates("NY", FHH_pct=61.7, POPDEN=421.3, MHHI=72108.25)}
+
+
+def normalized_writers_oracle(docs) -> dict[str, bytes]:
+    """analysis_table.csv, patterns.csv and descriptives.csv for docs of
+    (state, width text, binary) as join wrote them when it held each
+    pattern's CSV text, f"{w!r},{state text}", and its row of a matrix made
+    by np.column_stack, and descriptive_stats took each column of that."""
+    texts, rows, number, first = {}, {}, {}, []
+    for state, width, _ in docs:
+        c = WRITER_COVARIATES[state]
+        row = covariate_row(c, width)[1:]
+        texts[state] = ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+        rows[state] = row
+        key = (row, float(int(width)))
+        if key not in number:
+            number[key] = len(number)
+            first.append((state, float(int(width))))
+    text = [f"{w!r},{texts[s]}" for s, w in first]
+    X = np.column_stack([np.array([w for _, w in first]),
+                         np.array([rows[s] for s, _ in first], dtype=float)])
+    pattern = [number[covariate_row(WRITER_COVARIATES[s], w)[1:], float(int(w))]
+               for s, w, _ in docs]
+    y = [int(b) for _, _, b in docs]
+    m = np.bincount(pattern, minlength=len(text))
+    y_sum = np.bincount(pattern, weights=y, minlength=len(text)).astype(np.int64)
+    n, positives = len(docs), float(y_sum.sum())
+    w = np.array([n - positives, positives])
+    stats = {"sentiment": tab_mod._weighted_stats(np.array([0.0, 1.0])[w > 0], w[w > 0], n)}
+    w = m.astype(float)
+    kept = w > 0
+    for j, name in enumerate(ANALYSIS_COLUMNS[1:]):
+        stats[name] = tab_mod._weighted_stats(X[kept, j], w[kept], n)
+    with tempfile.TemporaryDirectory() as tmp:
+        tab_mod.write_descriptives_csv(Path(tmp) / "descriptives.csv", stats)
+        descriptives = (Path(tmp) / "descriptives.csv").read_bytes()
+    eol = "\r\n"
+    return {
+        "analysis_table.csv": (",".join(ANALYSIS_COLUMNS) + eol + "".join(
+            f"{b},{text[j]}{eol}" for b, j in zip(y, pattern))).encode(),
+        "patterns.csv": (",".join(PATTERN_COLUMNS) + eol + "".join(
+            f"{a},{b},{t}{eol}" for a, b, t in zip(m.tolist(), y_sum.tolist(), text))).encode(),
+        "descriptives.csv": descriptives,
+    }
+
+
+# Both join paths' tables write the bytes of the old per-pattern texts and
+# matrix: states that share a covariate row, repeated widths, widths of up
+# to 12 digits, and chunks of a few rows, so a chunk repeats widths.
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(WRITER_COVARIATES)),
+                          st.one_of(st.sampled_from(["7", "007", "45", "0"]),
+                                    st.integers(0, 10**12 - 1).map(str)),
+                          st.sampled_from("01")),
+                min_size=2, max_size=40),
+       st.sampled_from([1, 3, 1024]))
+@example([("NC", "999999999999", "1"), ("SC", "7", "0"), ("NC", "007", "1"),
+          ("NY", "100000000000", "0")], 3)
+def test_normalized_writers_write_the_old_bytes(docs, chunk_rows):
+    want = normalized_writers_oracle(docs)
+    data = "id,state,text_width,score,class,binary\r\n" + "".join(
+        f"t{i},{state},{width},0.5,Positive,{binary}\r\n"
+        for i, (state, width, binary) in enumerate(docs))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(tab_mod, "ANALYSIS_CHUNK_ROWS", chunk_rows):
+        tmp = Path(tmp)
+        (tmp / "scored.csv").write_text(data, encoding="utf-8", newline="")
+        blocks = tab_mod._join_blocks(tmp / "scored.csv", WRITER_COVARIATES)
+        per_record = join([(i + 2, *doc) for i, doc in enumerate(docs)], WRITER_COVARIATES)
+        for table in (blocks, per_record):
+            write_analysis_csv(tmp / "analysis_table.csv", table)
+            write_patterns_csv(tmp / "patterns.csv", table)
+            tab_mod.write_descriptives_csv(tmp / "descriptives.csv", descriptive_stats(table))
+            assert {name: (tmp / name).read_bytes() for name in want} == want
