@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import encodings.utf_8_sig  # noqa: F401  every reader's codec, loaded with the package
 import io
 import re
 from array import array
@@ -786,11 +787,16 @@ def _tsv_pairs(path: str | Path, expected: str, value: Callable[[str], object] =
     """The two tab-separated fields of each content line, the second passed
     through value; any other field count, or a ValueError from value, is a
     SchemaError that says the line should be `expected`. A problem that
-    check(key, value) names is a SchemaError naming the line too."""
+    check(key, value) names, or a key already on an earlier line, is a
+    SchemaError naming the line too."""
+    seen: dict[str, int] = {}
     for lineno, line in _content_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise SchemaError(f"{path}:{lineno}: expected {expected}")
+        if (first := seen.setdefault(parts[0], lineno)) != lineno:
+            raise SchemaError(f"{path}:{lineno}: duplicate key {parts[0]!r}, "
+                              f"first on line {first}")
         try:
             converted = value(parts[1])
         except ValueError:

@@ -11,6 +11,17 @@ same arithmetic order, so its values equal a `score` loop's bit for bit.
 file is plain and in chunks of records otherwise; both paths hand the words'
 lexicon codes to `_score_codes` and add each chunk to a `StateTotals`, the
 per-state running sums of the state summary.
+
+The per-record path looks each word up in a dict, as `score_batch` does. The
+block path makes no Python object per word. Each word's span comes from the
+block's spaces and line edges; its bytes are read as little-endian uint64
+words, each shifted together from the two aligned words of the block it
+spans (`_aligned`, `_packed`), folded into a key, and looked up in `_Probe`,
+a table built once per run. A slot holds a term's code, and the code counts
+only where the term's length and packed words are the word's, so a word
+gets exactly `code.get(word, 0)`. `StateTotals` adds with `np.bincount`,
+each state's running total first and then the chunk's values in document
+order.
 """
 
 from __future__ import annotations
@@ -208,8 +219,9 @@ def score_batch(
 
 class StateTotals:
     """Running per-state document counts, value sums and sign counts, added a
-    chunk of documents at a time. `np.add.at` adds each value in turn, so a
-    state's sum over chunks in document order is the one a single
+    chunk of documents at a time. Each `np.bincount` sums a state's running
+    total and then the chunk's values in document order, the additions
+    `np.add.at` would make, so a state's sum over chunks is the one a single
     `np.bincount` over all documents gives, bit for bit."""
 
     def __init__(self) -> None:
@@ -219,16 +231,25 @@ class StateTotals:
         self.signs = np.zeros((0, 3), np.int64)  # positive, negative, zero
 
     def add(self, states: Sequence[str], values: np.ndarray) -> None:
-        for state in dict.fromkeys(states):
-            self.index.setdefault(state, len(self.index))
-        if (grow := len(self.index) - len(self.n)):
-            self.n, self.total = np.pad(self.n, (0, grow)), np.pad(self.total, (0, grow))
-            self.signs = np.pad(self.signs, ((0, grow), (0, 0)))
-        i = np.fromiter(map(self.index.__getitem__, states), np.intp, len(states))
-        np.add.at(self.n, i, 1)
-        np.add.at(self.total, i, values)
-        for column, mask in enumerate((values > 0, values < 0, values == 0)):
-            np.add.at(self.signs[:, column], i[mask], 1)
+        """Adds documents by their states and values."""
+        names = list(dict.fromkeys(states))
+        number = dict(zip(names, range(len(names))))
+        self.add_numbered(names, np.fromiter(map(number.__getitem__, states), np.intp,
+                                             len(states)), values)
+
+    def add_numbered(self, names: Sequence[str], which: np.ndarray, values: np.ndarray) -> None:
+        """Adds documents by their values and `which`, each one's index in
+        `names`, the distinct states."""
+        rows = np.array([self.index.setdefault(s, len(self.index)) for s in names], np.intp)
+        i, k, seen = rows[which], len(self.index), np.arange(len(self.n))
+        self.total = np.bincount(np.concatenate((seen, i)),
+                                 np.concatenate((self.total, values)), minlength=k)
+        n = np.bincount(i, minlength=k)
+        n[seen] += self.n
+        kind = (values < 0) + 2 * (values == 0) + 3 * np.isnan(values)  # a NaN is no sign
+        signs = np.bincount(4 * i + kind, minlength=4 * k).reshape(k, 4)[:, :3]
+        signs[seen] += self.signs
+        self.n, self.signs = n, signs
 
     def summaries(self) -> list[StateSentimentSummary]:
         """One summary per state added, sorted by state code."""
@@ -302,7 +323,6 @@ def write_scored_csv(path: str | Path, chunks: Iterable[ScoredChunk]) -> None:
 
 SCORE_BLOCK_BYTES = 1 << 16  # tokens.csv bytes write_scored reads at a time
 SCORE_CHUNK_DOCS = 1024  # records the per-record path scores at a time; bounds its memory
-_COMMA_TO_SPACE = bytes.maketrans(b",", b" ")
 _NON_ASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
 
 
@@ -313,15 +333,15 @@ def write_scored(tokens: str | Path, scored: str | Path, lexicon: Lexicon) -> St
     scored.csv is replaced only when every line is read.
 
     A plain tokens.csv is read in blocks of SCORE_BLOCK_BYTES, to the same
-    bytes: one split gives every word, and each scored.csv line is gathered
-    from its input line's bytes and the text of its distinct value. The file
-    is plain when corpus.plain_blocks frames every block of it with the header
-    TOKENS_COLUMNS, no character is a space str.split splits at but the
-    ASCII space, and in each line the id and state are non-empty with no
-    space, the width is 1 to 12 ASCII digits with no leading zero, and the
-    tokens are words joined by single spaces. Words may be any UTF-8. Any
-    other file is read again from its start, SCORE_CHUNK_DOCS records at a
-    time.
+    bytes: each word's code is probed from its bytes, and each scored.csv
+    line is gathered from its input line's bytes and the text of its
+    distinct value. The file is plain when corpus.plain_blocks frames every
+    block of it with the header TOKENS_COLUMNS, no character is a space
+    str.split splits at but the ASCII space, and in each line the id and
+    state are non-empty with no space, the width is 1 to 12 ASCII digits
+    with no leading zero, and the tokens are words joined by single spaces.
+    Words may be any UTF-8. Any other file is read again from its start,
+    SCORE_CHUNK_DOCS records at a time.
     """
     try:
         return _score_blocks(tokens, scored, lexicon)
@@ -355,14 +375,141 @@ def _score_blocks(tokens: str | Path, scored: str | Path, lexicon: Lexicon) -> S
     """write_scored's block path; _NotPlain, with scored.csv untouched and no
     temp file left, where the file is not plain."""
     coded, totals = _code_lexicon(lexicon), StateTotals()
+    probe = _probe(coded.code)
     with atomic_open(scored) as fh:
         write_rows(fh, [SCORED_COLUMNS])
         for block in plain_blocks(tokens, TOKENS_COLUMNS, SCORE_BLOCK_BYTES):
-            fh.write(_score_block(*block, coded, totals))
+            fh.write(_score_block(*block, coded, probe, totals))
     return totals
 
 
-def _score_block(buf: np.ndarray, edges: np.ndarray, coded: _CodedLexicon,
+# A count of low bytes -> the uint64 mask that keeps them.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_FOLD = np.uint64(0x9E3779B97F4A7C15)  # odd: folds a string's words into one key
+PROBE_SLOTS_PER_TERM = 32
+PROBE_MAX_SLOTS = 1 << 15  # int16 slots: 64 KiB, for lexicons up to 16384 terms
+PROBE_TRIES = 64  # multipliers the probe tries before it lets terms share a run of slots
+
+
+def _aligned(buf: np.ndarray, words: int) -> np.ndarray:
+    """buf as little-endian uint64 words, zero-padded so that `words` + 1
+    words can be read from any of its bytes' word."""
+    aligned = np.zeros(len(buf) // 8 + words + 1, np.dtype("<u8"))
+    aligned.view(np.uint8)[:len(buf)] = buf
+    return aligned
+
+
+def _packed(aligned: np.ndarray, start: np.ndarray, length: np.ndarray,
+            words: int) -> list[np.ndarray]:
+    """The byte strings of _aligned(buf, words) at `start` with `length`
+    bytes, as `words` uint64 arrays: word k of string i is its bytes 8k to
+    8k + 7, little-endian, with every byte past its length zero. Each word
+    is shifted together from the two aligned words it spans (an unaligned
+    view would do, but np.take copies all of one to read it)."""
+    at = start >> 3
+    low = ((start & 7) << 3).view(np.uint64)  # the bits before the string in its first word
+    high = 63 - low  # hi << high << 1 is hi << (64 - low), and 0 where low is 0
+    packed, lo = [], np.take(aligned, at)
+    for k in range(words):
+        hi = np.take(aligned, at + (k + 1))
+        word = lo >> low | hi << high << 1
+        packed.append(word & _LOW_BYTES[np.clip(length - 8 * k, 0, 8)])
+        lo = hi
+    return packed
+
+
+def _fold(packed: list[np.ndarray]) -> np.ndarray:
+    """One uint64 key per string of packed words, by wraparound array arithmetic."""
+    key = packed[0]
+    for word in packed[1:]:
+        key = key * _FOLD + word
+    return key
+
+
+def _odd_multipliers() -> Iterator[np.uint64]:
+    """The splitmix64 sequence from 0, each made odd. Python ints, masked to
+    64 bits, so no numpy scalar wraps around."""
+    x = 0
+    while True:
+        x = (x + 0x9E3779B97F4A7C15) % 2**64
+        z = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        yield np.uint64(z ^ z >> 31 | 1)
+
+
+class _Probe(NamedTuple):
+    """An exact lookup of a byte string's lexicon code. The string is packed
+    into `words` uint64 words and folded into a key, and the key times `mult`,
+    shifted right by `shift`, is its slot. `table` holds each term's code at
+    its slot, or, where terms share a slot, at the first free one after it:
+    at most `rounds` - 1 after, with the first `rounds` - 1 slots repeated at
+    the end. A code read from a slot counts only when its term's `length`
+    and `packed` words are the string's, and code 0 has length -1."""
+    words: int
+    length: np.ndarray
+    packed: list[np.ndarray]
+    mult: np.uint64
+    shift: np.uint64
+    table: np.ndarray
+    rounds: int
+
+
+def _probe(code: dict[str, int]) -> _Probe:
+    """The probe of a coded lexicon's terms, numbered 1, 2, ... in `code`.
+
+    The table has the power of two of slots at or above PROBE_SLOTS_PER_TERM
+    per term, up to PROBE_MAX_SLOTS (or twice the terms, where more). Of
+    PROBE_TRIES odd multipliers, the first that gives each term its own slot
+    is kept, so a lookup reads one slot; where none does, the one that puts
+    fewest terms on a taken slot, and a lookup reads `rounds` slots."""
+    terms = [t.encode() for t in code]
+    length = np.array([-1] + list(map(len, terms)), np.intp)
+    words = max(1, -(-int(length.max()) // 8))
+    size = length[1:]
+    packed = _packed(_aligned(np.frombuffer(b"".join(terms), np.uint8), words),
+                     np.cumsum(size) - size, size, words)
+    key = _fold(packed)
+    bits = min((PROBE_SLOTS_PER_TERM * len(terms) - 1).bit_length(),
+               max(PROBE_MAX_SLOTS.bit_length() - 1, (2 * len(terms) - 1).bit_length()))
+    shift = np.uint64(64 - bits)
+    fewest = None
+    for mult in islice(_odd_multipliers(), PROBE_TRIES):
+        slot = np.sort(key * mult >> shift)
+        shared = np.count_nonzero(slot[1:] == slot[:-1])
+        if fewest is None or shared < fewest[0]:
+            fewest = shared, mult
+        if not shared:
+            break
+    mult = fewest[1]
+    table, rounds = [0] * (1 << bits), 1
+    for c, at in enumerate((key * mult >> shift).tolist(), start=1):
+        r = 0
+        while table[(at + r) % len(table)]:
+            r += 1
+        table[(at + r) % len(table)] = c
+        rounds = max(rounds, r + 1)
+    return _Probe(words, length, [np.insert(word, 0, 0) for word in packed], mult, shift,
+                  np.array(table + table[:rounds - 1], np.int16 if len(terms) < 2**15
+                           else np.int32), rounds)
+
+
+def _probe_codes(probe: _Probe, aligned: np.ndarray, start: np.ndarray,
+                 length: np.ndarray) -> np.ndarray:
+    """Each byte string's code, `code.get(string, 0)` for the code probe was
+    built from, from _aligned(buf, words) with words at least probe.words."""
+    packed = _packed(aligned, start, length, probe.words)
+    slot = (_fold(packed) * probe.mult >> probe.shift).view(np.int64)
+    codes = np.zeros(len(start), probe.table.dtype)
+    for r in range(probe.rounds):
+        c = np.take(probe.table, slot + r)
+        same = np.take(probe.length, c) == length
+        for term_word, word in zip(probe.packed, packed):
+            same &= np.take(term_word, c) == word
+        codes = np.where(same, c, codes)
+    return codes
+
+
+def _score_block(buf: np.ndarray, edges: np.ndarray, coded: _CodedLexicon, probe: _Probe,
                  totals: StateTotals) -> str:
     """A framed tokens.csv block's scored.csv lines; adds its documents to totals."""
     starts, c1, c2, c3, ends = edges.T  # line start - 1, three commas, line end
@@ -376,18 +523,35 @@ def _score_block(buf: np.ndarray, edges: np.ndarray, coded: _CodedLexicon,
                 | ((buf[c2 + 1] == 48) & (width > 1))).any()
             or ((space <= c3[line] + 1) | (buf[space + 1] <= 32)).any()):
         raise _NotPlain
-    # With commas as spaces, line i splits into its id, state, width and n[i] tokens.
-    n = np.bincount(line, minlength=len(edges)) + (ends - c3 > 1)
-    text = buf.tobytes().translate(_COMMA_TO_SPACE).decode()
-    if not text.isascii() and _NON_ASCII_SPACE.search(text):  # str.split splits at U+00A0
+    data = buf.tobytes()
+    if not data.isascii() and _NON_ASCII_SPACE.search(data.decode()):  # str.split splits at U+00A0
         raise _NotPlain
-    words = text.split()
-    first = np.cumsum(n + 3) - (n + 3)
-    token = np.ones(len(words), bool)
-    token[first[:, None] + np.arange(3)] = False
-    codes = np.fromiter(map(coded.code.get, words, repeat(0)), np.intp, len(words))
-    value, _ = _score_codes(codes[token], n, coded)
-    totals.add(list(map(words.__getitem__, (first + 1).tolist())), value)
+    # Line i's n[i] tokens start after its third comma and after each of its
+    # spaces, and end at the next space or at the line end.
+    full = ends - c3 > 1
+    n = np.bincount(line, minlength=len(edges)) + full
+    first = np.cumsum(n) - n
+    head = np.zeros(len(space) + np.count_nonzero(full), bool)
+    head[first[full]] = True
+    start = np.empty(len(head), np.intp)
+    start[head] = c3[full] + 1
+    start[~head] = space + 1
+    end = np.empty_like(start)
+    end[:-1] = start[1:] - 1
+    end[first[full] + n[full] - 1] = ends[full]
+    state_len = c2 - c1 - 1
+    state_words = -(-int(state_len.max()) // 8)
+    aligned = _aligned(buf, max(probe.words, state_words))
+    value, _ = _score_codes(_probe_codes(probe, aligned, start, end - start), n, coded)
+    # Lines are numbered by their states' packed bytes, which no zero byte
+    # is in, and each distinct state is decoded once.
+    state = _packed(aligned, c1 + 1, state_len, state_words)
+    state = state[0] if state_words == 1 else np.column_stack(state).view(
+        np.dtype((np.void, 8 * state_words)))
+    _, one, which = np.unique(state.reshape(-1), return_index=True, return_inverse=True)
+    totals.add_numbered([data[s:e].decode() for s, e in zip((c1[one] + 1).tolist(),
+                                                             c2[one].tolist())],
+                        which.reshape(-1), value)
     # Each line is its own id,state,width bytes, then the tail of its value,
     # formatted once per distinct value (by bits): two segments, gathered
     # from buf and the tails that follow it.

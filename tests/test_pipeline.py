@@ -618,8 +618,28 @@ class TestCli:
         assert [p.name for p in out.iterdir()] == ["tokens.csv"]
 
     @pytest.mark.parametrize("command, option, data", [
+        ("score", "lexicon", "good\t1\nbad\t-1\n# again\ngood\t-1\n"),
+        ("score", "amplifiers", "very\t1.5\nreally\t1.2\nvery\t1.5\n"),
+        ("preprocess", "lemmas", "ran\trun\n\nran\trun\n"),
+    ])
+    def test_a_key_listed_twice_names_file_and_line(self, tmp_path, capsys,
+                                                     command, option, data):
+        out = tmp_path / "out"
+        assert main(self._args("preprocess", out)) == EXIT_OK
+        tokens = (out / "tokens.csv").read_bytes()
+        path = tmp_path / f"{option}.tsv"
+        path.write_text(data, encoding="utf-8")
+        assert main(self._args(command, out, **{option: path})) == EXIT_SCHEMA
+        key = data.split("\t")[0]
+        assert (f"{path}:{data.count(chr(10))}: duplicate key {key!r}, first on line 1"
+                in capsys.readouterr().err)
+        assert [p.name for p in out.iterdir()] == ["tokens.csv"]
+        assert (out / "tokens.csv").read_bytes() == tokens
+
+    @pytest.mark.parametrize("command, option, data", [
         ("preprocess", "stopwords", "the\nand\n" + "filler\n" * 3000 + "caf\xe9\n"),
-        ("score", "lexicon", "good\t1\n" + "x\t0.5\n" * 3000 + "caf\xe9\t1\n"),
+        ("score", "lexicon", "good\t1\n" + "".join(f"x{i}\t0.5\n" for i in range(3000))
+         + "caf\xe9\t1\n"),
     ], ids=["stopwords", "lexicon"])
     def test_non_utf8_resource_file_names_file_and_line(self, tmp_path, capsys,
                                                           command, option, data):
@@ -656,6 +676,33 @@ class TestCli:
             tokens[name] = (out / "tokens.csv").read_bytes()
             assert tokens[name] == (fresh / "tokens.csv").read_bytes()
         assert tokens["empty"] != tokens["bundled"]
+
+
+# Runs the five stages on the fixture after `import sentireg` and prints the
+# modules they load that the import did not.
+LATE_IMPORTS = """
+import sys, tempfile
+import sentireg
+from sentireg import pipeline
+with tempfile.TemporaryDirectory() as tmp:
+    config = pipeline.PipelineConfig(corpus=sys.argv[1], covariates=sys.argv[2], out=tmp)
+    loaded = set(sys.modules)
+    for stage in ("preprocess", "score", "join", "fit", "diagnose"):
+        getattr(pipeline, f"stage_{stage}")(config)
+    print(sorted(set(sys.modules) - loaded))
+"""
+
+
+def test_stages_load_no_module_that_import_sentireg_did_not():
+    # Each stage runs in a fresh process (`sentireg <stage>`), so a module
+    # first loaded inside one is loaded in every run of it: numpy.ma, for
+    # one, which a bare np.unique(x) loads on numpy 2, costs milliseconds.
+    src = str(Path(sentireg.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", LATE_IMPORTS, str(CORPUS), str(COVARIATES)],
+                          env=env, check=True, timeout=120, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestStageOutputs:

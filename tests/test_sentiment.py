@@ -324,6 +324,17 @@ def test_state_totals_by_chunks_equal_one_pass(pairs, chunk):
     assert chunked.summaries() == whole.summaries()
 
 
+def test_state_totals_add_each_value_to_the_running_sum_in_order():
+    # 1e16 + 1 rounds back to 1e16: any other order of the additions, such as
+    # the chunk's values first, gives another sum.
+    totals = StateTotals()
+    totals.add(["NC"], np.array([1e16]))
+    totals.add(["NC", "CA", "NC"], np.array([1.0, -0.5, 1.0]))
+    ca, nc = totals.summaries()
+    assert (ca.n_docs, ca.mean_score, ca.share_negative) == (1, -0.5, 1.0)
+    assert (nc.n_docs, nc.mean_score, nc.share_positive) == (3, 1e16 / 3, 1.0)
+
+
 # -- write_scored: the block path against the per-record path -----------------
 
 LEXICON = load_lexicon(default_data_path("lexicon.tsv"), default_data_path("negators.txt"),
@@ -382,17 +393,34 @@ def not_plain(*args):
     raise _NotPlain
 
 
-def score_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_limit()):
+def lexicon_files(out: Path, lexicon: Lexicon) -> dict[str, Path]:
+    """PipelineConfig's lexicon, negators and amplifiers options for lexicon,
+    written to the directory out."""
+    paths = {name: out / f"{name}.in" for name in ("lexicon", "negators", "amplifiers")}
+    for name, lines in (("lexicon", [f"{t}\t{v!r}" for t, v in lexicon.valences.items()]),
+                        ("negators", sorted(lexicon.negators)),
+                        ("amplifiers", [f"{t}\t{m!r}" for t, m in lexicon.amplifiers.items()])):
+        paths[name].write_text("".join(f"{line}\n" for line in [f"# {name}", *lines]),
+                               encoding="utf-8")
+    return paths
+
+
+def score_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_limit(),
+               lexicon: Lexicon | None = None):
     """Whether write_scored took the block path for a tokens.csv of data;
     stage_score's result; and its result with plain_blocks declining every
-    file, which forces the per-record path."""
+    file, which forces the per-record path. The lexicon is the bundled one,
+    or `lexicon`, passed as files through PipelineConfig."""
     old_limit = csv.field_size_limit(field_limit)
     try:
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(sent_mod, "SCORE_BLOCK_BYTES", block_bytes):
-            out = Path(tmp)
+            out = Path(tmp) / "out"
+            out.mkdir()
             (out / "tokens.csv").write_bytes(data)
-            config = PipelineConfig(corpus=out / "corpus.csv", covariates=out / "c.csv", out=out)
+            files = {} if lexicon is None else lexicon_files(Path(tmp), lexicon)
+            config = PipelineConfig(corpus=out / "corpus.csv", covariates=out / "c.csv", out=out,
+                                    **files)
             declined, kernel = [], sent_mod._score_blocks
 
             def recorded(*args):
@@ -483,3 +511,150 @@ def test_score_blocks_declines_a_field_over_the_limit(data, block_bytes):
     took, stage, per_record = score_both(data, block_bytes, field_limit=32)
     assert not took and stage == per_record and per_record[0] is SchemaError
     assert per_record[1].endswith("field larger than field limit (32)")
+
+
+@pytest.mark.parametrize("tail", ["t,Massachusetts-Bay,7,good\r\nt,NC,8,bad\r\n",
+                                  "t,Île-de-France,9,très good\r\nt,CA,7,not\r\n"])
+def test_score_blocks_number_states_of_any_length(tail):
+    took, stage, per_record = score_both(PLAIN_TOKENS + tail.encode(), 4096)
+    assert took and stage == per_record
+    assert tail.split(",")[1].encode() in stage[1]
+
+
+# -- the score kernel's lexicon probe ----------------------------------------
+
+# Terms across the 8- and 16-byte word edges; words that are a prefix or an
+# extension of one, or differ from one only past byte 8 or 16; UTF-8 terms;
+# and words longer than the longest term.
+ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+EDGE_TERMS = [ALPHABET[:n] for n in (1, 2, 7, 8, 9, 15, 16, 17, 23, 24)]
+UTF8_TERMS = ["café", "naïveté", "überwältigend", "日本語のテキスト", "😀"]
+KERNEL_WORDS = sorted({*EDGE_TERMS, *UTF8_TERMS, "not", "very", "day", "日本語",
+                       *(t[:-1] for t in EDGE_TERMS + UTF8_TERMS if len(t) > 1),
+                       *(t + "z" for t in EDGE_TERMS + UTF8_TERMS),
+                       ALPHABET[:8] + "X", ALPHABET[:16] + "X", ALPHABET, ALPHABET * 2})
+KERNEL_LEXICONS = {
+    "edges": lex({t: round((-1) ** j * (0.25 + 0.125 * j), 3)
+                  for j, t in enumerate(EDGE_TERMS + UTF8_TERMS)},
+                 negators={"not"}, amplifiers={"very": 1.5}),
+    "empty": lex(),
+    "negators only": lex(negators={"not", ALPHABET[:9]}),
+    "amplifiers only": lex(amplifiers={"very": 2.0, ALPHABET[:17]: 1.5}),
+}
+
+
+def plain_tokens(docs) -> bytes:
+    """A plain tokens.csv: one line per document's words."""
+    return b"id,state,text_width,tokens\r\n" + "".join(
+        f"t{i},{'NC' if i % 3 else 'CA'},{7 + i % 4},{' '.join(words)}\r\n"
+        for i, words in enumerate(docs)).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_LEXICONS)),
+       st.lists(st.lists(st.sampled_from(KERNEL_WORDS), max_size=8), max_size=12),
+       st.integers(min_value=40, max_value=400))
+def test_score_blocks_equal_the_per_record_path_on_custom_lexicons(name, docs, block_bytes):
+    took, stage, per_record = score_both(plain_tokens(docs), block_bytes,
+                                         lexicon=KERNEL_LEXICONS[name])
+    assert took and stage == per_record
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_LEXICONS))
+def test_score_blocks_score_each_kernel_word(name):
+    lexicon = KERNEL_LEXICONS[name]
+    docs = [[w] for w in KERNEL_WORDS] + [["not", "very", w] for w in KERNEL_WORDS]
+    took, stage, per_record = score_both(plain_tokens(docs), 256, lexicon=lexicon)
+    assert took and stage == per_record
+    values = [float(row.split(",")[3]) for row in stage[0].decode().splitlines()[1:]]
+    assert [v != 0 for v in values] == [d[-1] in lexicon.valences for d in docs]
+
+
+def probe_codes(code: dict[str, int], words: list[str]) -> list[int]:
+    """The probe's code of each word, read from one buffer of them all, with
+    no byte between one word and the next."""
+    probe = sent_mod._probe(code)
+    data = [w.encode() for w in words]
+    length = np.array(list(map(len, data)), np.intp)
+    aligned = sent_mod._aligned(np.frombuffer(b"".join(data), np.uint8), probe.words)
+    return sent_mod._probe_codes(probe, aligned, np.cumsum(length) - length, length).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_probe_code_is_the_dict_code(data):
+    terms = data.draw(st.lists(st.text(max_size=24), unique=True, max_size=40))
+    code = {t: j for j, t in enumerate(terms, start=1)}
+    near = st.sampled_from(terms or [""]).flatmap(
+        lambda t: st.sampled_from([t, t[:-1], t[1:], t + "a", "é" + t]))
+    words = data.draw(st.lists(st.one_of(near, st.text(max_size=30)), max_size=40))
+    assert probe_codes(code, words) == [code.get(w, 0) for w in words]
+
+
+def colliding_words(n: int, bits: int) -> list[str]:
+    """n ASCII words of at most 8 bytes that share one slot of a table of
+    2**bits slots under the probe's first multiplier."""
+    first, by_slot = int(next(sent_mod._odd_multipliers())), {}
+    for i in range(1 << 20):
+        word = f"w{i}"
+        slot = int.from_bytes(word.encode(), "little") * first % 2**64 >> 64 - bits
+        if len(group := by_slot.setdefault(slot, [])) == n - 1:
+            return group + [word]
+        group.append(word)
+    raise AssertionError("no slot filled")
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_probe_passes_a_multiplier_under_which_terms_collide(n):
+    bits = (sent_mod.PROBE_SLOTS_PER_TERM * n - 1).bit_length()
+    words = colliding_words(2 * n, bits)
+    code = {t: j for j, t in enumerate(words[:n], start=1)}
+    probe = sent_mod._probe(code)
+    assert probe.shift == 64 - bits and probe.rounds == 1
+    assert probe.mult != next(sent_mod._odd_multipliers())
+    words += [w + "x" for w in words] + [w[:-1] for w in words]
+    assert probe_codes(code, words) == [code.get(w, 0) for w in words]
+
+
+def test_probe_reads_a_run_of_slots_where_terms_must_share_one():
+    # 3000 random terms on the largest table: no multiplier gives each its
+    # own slot. (Terms in arithmetic progression, such as "t0" to "t2999",
+    # can all get one.)
+    rng = np.random.default_rng(0)
+    terms = list(dict.fromkeys("".join(rng.choice(list(ALPHABET), 6)) for _ in range(3000)))
+    code = {t: j for j, t in enumerate(terms, start=1)}
+    probe = sent_mod._probe(code)
+    assert probe.rounds > 1
+    assert len(probe.table) == sent_mod.PROBE_MAX_SLOTS + probe.rounds - 1
+    words = terms + [t + "x" for t in terms] + ["u" + t for t in terms]
+    assert probe_codes(code, words) == [code.get(w, 0) for w in words]
+    lexicon = lex({t: 1.0 for t in terms[::2]}, negators=terms[1::4],
+                  amplifiers={t: 2.0 for t in terms[3::4]})
+    docs = [terms[i:i + 5] + ["u" + terms[i]] for i in range(0, 3000, 7)]
+    took, stage, per_record = score_both(plain_tokens(docs), 4096, lexicon=lexicon)
+    assert took and stage == per_record
+
+
+def test_probe_table_of_the_bundled_lexicon_is_at_most_64_kib():
+    probe = sent_mod._probe(sent_mod._code_lexicon(LEXICON).code)
+    assert probe.rounds == 1 and probe.table.nbytes <= 64 * 1024
+
+
+@pytest.mark.parametrize("tail", [4, 12])
+def test_probe_checks_every_word_of_a_term_in_the_slot(tail):
+    # Words of the term's length and first 8 bytes that land in its slot:
+    # only the one that is the term gets its code.
+    words = [f"abcdefgh{i * 1234567891 % 10**tail:0{tail}d}" for i in range(20_000)]
+    code = {words[0]: 1}
+    probe = sent_mod._probe(code)
+    mult, shift, fold = int(probe.mult), int(probe.shift), int(sent_mod._FOLD)
+
+    def slot(word: str) -> int:
+        data, key = word.encode().ljust(8 * probe.words, b"\0"), 0
+        for k in range(probe.words):
+            key = (key * fold + int.from_bytes(data[8 * k:8 * k + 8], "little")) % 2**64
+        return key * mult % 2**64 >> shift
+
+    same = [w for w in dict.fromkeys(words) if slot(w) == slot(words[0])]
+    assert len(same) > 100
+    assert probe_codes(code, same) == [1] + [0] * (len(same) - 1)
