@@ -550,8 +550,10 @@ class WordNormalizer(dict):
 
     def fill(self, surfaces: Iterable[str]) -> None:
         """Memoize at once each lower-case surface the memo lacks, to the
-        value __missing__ gives it, sorting the new words with set operations."""
-        new = set(filterfalse(self.__contains__, set(surfaces)))
+        value __missing__ gives it, sorting the new words with set operations.
+        Each surface is checked against the memo as it comes, repeats too:
+        no set of every surface is built first."""
+        new = set(filterfalse(self.__contains__, surfaces))
         dropped = new & self._dropped
         lemmatized = new & self._lemma_words - dropped
         rules, suffixes, lemmas = self._rules, self._suffixes, self._lemmas
@@ -712,26 +714,36 @@ def _preprocess_block(fh: TextIO, block: bytes, quotes: np.ndarray, normalize: W
                           for doc_id, state, text, w in zip(ids, states, texts, words)]))
 
 
+_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
+
+
 def _block_records(block: bytes, quotes: np.ndarray) -> tuple[list, ...]:
     """A block's ids, states and texts as csv.reader reads them, given the
     offsets of the quotes that open and close its quoted fields, and for
     each record whether it came from a line csv.reader read alone.
     _NotPlain where csv.reader would raise."""
     buf, at, lf, ends, cr, odd = _frame(block, quotes, 3)
-    if not len(quotes) and not odd.any():
-        fields = block.replace(b"\r\n", b",").replace(b"\n", b",").decode().split(",")
+    any_odd = bool(odd.any())
+    if not len(quotes) and not any_odd:
+        # A CR that does not end a line makes its line odd, so every CR here
+        # ends one: drop them all, and each LF is a separator like a comma.
+        fields = block.translate(_LF_TO_COMMA, b"\r").decode().split(",")
         return fields[0:-1:3], fields[1::3], fields[2::3], [False] * len(ends)
-    # Each separator outside quotes becomes 0xFF, which no UTF-8 text holds;
-    # the CR of each line end and the quotes csv.reader drops go.
+    # Each separator outside quotes becomes a byte no field holds: 0x1F where
+    # no line is odd, as a byte below 32 other than a line's CR or LF makes
+    # its line odd and no UTF-8 character holds one, else 0xFF, which no
+    # UTF-8 text holds. The CR of each line end and the quotes csv.reader
+    # drops go.
     text = buf.copy()
-    text[at] = 255
+    text[at] = 255 if any_odd else 31
     keep = np.ones(len(buf), bool)
     keep[ends[cr] - 1] = keep[quotes] = False
     opens = quotes[0::2]
     keep[opens[buf[opens - 1] == 34]] = True  # a "" pair's second quote
-    fields = text[keep].tobytes().decode("utf-8", "surrogateescape").split("\udcff")
-    if not odd.any():
+    if not any_odd:
+        fields = text[keep].tobytes().decode().split("\x1f")
         return fields[0:-1:3], fields[1::3], fields[2::3], [False] * len(ends)
+    fields = text[keep].tobytes().decode("utf-8", "surrogateescape").split("\udcff")
     # Line i starts after byte ends[i - 1], and its fields after separator lf[i - 1].
     records = []
     for is_odd, start, end, j in zip(odd.tolist(), [0, *(ends[:-1] + 1).tolist()],

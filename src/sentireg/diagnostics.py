@@ -129,12 +129,18 @@ def qq_export(result: LogitFit, data: DesignMatrix) -> list[tuple[float, float]]
     Row i carries the quantile at (i - 0.5)/J and the i-th smallest
     residual, one row per row of data, each a covariate pattern.
     """
+    z, resid = _qq_columns(result, data)
+    return list(zip(z.tolist(), resid.tolist()))
+
+
+def _qq_columns(result: LogitFit, data: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """qq_export's two columns as arrays: the quantiles and the sorted residuals."""
     e, var = _residual_parts(result, data)
     # norm_ppf(p) bit for bit: the same float steps on the array; the tails call it
     p = (np.arange(len(e)) + 0.5) / len(e)
     z, tails = ppf_central(p - 0.5), np.flatnonzero((p < P_LOW) | (p > P_HIGH))
     z[tails] = [norm_ppf(v) for v in p[tails].tolist()]
-    return list(zip(z.tolist(), np.sort(e / np.sqrt(var)).tolist()))
+    return z, np.sort(e / np.sqrt(var))
 
 
 def marginal_effects(
@@ -219,6 +225,19 @@ def write_margins_csv(path: str | Path, effects: list[MarginalEffect]) -> None:
 
 
 def write_qq_csv(path: str | Path, pairs: list[tuple[float, float]]) -> None:
+    """qq.csv from qq_export's (quantile, residual) pairs."""
+    _write_qq_columns(path, *np.array(pairs, float).reshape(-1, 2).T)
+
+
+QQ_CHUNK_ROWS = 1024  # qq.csv lines formatted at a time
+
+
+def _write_qq_columns(path: str | Path, z: np.ndarray, resid: np.ndarray) -> None:
+    """qq.csv from _qq_columns' arrays, QQ_CHUNK_ROWS lines at a time through
+    one "%.12g" format per line: write_rows' bytes for f"{v:.12g}" fields,
+    which hold no quote, comma, CR or LF."""
     with atomic_open(path) as fh:
         write_rows(fh, [("theoretical_quantile", "pearson_residual")])
-        write_rows(fh, ((f"{theo:.12g}", f"{resid:.12g}") for theo, resid in pairs))
+        for i in range(0, len(z), QQ_CHUNK_ROWS):
+            rows = zip(z[i:i + QQ_CHUNK_ROWS].tolist(), resid[i:i + QQ_CHUNK_ROWS].tolist())
+            fh.write("".join(map("%.12g,%.12g\r\n".__mod__, rows)))

@@ -210,7 +210,12 @@ def score_batch(
     """Score many documents' normalized words at once: each one's value and
     matched count, equal to `score`'s bit for bit. One pass over the
     flattened words looks up each word's code; `_score_codes` does the rest."""
-    coded = _code_lexicon(lexicon)
+    return _score_docs(docs, _code_lexicon(lexicon))
+
+
+def _score_docs(docs: Sequence[Sequence[str]], coded: _CodedLexicon
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """score_batch over a lexicon already coded."""
     lengths = np.fromiter(map(len, docs), dtype=np.intp, count=len(docs))
     codes = np.fromiter(map(coded.code.get, chain.from_iterable(docs), repeat(0)),
                         dtype=np.intp, count=int(lengths.sum()))
@@ -343,16 +348,17 @@ def write_scored(tokens: str | Path, scored: str | Path, lexicon: Lexicon) -> St
     Words may be any UTF-8. Any other file is read again from its start,
     SCORE_CHUNK_DOCS records at a time.
     """
+    coded = _code_lexicon(lexicon)  # once for either path
     try:
-        return _score_blocks(tokens, scored, lexicon)
+        return _score_blocks(tokens, scored, coded)
     except _NotPlain:
         pass
     totals = StateTotals()
-    write_scored_csv(scored, _scored_chunks(tokens, lexicon, totals))
+    write_scored_csv(scored, _scored_chunks(tokens, coded, totals))
     return totals
 
 
-def _scored_chunks(path: str | Path, lexicon: Lexicon,
+def _scored_chunks(path: str | Path, coded: _CodedLexicon,
                    totals: StateTotals) -> Iterator[ScoredChunk]:
     """tokens.csv's records scored SCORE_CHUNK_DOCS at a time; adds each chunk
     to totals. Each width is checked as it is read."""
@@ -366,15 +372,15 @@ def _scored_chunks(path: str | Path, lexicon: Lexicon,
     rows = starmap(record, read_columns(path, TOKENS_COLUMNS))
     while chunk := list(islice(rows, SCORE_CHUNK_DOCS)):
         ids, states, widths, words = zip(*chunk)
-        value, _ = score_batch(words, lexicon)
+        value, _ = _score_docs(words, coded)
         totals.add(states, value)
         yield ScoredChunk(ids, states, widths, value)
 
 
-def _score_blocks(tokens: str | Path, scored: str | Path, lexicon: Lexicon) -> StateTotals:
+def _score_blocks(tokens: str | Path, scored: str | Path, coded: _CodedLexicon) -> StateTotals:
     """write_scored's block path; _NotPlain, with scored.csv untouched and no
     temp file left, where the file is not plain."""
-    coded, totals = _code_lexicon(lexicon), StateTotals()
+    totals = StateTotals()
     probe = _probe(coded.code)
     with atomic_open(scored) as fh:
         write_rows(fh, [SCORED_COLUMNS])

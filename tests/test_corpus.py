@@ -659,6 +659,16 @@ PLAIN_CORPUS = b"id,state,text\r\n" + b"".join(
 # quote csv.reader reads as a character; a "" pair split between two reads
 @example(b'id,state,text\r\nt,NC,"a\r\nb,"\r\nu,NC,5" x\r\n', 11, csv.field_size_limit(), {})
 @example(b'id,state,text\r\nt,NC,"a""b"\r\nu"1,NC,x\r\n', 8, csv.field_size_limit(), {})
+# one block each: quoted texts with an odd line that holds 0x1F, the byte
+# that marks the separators where no line is odd; CRLF and LF line ends
+# mixed, without quotes and with; a bare CR inside an unquoted text
+@example(b'id,state,text\r\nt0,NC,"good, day"\r\nt1,CA,"a\x1fb good"\r\nt2,NY,plain words here\r\n',
+         4096, csv.field_size_limit(), {})
+@example(PLAIN_CORPUS + b"t,NC,good day\nu,CA,Bad\r\nv,NY,x\n", 4096, csv.field_size_limit(), {})
+@example(b'id,state,text\nt0,NC,"a, b"\r\nt1,CA,c\nt2,NY,"d\r\ne"\r\nt3,NC,f\n', 4096,
+         csv.field_size_limit(), {})
+@example(b"id,state,text\r\nt0,NC,good\rday\r\nt1,CA,not bad\r\n", 4096, csv.field_size_limit(),
+         {})
 def test_preprocess_blocks_equals_the_per_record_path(data, block_bytes, field_limit,
                                                       word_lists):
     took, stage, per_record = preprocess_both(data, block_bytes, field_limit, word_lists)

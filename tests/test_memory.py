@@ -1,8 +1,9 @@
 """Memory guards: what preprocess and join hold grows by a few bytes a row,
 whatever the corpus's vocabulary; what join holds grows by a few words a
 pattern; what the pattern artifacts' writer and reader hold does not grow
-with the patterns, or stays within a few times the file; and fit's and
-diagnose's design is made once and never copied. Most tests take the
+with the patterns, or stays within a few times the file; fit's and
+diagnose's design is made once and never copied; and what diagnose holds
+beside it grows by a few words a pattern. Most tests take the
 traced heap's peak (tracemalloc, which numpy's buffers report to) at two
 sizes and bound its growth per extra row or pattern, so the parts equal at
 both sizes cancel."""
@@ -17,11 +18,13 @@ import numpy as np
 import pytest
 
 from sentireg import corpus as corpus_mod
+from sentireg import pipeline as pipeline_mod
 from sentireg import tabulate as tab_mod
 from sentireg.corpus import WordNormalizer
 from sentireg.diagnostics import marginal_effects
 from sentireg.logit import DesignMatrix, LogitFit
-from sentireg.pipeline import PipelineConfig, default_data_path, read_design, stage_join
+from sentireg.pipeline import (PipelineConfig, default_data_path, read_design, stage_diagnose,
+                               stage_fit, stage_join)
 from sentireg.sentiment import SCORED_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -217,3 +220,28 @@ def test_marginal_effects_makes_no_copy_of_the_design():
                       ll=-1.0, ll0=-2.0, n_obs=design.n_obs, n_iter=1, converged=True)
     marginal_effects(result, design, kinds)
     assert traced_peak(lambda: marginal_effects(result, design, kinds)) < 0.5 * X.nbytes
+
+
+def test_diagnose_holds_under_100_bytes_per_pattern_beside_the_design(tmp_path, monkeypatch):
+    # 51 states at 100 or 400 widths: 5 100 or 20 400 patterns, fitted, then
+    # diagnosed with the design already read. qq_export's list of
+    # (quantile, residual) tuples, formatted all at once, held about 160
+    # bytes a pattern; its two arrays, formatted 1024 lines at a time, and
+    # the other diagnostics' n-vectors hold about 73.
+    covars = tab_mod.load_covariates(default_data_path("state_covariates.csv"))
+    rng = np.random.default_rng(1)
+
+    def run_at(n_patterns):
+        rows = [(i, state, str(width), str(int(rng.random() < 0.4))) for i, (state, width)
+                in enumerate((s, w) for s in sorted(covars)
+                             for w in range(1, n_patterns // 51 + 1) for _ in range(2))]
+        tab_mod.write_patterns_csv(tmp_path / "patterns.csv", tab_mod.join(rows, covars))
+        config = PipelineConfig(corpus=tmp_path / "corpus.csv", covariates=tmp_path / "c.csv",
+                                out=tmp_path)
+        stage_fit(config)
+        design = read_design(config)
+        assert len(design.X) == n_patterns
+        monkeypatch.setattr(pipeline_mod, "read_design", lambda config: design)
+        return lambda: stage_diagnose(config)
+
+    assert bytes_per_extra_row(run_at, (5_100, 20_400)) < 100

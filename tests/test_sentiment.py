@@ -1,5 +1,6 @@
 import codecs
 import csv
+import io
 import math
 import tempfile
 from itertools import product
@@ -460,6 +461,30 @@ PLAIN_TOKENS = b"id,state,text_width,tokens\r\n" + b"".join(
 def test_score_blocks_equals_the_per_record_path(data, block_bytes, field_limit):
     _, stage, per_record = score_both(data, block_bytes, field_limit)
     assert stage == per_record
+
+
+def test_per_record_path_codes_the_lexicon_once(tmp_path):
+    # A tokens.csv of more than three chunks that is not plain (an id holds a
+    # comma, so it is quoted): the per-record path coded the lexicon again
+    # for each chunk. Each scored.csv line is still as score() gives it.
+    vocab = ["not", "very", "good", "day", "bad", "hate", "love", "never"]
+    docs = [(f"t{i}" if i % 1000 else f"t{i},x", "NC" if i % 3 else "CA", str(7 + i % 4),
+             [vocab[(i * k) % len(vocab)] for k in range(i % 6)])
+            for i in range(3 * sent_mod.SCORE_CHUNK_DOCS + 5)]
+    with open(tmp_path / "tokens.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([sent_mod.TOKENS_COLUMNS] + [
+            (doc_id, state, width, " ".join(words)) for doc_id, state, width, words in docs])
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([sent_mod.SCORED_COLUMNS] + [
+        (doc_id, state, width, f"{value:.12g}", classify(value).value,
+         str(to_binary(classify(value))))
+        for doc_id, state, width, words in docs
+        for value in [score(words, LEXICON).value]])
+    calls, code = [], sent_mod._code_lexicon
+    with mock.patch.object(sent_mod, "_code_lexicon", lambda *a: calls.append(1) or code(*a)):
+        sent_mod.write_scored(tmp_path / "tokens.csv", tmp_path / "scored.csv", LEXICON)
+    assert len(calls) == 1
+    assert (tmp_path / "scored.csv").read_bytes() == expected.getvalue().encode()
 
 
 @pytest.mark.parametrize("tail", [b"", b"t,CA,0,\r\nt,NC,999999999999,good very bad\n",
