@@ -36,6 +36,7 @@ import numpy as np
 from .atomic import atomic_open
 
 __all__ = [
+    "REGION_OF_STATE",
     "STATE_CODES",
     "Document",
     "Token",
@@ -64,14 +65,27 @@ __all__ = [
     "load_stem_rules",
 ]
 
-# 50 states plus DC
-STATE_CODES = frozenset({
-    "AL", "AK", "AZ", "AR", "CA", "CO", "CT", "DE", "DC", "FL", "GA", "HI",
-    "ID", "IL", "IN", "IA", "KS", "KY", "LA", "ME", "MD", "MA", "MI", "MN",
-    "MS", "MO", "MT", "NE", "NV", "NH", "NJ", "NM", "NY", "NC", "ND", "OH",
-    "OK", "OR", "PA", "RI", "SC", "SD", "TN", "TX", "UT", "VT", "VA", "WA",
-    "WV", "WI", "WY",
-})
+# 50 states plus DC, each with its Census region
+REGION_OF_STATE = {
+    # Northeast
+    "CT": "Northeast", "ME": "Northeast", "MA": "Northeast", "NH": "Northeast",
+    "RI": "Northeast", "VT": "Northeast", "NJ": "Northeast", "NY": "Northeast",
+    "PA": "Northeast",
+    # Midwest
+    "IL": "Midwest", "IN": "Midwest", "MI": "Midwest", "OH": "Midwest",
+    "WI": "Midwest", "IA": "Midwest", "KS": "Midwest", "MN": "Midwest",
+    "MO": "Midwest", "NE": "Midwest", "ND": "Midwest", "SD": "Midwest",
+    # South
+    "DE": "South", "FL": "South", "GA": "South", "MD": "South", "NC": "South",
+    "SC": "South", "VA": "South", "DC": "South", "WV": "South", "AL": "South",
+    "KY": "South", "MS": "South", "TN": "South", "AR": "South", "LA": "South",
+    "OK": "South", "TX": "South",
+    # West
+    "AZ": "West", "CO": "West", "ID": "West", "MT": "West", "NV": "West",
+    "NM": "West", "UT": "West", "WY": "West", "AK": "West", "CA": "West",
+    "HI": "West", "OR": "West", "WA": "West",
+}
+STATE_CODES = frozenset(REGION_OF_STATE)
 
 
 class SchemaError(ValueError):

@@ -123,24 +123,18 @@ def classification_summary(
     )
 
 
-def qq_export(result: LogitFit, data: DesignMatrix) -> list[tuple[float, float]]:
+def qq_export(result: LogitFit, data: DesignMatrix) -> np.ndarray:
     """Sorted Pearson residuals paired with normal plotting positions.
 
-    Row i carries the quantile at (i - 0.5)/J and the i-th smallest
-    residual, one row per row of data, each a covariate pattern.
+    Row i of the (J, 2) array is the quantile at (i - 0.5)/J and the i-th
+    smallest residual, one row per row of data, each a covariate pattern.
     """
-    z, resid = _qq_columns(result, data)
-    return list(zip(z.tolist(), resid.tolist()))
-
-
-def _qq_columns(result: LogitFit, data: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """qq_export's two columns as arrays: the quantiles and the sorted residuals."""
     e, var = _residual_parts(result, data)
     # norm_ppf(p) bit for bit: the same float steps on the array; the tails call it
     p = (np.arange(len(e)) + 0.5) / len(e)
     z, tails = ppf_central(p - 0.5), np.flatnonzero((p < P_LOW) | (p > P_HIGH))
     z[tails] = [norm_ppf(v) for v in p[tails].tolist()]
-    return z, np.sort(e / np.sqrt(var))
+    return np.column_stack((z, np.sort(e / np.sqrt(var))))
 
 
 def marginal_effects(
@@ -224,18 +218,14 @@ def write_margins_csv(path: str | Path, effects: list[MarginalEffect]) -> None:
                          f"{e.z:.12g}", f"{e.p:.12g}") for e in effects))
 
 
-def write_qq_csv(path: str | Path, pairs: list[tuple[float, float]]) -> None:
-    """qq.csv from qq_export's (quantile, residual) pairs."""
-    _write_qq_columns(path, *np.array(pairs, float).reshape(-1, 2).T)
-
-
 QQ_CHUNK_ROWS = 1024  # qq.csv lines formatted at a time
 
 
-def _write_qq_columns(path: str | Path, z: np.ndarray, resid: np.ndarray) -> None:
-    """qq.csv from _qq_columns' arrays, QQ_CHUNK_ROWS lines at a time through
-    one "%.12g" format per line: write_rows' bytes for f"{v:.12g}" fields,
-    which hold no quote, comma, CR or LF."""
+def write_qq_csv(path: str | Path, qq: np.ndarray | list[tuple[float, float]]) -> None:
+    """qq.csv from qq_export's (quantile, residual) rows, QQ_CHUNK_ROWS lines
+    at a time through one "%.12g" format per line: write_rows' bytes for
+    f"{v:.12g}" fields, which hold no quote, comma, CR or LF."""
+    z, resid = np.asarray(qq, float).reshape(-1, 2).T
     with atomic_open(path) as fh:
         write_rows(fh, [("theoretical_quantile", "pearson_residual")])
         for i in range(0, len(z), QQ_CHUNK_ROWS):

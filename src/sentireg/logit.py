@@ -173,13 +173,11 @@ def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray, m=1.0) -> flo
     return float(np.sum(y * eta - m * np.logaddexp(0.0, eta)))
 
 
-def _intercept_only_ll(y: np.ndarray, m: np.ndarray) -> tuple[float, float]:
-    """Closed-form intercept-only MLE: beta0 = logit(ybar), and its log-likelihood."""
+def _intercept_only_ll(y: np.ndarray, m: np.ndarray) -> float:
+    """The log-likelihood of the closed-form intercept-only MLE, beta0 = logit(ybar)."""
     n = float(m.sum())
     ybar = float(y.sum()) / n
-    beta0 = math.log(ybar / (1.0 - ybar))
-    ll0 = n * (ybar * math.log(ybar) + (1.0 - ybar) * math.log(1.0 - ybar))
-    return beta0, ll0
+    return n * (ybar * math.log(ybar) + (1.0 - ybar) * math.log(1.0 - ybar))
 
 
 def _check_rank(A: np.ndarray, names: tuple[str, ...]) -> None:
@@ -251,7 +249,7 @@ def fit(data: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) -> LogitFit
     std_err = np.sqrt(np.diag(cov))
     z = beta / std_err
     pvals = np.array([two_sided_p(zj) for zj in z])
-    _, ll0 = _intercept_only_ll(y, m)
+    ll0 = _intercept_only_ll(y, m)
 
     return LogitFit(
         names=names, beta=beta, cov=cov, std_err=std_err, z=z, p=pvals,

@@ -305,7 +305,7 @@ def stage_diagnose(config: PipelineConfig) -> tuple[Path, Path]:
     margins_path = config.out / "margins.csv"
     qq_path = config.out / "qq.csv"
     diag_mod.write_margins_csv(margins_path, effects)
-    diag_mod._write_qq_columns(qq_path, *diag_mod._qq_columns(result, design))
+    diag_mod.write_qq_csv(qq_path, diag_mod.qq_export(result, design))
 
     report["diagnostics"] = {
         "pearson": pearson,

@@ -168,7 +168,9 @@ class _CodedLexicon(NamedTuple):
 
 
 def _code_lexicon(lexicon: Lexicon) -> _CodedLexicon:
-    terms = list(dict.fromkeys([*lexicon.valences, *lexicon.negators, *lexicon.amplifiers]))
+    # sorted: a frozenset's order, and so the codes, would vary with PYTHONHASHSEED
+    terms = list(dict.fromkeys([*lexicon.valences, *sorted(lexicon.negators),
+                                *lexicon.amplifiers]))
     return _CodedLexicon(
         code={term: j for j, term in enumerate(terms, start=1)},
         valence=np.array([0.0] + [lexicon.valences.get(t, 0.0) for t in terms]),
@@ -392,9 +394,9 @@ def _score_blocks(tokens: str | Path, scored: str | Path, coded: _CodedLexicon) 
 # A count of low bytes -> the uint64 mask that keeps them.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
 _FOLD = np.uint64(0x9E3779B97F4A7C15)  # odd: folds a string's words into one key
+_SLOT_MULT = np.uint64(0xE220A8397B1DCDAF)  # odd: a key times it, shifted, is its slot
 PROBE_SLOTS_PER_TERM = 32
 PROBE_MAX_SLOTS = 1 << 15  # int16 slots: 64 KiB, for lexicons up to 16384 terms
-PROBE_TRIES = 64  # multipliers the probe tries before it lets terms share a run of slots
 
 
 def _aligned(buf: np.ndarray, words: int) -> np.ndarray:
@@ -432,29 +434,18 @@ def _fold(packed: list[np.ndarray]) -> np.ndarray:
     return key
 
 
-def _odd_multipliers() -> Iterator[np.uint64]:
-    """The splitmix64 sequence from 0, each made odd. Python ints, masked to
-    64 bits, so no numpy scalar wraps around."""
-    x = 0
-    while True:
-        x = (x + 0x9E3779B97F4A7C15) % 2**64
-        z = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2**64
-        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
-        yield np.uint64(z ^ z >> 31 | 1)
-
-
 class _Probe(NamedTuple):
     """An exact lookup of a byte string's lexicon code. The string is packed
-    into `words` uint64 words and folded into a key, and the key times `mult`,
-    shifted right by `shift`, is its slot. `table` holds each term's code at
-    its slot, or, where terms share a slot, at the first free one after it:
-    at most `rounds` - 1 after, with the first `rounds` - 1 slots repeated at
-    the end. A code read from a slot counts only when its term's `length`
-    and `packed` words are the string's, and code 0 has length -1."""
+    into `words` uint64 words and folded into a key, and the key times
+    _SLOT_MULT, shifted right by `shift`, is its slot. `table` holds each
+    term's code at its slot, or, where terms share a slot, at the first free
+    one after it: at most `rounds` - 1 after, with the first `rounds` - 1
+    slots repeated at the end. A code read from a slot counts only when its
+    term's `length` and `packed` words are the string's, and code 0 has
+    length -1."""
     words: int
     length: np.ndarray
     packed: list[np.ndarray]
-    mult: np.uint64
     shift: np.uint64
     table: np.ndarray
     rounds: int
@@ -464,10 +455,9 @@ def _probe(code: dict[str, int]) -> _Probe:
     """The probe of a coded lexicon's terms, numbered 1, 2, ... in `code`.
 
     The table has the power of two of slots at or above PROBE_SLOTS_PER_TERM
-    per term, up to PROBE_MAX_SLOTS (or twice the terms, where more). Of
-    PROBE_TRIES odd multipliers, the first that gives each term its own slot
-    is kept, so a lookup reads one slot; where none does, the one that puts
-    fewest terms on a taken slot, and a lookup reads `rounds` slots."""
+    per term, up to PROBE_MAX_SLOTS (or twice the terms, where more). Each
+    bundled term gets its own slot, so a lookup reads one; terms that share
+    a slot take the next free ones, and a lookup reads `rounds` slots."""
     terms = [t.encode() for t in code]
     length = np.array([-1] + list(map(len, terms)), np.intp)
     words = max(1, -(-int(length.max()) // 8))
@@ -478,23 +468,14 @@ def _probe(code: dict[str, int]) -> _Probe:
     bits = min((PROBE_SLOTS_PER_TERM * len(terms) - 1).bit_length(),
                max(PROBE_MAX_SLOTS.bit_length() - 1, (2 * len(terms) - 1).bit_length()))
     shift = np.uint64(64 - bits)
-    fewest = None
-    for mult in islice(_odd_multipliers(), PROBE_TRIES):
-        slot = np.sort(key * mult >> shift)
-        shared = np.count_nonzero(slot[1:] == slot[:-1])
-        if fewest is None or shared < fewest[0]:
-            fewest = shared, mult
-        if not shared:
-            break
-    mult = fewest[1]
     table, rounds = [0] * (1 << bits), 1
-    for c, at in enumerate((key * mult >> shift).tolist(), start=1):
+    for c, at in enumerate((key * _SLOT_MULT >> shift).tolist(), start=1):
         r = 0
         while table[(at + r) % len(table)]:
             r += 1
         table[(at + r) % len(table)] = c
         rounds = max(rounds, r + 1)
-    return _Probe(words, length, [np.insert(word, 0, 0) for word in packed], mult, shift,
+    return _Probe(words, length, [np.insert(word, 0, 0) for word in packed], shift,
                   np.array(table + table[:rounds - 1], np.int16 if len(terms) < 2**15
                            else np.int32), rounds)
 
@@ -504,7 +485,7 @@ def _probe_codes(probe: _Probe, aligned: np.ndarray, start: np.ndarray,
     """Each byte string's code, `code.get(string, 0)` for the code probe was
     built from, from _aligned(buf, words) with words at least probe.words."""
     packed = _packed(aligned, start, length, probe.words)
-    slot = (_fold(packed) * probe.mult >> probe.shift).view(np.int64)
+    slot = (_fold(packed) * _SLOT_MULT >> probe.shift).view(np.int64)
     codes = np.zeros(len(start), probe.table.dtype)
     for r in range(probe.rounds):
         c = np.take(probe.table, slot + r)

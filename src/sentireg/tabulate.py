@@ -32,8 +32,8 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .atomic import atomic_open
-from .corpus import (STATE_CODES, SchemaError, _NotPlain, ascii_int, plain_blocks, read_columns,
-                     write_rows)
+from .corpus import (REGION_OF_STATE, STATE_CODES, SchemaError, _NotPlain, ascii_int,
+                     plain_blocks, read_columns, write_rows)
 from .sentiment import SCORED_COLUMNS
 
 __all__ = [
@@ -59,26 +59,6 @@ __all__ = [
 ]
 
 REGIONS = ("Northeast", "Midwest", "South", "West")
-
-REGION_OF_STATE = {
-    # Northeast
-    "CT": "Northeast", "ME": "Northeast", "MA": "Northeast", "NH": "Northeast",
-    "RI": "Northeast", "VT": "Northeast", "NJ": "Northeast", "NY": "Northeast",
-    "PA": "Northeast",
-    # Midwest
-    "IL": "Midwest", "IN": "Midwest", "MI": "Midwest", "OH": "Midwest",
-    "WI": "Midwest", "IA": "Midwest", "KS": "Midwest", "MN": "Midwest",
-    "MO": "Midwest", "NE": "Midwest", "ND": "Midwest", "SD": "Midwest",
-    # South
-    "DE": "South", "FL": "South", "GA": "South", "MD": "South", "NC": "South",
-    "SC": "South", "VA": "South", "DC": "South", "WV": "South", "AL": "South",
-    "KY": "South", "MS": "South", "TN": "South", "AR": "South", "LA": "South",
-    "OK": "South", "TX": "South",
-    # West
-    "AZ": "West", "CO": "West", "ID": "West", "MT": "West", "NV": "West",
-    "NM": "West", "UT": "West", "WY": "West", "AK": "West", "CA": "West",
-    "HI": "West", "OR": "West", "WA": "West",
-}
 
 _PERCENT_FIELDS = ("FHH_pct", "EDU2", "EDU3", "AGE2", "WP", "OCH", "PWHI", "LF", "PR")
 

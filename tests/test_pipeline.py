@@ -16,6 +16,7 @@ import pytest
 
 import sentireg
 from sentireg import corpus as corpus_mod
+from sentireg import diagnostics as diag_mod
 from sentireg import pipeline
 from sentireg import sentiment as sent_mod
 from sentireg import tabulate as tab_mod
@@ -766,6 +767,19 @@ class TestStageOutputs:
         with open(out / "qq.csv", encoding="utf-8") as fh:
             n_rows = sum(1 for _ in csv.DictReader(fh))
         assert n_rows == report["diagnostics"]["pearson"]["n_patterns"]
+
+    def test_diagnose_writes_qq_csv_through_the_public_functions(self, tmp_path, monkeypatch):
+        # qq.csv is qq_export's rows as write_qq_csv writes them, one call each
+        out = run_fixture(tmp_path / "run")
+        calls = []
+        for name in ("qq_export", "write_qq_csv"):
+            def counted(*args, fn=getattr(diag_mod, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(diag_mod, name, counted)
+        pipeline.stage_diagnose(PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out))
+        assert calls == ["qq_export", "write_qq_csv"]
+        assert hashlib.sha256((out / "qq.csv").read_bytes()).hexdigest() == PINNED_SHA256["qq.csv"]
 
     def test_margins_cover_all_predictors(self, tmp_path):
         out = run_fixture(tmp_path / "run")

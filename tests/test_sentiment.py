@@ -2,6 +2,9 @@ import codecs
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from itertools import product
 from pathlib import Path
@@ -616,35 +619,35 @@ def test_probe_code_is_the_dict_code(data):
     assert probe_codes(code, words) == [code.get(w, 0) for w in words]
 
 
-def colliding_words(n: int, bits: int) -> list[str]:
+def colliding_words(n: int, bits: int) -> tuple[list[str], int]:
     """n ASCII words of at most 8 bytes that share one slot of a table of
-    2**bits slots under the probe's first multiplier."""
-    first, by_slot = int(next(sent_mod._odd_multipliers())), {}
+    2**bits slots under the probe's multiplier, and that slot."""
+    mult, by_slot = int(sent_mod._SLOT_MULT), {}
     for i in range(1 << 20):
         word = f"w{i}"
-        slot = int.from_bytes(word.encode(), "little") * first % 2**64 >> 64 - bits
+        slot = int.from_bytes(word.encode(), "little") * mult % 2**64 >> 64 - bits
         if len(group := by_slot.setdefault(slot, [])) == n - 1:
-            return group + [word]
+            return group + [word], slot
         group.append(word)
     raise AssertionError("no slot filled")
 
 
 @pytest.mark.parametrize("n", [2, 8])
-def test_probe_passes_a_multiplier_under_which_terms_collide(n):
+def test_probe_puts_terms_that_share_a_slot_in_consecutive_slots(n):
+    # n terms on one slot take it and the n - 1 after it, and a lookup reads
+    # all n: the n other words on that slot, and near misses, get no code.
     bits = (sent_mod.PROBE_SLOTS_PER_TERM * n - 1).bit_length()
-    words = colliding_words(2 * n, bits)
+    words, slot = colliding_words(2 * n, bits)
     code = {t: j for j, t in enumerate(words[:n], start=1)}
     probe = sent_mod._probe(code)
-    assert probe.shift == 64 - bits and probe.rounds == 1
-    assert probe.mult != next(sent_mod._odd_multipliers())
+    assert probe.shift == 64 - bits and probe.rounds == n
+    assert probe.table[slot + np.arange(n)].tolist() == list(range(1, n + 1))
     words += [w + "x" for w in words] + [w[:-1] for w in words]
     assert probe_codes(code, words) == [code.get(w, 0) for w in words]
 
 
 def test_probe_reads_a_run_of_slots_where_terms_must_share_one():
-    # 3000 random terms on the largest table: no multiplier gives each its
-    # own slot. (Terms in arithmetic progression, such as "t0" to "t2999",
-    # can all get one.)
+    # 3000 random terms on the largest table: some share a slot.
     rng = np.random.default_rng(0)
     terms = list(dict.fromkeys("".join(rng.choice(list(ALPHABET), 6)) for _ in range(3000)))
     code = {t: j for j, t in enumerate(terms, start=1)}
@@ -665,6 +668,30 @@ def test_probe_table_of_the_bundled_lexicon_is_at_most_64_kib():
     assert probe.rounds == 1 and probe.table.nbytes <= 64 * 1024
 
 
+# Prints the bundled lexicon's probe table.
+BUNDLED_PROBE = """
+from sentireg import sentiment
+from sentireg.pipeline import default_data_path as path
+lexicon = sentiment.load_lexicon(path("lexicon.tsv"), path("negators.txt"),
+                                 path("amplifiers.tsv"))
+print(sentiment._probe(sentiment._code_lexicon(lexicon).code).table.tobytes().hex())
+"""
+
+
+def test_probe_table_does_not_depend_on_the_hash_seed():
+    # The negators are a frozenset, whose order varies with PYTHONHASHSEED;
+    # the term codes, and so the table, must not.
+    src = str(Path(sent_mod.__file__).resolve().parents[1])
+    tables = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", BUNDLED_PROBE], env=env, check=True,
+                              timeout=120, capture_output=True, text=True)
+        tables.append(done.stdout)
+    assert tables[0] and tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("tail", [4, 12])
 def test_probe_checks_every_word_of_a_term_in_the_slot(tail):
     # Words of the term's length and first 8 bytes that land in its slot:
@@ -672,7 +699,7 @@ def test_probe_checks_every_word_of_a_term_in_the_slot(tail):
     words = [f"abcdefgh{i * 1234567891 % 10**tail:0{tail}d}" for i in range(20_000)]
     code = {words[0]: 1}
     probe = sent_mod._probe(code)
-    mult, shift, fold = int(probe.mult), int(probe.shift), int(sent_mod._FOLD)
+    mult, shift, fold = int(sent_mod._SLOT_MULT), int(probe.shift), int(sent_mod._FOLD)
 
     def slot(word: str) -> int:
         data, key = word.encode().ljust(8 * probe.words, b"\0"), 0
