@@ -8,11 +8,10 @@ pass: what becomes of a token depends only on its surface form, so a
 ASCII text by lower, a blank for each apostrophe not inside a word, a
 byte-table translate and split, which give the word regex's tokens. Every
 CSV is read by `read_columns` and written by `write_rows`. The block paths
-read a CSV as numpy byte blocks of whole records, and one framer, `_frame`,
-splits each at the commas and line ends outside quoted fields as csv.reader
-would: for `write_tokens`, and for score and join through `plain_blocks`,
-which takes only blocks with no quote and no line csv.reader must read
-alone. Every other function is pure.
+of `write_tokens`, score and join read a CSV as numpy byte blocks of whole
+lines through `plain_blocks`, which takes only blocks with no quote and no
+line that csv.reader would read otherwise than at its commas and line
+ends; every other row is read by csv.reader. Every other function is pure.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import codecs
 import csv
 import encodings.utf_8_sig  # noqa: F401  every reader's codec, loaded with the package
-import io
 import re
 from array import array
 from collections import Counter
@@ -139,155 +137,69 @@ class _NotPlain(Exception):
 def plain_blocks(path: str | Path, header: Sequence[str],
                  block_bytes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(buf, edges) for each block of _record_blocks(path, header,
-    block_bytes) that holds no quote and in which _frame finds no odd line,
-    so read_columns would split it at exactly its commas and line ends;
-    _NotPlain at the header or the first other block. `buf` is the block as
-    uint8; line i's field c starts at `edges[i, c] + 1` and ends at
-    `edges[i, c + 1]`: at its comma, or at the CR or LF that ends the line.
-    """
-    for block, quotes in _record_blocks(path, header, block_bytes):
-        if b'"' in block:
+    block_bytes) that read_columns would split at exactly its commas and
+    line ends; _NotPlain at the header or the first other block. `buf` is
+    the block as uint8; line i's field c starts at `edges[i, c] + 1` and
+    ends at `edges[i, c + 1]`: at its comma, or at the CR or LF that ends the
+    line.
+
+    A block is plain when it is UTF-8 with no quote and each of its lines
+    has len(header) fields, no control byte but its LF and a CR before it,
+    and at most csv.field_size_limit() bytes before its line end. No byte of
+    a multi-byte UTF-8 character is a comma, CR or LF."""
+    n, limit = len(header), csv.field_size_limit()
+    for block in _record_blocks(path, header, block_bytes):
+        if not block.isascii():
+            try:  # no byte of a multi-byte character is below 0x80
+                block.decode()
+            except UnicodeDecodeError:
+                raise _NotPlain from None
+        buf = np.frombuffer(block, np.uint8)
+        at = np.flatnonzero((buf == 44) | (buf == 10))  # the commas and LFs
+        lf = buf[at] == 10
+        ends = at[n - 1::n]  # each line's LF, where every line has n fields
+        if len(at) % n or np.count_nonzero(lf) != len(ends) or not lf[n - 1::n].all():
             raise _NotPlain
-        buf, at, _, ends, cr, odd = _frame(block, quotes, len(header))
-        if odd.any():
+        cr = buf[ends - 1] == 13
+        starts = np.concatenate(([-1], ends[:-1]))
+        # Every LF ends a line, so the count of control bytes is the lines
+        # and their CRs only when there is no other control byte.
+        if (np.count_nonzero(buf < 32) != len(ends) + np.count_nonzero(cr)
+                or (ends - cr - starts - 1 > limit).any()):
             raise _NotPlain
-        grid = at.reshape(-1, len(header))  # each line's commas, then its LF
-        yield buf, np.column_stack((np.concatenate(([-1], ends[:-1])), grid[:, :-1], ends - cr))
+        grid = at.reshape(-1, n)  # each line's commas, then its LF
+        yield buf, np.column_stack((starts, grid[:, :-1], ends - cr))
 
 
-# Bytes after which a quote may open a quoted field, or before which it may
-# close one: a separator, a line end, or the other quote of a "" pair.
-_FIELD_EDGE = np.array([c in b',\n\r"' for c in range(256)])
-_NO_QUOTES = np.empty(0, np.intp)
-
-
-def _record_blocks(path: str | Path, header: Sequence[str],
-                   block_bytes: int) -> Iterator[tuple[bytes, np.ndarray]]:
-    """(block, quotes) for each block of whole records of a CSV file after
-    its header line, read block_bytes at a time: a block ends at the last LF
-    outside quoted fields read so far, and an unterminated last line gets a
-    CRLF, so a CR at its end is a bare CR. `quotes` holds the offsets of the
-    block's quotes that open or close a quoted field as csv.reader
-    (strict=True) reads them: a quote right after a comma, CR, LF or closing
-    quote opens one, the next quote closes it, and any other quote is a
-    character of its field. _NotPlain unless the header line, after a UTF-8
-    byte-order mark if any, is exactly `header`, at an unterminated quote,
-    and at a record over
-    16 * csv.field_size_limit() bytes: longer than three fields at the limit
-    can be, with a quote doubled or 4 bytes to a character.
-
-    Each read's quotes are classified once, from where the read before left
-    off: inside a quoted field or not, and its last byte."""
+def _record_blocks(path: str | Path, header: Sequence[str], block_bytes: int) -> Iterator[bytes]:
+    """Each block of whole lines of a CSV file after its header line, read
+    block_bytes at a time: a block ends at the last LF read so far, and an
+    unterminated last line gets a CRLF, so a CR at its end is a bare CR.
+    _NotPlain unless the header line, after a UTF-8 byte-order mark if any,
+    is exactly `header`; at the first read that holds a quote; and at a line
+    longer than plain_blocks takes, over csv.field_size_limit() bytes before
+    its line end."""
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         line = fh.readline().removeprefix(codecs.BOM_UTF8).removesuffix(b"\n").removesuffix(b"\r")
         if line != ",".join(header).encode() or len(line) > limit:
             raise _NotPlain
-        # The bytes after the last cut and their quotes' offsets; whether
-        # they end in a quoted field; the last byte read, 0 for a character
-        # quote.
-        pieces, marks, size, inq, before = [], [], 0, False, 10
+        pieces, size = [], 0  # the bytes after the last cut
         for chunk in iter(lambda: fh.read(block_bytes), b""):
             if b'"' in chunk:
-                buf = np.frombuffer(chunk, np.uint8)
-                quotes = _framing_quotes(buf, inq, before)
-                cut = chunk.rfind(b"\n")
-                # An LF with an odd count of quotes before it, counting one
-                # when the read starts in a quoted field, is in the field the
-                # last of them opened: look before that quote.
-                while cut >= 0 and (n := int(np.searchsorted(quotes, cut))) + inq & 1:
-                    cut = chunk.rfind(b"\n", 0, quotes[n - 1]) if n else -1
-                inq ^= len(quotes) % 2 == 1
-                last = len(quotes) and quotes[-1] == len(chunk) - 1
-                before = chunk[-1] if chunk[-1] != 34 or last else 0
-            else:
-                quotes, cut, before = _NO_QUOTES, -1 if inq else chunk.rfind(b"\n"), chunk[-1]
+                raise _NotPlain
+            cut = chunk.rfind(b"\n")
             if cut < 0:
                 pieces.append(chunk)
-                marks.append(quotes + size)
                 size += len(chunk)
-                if size > 16 * limit:
+                if size > limit + 1:  # a CR may end the line
                     raise _NotPlain
                 continue
-            n = int(np.searchsorted(quotes, cut))
             pieces.append(chunk[:cut + 1])
-            marks.append(quotes[:n] + size)
-            yield b"".join(pieces), np.concatenate(marks)
-            pieces, marks = [chunk[cut + 1:]], [quotes[n:] - (cut + 1)]
-            size = len(chunk) - cut - 1
-        if inq:
-            raise _NotPlain
+            yield b"".join(pieces)
+            pieces, size = [chunk[cut + 1:]], len(chunk) - cut - 1
         if size:
-            yield b"".join(pieces) + b"\r\n", np.concatenate(marks)
-
-
-def _framing_quotes(buf: np.ndarray, inq: bool, before: int) -> np.ndarray:
-    """The offsets of the quotes in buf that open or close a quoted field,
-    for a read that starts inside one when inq, after the byte `before`."""
-    at = np.flatnonzero(buf == 34)
-    prev = buf[at - 1]
-    if at[0] == 0:
-        prev[0] = before
-    # When every other quote, from the first that opens, follows a field edge,
-    # all the quotes open and close in turn: a quote that follows another
-    # quote then follows the one that closed a field.
-    if _FIELD_EDGE[prev[int(inq)::2]].all():
-        return at
-    kept, closed = [], -1 if before == 34 else None
-    for p, b in zip(at.tolist(), prev.tolist()):
-        if inq:
-            kept.append(p)
-            inq, closed = False, p
-        elif b in (44, 10, 13) or (b == 34 and closed == p - 1):
-            kept.append(p)
-            inq = True
-    return np.array(kept, np.intp)
-
-
-def _frame(block: bytes, quotes: np.ndarray, n_fields: int) -> tuple[np.ndarray, ...]:
-    """How csv.reader (strict=True) splits a block of _record_blocks, given
-    the offsets of the quotes that open and close its quoted fields: (buf,
-    at, lf, ends, cr, odd). `buf` is the block as uint8 and `at` the offsets
-    of its commas and LFs outside quoted fields; lf[i] is the index in `at`
-    of line i's LF, ends[i] its offset, and cr[i] whether a CR is before it.
-    odd[i] where csv.reader must read line i alone: its field count is not
-    n_fields, it holds a control byte but its line end and CRs and LFs in
-    quotes, or its bytes before the line end are over csv.field_size_limit().
-    _NotPlain where csv.reader would raise: at a byte that is not UTF-8 or a
-    closing quote that is not before a separator or another quote. No byte
-    of a multi-byte UTF-8 character is a comma, quote, CR or LF."""
-    if not block.isascii():
-        try:  # no byte of a multi-byte character is below 0x80
-            block.decode()
-        except UnicodeDecodeError:
-            raise _NotPlain from None
-    buf = np.frombuffer(block, np.uint8)
-    at = np.flatnonzero((buf == 44) | (buf == 10))  # the commas and LFs
-    if len(quotes):
-        # Quote 2k opens a quoted field and quote 2k + 1 closes it, so a byte
-        # is in one when an odd count of quotes is before it. csv.reader
-        # (strict=True) refuses a closing quote but before a separator or as
-        # half of a "" pair.
-        if not _FIELD_EDGE[buf[quotes[1::2] + 1]].all():
-            raise _NotPlain
-        at = at[np.searchsorted(quotes, at) % 2 == 0]
-    kinds = buf[at]
-    lf = np.flatnonzero(kinds == 10)
-    ends = at[lf]
-    cr = buf[ends - 1] == 13
-    odd = ends - cr - np.concatenate(([0], ends[:-1] + 1)) > csv.field_size_limit()
-    if len(at) != n_fields * len(ends) or not (kinds[n_fields - 1::n_fields] == 10).all():
-        odd |= np.diff(lf, prepend=-1) != n_fields
-    # Every LF outside quotes ends a line, so the count of control bytes is
-    # the lines and their CRs only when there is no other control byte.
-    control = buf < 32
-    if np.count_nonzero(control) != len(ends) + np.count_nonzero(cr):
-        control[ends] = control[ends[cr] - 1] = False
-        other = np.flatnonzero(control)
-        quoted = np.searchsorted(quotes, other) % 2 == 1
-        other = other[~(quoted & ((buf[other] == 10) | (buf[other] == 13)))]
-        odd[np.searchsorted(ends, other)] = True
-    return buf, at, lf, ends, cr, odd
+            yield b"".join(pieces) + b"\r\n"
 
 
 def ascii_int(text: str) -> int:
@@ -527,13 +439,14 @@ class WordNormalizer(dict):
     when the token is dropped. For w = surface.lower(): None if w is a
     stopword or slang word, else lemmas[w] if w is in lemmas, else w
     stemmed by stem_rules, which is w itself without rules. As a value
-    depends only on w, `words` keys the memo by the surface, lower-cased in
-    ASCII texts, with the same values. The memo holds only for the word
-    lists it was built from: build one per set of lists.
+    depends only on w, `words` keys the memo by the surface and
+    write_tokens by the surface lower-cased, with the same values. The memo
+    holds only for the word lists it was built from: build one per set of
+    lists.
 
     The memo is a bounded cache, so its size does not grow with a corpus's
     vocabulary: a miss clears it once it holds more than MEMO_WORDS words,
-    and write_tokens' block path clears it before a block once it does. A
+    and write_tokens clears it before a batch of texts once it does. A
     value is a pure function of the word, so a clear changes no output.
     """
 
@@ -583,19 +496,8 @@ class WordNormalizer(dict):
         return not any(c in form for form in forms for c in chars)
 
     def words(self, text: str) -> list[str]:
-        """Normalized forms of the tokens of text that are kept, in order.
-
-        An ASCII text is lower-cased first: there lower() maps only A-Z to
-        a-z, changing no character's class, so _URL_RE matches the same
-        spans and each token is _surfaces(text)'s token lower-cased."""
-        if text.isascii():
-            text = text.lower()
-            if "http" in text:
-                text = _URL_RE.sub(" ", text)
-            surfaces = _ascii_surfaces(text.encode()).decode().split()
-        else:
-            surfaces = _surfaces(text)
-        return [w for w in map(self.__getitem__, surfaces) if w is not None]
+        """Normalized forms of the tokens of text that are kept, in order."""
+        return [w for w in map(self.__getitem__, _surfaces(text)) if w is not None]
 
 
 def preprocess(
@@ -622,12 +524,12 @@ def preprocess(
         Token(surface=s, normalized=w, position=i) for i, s, w in kept if w is not None))
 
 
-PREPROCESS_BLOCK_BYTES = 1 << 14  # corpus bytes write_tokens reads at a time
+PREPROCESS_BLOCK_BYTES = 1 << 14  # corpus bytes, or text characters, write_tokens takes at a time
 TOKENS_COLUMNS = ("id", "state", "text_width", "tokens")
 # '×' is a surface of its own before each kept text: no ASCII token holds it.
 _LINE_MARK = "\xd7"
-# _URL_RE over the bytes of ASCII lower case with no 0x1C-0x1F, where \s agrees
-_URL_BYTES_RE = re.compile(rb"http(?<!\Shttp)\S*")
+# _URL_RE over the bytes of ASCII lower case: in a bytes pattern \s lacks 0x1C-0x1F
+_URL_BYTES_RE = re.compile(rb"http(?<![^\s\x1c-\x1f]http)[^\s\x1c-\x1f]*")
 
 
 def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormalizer) -> None:
@@ -635,66 +537,91 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     state, text width and normalize.words(text) joined by spaces. An error
     names its line, and tokens.csv is replaced only when every row is read.
 
-    A corpus whose header is exactly id,state,text, after a byte-order mark
-    if any, is read in blocks of PREPROCESS_BLOCK_BYTES, to the same bytes.
-    _frame splits each block at the commas and line ends outside quoted
-    fields, found from the parity of the quotes before them that open or
-    close one (a quote inside an unquoted field, as in `5" screen`, is a
-    character); the kept ASCII texts of a block, each after a line mark, are
-    lower-cased, stripped of URLs and split at once, and one pass through
-    the memo gives their words. A line the framing cannot split into an id,
-    state and text (a blank line, a field too many or too few, a bare CR, a
-    control byte but a line end or a CR or LF in quotes, over
-    csv.field_size_limit() bytes before its line end) is read by csv.reader
-    alone, and a text that is not ASCII goes through normalize.words alone, in
-    file order. Any other corpus is read row by row from its start: one
-    with another header, a quote csv.reader would refuse, a byte that is
-    not UTF-8, an empty id, a row too short, two ids with equal hashes (a
-    repeated id, or a collision, which is not an error), or word lists that
-    could write the line mark, a quote, comma, CR or LF. So a corpus is read
-    more than once only when it is in error or two of its ids' hashes
-    collide: CorpusReader then reads it once more to name the first bad line.
+    The rows come a batch at a time from _row_batches: a block of the file
+    or a batch of CorpusReader's rows. The ASCII texts of a batch, each after
+    a line mark, are lower-cased, stripped of URLs and split at once, and one
+    pass through the memo gives their words (_block_words). A text that is
+    not ASCII goes through normalize.words alone, as does every text when
+    the word lists could write the line mark.
 
-    On either path what is held grows by an 8-byte id hash a row, whatever
-    the vocabulary: the memo is cleared once it holds more than MEMO_WORDS
-    words, and the output is written a block, or a chunk of rows, at a time.
+    What is held grows by an 8-byte id hash a row, whatever the vocabulary,
+    and the output is written a batch at a time. The memo is cleared before
+    a batch once it holds more than MEMO_WORDS words. It is filled a batch at
+    a time (WordNormalizer.fill) after a batch that changed its size, so a
+    batch whose words all hit it costs no extra pass.
     """
-    try:
-        return _preprocess_blocks(corpus, tokens, normalize)
-    except _NotPlain:
-        pass
+    # Whether the line mark stays itself and no word normalizes to a form with it.
+    marks = normalize[_LINE_MARK] == _LINE_MARK and normalize.forms_avoid(_LINE_MARK)
+    # Whether no form holds a character csv.writer quotes a field for, as no
+    # surface does.
+    plain_forms, grew = normalize.forms_avoid('",\r\n'), True
     with atomic_open(tokens) as fh:
         write_rows(fh, [TOKENS_COLUMNS])
-        write_rows(fh, ((doc_id, state, str(len(text)), " ".join(normalize.words(text)))
-                        for doc_id, state, text in CorpusReader(corpus)))
-
-
-def _preprocess_blocks(corpus: str | Path, tokens: str | Path,
-                       normalize: WordNormalizer) -> None:
-    """write_tokens' block path; _NotPlain, with tokens.csv untouched and no
-    temp file left, where the corpus must be read row by row.
-
-    The memo is filled a block at a time (WordNormalizer.fill) after a block
-    that changed its size, so a block whose words all hit it costs no extra
-    pass. It is cleared before a block once it holds more than MEMO_WORDS
-    words, and that block then fills it in one batch. Every row's id, kept
-    or dropped, is checked for repeats as CorpusReader checks it, from 8
-    bytes a row: its _id_hash, sorted in place at the end."""
-    if normalize[_LINE_MARK] != _LINE_MARK or not normalize.forms_avoid(_LINE_MARK + '",\r\n'):
-        raise _NotPlain
-    hashes, grew = array("q"), True
-    with atomic_open(tokens) as fh:
-        write_rows(fh, [TOKENS_COLUMNS])
-        for block, quotes in _record_blocks(corpus, ("id", "state", "text"),
-                                            PREPROCESS_BLOCK_BYTES):
+        for ids, states, texts, plain in _row_batches(corpus):
             if len(normalize) > MEMO_WORDS:
                 normalize.clear()
                 grew = True
             size = len(normalize)
-            _preprocess_block(fh, block, quotes, normalize, hashes, grew)
+            if marks and "".join(texts).isascii():
+                words = _block_words(texts, normalize, grew)
+            else:
+                batched = [marks and text.isascii() for text in texts]
+                batch = iter(_block_words(list(compress(texts, batched)), normalize, grew))
+                words = [next(batch) if b else " ".join(normalize.words(text))
+                         for b, text in zip(batched, texts)]
+            if plain and plain_forms:  # no field to quote: these are csv.writer's bytes
+                fh.write("".join([f"{doc_id},{state},{len(text)},{w}\r\n"
+                                  for doc_id, state, text, w in zip(ids, states, texts, words)]))
+            else:
+                write_rows(fh, zip(ids, states, map(str, map(len, texts)), words))
             grew = len(normalize) != size  # a miss may have cleared it too
+
+
+_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
+
+
+def _row_batches(corpus: str | Path) -> Iterator[tuple[Iterable[str], Iterable[str],
+                                                      Sequence[str], bool]]:
+    """(ids, states, texts, plain) of the rows CorpusReader keeps, a batch at
+    a time; `plain` where no id, state or text holds a quote, comma, CR or LF.
+
+    Each block that plain_blocks frames with the header id,state,text is a
+    plain batch, split at its commas and line ends at once. From the first block
+    that it declines or that holds an empty id, CorpusReader reads the file
+    and gives the rows after those already given, in batches of about
+    PREPROCESS_BLOCK_BYTES characters of text: no text is given twice. Every
+    row's id, kept or dropped, is checked for repeats as CorpusReader checks
+    it, from 8 bytes a row: its _id_hash, sorted in place at the end. Where
+    two are equal, CorpusReader._check_ids reads the file again to name the
+    repeated id, or returns after a collision of two ids' hashes."""
+    hashes, given = array("q"), 0
+    try:
+        for buf, _ in plain_blocks(corpus, ("id", "state", "text"), PREPROCESS_BLOCK_BYTES):
+            # Every CR ends a line: with them dropped, each LF is a separator like a comma.
+            fields = buf.tobytes().translate(_LF_TO_COMMA, b"\r").decode().split(",")
+            ids, states = fields[0:-1:3], fields[1::3]
+            if "" in ids:
+                raise _NotPlain
+            hashes.extend(map(_id_hash, ids))
+            keep = list(map(STATE_CODES.__contains__, states))
+            texts = list(compress(fields[2::3], keep))
+            yield compress(ids, keep), compress(states, keep), texts, True
+            given += len(texts)
+    except _NotPlain:
+        del hashes  # CorpusReader checks every id again
+    else:
         if _repeats(hashes):
-            raise _NotPlain
+            CorpusReader(corpus)._check_ids()
+        return
+    batch, size = [], 0
+    for row in islice(CorpusReader(corpus), given, None):
+        batch.append(row)
+        size += len(row[2])
+        if size >= PREPROCESS_BLOCK_BYTES:
+            yield *zip(*batch), False
+            batch, size = [], 0
+    if batch:
+        yield *zip(*batch), False
 
 
 def _repeats(hashes: array) -> bool:
@@ -705,81 +632,12 @@ def _repeats(hashes: array) -> bool:
     return bool((hashes[1:] == hashes[:-1]).any())
 
 
-def _preprocess_block(fh: TextIO, block: bytes, quotes: np.ndarray, normalize: WordNormalizer,
-                      hashes: array, fill: bool) -> None:
-    """Write a corpus block's tokens.csv lines to fh; adds its ids' hashes to hashes."""
-    ids, states, texts, alone = _block_records(block, quotes)
-    if "" in ids:
-        raise _NotPlain
-    hashes.extend(map(_id_hash, ids))
-    keep = list(map(STATE_CODES.__contains__, states))
-    texts = list(compress(texts, keep))
-    if block.isascii() and not any(alone):
-        words = _block_words(texts, normalize, fill)
-    else:  # a text that is not ASCII, or from a line csv.reader read, goes alone
-        solo = [a or not t.isascii() for a, t in zip(compress(alone, keep), texts)]
-        batch = iter(_block_words([t for a, t in zip(solo, texts) if not a], normalize, fill))
-        words = [" ".join(normalize.words(t)) if a else next(batch) for a, t in zip(solo, texts)]
-    ids, states = compress(ids, keep), compress(states, keep)
-    if b'"' in block or any(alone):  # a field may hold a quote, comma, CR or LF
-        write_rows(fh, zip(ids, states, map(str, map(len, texts)), words))
-    else:  # no field does, as no word does: these are csv.writer's bytes
-        fh.write("".join([f"{doc_id},{state},{len(text)},{w}\r\n"
-                          for doc_id, state, text, w in zip(ids, states, texts, words)]))
-
-
-_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
-
-
-def _block_records(block: bytes, quotes: np.ndarray) -> tuple[list, ...]:
-    """A block's ids, states and texts as csv.reader reads them, given the
-    offsets of the quotes that open and close its quoted fields, and for
-    each record whether it came from a line csv.reader read alone.
-    _NotPlain where csv.reader would raise."""
-    buf, at, lf, ends, cr, odd = _frame(block, quotes, 3)
-    any_odd = bool(odd.any())
-    if not len(quotes) and not any_odd:
-        # A CR that does not end a line makes its line odd, so every CR here
-        # ends one: drop them all, and each LF is a separator like a comma.
-        fields = block.translate(_LF_TO_COMMA, b"\r").decode().split(",")
-        return fields[0:-1:3], fields[1::3], fields[2::3], [False] * len(ends)
-    # Each separator outside quotes becomes a byte no field holds: 0x1F where
-    # no line is odd, as a byte below 32 other than a line's CR or LF makes
-    # its line odd and no UTF-8 character holds one, else 0xFF, which no
-    # UTF-8 text holds. The CR of each line end and the quotes csv.reader
-    # drops go.
-    text = buf.copy()
-    text[at] = 255 if any_odd else 31
-    keep = np.ones(len(buf), bool)
-    keep[ends[cr] - 1] = keep[quotes] = False
-    opens = quotes[0::2]
-    keep[opens[buf[opens - 1] == 34]] = True  # a "" pair's second quote
-    if not any_odd:
-        fields = text[keep].tobytes().decode().split("\x1f")
-        return fields[0:-1:3], fields[1::3], fields[2::3], [False] * len(ends)
-    fields = text[keep].tobytes().decode("utf-8", "surrogateescape").split("\udcff")
-    # Line i starts after byte ends[i - 1], and its fields after separator lf[i - 1].
-    records = []
-    for is_odd, start, end, j in zip(odd.tolist(), [0, *(ends[:-1] + 1).tolist()],
-                                     (ends + 1).tolist(), [0, *(lf[:-1] + 1).tolist()]):
-        if not is_odd:
-            records.append((*fields[j:j + 3], False))
-            continue
-        try:
-            rows = [row for row in csv.reader(io.StringIO(block[start:end].decode(), newline=""),
-                                              strict=True) if row]
-        except csv.Error:
-            raise _NotPlain from None
-        if any(len(row) < 3 for row in rows):
-            raise _NotPlain
-        records.extend((*row[:3], True) for row in rows)
-    ids, states, texts, alone = map(list, zip(*records)) if records else ([], [], [], [])
-    return ids, states, texts, alone
-
-
-def _block_words(texts: list[str], normalize: WordNormalizer, fill: bool) -> list[str]:
+def _block_words(texts: Sequence[str], normalize: WordNormalizer, fill: bool) -> list[str]:
     """Each ASCII text's kept words joined by spaces, as normalize.words gives
-    them, from one lower, URL strip and split of all the texts at once."""
+    them, from one lower, URL strip and split of all the texts at once. In
+    ASCII, lower() maps only A-Z to a-z, changing no character's class, so
+    _URL_BYTES_RE matches _URL_RE's spans and each token is _surfaces(text)'s
+    token lower-cased, which the memo maps to the same value."""
     data = f" {_LINE_MARK} ".join(["", *texts]).encode("latin-1").lower()
     if b"http" in data:
         data = _URL_BYTES_RE.sub(b" ", data)

@@ -8,6 +8,7 @@ import re
 import tempfile
 import textwrap
 import time
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +23,7 @@ from sentireg.corpus import (
     _URL_RE,
     _WORD_RE,
     CorpusReader,
+    STATE_CODES,
     SchemaError,
     _surfaces,
     TokenStream,
@@ -35,6 +37,7 @@ from sentireg.corpus import (
     load_wordlist,
     lowercase,
     preprocess,
+    read_columns,
     remove_stopwords,
     stem,
     tokenize,
@@ -375,7 +378,7 @@ def test_only_ascii_letters_match_the_url_pattern_letters():
         assert {c.lower() for c in re.findall(letter, every, re.IGNORECASE)} == {letter}
 
 
-# -- the ASCII fast path of WordNormalizer.words ------------------------------
+# -- the ASCII path of write_tokens: _block_words -----------------------------
 
 ASCII = "".join(map(chr, range(128)))
 
@@ -408,8 +411,25 @@ def test_the_apostrophe_rule_equals_the_word_pattern_on_ascii(texts):
         _WORD_RE.findall(text.lower()) for text in texts]
 
 
+# Letters, digits, apostrophes and URL parts, with every ASCII byte that a
+# str pattern's \s matches: in a bytes pattern \s does not match 0x1C-0x1F.
+ASCII_URL_TEXTS = st.lists(st.sampled_from(
+    ["a", "B", "7", "'", "http", "://", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+     "\x1e", "\x1f"]), max_size=10).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.lists(ASCII_URL_TEXTS, max_size=4), st.booleans())
+@example(["http://a\x1cb"], False)  # _URL_RE ends the URL at 0x1C
+@example(["a\x1fhttp://b"], True)  # and a URL may start after 0x1F
+def test_block_words_equal_words_on_ascii_texts(texts, fill):
+    normalize = WordNormalizer(stem_rules=STEM_RULES, lemmas=LEMMAS)
+    assert corpus_mod._block_words(texts, normalize, fill) == [
+        " ".join(normalize.words(text)) for text in texts]
+
+
 def regex_words(text, stopwords, slang, lemmas, stem_rules):
-    """WordNormalizer.words without the memo or the ASCII path: every surface
+    """WordNormalizer.words without the memo: every surface
     the Unicode regex finds, lower-cased, then dropped, lemmatized or stemmed."""
     lemmas, rules = lemmas or {}, stem_rules or []
     words = []
@@ -436,8 +456,8 @@ MIXED_FRAGMENTS = st.one_of(
 @given(st.lists(st.lists(MIXED_FRAGMENTS, max_size=8).map(" ".join), max_size=6),
        droplist_strategy, droplist_strategy)
 def test_words_equal_the_regex_oracle(lemmas, stem_rules, texts, stopwords, slang):
-    # One normalizer for every text, so memo keys written from an ASCII text
-    # are read for a non-ASCII one and the other way round.
+    # One normalizer for every text, so memo keys written for one text are
+    # read for the others.
     normalize = WordNormalizer(stopwords=stopwords, slang=slang, stem_rules=stem_rules,
                                lemmas=lemmas)
     for text in texts + texts[::-1]:
@@ -527,7 +547,7 @@ def test_write_rows_joins_a_chunk_with_nothing_to_quote(monkeypatch):
     assert buf.getvalue() == "id,tokens\r\ns1,reopen economy\r\ns2,\r\n"
 
 
-# -- write_tokens: the block path against the per-record path ----------------
+# -- write_tokens: blocks, then CorpusReader, against a reference --------------
 
 CORPUS_HEADERS = ["id,state,text"] * 8 + ["state,id,text", "id,state,text,x"]
 TEXT_PARTS = ["good", "Bad", "not", "very", "the", "Reopening", "STUDIES", "computing", "42",
@@ -540,10 +560,11 @@ ODD_CORPUS_FIELDS = {"id": ["", '"q,t"', "é1", "dup", '"a""b"', '"t\n1"', 't"1'
                      "text": ['"good, bad"', '"say ""hi"""', "café", "good\tbad", "good\x1cbad",
                               "good\x7fbad", "", '"good\tbad"', '"a\x1cb"', 'go"od',
                               '5" x "y', 'a""b', '\x00"a', '"go"od', '"unterminated']}
-# Word lists with values the per-record path writes as they are (an empty
+# Word lists with values write_tokens writes as they are (an empty
 # word, a space) or quoted (a comma), a value holding the line mark, a mark
 # that normalizes to another word, and a stopword list that drops the mark;
-# the first is the bundled lists. The block path takes only the first two.
+# the first is the bundled lists. Under the last three every text goes
+# through WordNormalizer.words alone.
 WORD_LISTS = [{}, {"lemmas": "good\t\nbad\tx y\n"}, {"lemmas": "bad\ta,b\n"},
               {"lemmas": "not\t×\n"}, {"lemmas": "×\t×x\n"}, {"stopwords": "the\n×\n"}]
 
@@ -599,14 +620,60 @@ def preprocessed(run, out):
     return (out / "tokens.csv").read_bytes()
 
 
-def not_plain(*args):
-    raise corpus_mod._NotPlain
+def reference_tokens(path: Path, normalize: WordNormalizer):
+    """tokens.csv's bytes built without write_tokens: CorpusReader's rows as
+    csv.reader reads them, one normalize.words call per kept text, and
+    csv.writer; or CorpusReader's error's type and text."""
+    try:
+        rows = [(doc_id, state, str(len(text)), " ".join(normalize.words(text)))
+                for doc_id, state, text in CorpusReader(path)]
+    except SchemaError as exc:
+        return SchemaError, str(exc)
+    out = io.StringIO()
+    csv.writer(out).writerows([corpus_mod.TOKENS_COLUMNS, *rows])
+    return out.getvalue().encode()
+
+
+def kept_texts(path: Path) -> list[str] | None:
+    """The texts of the rows csv.reader reads with a state CorpusReader
+    keeps, ids unchecked; None where read_columns raises."""
+    try:
+        return [text for _, _, state, text in read_columns(path, ("id", "state", "text"))
+                if state in STATE_CODES]
+    except SchemaError:
+        return None
+
+
+@contextlib.contextmanager
+def recording(normalized: list):
+    """Append (whether CorpusReader has begun to read, text) to normalized
+    for each text that write_tokens gives _block_words or WordNormalizer.words."""
+    reading, block_words, words = [], corpus_mod._block_words, WordNormalizer.words
+
+    class Reader(CorpusReader):
+        def __iter__(self):
+            reading.append(True)
+            return super().__iter__()
+
+    def logged_block_words(texts, normalize, fill):
+        normalized.extend((bool(reading), text) for text in texts)
+        return block_words(texts, normalize, fill)
+
+    def logged_words(self, text):
+        normalized.append((bool(reading), text))
+        return words(self, text)
+
+    with mock.patch.object(corpus_mod, "CorpusReader", Reader), \
+            mock.patch.object(corpus_mod, "_block_words", logged_block_words), \
+            mock.patch.object(WordNormalizer, "words", logged_words):
+        yield
 
 
 def preprocess_both(data: bytes, block_bytes: int, field_limit: int, word_lists: dict):
-    """Whether write_tokens took the block path for a corpus of data;
-    stage_preprocess's result; and its result with _record_blocks declining
-    every file, which forces the per-record path."""
+    """For a corpus of data: stage_preprocess's result and the reference
+    (reference_tokens), each tokens.csv's bytes or an error's type and text;
+    the texts write_tokens normalized, each after whether CorpusReader had
+    begun to read the file (recording); and kept_texts."""
     old_limit = csv.field_size_limit(field_limit)
     try:
         with tempfile.TemporaryDirectory() as tmp, \
@@ -619,24 +686,73 @@ def preprocess_both(data: bytes, block_bytes: int, field_limit: int, word_lists:
                 path.write_text(word_lists[name], encoding="utf-8")
             config = PipelineConfig(corpus=tmp / "corpus.csv", covariates=tmp / "c.csv",
                                     out=out, **lists)
-            declined, kernel = [], corpus_mod._preprocess_blocks
-
-            def recorded(*args):
-                try:
-                    return kernel(*args)
-                except corpus_mod._NotPlain:
-                    declined.append(True)  # declined: nothing written, not even a temp file
-                    assert list(out.iterdir()) == []
-                    raise
-
-            with mock.patch.object(corpus_mod, "_preprocess_blocks", recorded):
+            normalized = []
+            with recording(normalized):
                 stage = preprocessed(lambda: pipeline.stage_preprocess(config), out)
-            (out / "tokens.csv").unlink(missing_ok=True)
-            with mock.patch.object(corpus_mod, "_record_blocks", not_plain):
-                per_record = preprocessed(lambda: pipeline.stage_preprocess(config), out)
-            return not declined, stage, per_record
+            if not isinstance(stage, bytes):  # nothing left behind, not even a temp file
+                assert list(out.iterdir()) == []
+            normalize = WordNormalizer(stopwords=load_wordlist(config.stopwords),
+                                       slang=load_wordlist(config.slang),
+                                       stem_rules=load_stem_rules(config.stem_rules),
+                                       lemmas=load_tsv_map(config.lemmas))
+            return (stage, reference_tokens(config.corpus, normalize), normalized,
+                    kept_texts(config.corpus))
     finally:
         csv.field_size_limit(old_limit)
+
+
+def block_rule(data: bytes, block_bytes: int, field_limit: int) -> tuple[int, int]:
+    """The fewest and the most kept texts that write_tokens may read in
+    blocks from a corpus of data, by the rule: blocks are read up to the
+    first line that holds a quote, an empty id, a byte that is not UTF-8 or
+    a control byte but its line end, has other than three fields, or is over
+    field_limit bytes before its line end. The lines that end before the
+    read of block_bytes that holds its start are read in blocks; it and the
+    lines after it are not. Without such a line every kept text is."""
+    body = data.removeprefix(codecs.BOM_UTF8)
+    header, _, rest = body.partition(b"\n")
+    if header.removesuffix(b"\r") != b"id,state,text":
+        return 0, 0
+    start = offset = len(data) - len(rest)
+    lines, kept_ends = rest.split(b"\n"), []
+    for i, line in enumerate(lines):
+        last = i == len(lines) - 1
+        if last and not line:
+            break
+        bare = line if last else line.removesuffix(b"\r")  # a CR at the file's end is bare
+        fields = bare.split(b",")
+        try:
+            bare.decode()
+        except UnicodeDecodeError:
+            break
+        if (b'"' in bare or min(bare, default=32) < 32 or len(fields) != 3 or not fields[0]
+                or len(bare) > field_limit):
+            read = start + (offset - start) // block_bytes * block_bytes
+            return sum(end < read for end in kept_ends), len(kept_ends)
+        if fields[1].decode() in STATE_CODES:
+            kept_ends.append(offset + len(line))
+        offset += len(line) + 1
+    return len(kept_ends), len(kept_ends)
+
+
+def check_routing(data, block_bytes, field_limit, word_lists=None):
+    """Preprocess a corpus of data (preprocess_both); assert that it writes
+    the reference's bytes or error, reads blocks by block_rule, and gives each
+    kept text to _block_words or words once. Returns stage_preprocess's
+    result, the count of texts read in blocks, and kept_texts."""
+    stage, reference, normalized, kept = preprocess_both(data, block_bytes, field_limit,
+                                                         word_lists or {})
+    assert stage == reference
+    in_blocks = sum(not began for began, _ in normalized)
+    low, high = block_rule(data, block_bytes, field_limit)
+    assert low <= in_blocks <= high, (low, in_blocks, high)
+    assert all(began for began, _ in normalized[in_blocks:])  # then CorpusReader's rows
+    texts = Counter(text for _, text in normalized)
+    if isinstance(stage, bytes):
+        assert texts == Counter(kept)
+    elif kept is not None:  # a repeated id: what was normalized, was normalized once
+        assert not texts - Counter(kept)
+    return stage, in_blocks, kept
 
 
 PLAIN_CORPUS = b"id,state,text\r\n" + b"".join(
@@ -645,8 +761,9 @@ PLAIN_CORPUS = b"id,state,text\r\n" + b"".join(
     for i in range(12))
 
 
-# Through stage_preprocess, the block path either declines and the
-# per-record path runs, or writes the per-record path's bytes.
+# Through stage_preprocess, write_tokens writes the reference's bytes or
+# error, reading the corpus in blocks up to its first line that is not
+# plain and the rest with CorpusReader.
 @settings(max_examples=300, deadline=None)
 @given(corpus_files(), st.integers(min_value=8, max_value=64),
        st.sampled_from([csv.field_size_limit()] * 4 + [30]),
@@ -655,13 +772,12 @@ PLAIN_CORPUS = b"id,state,text\r\n" + b"".join(
 @example(PLAIN_CORPUS + b't,NC,"a, b"\r\n', 40, csv.field_size_limit(), {})  # a later block
 @example(PLAIN_CORPUS + b"t1,NC,x\r\n", 40, csv.field_size_limit(), {})  # a repeated id
 @example(PLAIN_CORPUS + "t,NC,café\r\n".encode(), 40, csv.field_size_limit(), WORD_LISTS[1])
-# a read that starts in a quoted field and holds its closing quote and a
-# quote csv.reader reads as a character; a "" pair split between two reads
+# a quoted field over two reads, with a quote csv.reader reads as a
+# character after it; a "" pair split between two reads
 @example(b'id,state,text\r\nt,NC,"a\r\nb,"\r\nu,NC,5" x\r\n', 11, csv.field_size_limit(), {})
 @example(b'id,state,text\r\nt,NC,"a""b"\r\nu"1,NC,x\r\n', 8, csv.field_size_limit(), {})
-# one block each: quoted texts with an odd line that holds 0x1F, the byte
-# that marks the separators where no line is odd; CRLF and LF line ends
-# mixed, without quotes and with; a bare CR inside an unquoted text
+# one block each: quoted texts, one with 0x1F; CRLF and LF line ends mixed,
+# without quotes and with; a bare CR inside an unquoted text
 @example(b'id,state,text\r\nt0,NC,"good, day"\r\nt1,CA,"a\x1fb good"\r\nt2,NY,plain words here\r\n',
          4096, csv.field_size_limit(), {})
 @example(PLAIN_CORPUS + b"t,NC,good day\nu,CA,Bad\r\nv,NY,x\n", 4096, csv.field_size_limit(), {})
@@ -671,14 +787,7 @@ PLAIN_CORPUS = b"id,state,text\r\n" + b"".join(
          {})
 def test_preprocess_blocks_equals_the_per_record_path(data, block_bytes, field_limit,
                                                       word_lists):
-    took, stage, per_record = preprocess_both(data, block_bytes, field_limit, word_lists)
-    assert stage == per_record
-    # No valid corpus is declined that has the kernel's header and word lists
-    # whose forms it can write.
-    if (isinstance(stage, bytes) and word_lists in WORD_LISTS[:2]
-            and data.removeprefix(codecs.BOM_UTF8).split(b"\n", 1)[0].rstrip(b"\r")
-            == b"id,state,text"):
-        assert took
+    check_routing(data, block_bytes, field_limit, word_lists)
 
 
 @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
@@ -687,12 +796,11 @@ def test_preprocess_blocks_equals_the_per_record_path(data, block_bytes, field_l
 def test_preprocess_blocks_reads_plain_blocks(tail, bom):
     # CRLF and LF, an empty text, a dropped state, apostrophes, a URL and a
     # last line without an end, in blocks of a line or two, after a
-    # byte-order mark or none
-    took, stage, per_record = preprocess_both(bom + PLAIN_CORPUS + tail, 40,
-                                              csv.field_size_limit(), {})
-    assert took and stage == per_record
-    kept = 8 + tail.count(b",NC,") + tail.count(b",CA,")
-    assert stage.count(b"\r\n") == stage.count(b"\n") == 1 + kept
+    # byte-order mark or none: every kept text is read in blocks.
+    stage, in_blocks, kept = check_routing(bom + PLAIN_CORPUS + tail, 40,
+                                           csv.field_size_limit())
+    assert in_blocks == len(kept) == 8 + tail.count(b",NC,") + tail.count(b",CA,")
+    assert stage.count(b"\r\n") == stage.count(b"\n") == 1 + len(kept)
 
 
 @pytest.mark.parametrize("tail", [
@@ -713,24 +821,59 @@ def test_preprocess_blocks_reads_plain_blocks(tail, bom):
     "t,é,café\r\nu,NC,\"Ärger, x’y\"\r\n".encode(),  # a non-ASCII state, a quoted text
 ])
 def test_preprocess_blocks_takes_quotes_utf8_and_odd_lines(tail):
-    took, stage, per_record = preprocess_both(PLAIN_CORPUS + tail, 40, csv.field_size_limit(), {})
-    assert took and stage == per_record
+    # The plain lines before the tail are read in blocks, and the tail by
+    # CorpusReader unless it is plain too.
+    stage, _, _ = check_routing(PLAIN_CORPUS + tail, 40, csv.field_size_limit())
+    assert isinstance(stage, bytes)
+
+
+# A tweet-shaped corpus of 600 lines in blocks of 1024 bytes.
+LONG_CORPUS = b"id,state,text\r\n" + b"".join(
+    b"t%d,%s,%s\r\n" % (i, [b"NC", b"CA", b"PR"][i % 3],
+                        b" ".join([b"Not", b"very", b"good", b"http://x.y", b"day's"][i % 5:]))
+    for i in range(600))
+
+
+@pytest.mark.parametrize("last, error", [
+    (b'u,NC,"good, very good"\r\n', None),   # a quoted text with a comma
+    (b"\r\n", None),                         # a blank line
+    (b"u,NC,good\tday\r\n", None),           # a tab
+    (b"u,NC,good\rv,CA,day\r\n", None),      # a bare CR
+    (b"t7,CA,again\r\n", "duplicate id 't7'"),  # a repeated id
+], ids=["quoted-comma", "blank", "tab", "bare-CR", "repeated-id"])
+def test_a_corpus_plain_but_its_last_line_is_read_once(last, error):
+    # The blocks before the last line's read are written as read, and
+    # CorpusReader reads on from the next row: no text is normalized twice.
+    stage, in_blocks, kept = check_routing(LONG_CORPUS + last, 1024, csv.field_size_limit())
+    assert in_blocks >= 400 - 1024 // 20
+    if error is None:
+        assert isinstance(stage, bytes)
+    else:  # read to its end in blocks; then CorpusReader names the line
+        assert stage == (SchemaError, f"{stage[1].split(':')[0]}:602: {error}")
+        assert in_blocks == len(kept)
 
 
 def test_quoted_texts_are_split_with_their_block(tmp_path, monkeypatch):
-    # A comma, a "" pair and line ends in a quoted text: no line is read alone.
+    # A comma, a "" pair and line ends in a quoted text: CorpusReader reads
+    # them, and they are split with the rest of their batch.
     def refuse(*args):
-        raise AssertionError("a line was read alone")
+        raise AssertionError("a text went through words alone")
 
     corpus = tmp_path / "corpus.csv"
     corpus.write_bytes(PLAIN_CORPUS + b't,NC,"Good, ""very"" good\r\nday\nhttp://x\ry"\r\n'
                        + b'u,NC,"it\'s"\n')
-    monkeypatch.setattr(corpus_mod, "CorpusReader", None)
-    monkeypatch.setattr(corpus_mod.csv, "reader", refuse)
+    calls, block_words = [], corpus_mod._block_words
+
+    def recorded(texts, normalize, fill):
+        calls.append(list(texts))
+        return block_words(texts, normalize, fill)
+
+    monkeypatch.setattr(corpus_mod, "_block_words", recorded)
     monkeypatch.setattr(WordNormalizer, "words", refuse)
     corpus_mod.write_tokens(corpus, tmp_path / "tokens.csv", WordNormalizer())
     assert (tmp_path / "tokens.csv").read_bytes().endswith(
         b"t,NC,33,good very good day y\r\nu,NC,4,it's\r\n")
+    assert calls[-1][-2:] == ['Good, "very" good\r\nday\nhttp://x\ry', "it's"]
 
 
 @pytest.mark.parametrize("change, error", [
@@ -745,9 +888,9 @@ def test_quoted_texts_are_split_with_their_block(tmp_path, monkeypatch):
     (lambda d: d + b"t,NC,go\xe9d\r\n", "not UTF-8"),
 ])
 def test_preprocess_blocks_declines_what_is_not_plain(change, error):
-    # A corpus in error is declined and the per-record path names its line.
-    took, stage, per_record = preprocess_both(change(PLAIN_CORPUS), 40, csv.field_size_limit(), {})
-    assert not took and stage == per_record
+    # A corpus in error is read in blocks up to the line at fault, and
+    # CorpusReader names that line; another header is not read in blocks.
+    stage, _, _ = check_routing(change(PLAIN_CORPUS), 40, csv.field_size_limit())
     assert error is None or (stage[0] is SchemaError and error in stage[1]), stage
 
 
@@ -764,19 +907,24 @@ def frombuffer_bytes(monkeypatch) -> list[int]:
 
 
 def test_quotes_read_as_characters_keep_the_blocks_short(tmp_path, monkeypatch):
-    # After `5" screen` an odd count of quotes is before every line end, yet
-    # each block stays about a read long and numpy sees each byte about once.
+    # After `5" screen` in the first read, numpy sees no byte, and CorpusReader
+    # gives the texts in batches of about PREPROCESS_BLOCK_BYTES characters.
     lines = [b"id,state,text", b"s,NC,a 5\" screen"] + [
         b't%d,NC,"good, day"' % i if i % 2 else b'u%d,NC,it\'s 5"" wide' % i for i in range(2000)]
     data = b"\r\n".join(lines) + b"\r\n"
-    took, stage, per_record = preprocess_both(data, 64, csv.field_size_limit(), {})
-    assert took and stage == per_record
+    stage, in_blocks, _ = check_routing(data, 64, csv.field_size_limit())
+    assert isinstance(stage, bytes) and in_blocks == 0
     (tmp_path / "corpus.csv").write_bytes(data)
     monkeypatch.setattr(corpus_mod, "PREPROCESS_BLOCK_BYTES", 64)
-    monkeypatch.setattr(corpus_mod, "CorpusReader", None)
-    sizes = frombuffer_bytes(monkeypatch)
+    sizes, batches, block_words = frombuffer_bytes(monkeypatch), [], corpus_mod._block_words
+
+    def recorded(texts, normalize, fill):
+        batches.append(sum(map(len, texts)))
+        return block_words(texts, normalize, fill)
+
+    monkeypatch.setattr(corpus_mod, "_block_words", recorded)
     corpus_mod.write_tokens(tmp_path / "corpus.csv", tmp_path / "tokens.csv", WordNormalizer())
-    assert sum(sizes) < 3 * len(data) and max(sizes) < 64 + max(map(len, lines))
+    assert sizes == [] and sum(batches) > 2000 * 9 and max(batches) < 64 + max(map(len, lines))
 
 
 @pytest.mark.parametrize("rest, error", [
@@ -786,9 +934,8 @@ def test_quotes_read_as_characters_keep_the_blocks_short(tmp_path, monkeypatch):
 def test_an_unterminated_quote_declines_in_one_pass(tmp_path, monkeypatch, rest, error):
     data = b"id,state,text\r\ns,NC,\"good\r\n" + b"".join(rest % i for i in range(2000))
     sizes = frombuffer_bytes(monkeypatch)
-    took, stage, per_record = preprocess_both(data, 64, csv.field_size_limit(), {})
-    assert not took and stage == per_record and error in stage[1]
-    assert sum(sizes) < 3 * len(data)
+    stage, in_blocks, _ = check_routing(data, 64, csv.field_size_limit())
+    assert error in stage[1] and in_blocks == 0 and sizes == []
 
     def reading_seconds(data):  # the best of three reads of the file in 64-byte blocks
         (tmp_path / "corpus.csv").write_bytes(data)
@@ -802,15 +949,15 @@ def test_an_unterminated_quote_declines_in_one_pass(tmp_path, monkeypatch, rest,
             times.append(time.perf_counter() - start)
         return min(times)
 
-    # A search for the cut that went back over what was read would take
-    # hundreds of times as long as the read of the file without the quote.
+    # The block reader stops at the read that holds the quote, however much
+    # of the file is after it.
     assert reading_seconds(data) < 20 * reading_seconds(data.replace(b'"good', b"good")) + 0.05
 
 
 @pytest.mark.parametrize("block_bytes", [256, 1 << 14])
 def test_preprocess_blocks_takes_the_fixture(tmp_path, monkeypatch, block_bytes):
     monkeypatch.setattr(corpus_mod, "PREPROCESS_BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(corpus_mod, "CorpusReader", None)  # the per-record path cannot run
+    monkeypatch.setattr(corpus_mod, "CorpusReader", None)  # CorpusReader cannot run
     config = PipelineConfig(corpus=default_data_path("fixture_corpus.csv"),
                             covariates=tmp_path / "c.csv", out=tmp_path)
     normalize = WordNormalizer(stopwords=load_wordlist(config.stopwords),
@@ -827,14 +974,12 @@ def test_preprocess_blocks_takes_the_fixture(tmp_path, monkeypatch, block_bytes)
     PLAIN_CORPUS + b't,NC,"Good, ""very"" good\r\nday"\r\nu,CA,"x, y"\r\nv,PR,"z"\r\n',
 ])
 def test_a_hash_collision_is_not_reported_as_a_duplicate(data, monkeypatch):
-    # With every id hashed alike the block path declines at the end of the
-    # file, leaving nothing behind, and the per-record path, which compares
-    # the ids themselves, writes the block path's bytes.
-    took, blocks, _ = preprocess_both(data, 256, csv.field_size_limit(), {})
-    assert took and isinstance(blocks, bytes)
+    # With every id hashed alike, the ids themselves are compared, after the
+    # last block or after CorpusReader's last row, and the output stands.
+    blocks, _, _ = check_routing(data, 256, csv.field_size_limit())
+    assert isinstance(blocks, bytes)
     monkeypatch.setattr(corpus_mod, "_id_hash", lambda doc_id: 0)
-    took, stage, per_record = preprocess_both(data, 256, csv.field_size_limit(), {})
-    assert not took and stage == per_record == blocks
+    assert check_routing(data, 256, csv.field_size_limit())[0] == blocks
 
 
 def test_a_duplicate_id_in_the_last_block_keeps_the_previous_tokens(tmp_path, monkeypatch):
@@ -847,7 +992,7 @@ def test_a_duplicate_id_in_the_last_block_keeps_the_previous_tokens(tmp_path, mo
 
     def recorded(*args):
         for block in record_blocks(*args):
-            blocks.append(block[0])
+            blocks.append(block)
             yield block
 
     monkeypatch.setattr(corpus_mod, "_record_blocks", recorded)

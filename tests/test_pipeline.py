@@ -345,8 +345,8 @@ class TestCli:
 
     def test_corpus_declined_in_its_last_block_keeps_previous_tokens(self, tmp_path, capsys,
                                                                       monkeypatch):
-        # Preprocess's kernel writes the first blocks, then declines the last
-        # one; the per-record path then stops at the repeated id.
+        # Preprocess writes every block; then the repeated id's hash makes
+        # CorpusReader read the file again and stop at the repeated id.
         out = tmp_path / "out"
         assert main(self._args("preprocess", out)) == EXIT_OK
         before = (out / "tokens.csv").read_bytes()
@@ -877,13 +877,16 @@ def load_widevocab():
 
 # Patches that refuse the whole-file per-record paths, so a stage that
 # declines a file fails, and patches that force them.
-BLOCK_PATHS_ONLY = [(corpus_mod, "CorpusReader", None), (sent_mod, "read_columns", refuse)]
-PER_RECORD_ONLY = [(corpus_mod, "_record_blocks", not_plain), (sent_mod, "plain_blocks", not_plain)]
+BLOCK_PATHS_ONLY = [(corpus_mod, "CorpusReader", None), (sent_mod, "read_columns", refuse),
+                    (tab_mod, "join", refuse)]
+PER_RECORD_ONLY = [(corpus_mod, "_record_blocks", not_plain), (sent_mod, "plain_blocks", not_plain),
+                   (tab_mod, "plain_blocks", not_plain)]
+STAGE_OUTPUTS = ("tokens.csv", "scored.csv", "state_summary.csv", "analysis_table.csv")
 
 
-def preprocess_and_score(corpus: Path, out: Path, monkeypatch, patches) -> dict[str, bytes]:
-    """tokens.csv, scored.csv and state_summary.csv as the two stages write
-    them with patches applied."""
+def preprocess_score_and_join(corpus: Path, out: Path, monkeypatch, patches) -> dict[str, bytes]:
+    """tokens.csv, scored.csv, state_summary.csv and analysis_table.csv as
+    the three stages write them with patches applied."""
     out.mkdir()
     config = PipelineConfig(corpus=corpus, covariates=COVARIATES, out=out)
     with monkeypatch.context() as patched:
@@ -891,19 +894,22 @@ def preprocess_and_score(corpus: Path, out: Path, monkeypatch, patches) -> dict[
             patched.setattr(module, name, value)
         pipeline.stage_preprocess(config)
         pipeline.stage_score(config)
-    return {name: (out / name).read_bytes()
-            for name in ("tokens.csv", "scored.csv", "state_summary.csv")}
+        pipeline.stage_join(config)
+    return {name: (out / name).read_bytes() for name in STAGE_OUTPUTS}
 
 
 def test_wide_vocab_corpus_stays_on_the_block_paths(tmp_path, monkeypatch):
-    # Most of its texts are quoted, as csv.writer quotes a text with a comma.
+    # Most of its texts are quoted, as csv.writer quotes a text with a comma,
+    # so preprocess reads them with CorpusReader; the files it writes are
+    # plain, and score and join read them in blocks.
     widevocab = load_widevocab()
     corpus = tmp_path / "corpus.csv"
     widevocab.write_corpus_csv(corpus, widevocab.make_corpus(7, 500))
     assert corpus.read_bytes().count(b',"') > 250  # quoted texts, in every block
-    blocks = preprocess_and_score(corpus, tmp_path / "blocks", monkeypatch, BLOCK_PATHS_ONLY)
-    assert blocks == preprocess_and_score(corpus, tmp_path / "records", monkeypatch,
-                                          PER_RECORD_ONLY)
+    blocks = preprocess_score_and_join(corpus, tmp_path / "blocks", monkeypatch,
+                                       BLOCK_PATHS_ONLY[1:])
+    assert blocks == preprocess_score_and_join(corpus, tmp_path / "records", monkeypatch,
+                                               PER_RECORD_ONLY)
 
 
 def test_an_accented_line_alone_takes_the_per_record_code(tmp_path, monkeypatch):
@@ -920,8 +926,9 @@ def test_an_accented_line_alone_takes_the_per_record_code(tmp_path, monkeypatch)
         return words(self, text)
 
     monkeypatch.setattr(corpus_mod.WordNormalizer, "words", recorded)
-    blocks = preprocess_and_score(corpus, tmp_path / "blocks", monkeypatch, BLOCK_PATHS_ONLY)
+    blocks = preprocess_score_and_join(corpus, tmp_path / "blocks", monkeypatch,
+                                       BLOCK_PATHS_ONLY)
     assert texts == [accented]
     assert "café".encode() in blocks["tokens.csv"]  # so score reads UTF-8 words in blocks
-    assert blocks == preprocess_and_score(corpus, tmp_path / "records", monkeypatch,
-                                          PER_RECORD_ONLY)
+    assert blocks == preprocess_score_and_join(corpus, tmp_path / "records", monkeypatch,
+                                               PER_RECORD_ONLY)
