@@ -1,12 +1,15 @@
 """Time and size each pipeline stage, and one whole run, at a corpus size.
 
-    python scripts/scale_probe.py N [--corpus tweets|wide-vocab] [--work DIR]
+    python scripts/scale_probe.py N [--corpus tweets|wide-vocab|late-quote] [--work DIR]
 
 Writes an N-document corpus as corpus.csv in DIR (a temp directory by
 default): make_fixtures.make_corpus(7, n_docs=N), the paper's tweet shape
 with about a hundred words, or with --corpus wide-vocab the benchmark's
 perfbench/widevocab.make_corpus(7, N), whose vocabulary grows with N (it is
-read, not changed). Then it runs each stage of sentireg.pipeline in order,
+read, not changed). --corpus late-quote is the tweet corpus with one more
+row last, whose id "x,1" csv.writer quotes in corpus.csv, tokens.csv and
+scored.csv alike: each of preprocess, score and join reads its blocks and
+then hands the last line over to csv.reader. Then it runs each stage of sentireg.pipeline in order,
 each in a fresh Python process, and one run_pipeline in another fresh
 process on its own output directory. Before them it compiles this
 checkout's src/ in a child that may write bytecode (PYTHONDONTWRITEBYTECODE
@@ -43,7 +46,9 @@ BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 
 CORPORA = {"tweets": ROOT / "scripts" / "make_fixtures.py",
-           "wide-vocab": ROOT / "perfbench" / "widevocab.py"}
+           "wide-vocab": ROOT / "perfbench" / "widevocab.py",
+           "late-quote": ROOT / "scripts" / "make_fixtures.py"}
+LATE_ROW = ("x,1", "NC", "good day")  # the late-quote corpus's last row
 
 
 def child(stage: str, work: Path, n_docs: int, corpus: str) -> None:
@@ -52,7 +57,8 @@ def child(stage: str, work: Path, n_docs: int, corpus: str) -> None:
     if stage == "corpus":
         sys.path.insert(0, str(CORPORA[corpus].parent))
         generator = importlib.import_module(CORPORA[corpus].stem)
-        return generator.write_corpus_csv(work / "corpus.csv", generator.make_corpus(7, n_docs))
+        docs = generator.make_corpus(7, n_docs) + [LATE_ROW] * (corpus == "late-quote")
+        return generator.write_corpus_csv(work / "corpus.csv", docs)
     sys.path.insert(0, str(ROOT / "src"))
     from sentireg import pipeline
 

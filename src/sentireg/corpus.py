@@ -7,11 +7,11 @@ pass: what becomes of a token depends only on its surface form, so a
 `WordNormalizer` memo normalizes each distinct surface once; it splits an
 ASCII text by lower, a blank for each apostrophe not inside a word, a
 byte-table translate and split, which give the word regex's tokens. Every
-CSV is read by `read_columns` and written by `write_rows`. The block paths
-of `write_tokens`, score and join read a CSV as numpy byte blocks of whole
-lines through `plain_blocks`, which takes only blocks with no quote and no
-line that csv.reader would read otherwise than at its commas and line
-ends; every other row is read by csv.reader. Every other function is pure.
+CSV is read by `read_columns` and written by `write_rows`. `write_tokens`,
+score and join read a CSV with `read_batches`: as numpy byte blocks of
+whole lines up to the first that `plain_blocks` declines (a quote, or a
+line csv.reader would read otherwise than at its commas and line ends),
+then the lines after them with csv.reader. Every other function is pure.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from __future__ import annotations
 import codecs
 import csv
 import encodings.utf_8_sig  # noqa: F401  every reader's codec, loaded with the package
+import io
 import re
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import compress, filterfalse, islice
+from itertools import chain, compress, filterfalse, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
@@ -45,6 +46,7 @@ __all__ = [
     "TOKENS_COLUMNS",
     "read_columns",
     "plain_blocks",
+    "read_batches",
     "ascii_int",
     "write_rows",
     "CorpusReader",
@@ -90,10 +92,13 @@ class SchemaError(ValueError):
     """An input file does not match its documented schema."""
 
 
-def read_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple]:
+def read_columns(path: str | Path, columns: Sequence[str],
+                 start: tuple[int, int] = (0, 0)) -> Iterator[tuple]:
     """(line number, *fields) for each non-blank record of a CSV table: the
     named columns' fields in the order named, numbered by the line on which
-    the record starts. Other columns are ignored.
+    the record starts. Other columns are ignored. From `start`, the bytes
+    and lines after a header line that plain_blocks took, only the records
+    after those lines are read.
 
     Every CSV that sentireg reads goes through here. The file is UTF-8, with
     or without a byte-order mark, and parsed strictly. A SchemaError naming
@@ -102,10 +107,14 @@ def read_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple]:
     syntax error (a stray or unterminated quote, or a field over
     csv.field_size_limit(), 131072 by default) and a byte that is not UTF-8.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, strict=True)
-        start = 1
+    offset, lines = start
+    with open(path, "rb") as raw:
+        line = 1
         try:
+            head = [raw.readline().decode("utf-8-sig")] if offset else []
+            raw.seek(offset, 1)
+            text = io.TextIOWrapper(raw, "utf-8" if offset else "utf-8-sig", newline="")
+            reader = csv.reader(chain(head, text), strict=True)
             header = next(reader, None)
             if header is None:
                 raise SchemaError(f"{path}: empty file, header row required")
@@ -114,20 +123,22 @@ def read_columns(path: str | Path, columns: Sequence[str]) -> Iterator[tuple]:
                 raise SchemaError(f"{path}: missing required column(s) {sorted(missing)}")
             # Each row gets its line number in front, so one call builds the record.
             pick = itemgetter(0, *(header.index(c) + 1 for c in columns))
-            start = reader.line_num + 1
+            line = reader.line_num + 1 + lines
             for row in reader:
                 if row:
-                    row.insert(0, start)
+                    row.insert(0, line)
                     try:
                         record = pick(row)
                     except IndexError:
-                        raise SchemaError(f"{path}:{start}: malformed row") from None
+                        raise SchemaError(f"{path}:{line}: malformed row") from None
                     yield record
-                start = reader.line_num + 1
+                line = reader.line_num + 1 + lines
         except csv.Error as exc:
-            raise SchemaError(f"{path}:{start}: {exc}") from None
-        except UnicodeDecodeError:  # decoded ahead of the parser: at or after start
-            raise SchemaError(f"{path}:{start}: not UTF-8 at or after this line") from None
+            raise SchemaError(f"{path}:{line}: {exc}") from None
+        except UnicodeDecodeError:  # decoded ahead of the parser: at or after line
+            if offset:  # where the reads began sets the line: name it as from the header
+                deque(read_columns(path, columns), 0)
+            raise SchemaError(f"{path}:{line}: not UTF-8 at or after this line") from None
 
 
 class _NotPlain(Exception):
@@ -200,6 +211,24 @@ def _record_blocks(path: str | Path, header: Sequence[str], block_bytes: int) ->
             pieces, size = [chunk[cut + 1:]], len(chunk) - cut - 1
         if size:
             yield b"".join(pieces) + b"\r\n"
+
+
+def read_batches(path: str | Path, header: Sequence[str], columns: Sequence[str],
+                 block_bytes: int, block: Callable[[np.ndarray, np.ndarray], object],
+                 records: Callable[[Iterator[tuple]], Iterable]) -> Iterator:
+    """block(buf, edges) for each block plain_blocks(path, header,
+    block_bytes) frames, up to the first that it or `block` (which changes
+    nothing before it declines) declines with _NotPlain; then the batches of
+    records(rows), rows being read_columns' records of `columns` on the
+    lines after the blocks taken. No line is parsed twice."""
+    offset = lines = 0
+    try:
+        for buf, edges in plain_blocks(path, header, block_bytes):
+            yield block(buf, edges)
+            offset, lines = offset + len(buf), lines + len(edges)
+    except _NotPlain:
+        pass
+    yield from records(read_columns(path, columns, (offset, lines)))
 
 
 def ascii_int(text: str) -> int:
@@ -281,6 +310,7 @@ class CorpusLoadResult:
 
 
 _id_hash = hash  # an id's 64 bits for the repeat checks
+CORPUS_COLUMNS = ("id", "state", "text")
 
 
 class CorpusReader:
@@ -300,10 +330,16 @@ class CorpusReader:
         self.path, self.dropped = path, 0
 
     def __iter__(self) -> Iterator[tuple[str, str, str]]:
-        hashes = array("q")
+        return self.rows(read_columns(self.path, CORPUS_COLUMNS), array("q"))
+
+    def rows(self, records: Iterable[tuple], hashes: array) -> Iterator[tuple[str, str, str]]:
+        """The rows kept of read_columns' `records` of this file, checked as
+        __iter__ checks them, with `hashes` the _id_hash of each id before."""
         self.dropped = 0
         try:
-            for lineno, doc_id, state, text in self._records():
+            for lineno, doc_id, state, text in records:
+                if not doc_id:
+                    raise SchemaError(f"{self.path}:{lineno}: empty id")
                 hashes.append(_id_hash(doc_id))
                 if state in STATE_CODES:
                     yield doc_id, state, text
@@ -312,21 +348,20 @@ class CorpusReader:
         except SchemaError:
             self._check_ids()
             raise
-        if _repeats(hashes):
+        hashes = np.asarray(hashes)  # int64, a view of the array, sorted in place
+        hashes.sort()
+        if (hashes[1:] == hashes[:-1]).any():  # a repeated id, or a collision of two hashes
             self._check_ids()
-
-    def _records(self) -> Iterator[tuple[int, str, str, str]]:
-        for record in read_columns(self.path, ("id", "state", "text")):
-            if not record[1]:
-                raise SchemaError(f"{self.path}:{record[0]}: empty id")
-            yield record
 
     def _check_ids(self) -> None:
         """Read the file again with a set of the ids and raise the SchemaError
-        of its first empty or repeated id or other error; return where there
-        is none, as after a collision of two ids' hashes."""
+        of its first repeated id or other error; return at its first empty id,
+        whose error `rows` raises, or where there is none, as after a
+        collision of two ids' hashes."""
         seen = set()
-        for lineno, doc_id, _, _ in self._records():
+        for lineno, doc_id, _, _ in read_columns(self.path, CORPUS_COLUMNS):
+            if not doc_id:
+                return
             if doc_id in seen:
                 raise SchemaError(f"{self.path}:{lineno}: duplicate id {doc_id!r}")
             seen.add(doc_id)
@@ -530,6 +565,7 @@ TOKENS_COLUMNS = ("id", "state", "text_width", "tokens")
 _LINE_MARK = "\xd7"
 # _URL_RE over the bytes of ASCII lower case: in a bytes pattern \s lacks 0x1C-0x1F
 _URL_BYTES_RE = re.compile(rb"http(?<![^\s\x1c-\x1f]http)[^\s\x1c-\x1f]*")
+_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
 
 
 def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormalizer) -> None:
@@ -537,19 +573,44 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     state, text width and normalize.words(text) joined by spaces. An error
     names its line, and tokens.csv is replaced only when every row is read.
 
-    The rows come a batch at a time from _row_batches: a block of the file
-    or a batch of CorpusReader's rows. The ASCII texts of a batch, each after
-    a line mark, are lower-cased, stripped of URLs and split at once, and one
-    pass through the memo gives their words (_block_words). A text that is
-    not ASCII goes through normalize.words alone, as does every text when
-    the word lists could write the line mark.
+    read_batches gives the rows a batch at a time: each block plain_blocks
+    frames up to one with an empty id, split at its commas and line ends at
+    once, then CorpusReader.rows' rows in batches of about
+    PREPROCESS_BLOCK_BYTES characters of text. A batch's ASCII texts, each
+    after a line mark, are lower-cased, stripped of URLs and split at once,
+    and one pass through the memo gives their words (_block_words). A text
+    that is not ASCII goes through normalize.words alone, as does every text
+    when the word lists could write the line mark.
 
-    What is held grows by an 8-byte id hash a row, whatever the vocabulary,
-    and the output is written a batch at a time. The memo is cleared before
-    a batch once it holds more than MEMO_WORDS words. It is filled a batch at
-    a time (WordNormalizer.fill) after a batch that changed its size, so a
-    batch whose words all hit it costs no extra pass.
-    """
+    What is held grows by an 8-byte id hash a row, in one array for both
+    kinds of batch, whatever the vocabulary; the output is written a batch
+    at a time. The memo is cleared before a batch once it holds over
+    MEMO_WORDS words, and filled a batch at a time (WordNormalizer.fill)
+    after a batch that changed its size: one whose words all hit it costs
+    no extra pass."""
+    reader, hashes = CorpusReader(corpus), array("q")
+
+    def block(buf: np.ndarray, edges: np.ndarray) -> tuple:
+        # Every CR ends a line: with them dropped, each LF is a separator like a comma.
+        fields = buf.tobytes().translate(_LF_TO_COMMA, b"\r").decode().split(",")
+        ids, states = fields[0:-1:3], fields[1::3]
+        if "" in ids:
+            raise _NotPlain
+        hashes.extend(map(_id_hash, ids))
+        keep = list(map(STATE_CODES.__contains__, states))
+        return compress(ids, keep), compress(states, keep), list(compress(fields[2::3], keep)), True
+
+    def records(rows: Iterator[tuple]) -> Iterator[tuple]:
+        batch, size = [], 0
+        for row in reader.rows(rows, hashes):
+            batch.append(row)
+            size += len(row[2])
+            if size >= PREPROCESS_BLOCK_BYTES:
+                yield *zip(*batch), False
+                batch, size = [], 0
+        if batch:
+            yield *zip(*batch), False
+
     # Whether the line mark stays itself and no word normalizes to a form with it.
     marks = normalize[_LINE_MARK] == _LINE_MARK and normalize.forms_avoid(_LINE_MARK)
     # Whether no form holds a character csv.writer quotes a field for, as no
@@ -557,7 +618,8 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     plain_forms, grew = normalize.forms_avoid('",\r\n'), True
     with atomic_open(tokens) as fh:
         write_rows(fh, [TOKENS_COLUMNS])
-        for ids, states, texts, plain in _row_batches(corpus):
+        for ids, states, texts, plain in read_batches(corpus, CORPUS_COLUMNS, CORPUS_COLUMNS,
+                                                      PREPROCESS_BLOCK_BYTES, block, records):
             if len(normalize) > MEMO_WORDS:
                 normalize.clear()
                 grew = True
@@ -575,61 +637,6 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
             else:
                 write_rows(fh, zip(ids, states, map(str, map(len, texts)), words))
             grew = len(normalize) != size  # a miss may have cleared it too
-
-
-_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
-
-
-def _row_batches(corpus: str | Path) -> Iterator[tuple[Iterable[str], Iterable[str],
-                                                      Sequence[str], bool]]:
-    """(ids, states, texts, plain) of the rows CorpusReader keeps, a batch at
-    a time; `plain` where no id, state or text holds a quote, comma, CR or LF.
-
-    Each block that plain_blocks frames with the header id,state,text is a
-    plain batch, split at its commas and line ends at once. From the first block
-    that it declines or that holds an empty id, CorpusReader reads the file
-    and gives the rows after those already given, in batches of about
-    PREPROCESS_BLOCK_BYTES characters of text: no text is given twice. Every
-    row's id, kept or dropped, is checked for repeats as CorpusReader checks
-    it, from 8 bytes a row: its _id_hash, sorted in place at the end. Where
-    two are equal, CorpusReader._check_ids reads the file again to name the
-    repeated id, or returns after a collision of two ids' hashes."""
-    hashes, given = array("q"), 0
-    try:
-        for buf, _ in plain_blocks(corpus, ("id", "state", "text"), PREPROCESS_BLOCK_BYTES):
-            # Every CR ends a line: with them dropped, each LF is a separator like a comma.
-            fields = buf.tobytes().translate(_LF_TO_COMMA, b"\r").decode().split(",")
-            ids, states = fields[0:-1:3], fields[1::3]
-            if "" in ids:
-                raise _NotPlain
-            hashes.extend(map(_id_hash, ids))
-            keep = list(map(STATE_CODES.__contains__, states))
-            texts = list(compress(fields[2::3], keep))
-            yield compress(ids, keep), compress(states, keep), texts, True
-            given += len(texts)
-    except _NotPlain:
-        del hashes  # CorpusReader checks every id again
-    else:
-        if _repeats(hashes):
-            CorpusReader(corpus)._check_ids()
-        return
-    batch, size = [], 0
-    for row in islice(CorpusReader(corpus), given, None):
-        batch.append(row)
-        size += len(row[2])
-        if size >= PREPROCESS_BLOCK_BYTES:
-            yield *zip(*batch), False
-            batch, size = [], 0
-    if batch:
-        yield *zip(*batch), False
-
-
-def _repeats(hashes: array) -> bool:
-    """Whether two of the int64s in hashes are equal, found by sorting them
-    in place: a repeated id, or a collision of two ids' hashes."""
-    hashes = np.asarray(hashes)  # int64, a view of the array
-    hashes.sort()
-    return bool((hashes[1:] == hashes[:-1]).any())
 
 
 def _block_words(texts: Sequence[str], normalize: WordNormalizer, fill: bool) -> list[str]:

@@ -4,9 +4,8 @@ Each stage reads the previous stage's artifact and writes its own, so a
 monolithic run and a staged run produce byte-identical files. Preprocess
 writes tokens.csv with corpus.write_tokens, score writes scored.csv with
 sentiment.write_scored, and join reads scored.csv alone, as it carries each
-text width, with tabulate.read_scored; each reads its input in byte blocks
-where the file is plain and record by record, naming bad lines, otherwise.
-Preprocess frames quoted fields in its blocks and reads an odd line alone.
+text width, with tabulate.read_scored. Each reads its input with
+corpus.read_batches, in byte blocks and then record by record.
 Join writes the row-level analysis_table.csv and its covariate patterns,
 patterns.csv; fit and diagnose read only patterns.csv, with tabulate's
 patterns reader, which parses each distinct covariate tail once, straight

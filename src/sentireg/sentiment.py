@@ -7,8 +7,8 @@ to [-2, +2], so long rambling texts do not dominate.
 
 `score` scores one document; `score_batch` scores many as columns, in the
 same arithmetic order, so its values equal a `score` loop's bit for bit.
-`write_scored` scores a tokens.csv into scored.csv, in byte blocks where the
-file is plain and in chunks of records otherwise; both paths hand the words'
+`write_scored` scores a tokens.csv into scored.csv with corpus.read_batches,
+in byte blocks and then in chunks of records; both paths hand the words'
 lexicon codes to `_score_codes` and add each chunk to a `StateTotals`, the
 per-state running sums of the state summary.
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .corpus import (TOKENS_COLUMNS, Document, SchemaError, TokenStream, _NotPlain, _tsv_pairs,
-                     ascii_int, load_wordlist, plain_blocks, read_columns, write_rows)
+                     ascii_int, load_wordlist, read_batches, write_rows)
 
 __all__ = [
     "Lexicon",
@@ -317,11 +317,15 @@ _CLASS_OF_SIGN = {1: (SentimentClass.POSITIVE.value, "1"),
                   0: (SentimentClass.NEUTRAL.value, "0")}
 
 
-def write_scored_csv(path: str | Path, chunks: Iterable[ScoredChunk]) -> None:
-    """One line per document, chunk by chunk, in SCORED_COLUMNS order."""
+def write_scored_csv(path: str | Path, chunks: Iterable[ScoredChunk | str]) -> None:
+    """One line per document, chunk by chunk, in SCORED_COLUMNS order; a
+    chunk that is a str is those lines, written as it is."""
     with atomic_open(path) as fh:
         write_rows(fh, [SCORED_COLUMNS])
         for c in chunks:
+            if isinstance(c, str):
+                fh.write(c)
+                continue
             signs = np.sign(c.value).astype(int).tolist()
             write_rows(fh, ((doc_id, state, str(width), f"{value:.12g}", *_CLASS_OF_SIGN[sign])
                             for doc_id, state, width, value, sign
@@ -339,31 +343,29 @@ def write_scored(tokens: str | Path, scored: str | Path, lexicon: Lexicon) -> St
     ASCII digits is a SchemaError naming its line, as is a CSV error, and
     scored.csv is replaced only when every line is read.
 
-    A plain tokens.csv is read in blocks of SCORE_BLOCK_BYTES, to the same
-    bytes: each word's code is probed from its bytes, and each scored.csv
-    line is gathered from its input line's bytes and the text of its
-    distinct value. The file is plain when corpus.plain_blocks frames every
-    block of it with the header TOKENS_COLUMNS, no character is a space
-    str.split splits at but the ASCII space, and in each line the id and
-    state are non-empty with no space, the width is 1 to 12 ASCII digits
-    with no leading zero, and the tokens are words joined by single spaces.
-    Words may be any UTF-8. Any other file is read again from its start,
-    SCORE_CHUNK_DOCS records at a time.
+    corpus.read_batches reads tokens.csv in blocks of SCORE_BLOCK_BYTES up to
+    the first that is not plain, then as records, SCORE_CHUNK_DOCS at a
+    time, to the same bytes. In a block, each word's code is probed from its
+    bytes, and each line is gathered from its input line's bytes and the
+    text of its distinct value. A block is plain when plain_blocks frames it
+    with the header TOKENS_COLUMNS, no character is a space str.split splits
+    at but the ASCII space, and in each line the id and state are non-empty
+    with no space, the width is 1 to 12 ASCII digits with no leading zero,
+    and the tokens are words joined by single spaces, of any UTF-8.
     """
-    coded = _code_lexicon(lexicon)  # once for either path
-    try:
-        return _score_blocks(tokens, scored, coded)
-    except _NotPlain:
-        pass
-    totals = StateTotals()
-    write_scored_csv(scored, _scored_chunks(tokens, coded, totals))
+    coded, totals = _code_lexicon(lexicon), StateTotals()  # once for either path
+    probe = _probe(coded.code)
+    write_scored_csv(scored, read_batches(
+        tokens, TOKENS_COLUMNS, TOKENS_COLUMNS, SCORE_BLOCK_BYTES,
+        lambda buf, edges: _score_block(buf, edges, coded, probe, totals),
+        lambda rows: _scored_chunks(tokens, rows, coded, totals)))
     return totals
 
 
-def _scored_chunks(path: str | Path, coded: _CodedLexicon,
+def _scored_chunks(path: str | Path, records: Iterable[tuple], coded: _CodedLexicon,
                    totals: StateTotals) -> Iterator[ScoredChunk]:
-    """tokens.csv's records scored SCORE_CHUNK_DOCS at a time; adds each chunk
-    to totals. Each width is checked as it is read."""
+    """tokens.csv's records (read_columns') scored SCORE_CHUNK_DOCS at a
+    time; adds each chunk to totals. Each width is checked as it is read."""
     def record(line: int, doc_id: str, state: str, width: str, tokens: str) -> tuple:
         try:
             return doc_id, state, ascii_int(width), tokens.split()
@@ -371,24 +373,12 @@ def _scored_chunks(path: str | Path, coded: _CodedLexicon,
             raise SchemaError(f"{path}:{line}: text_width must be an integer, "
                               f"got {width!r}") from None
 
-    rows = starmap(record, read_columns(path, TOKENS_COLUMNS))
+    rows = starmap(record, records)
     while chunk := list(islice(rows, SCORE_CHUNK_DOCS)):
         ids, states, widths, words = zip(*chunk)
         value, _ = _score_docs(words, coded)
         totals.add(states, value)
         yield ScoredChunk(ids, states, widths, value)
-
-
-def _score_blocks(tokens: str | Path, scored: str | Path, coded: _CodedLexicon) -> StateTotals:
-    """write_scored's block path; _NotPlain, with scored.csv untouched and no
-    temp file left, where the file is not plain."""
-    totals = StateTotals()
-    probe = _probe(coded.code)
-    with atomic_open(scored) as fh:
-        write_rows(fh, [SCORED_COLUMNS])
-        for block in plain_blocks(tokens, TOKENS_COLUMNS, SCORE_BLOCK_BYTES):
-            fh.write(_score_block(*block, coded, probe, totals))
-    return totals
 
 
 # A count of low bytes -> the uint64 mask that keeps them.

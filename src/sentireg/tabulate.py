@@ -10,10 +10,10 @@ distinct covariate rows. `join` keeps the table normalized: one covariate
 row and CSV text per state, each covariate pattern (distinct row, numbered
 by first occurrence) as a state number and a text width, and each
 document's pattern and outcome, built once from the distinct (state, width)
-keys; `read_scored` gives join's table for a scored.csv, reading a plain
-one a block at a time. analysis_table.csv is written from that a chunk of
-rows at a time, and patterns.csv holds each pattern with its row count m
-and y_sum; no patterns x predictors matrix is made.
+keys; `read_scored` gives join's table for a scored.csv, in blocks up to
+the first that is not plain. analysis_table.csv is written from that a
+chunk of rows at a time, and patterns.csv holds each pattern with its row
+count m and y_sum; no patterns x predictors matrix is made.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .corpus import (REGION_OF_STATE, STATE_CODES, SchemaError, _NotPlain, ascii_int,
-                     plain_blocks, read_columns, write_rows)
+                     read_batches, read_columns, write_rows)
 from .sentiment import SCORED_COLUMNS
 
 __all__ = [
@@ -280,22 +280,6 @@ def _patterns(texts: list[str], state: np.ndarray,
     return np.argsort(order)[run], state[key], width[key]
 
 
-def _table(states: list[str], state: np.ndarray, width: np.ndarray,
-           covars: dict[str, StateCovariates], key: array, y: bytearray) -> AnalysisTable:
-    """The table of documents with key numbers `key` (C ints) and outcomes
-    `y` (bytes 0 or 1), key k being (states[state[k]], width[k]). The key
-    numbers become pattern numbers in place, ANALYSIS_CHUNK_ROWS at a time,
-    so the table's arrays are the buffers of key and y."""
-    rows, texts = _state_rows(states, covars)
-    number, pattern_state, pattern_width = _patterns(texts, state, width)
-    pattern = np.frombuffer(key, np.intc)
-    for i in range(0, len(pattern), ANALYSIS_CHUNK_ROWS):
-        chunk = pattern[i:i + ANALYSIS_CHUNK_ROWS]
-        chunk[:] = number[chunk]
-    return AnalysisTable(rows, texts, pattern_state, pattern_width, pattern,
-                         np.frombuffer(y, np.bool_))
-
-
 def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> AnalysisTable:
     """Attach state covariates to each document's (line, state, text width,
     binary sentiment) record, as read_columns yields them from scored.csv.
@@ -305,59 +289,50 @@ def join(records: Iterable[tuple], covars: dict[str, StateCovariates]) -> Analys
     document whose state has no covariate row is a MissingStatesError whose
     message lists every such state, for an audit.
     """
-    by_key: dict[tuple, int] = {}  # (state, width text) -> key number, first seen first
-    states: dict[str, int] = {}
-    state, width, key, y = [], [], array("i"), bytearray()
-    for line, s, w, binary in records:
-        if (s, w) not in by_key:
-            by_key[s, w] = len(by_key)
-            state.append(states.setdefault(s, len(states)))
-            try:  # a width whose state has no covariate row is not read
-                width.append(float(ascii_int(w)) if s in covars else 0.0)
-            except (ValueError, OverflowError) as exc:  # not an integer, or past float
-                want = "an integer" if isinstance(exc, ValueError) else "within float range"
-                raise ValueError(f"{line}: text_width must be {want}, got {w!r}") from None
-        key.append(by_key[s, w])
-        try:
-            y.append(_OUTCOME[binary])
-        except KeyError:
-            raise ValueError(f"{line}: binary must be 0 or 1, got {binary!r}") from None
-    return _table(list(states), np.array(state, np.intp), np.array(width), covars, key, y)
+    keys = _Keys(covars)
+    keys.records(records)
+    return keys.table()
 
 
-JOIN_BLOCK_BYTES = 1 << 16  # scored.csv bytes read_scored reads at a time
-JOIN_COLUMNS = ("state", "text_width", "binary")
-_JOIN_FIELDS = [SCORED_COLUMNS.index(c) for c in JOIN_COLUMNS]
+class _Keys:
+    """The documents' (state, text width) keys, numbered in first-seen
+    order, and each document's key number and outcome in one buffer each,
+    from join's records or read_batches' blocks and then records. A block's
+    keys are packed into int64s, and a record's is its state and width text:
+    a key in a block and again in a record is numbered twice, and _patterns
+    gives both one pattern."""
 
+    def __init__(self, covars: dict[str, StateCovariates]):
+        self.covars, self.number, self.states, self.codes = covars, {}, {}, {}
+        self.state, self.width, self.key, self.y = array("q"), array("d"), array("i"), bytearray()
+        # The packed keys seen, sorted, and their numbers; each ends in a
+        # sentinel above every key, so a search always lands on an entry.
+        self.known, self.numbers = np.array([np.iinfo(np.int64).max]), np.array([-1], np.intc)
 
-def read_scored(path: str | Path, covars: dict[str, StateCovariates]) -> AnalysisTable:
-    """join(read_columns(path, JOIN_COLUMNS), covars): scored.csv's table, or
-    the error that names its line.
+    def records(self, records: Iterable[tuple]) -> tuple:
+        """Adds each (line, state, width, binary) record; returns no batch."""
+        for line, s, w, binary in records:
+            if (s, w) not in self.number:
+                try:  # a width whose state has no covariate row is not read
+                    width = float(ascii_int(w)) if s in self.covars else 0.0
+                except (ValueError, OverflowError) as exc:  # not an integer, or past float
+                    want = "an integer" if isinstance(exc, ValueError) else "within float range"
+                    raise ValueError(f"{line}: text_width must be {want}, got {w!r}") from None
+                self.number[s, w] = len(self.state)
+                self.state.append(self.states.setdefault(s, len(self.states)))
+                self.width.append(width)
+            self.key.append(self.number[s, w])
+            try:
+                self.y.append(_OUTCOME[binary])
+            except KeyError:
+                raise ValueError(f"{line}: binary must be 0 or 1, got {binary!r}") from None
+        return ()
 
-    A plain scored.csv gives the same table or error from a numpy pass per
-    block of JOIN_BLOCK_BYTES, which numbers the (state, text_width) keys in
-    first-seen order; join's pattern builder then takes the distinct keys.
-    The file is plain when corpus.plain_blocks frames every block of it with
-    the header SCORED_COLUMNS, and each line has a state of at most 2 bytes,
-    a width of 1 to 12 digits (a float exactly, and the low 40 bits of a
-    packed key) and a binary of 0 or 1. Any other file, such as one with its
-    columns in another order, is read again from its start, record by record.
-    """
-    try:
-        return _join_blocks(path, covars)
-    except _NotPlain:
-        pass
-    return join(read_columns(path, JOIN_COLUMNS), covars)
-
-
-def _join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> AnalysisTable:
-    """read_scored's block path; _NotPlain where the file is not plain. The
-    documents' key numbers and outcomes grow in one buffer each, as join's do."""
-    # The keys seen, sorted, and their numbers in first-seen order; each ends
-    # in a sentinel above every key, so a search always lands on an entry.
-    known, numbers = np.array([np.iinfo(np.int64).max]), np.array([-1], np.intc)
-    seen, ids, y = [np.empty(0, np.int64)], array("i"), bytearray()
-    for buf, edges in plain_blocks(path, SCORED_COLUMNS, JOIN_BLOCK_BYTES):
+    def block(self, buf: np.ndarray, edges: np.ndarray) -> None:
+        """Adds a plain_blocks block of scored.csv; _NotPlain, with nothing
+        added, unless each line has a state of at most 2 bytes, a width of 1
+        to 12 digits (a float exactly, and the low 40 bits of a packed key)
+        and a binary of 0 or 1."""
         (ss, se), (ws, we), (bs, be) = ((edges[:, c] + 1, edges[:, c + 1]) for c in _JOIN_FIELDS)
         ls, lw, binary = se - ss, we - ws, buf[bs] - 48  # uint8: any byte but "0" or "1" is above 1
         at = we[:, None] - np.arange(min(lw.max(), 12), 0, -1)
@@ -368,19 +343,48 @@ def _join_blocks(path: str | Path, covars: dict[str, StateCovariates]) -> Analys
         state = (buf[ss].astype(np.int64) << 8 | buf[ss + (ls > 1)]) * (ls > 0)
         key = digits @ 10 ** np.arange(at.shape[1] - 1, -1, -1) | state << 40 | ls << 56
         keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        at = np.searchsorted(known, keys)
-        number, fresh = numbers[at], known[at] != keys
+        at = np.searchsorted(self.known, keys)
+        number, fresh = self.numbers[at], self.known[at] != keys
         new = np.flatnonzero(fresh)[np.argsort(first[fresh])]  # first seen first
-        number[new] = np.arange(len(known) - 1, len(known) - 1 + len(new))
-        seen.append(keys[new])
-        known = np.insert(known, at[fresh], keys[fresh])
-        numbers = np.insert(numbers, at[fresh], number[fresh])
-        ids.frombytes(number[inverse].tobytes())
-        y += binary.tobytes()
-    seen = np.concatenate(seen)
-    codes, state = np.unique(seen >> 40, return_inverse=True)  # (length, bytes) of each state
-    states = [(c & 0xFFFF).to_bytes(2, "big")[:c >> 16].decode() for c in codes.tolist()]
-    return _table(states, state.reshape(-1), (seen & 0xFFFFFFFFFF).astype(float), covars, ids, y)
+        number[new] = np.arange(len(self.state), len(self.state) + len(new))
+        self.known = np.insert(self.known, at[fresh], keys[fresh])
+        self.numbers = np.insert(self.numbers, at[fresh], number[fresh])
+        codes = (keys[new] >> 40).tolist()  # each new key's state: its length and bytes
+        for c in set(codes).difference(self.codes):  # each state decoded once
+            self.codes[c] = self.states.setdefault(
+                (c & 0xFFFF).to_bytes(2, "big")[:c >> 16].decode(), len(self.states))
+        self.state.extend(map(self.codes.__getitem__, codes))
+        self.width.frombytes((keys[new] & 0xFFFFFFFFFF).astype(float).tobytes())
+        self.key.frombytes(number[inverse].tobytes())
+        self.y += binary.tobytes()
+
+    def table(self) -> AnalysisTable:
+        """The table of the documents added, made in the buffers of key and y."""
+        rows, texts = _state_rows(list(self.states), self.covars)
+        number, pattern_state, pattern_width = _patterns(
+            texts, np.frombuffer(self.state, np.int64), np.frombuffer(self.width))
+        pattern = np.frombuffer(self.key, np.intc)
+        for i in range(0, len(pattern), ANALYSIS_CHUNK_ROWS):
+            chunk = pattern[i:i + ANALYSIS_CHUNK_ROWS]
+            chunk[:] = number[chunk]
+        return AnalysisTable(rows, texts, pattern_state, pattern_width, pattern,
+                             np.frombuffer(self.y, np.bool_))
+
+
+JOIN_BLOCK_BYTES = 1 << 16  # scored.csv bytes read_scored reads at a time
+JOIN_COLUMNS = ("state", "text_width", "binary")
+_JOIN_FIELDS = [SCORED_COLUMNS.index(c) for c in JOIN_COLUMNS]
+
+
+def read_scored(path: str | Path, covars: dict[str, StateCovariates]) -> AnalysisTable:
+    """join(read_columns(path, JOIN_COLUMNS), covars): scored.csv's table, or
+    the error that names its line, read with corpus.read_batches in blocks
+    of JOIN_BLOCK_BYTES (_Keys.block) and then records."""
+    keys = _Keys(covars)
+    for _ in read_batches(path, SCORED_COLUMNS, JOIN_COLUMNS, JOIN_BLOCK_BYTES, keys.block,
+                          keys.records):
+        pass
+    return keys.table()
 
 
 def descriptive_stats(table: AnalysisTable) -> dict[str, dict[str, float]]:

@@ -45,6 +45,8 @@ from sentireg.corpus import (
 )
 from sentireg.pipeline import PipelineConfig, default_data_path
 
+from handover import handovers
+
 STEM_RULES = load_stem_rules(default_data_path("stem_rules.tsv"))
 LEMMAS = load_tsv_map(default_data_path("lemmas.tsv"))
 
@@ -510,10 +512,13 @@ def test_a_bounded_memo_writes_the_same_tokens(tmp_path, monkeypatch, columns):
     corpus_mod.write_tokens(corpus, tmp_path / "unbounded.csv", WordNormalizer(**lists))
     monkeypatch.setattr(corpus_mod, "MEMO_WORDS", 8)
     monkeypatch.setattr(corpus_mod, "PREPROCESS_BLOCK_BYTES", 256)
-    if columns[0] == "id":
-        monkeypatch.setattr(corpus_mod, "CorpusReader", None)  # the block path only
     normalize = WordNormalizer(**lists)
-    corpus_mod.write_tokens(corpus, tmp_path / "tokens.csv", normalize)
+    with handovers() as reads:
+        corpus_mod.write_tokens(corpus, tmp_path / "tokens.csv", normalize)
+    if columns[0] == "id":  # the block path only
+        assert [(read["declined"], read["records"]) for read in reads] == [(False, 0)]
+    else:
+        assert [(read["start"], read["records"]) for read in reads] == [((0, 0), 300)]
     assert (tmp_path / "tokens.csv").read_bytes() == (tmp_path / "unbounded.csv").read_bytes()
     assert len(normalize) < 50
 
@@ -646,14 +651,15 @@ def kept_texts(path: Path) -> list[str] | None:
 
 @contextlib.contextmanager
 def recording(normalized: list):
-    """Append (whether CorpusReader has begun to read, text) to normalized
-    for each text that write_tokens gives _block_words or WordNormalizer.words."""
+    """Append (whether CorpusReader has begun to read records, text) to
+    normalized for each text that write_tokens gives _block_words or
+    WordNormalizer.words."""
     reading, block_words, words = [], corpus_mod._block_words, WordNormalizer.words
 
     class Reader(CorpusReader):
-        def __iter__(self):
+        def rows(self, records, hashes):
             reading.append(True)
-            return super().__iter__()
+            return super().rows(records, hashes)
 
     def logged_block_words(texts, normalize, fill):
         normalized.extend((bool(reading), text) for text in texts)
@@ -853,6 +859,28 @@ def test_a_corpus_plain_but_its_last_line_is_read_once(last, error):
         assert in_blocks == len(kept)
 
 
+@pytest.mark.parametrize("collide", [False, True], ids=["hashes", "colliding-hashes"])
+def test_an_id_repeated_across_the_hand_over_is_named_as_corpus_reader_names_it(
+        collide, monkeypatch):
+    # t7 in a plain block, a quoted text in a later read, then t7 again: the
+    # blocks' id hashes and the records' are checked as one array, and the
+    # error names the repeat's line. With every id hashed alike and no id
+    # repeated, the ids are compared and the bytes stand.
+    if collide:
+        monkeypatch.setattr(corpus_mod, "_id_hash", lambda doc_id: 0)
+    quoted = LONG_CORPUS + b'u,NC,"good, very good"\r\nv,CA,day\r\n'
+    with handovers() as reads:
+        stage, in_blocks, kept = check_routing(quoted + b"t7,CA,again\r\n", 1024,
+                                               csv.field_size_limit())
+    assert stage == (SchemaError, f"{stage[1].split(':')[0]}:604: duplicate id 't7'")
+    assert reads[0]["declined"] and reads[0]["start"][1] > 7 and in_blocks >= 400 - 1024 // 20
+    assert reads[0]["records"] == 603 - reads[0]["start"][1]  # the lines after the blocks, once
+    stage, _, _ = check_routing(quoted, 1024, csv.field_size_limit())
+    monkeypatch.undo()
+    assert stage == check_routing(quoted, 1024, csv.field_size_limit())[0]
+    assert isinstance(stage, bytes)
+
+
 def test_quoted_texts_are_split_with_their_block(tmp_path, monkeypatch):
     # A comma, a "" pair and line ends in a quoted text: CorpusReader reads
     # them, and they are split with the rest of their batch.
@@ -957,14 +985,15 @@ def test_an_unterminated_quote_declines_in_one_pass(tmp_path, monkeypatch, rest,
 @pytest.mark.parametrize("block_bytes", [256, 1 << 14])
 def test_preprocess_blocks_takes_the_fixture(tmp_path, monkeypatch, block_bytes):
     monkeypatch.setattr(corpus_mod, "PREPROCESS_BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(corpus_mod, "CorpusReader", None)  # CorpusReader cannot run
     config = PipelineConfig(corpus=default_data_path("fixture_corpus.csv"),
                             covariates=tmp_path / "c.csv", out=tmp_path)
     normalize = WordNormalizer(stopwords=load_wordlist(config.stopwords),
                                slang=load_wordlist(config.slang),
                                stem_rules=load_stem_rules(config.stem_rules),
                                lemmas=load_tsv_map(config.lemmas))
-    corpus_mod.write_tokens(config.corpus, tmp_path / "tokens.csv", normalize)
+    with handovers() as reads:  # every row in blocks, none from CorpusReader
+        corpus_mod.write_tokens(config.corpus, tmp_path / "tokens.csv", normalize)
+    assert [(read["declined"], read["records"]) for read in reads] == [(False, 0)]
     assert hashlib.sha256((tmp_path / "tokens.csv").read_bytes()).hexdigest() == (
         "67fabf662a885786bb50a05d1cb39e809b9babf41f884e0a5ead0bc3132300aa")
 

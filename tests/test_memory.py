@@ -27,6 +27,8 @@ from sentireg.pipeline import (PipelineConfig, default_data_path, read_design, s
                                stage_fit, stage_join)
 from sentireg.sentiment import SCORED_COLUMNS
 
+from handover import handovers
+
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (5_000, 20_000)
 
@@ -64,17 +66,22 @@ def bytes_per_extra_row(run_at, sizes=SIZES) -> float:
 
 
 @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
-def test_preprocess_holds_under_16_bytes_per_row(tmp_path, monkeypatch, bom):
+def test_preprocess_holds_under_16_bytes_per_row(tmp_path, bom):
     # A set of every id held about 180 bytes a row; a hash of each holds 8.
     # A corpus with a byte-order mark takes the block path too.
-    monkeypatch.setattr(corpus_mod, "CorpusReader", None)  # the block path only
     fixtures, normalize = corpus_generator("scripts/make_fixtures.py"), WordNormalizer()
 
     def run_at(n):
         corpus = tmp_path / "corpus.csv"
         fixtures.write_corpus_csv(corpus, fixtures.make_corpus(7, n_docs=n))
         corpus.write_bytes(bom + corpus.read_bytes())
-        return lambda: corpus_mod.write_tokens(corpus, tmp_path / "tokens.csv", normalize)
+
+        def run():
+            with handovers() as reads:
+                corpus_mod.write_tokens(corpus, tmp_path / "tokens.csv", normalize)
+            assert [(r["declined"], r["records"]) for r in reads] == [(False, 0)]  # blocks only
+
+        return run
 
     assert bytes_per_extra_row(run_at) < 16
 
@@ -118,7 +125,6 @@ def test_join_holds_under_8_bytes_per_row(tmp_path, monkeypatch):
     # are read and renumbered in place, holds about 5.2; the per-block
     # arrays and the joined copy, or a wider type, put back, cross 8.
     monkeypatch.setattr(tab_mod, "JOIN_BLOCK_BYTES", 4096)  # a small per-block part
-    monkeypatch.setattr(tab_mod, "join", None)  # the block path only
     covars = tab_mod.load_covariates(default_data_path("state_covariates.csv"))
     states = ("NC", "CA", "NY", "TX", "OH")
 
@@ -128,7 +134,9 @@ def test_join_holds_under_8_bytes_per_row(tmp_path, monkeypatch):
         (tmp_path / "scored.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
 
         def run():
-            table = tab_mod.read_scored(tmp_path / "scored.csv", covars)
+            with handovers() as reads:
+                table = tab_mod.read_scored(tmp_path / "scored.csv", covars)
+            assert [(r["declined"], r["records"]) for r in reads] == [(False, 0)]  # blocks only
             assert table.counts[0].sum() == n
             tab_mod.write_analysis_csv(tmp_path / "analysis_table.csv", table)
 

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import hashlib
 import importlib.util
@@ -36,6 +37,8 @@ from sentireg.tabulate import (
     read_patterns_csv,
 )
 
+from handover import handovers, records_only
+
 CORPUS = default_data_path("fixture_corpus.csv")
 COVARIATES = default_data_path("state_covariates.csv")
 
@@ -62,12 +65,9 @@ PINNED_SHA256 = {
 }
 
 
-def not_plain(*args):
-    raise corpus_mod._NotPlain
-
-
-def refuse(*args):
-    raise AssertionError("the per-record path ran")
+def in_blocks(reads: list[dict]) -> bool:
+    """Whether each read (handover.handovers) took its whole file in blocks."""
+    return all(not read["declined"] and read["records"] == 0 for read in reads)
 
 
 def run_fixture(out):
@@ -744,8 +744,8 @@ class TestStageOutputs:
         out.mkdir()
         (out / "tokens.csv").write_bytes((default / "tokens.csv").read_bytes())
         monkeypatch.setattr(sent_mod, "SCORE_CHUNK_DOCS", chunk_docs)
-        monkeypatch.setattr(sent_mod, "plain_blocks", not_plain)  # the chunked path
-        pipeline.stage_score(PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out))
+        with records_only():  # the chunked path
+            pipeline.stage_score(PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out))
         for name in ("scored.csv", "state_summary.csv"):
             assert (out / name).read_bytes() == (default / name).read_bytes(), name
 
@@ -806,12 +806,13 @@ class TestStageOutputs:
         assert np.array_equal(patterns.X, expected.X[:, 1:])
         assert np.array_equal(X, expected.X[pattern])
 
-    def test_join_reads_the_fixture_scored_csv_in_blocks(self, tmp_path, monkeypatch):
+    def test_join_reads_the_fixture_scored_csv_in_blocks(self, tmp_path):
         # scored.csv as score writes it is plain: join takes the block path
         out = run_fixture(tmp_path / "run")
         covars = load_covariates(COVARIATES)
-        monkeypatch.setattr(tab_mod, "read_columns", refuse)
-        assert len(tab_mod.read_scored(out / "scored.csv", covars)) == 40
+        with handovers() as reads:
+            assert len(tab_mod.read_scored(out / "scored.csv", covars)) == 40
+        assert len(reads) == 1 and in_blocks(reads)
 
     @pytest.mark.parametrize("block_bytes", [256, 1 << 16])
     def test_score_reads_the_fixture_tokens_csv_in_blocks(self, tmp_path, monkeypatch,
@@ -823,13 +824,13 @@ class TestStageOutputs:
         lexicon = sent_mod.load_lexicon(default_data_path("lexicon.tsv"),
                                         default_data_path("negators.txt"),
                                         default_data_path("amplifiers.tsv"))
-        with monkeypatch.context() as patched:
-            patched.setattr(sent_mod, "read_columns", refuse)
+        with handovers() as reads:
             totals = sent_mod.write_scored(out / "tokens.csv", tmp_path / "scored.csv", lexicon)
+        assert len(reads) == 1 and in_blocks(reads)
         assert totals.n.sum() == 40
         assert (tmp_path / "scored.csv").read_bytes() == (out / "scored.csv").read_bytes()
-        monkeypatch.setattr(sent_mod, "plain_blocks", not_plain)
-        pipeline.stage_score(PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out))
+        with records_only():
+            pipeline.stage_score(PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=out))
         for name in ("scored.csv", "state_summary.csv"):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == PINNED_SHA256[name]
 
@@ -866,50 +867,44 @@ class TestAtomicWrites:
 
 # -- which path each stage takes on realistic text ----------------------------
 
-def load_widevocab():
-    """perfbench's wide-vocab corpus generator, read from the repository."""
+def load_generator(path: str):
+    """A corpus generator of this repository, read from its file:
+    perfbench/widevocab.py or scripts/make_fixtures.py."""
     spec = importlib.util.spec_from_file_location(
-        "widevocab", Path(__file__).resolve().parents[1] / "perfbench" / "widevocab.py")
+        Path(path).stem, Path(__file__).resolve().parents[1] / path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-# Patches that refuse the whole-file per-record paths, so a stage that
-# declines a file fails, and patches that force them.
-BLOCK_PATHS_ONLY = [(corpus_mod, "CorpusReader", None), (sent_mod, "read_columns", refuse),
-                    (tab_mod, "join", refuse)]
-PER_RECORD_ONLY = [(corpus_mod, "_record_blocks", not_plain), (sent_mod, "plain_blocks", not_plain),
-                   (tab_mod, "plain_blocks", not_plain)]
 STAGE_OUTPUTS = ("tokens.csv", "scored.csv", "state_summary.csv", "analysis_table.csv")
 
 
-def preprocess_score_and_join(corpus: Path, out: Path, monkeypatch, patches) -> dict[str, bytes]:
+def preprocess_score_and_join(corpus: Path, out: Path,
+                              forced: bool = False) -> tuple[dict[str, bytes], list[dict]]:
     """tokens.csv, scored.csv, state_summary.csv and analysis_table.csv as
-    the three stages write them with patches applied."""
+    the three stages write them, and each stage's read (handover.handovers);
+    with `forced`, every stage reads records only."""
     out.mkdir()
     config = PipelineConfig(corpus=corpus, covariates=COVARIATES, out=out)
-    with monkeypatch.context() as patched:
-        for module, name, value in patches:
-            patched.setattr(module, name, value)
+    with records_only() if forced else contextlib.nullcontext(), handovers() as reads:
         pipeline.stage_preprocess(config)
         pipeline.stage_score(config)
         pipeline.stage_join(config)
-    return {name: (out / name).read_bytes() for name in STAGE_OUTPUTS}
+    return {name: (out / name).read_bytes() for name in STAGE_OUTPUTS}, reads
 
 
-def test_wide_vocab_corpus_stays_on_the_block_paths(tmp_path, monkeypatch):
+def test_wide_vocab_corpus_stays_on_the_block_paths(tmp_path):
     # Most of its texts are quoted, as csv.writer quotes a text with a comma,
     # so preprocess reads them with CorpusReader; the files it writes are
     # plain, and score and join read them in blocks.
-    widevocab = load_widevocab()
+    widevocab = load_generator("perfbench/widevocab.py")
     corpus = tmp_path / "corpus.csv"
     widevocab.write_corpus_csv(corpus, widevocab.make_corpus(7, 500))
     assert corpus.read_bytes().count(b',"') > 250  # quoted texts, in every block
-    blocks = preprocess_score_and_join(corpus, tmp_path / "blocks", monkeypatch,
-                                       BLOCK_PATHS_ONLY[1:])
-    assert blocks == preprocess_score_and_join(corpus, tmp_path / "records", monkeypatch,
-                                               PER_RECORD_ONLY)
+    blocks, reads = preprocess_score_and_join(corpus, tmp_path / "blocks")
+    assert len(reads) == 3 and reads[0]["declined"] and in_blocks(reads[1:])
+    assert blocks == preprocess_score_and_join(corpus, tmp_path / "records", forced=True)[0]
 
 
 def test_an_accented_line_alone_takes_the_per_record_code(tmp_path, monkeypatch):
@@ -926,9 +921,79 @@ def test_an_accented_line_alone_takes_the_per_record_code(tmp_path, monkeypatch)
         return words(self, text)
 
     monkeypatch.setattr(corpus_mod.WordNormalizer, "words", recorded)
-    blocks = preprocess_score_and_join(corpus, tmp_path / "blocks", monkeypatch,
-                                       BLOCK_PATHS_ONLY)
+    blocks, reads = preprocess_score_and_join(corpus, tmp_path / "blocks")
+    assert len(reads) == 3 and in_blocks(reads)
     assert texts == [accented]
     assert "café".encode() in blocks["tokens.csv"]  # so score reads UTF-8 words in blocks
-    assert blocks == preprocess_score_and_join(corpus, tmp_path / "records", monkeypatch,
-                                               PER_RECORD_ONLY)
+    assert blocks == preprocess_score_and_join(corpus, tmp_path / "records", forced=True)[0]
+
+
+# -- the hand-over from blocks to csv.reader, late in the file -----------------
+
+def body_lines(path: Path) -> int:
+    """The lines after a CSV file's header, each one record."""
+    return path.read_bytes().count(b"\n") - 1
+
+
+# tweets seed 7 with a quoted text last, a quoted id last, and a quoted id
+# in the middle: csv.writer quotes the id in tokens.csv and scored.csv too.
+LATE_ROWS = {"late-text": (20_000, ("zz1", "NC", "good, very good")),
+             "late-id": (20_000, ("x,1", "NC", "good day")),
+             "mid-id": (10_000, ("y,2", "NC", "good day"))}
+
+
+@pytest.mark.parametrize("variant", sorted(LATE_ROWS))
+def test_a_late_quote_hands_each_line_to_one_reader(tmp_path, variant):
+    # Each stage reads its blocks up to the read that holds the quote and
+    # csv.reader reads every line after them once; the ten artifacts are
+    # those of a run that reads records only.
+    fixtures = load_generator("scripts/make_fixtures.py")
+    at, row = LATE_ROWS[variant]
+    docs = fixtures.make_corpus(7, n_docs=20_000)
+    corpus = tmp_path / "corpus.csv"
+    fixtures.write_corpus_csv(corpus, docs[:at] + [row] + docs[at:])
+    artifacts = {}
+    for forced in (False, True):
+        out = tmp_path / ("records" if forced else "blocks")
+        config = PipelineConfig(corpus=corpus, covariates=COVARIATES, out=out)
+        with records_only() if forced else contextlib.nullcontext(), handovers() as reads:
+            run_pipeline(config)
+        artifacts[forced] = {name: (out / name).read_bytes() for name in ARTIFACTS}
+        if forced:
+            continue
+        files = [corpus, out / "tokens.csv", out / "scored.csv"]
+        assert [read["records"] for read in reads] == [
+            body_lines(path) - read["start"][1] for path, read in zip(files, reads)]
+        quoted = [True] + [variant != "late-text"] * 2  # a quote in each file
+        assert [read["declined"] for read in reads] == quoted
+        for read, handed in zip(reads, quoted):  # all lines but one read's before the quote
+            assert read["start"][1] > at - 2500 * handed
+    assert artifacts[False] == artifacts[True]
+
+
+@pytest.mark.parametrize("command, name, tail, error", [
+    ("preprocess", "corpus.csv", b'u1,NC,"good, day"\r\n,NC,x\r\n', "empty id"),
+    ("score", "tokens.csv", b'"x,1",NC,7,good\r\ny,NC,+5,good\r\n',
+     "text_width must be an integer, got '+5'"),
+    ("join", "scored.csv", b'"x,1",NC,7,0.5,Positive,1\r\ny,NC,7,0.5,Positive,2\r\n',
+     "binary must be 0 or 1, got '2'"),
+])
+def test_an_error_after_a_hand_over_names_its_line_in_the_file(tmp_path, monkeypatch, capsys,
+                                                               command, name, tail, error):
+    # The blocks end at the read that holds the quoted field; the lines after
+    # them are numbered on from the blocks', so the bad line is named by its
+    # line in the file, as a read of the whole file named it.
+    out = run_fixture(tmp_path / "out")
+    path = tmp_path / name if command == "preprocess" else out / name
+    path.write_bytes((CORPUS if command == "preprocess" else path).read_bytes() + tail)
+    for module, constant in ((corpus_mod, "PREPROCESS_BLOCK_BYTES"),
+                             (sent_mod, "SCORE_BLOCK_BYTES"), (tab_mod, "JOIN_BLOCK_BYTES")):
+        monkeypatch.setattr(module, constant, 256)
+    with handovers() as reads:
+        assert main([command, "--corpus", str(tmp_path / "corpus.csv"), "--covariates",
+                     str(COVARIATES), "--out", str(out)]) == EXIT_SCHEMA
+    line = body_lines(path) + 1
+    assert f"{path}:{line}: {error}\n" in capsys.readouterr().err
+    (read,) = reads
+    assert read["declined"] and read["start"][1] > 0
+    assert read["records"] == line - 1 - read["start"][1]  # each line after the blocks once

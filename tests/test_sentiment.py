@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sentireg import pipeline
 from sentireg import sentiment as sent_mod
-from sentireg.corpus import Document, SchemaError, _NotPlain, tokenize
+from sentireg.corpus import Document, SchemaError, tokenize
 from sentireg.sentiment import (
     MAX_AMPLIFIER,
     Lexicon,
@@ -31,6 +31,8 @@ from sentireg.sentiment import (
     to_binary,
 )
 from sentireg.pipeline import PipelineConfig, default_data_path
+
+from handover import handovers, records_only
 
 
 def lex(valences=None, negators=(), amplifiers=None):
@@ -393,10 +395,6 @@ def scored(run, out):
     return (out / "scored.csv").read_bytes(), (out / "state_summary.csv").read_bytes()
 
 
-def not_plain(*args):
-    raise _NotPlain
-
-
 def lexicon_files(out: Path, lexicon: Lexicon) -> dict[str, Path]:
     """PipelineConfig's lexicon, negators and amplifiers options for lexicon,
     written to the directory out."""
@@ -411,10 +409,11 @@ def lexicon_files(out: Path, lexicon: Lexicon) -> dict[str, Path]:
 
 def score_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_limit(),
                lexicon: Lexicon | None = None):
-    """Whether write_scored took the block path for a tokens.csv of data;
-    stage_score's result; and its result with plain_blocks declining every
-    file, which forces the per-record path. The lexicon is the bundled one,
-    or `lexicon`, passed as files through PipelineConfig."""
+    """For a tokens.csv of data: whether write_scored read all of it in
+    blocks, no block declined and no record read after them; stage_score's
+    result; and its result with every block declined, which forces the
+    per-record path, no block taken. The lexicon is the bundled one, or
+    `lexicon`, passed as files through PipelineConfig."""
     old_limit = csv.field_size_limit(field_limit)
     try:
         with tempfile.TemporaryDirectory() as tmp, \
@@ -425,23 +424,14 @@ def score_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_
             files = {} if lexicon is None else lexicon_files(Path(tmp), lexicon)
             config = PipelineConfig(corpus=out / "corpus.csv", covariates=out / "c.csv", out=out,
                                     **files)
-            declined, kernel = [], sent_mod._score_blocks
-
-            def recorded(*args):
-                try:
-                    return kernel(*args)
-                except _NotPlain:
-                    declined.append(True)  # declined: nothing written, not even a temp file
-                    assert [p.name for p in out.iterdir()] == ["tokens.csv"]
-                    raise
-
-            with mock.patch.object(sent_mod, "_score_blocks", recorded):
+            with handovers() as reads:
                 stage = scored(lambda: pipeline.stage_score(config), out)
             for name in ("scored.csv", "state_summary.csv"):
                 (out / name).unlink(missing_ok=True)
-            with mock.patch.object(sent_mod, "plain_blocks", not_plain):
+            with records_only():
                 per_record = scored(lambda: pipeline.stage_score(config), out)
-            return not declined, stage, per_record
+            (read,) = reads
+            return not read["declined"] and read["records"] == 0, stage, per_record
     finally:
         csv.field_size_limit(old_limit)
 

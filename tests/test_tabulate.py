@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sentireg import tabulate as tab_mod
-from sentireg.corpus import SchemaError, _NotPlain
+from sentireg.corpus import SchemaError
 from sentireg.pipeline import default_data_path
 from sentireg.tabulate import (
     ANALYSIS_COLUMNS,
@@ -31,6 +31,8 @@ from sentireg.tabulate import (
     write_analysis_csv,
     write_patterns_csv,
 )
+
+from handover import handovers, records_only
 
 COVARIATES_FIXTURE = default_data_path("state_covariates.csv")
 
@@ -535,14 +537,11 @@ def joined(run):
             table.pattern.dtype, table.pattern.tolist(), table.y.dtype, table.y.tolist())
 
 
-def not_plain(*args):
-    raise _NotPlain
-
-
 def join_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_limit()):
-    """Whether read_scored took the block path for a scored.csv of data; its
-    result; and its result with plain_blocks declining every file, which
-    forces the per-record join."""
+    """For a scored.csv of data: whether read_scored read all of it in
+    blocks, no block declined and no record read after them; its result;
+    and its result with every block declined, which forces the per-record
+    join, no block taken."""
     covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA", FHH_pct=55.0)}
     old_limit = csv.field_size_limit(field_limit)
     try:
@@ -550,22 +549,22 @@ def join_both(data: bytes, block_bytes: int, field_limit: int = csv.field_size_l
                 mock.patch.object(tab_mod, "JOIN_BLOCK_BYTES", block_bytes):
             path = Path(tmp) / "scored.csv"
             path.write_bytes(data)
-            declined, kernel = [], tab_mod._join_blocks
-
-            def recorded(*args):
-                try:
-                    return kernel(*args)
-                except _NotPlain:
-                    declined.append(True)
-                    raise
-
-            with mock.patch.object(tab_mod, "_join_blocks", recorded):
+            with handovers() as reads:
                 result = joined(lambda: tab_mod.read_scored(path, covars))
-            with mock.patch.object(tab_mod, "plain_blocks", not_plain):
+            with records_only():
                 per_record = joined(lambda: tab_mod.read_scored(path, covars))
-            return not declined, result, per_record
+            (read,) = reads
+            return not read["declined"] and read["records"] == 0, result, per_record
     finally:
         csv.field_size_limit(old_limit)
+
+
+def read_in_blocks(path: Path, covars: dict) -> AnalysisTable:
+    """read_scored's table of a scored.csv that it reads all in blocks."""
+    with handovers() as reads:
+        table = tab_mod.read_scored(path, covars)
+    assert [(read["declined"], read["records"]) for read in reads] == [(False, 0)]
+    return table
 
 
 PLAIN = b"id,state,text_width,score,class,binary\r\n" + b"".join(
@@ -678,7 +677,7 @@ def test_both_join_paths_group_covariate_rows_by_value(docs, block_bytes):
             mock.patch.object(tab_mod, "JOIN_BLOCK_BYTES", block_bytes):
         path = Path(tmp) / "scored.csv"
         path.write_text(data, encoding="utf-8", newline="")
-        blocks = tab_mod._join_blocks(path, SHARED_COVARIATES)
+        blocks = read_in_blocks(path, SHARED_COVARIATES)
     per_record = join([(i + 2, *doc) for i, doc in enumerate(docs)], SHARED_COVARIATES)
     for table in (blocks, per_record):
         assert table.pattern.tolist() == [
@@ -770,7 +769,7 @@ def test_normalized_writers_write_the_old_bytes(docs, chunk_rows):
             mock.patch.object(tab_mod, "ANALYSIS_CHUNK_ROWS", chunk_rows):
         tmp = Path(tmp)
         (tmp / "scored.csv").write_text(data, encoding="utf-8", newline="")
-        blocks = tab_mod._join_blocks(tmp / "scored.csv", WRITER_COVARIATES)
+        blocks = read_in_blocks(tmp / "scored.csv", WRITER_COVARIATES)
         per_record = join([(i + 2, *doc) for i, doc in enumerate(docs)], WRITER_COVARIATES)
         for table in (blocks, per_record):
             write_analysis_csv(tmp / "analysis_table.csv", table)
