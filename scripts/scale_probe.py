@@ -1,6 +1,6 @@
 """Time and size each pipeline stage, and one whole run, at a corpus size.
 
-    python scripts/scale_probe.py N [--corpus tweets|wide-vocab|late-quote] [--work DIR]
+    python scripts/scale_probe.py N [--corpus tweets|wide-vocab|late-quote|quoted] [--work DIR]
 
 Writes an N-document corpus as corpus.csv in DIR (a temp directory by
 default): make_fixtures.make_corpus(7, n_docs=N), the paper's tweet shape
@@ -9,14 +9,18 @@ perfbench/widevocab.make_corpus(7, N), whose vocabulary grows with N (it is
 read, not changed). --corpus late-quote is the tweet corpus with one more
 row last, whose id "x,1" csv.writer quotes in corpus.csv, tokens.csv and
 scored.csv alike: each of preprocess, score and join reads its blocks and
-then hands the last line over to csv.reader. Then it runs each stage of sentireg.pipeline in order,
-each in a fresh Python process, and one run_pipeline in another fresh
-process on its own output directory. Before them it compiles this
-checkout's src/ in a child that may write bytecode (PYTHONDONTWRITEBYTECODE
-unset), so that no stage child spends time and memory compiling a changed
-module. Each child imports sentireg from this checkout's src/ with BLAS
-pinned to one thread, and reports the seconds its stage took and its max
-RSS (resource.getrusage, which counts the import baseline too). Linux
+then hands the last line over to csv.reader. --corpus quoted is the tweet
+corpus with a comma appended to every text, so csv.writer quotes every text
+in corpus.csv, as real tweets with commas and quotes are quoted: preprocess
+reads all of it with csv.reader, in record batches. Then it runs each stage
+of sentireg.pipeline in order, each in a fresh Python process, and one
+run_pipeline in another fresh process on its own output directory. Before
+them it compiles this checkout's src/ in a child that may write bytecode
+(PYTHONDONTWRITEBYTECODE unset), so that no stage child spends time and
+memory compiling a changed module. Each child imports sentireg from this
+checkout's src/ with BLAS pinned to one thread, and reports the seconds its
+stage took and its max RSS (resource.getrusage, which counts the import
+baseline too). Linux
 carries a process's max RSS over into the processes it starts, so the
 corpus is written in a child too, and this process imports nothing that
 would raise the children's. Prints one JSON line:
@@ -47,7 +51,8 @@ BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 CORPORA = {"tweets": ROOT / "scripts" / "make_fixtures.py",
            "wide-vocab": ROOT / "perfbench" / "widevocab.py",
-           "late-quote": ROOT / "scripts" / "make_fixtures.py"}
+           "late-quote": ROOT / "scripts" / "make_fixtures.py",
+           "quoted": ROOT / "scripts" / "make_fixtures.py"}
 LATE_ROW = ("x,1", "NC", "good day")  # the late-quote corpus's last row
 
 
@@ -58,6 +63,8 @@ def child(stage: str, work: Path, n_docs: int, corpus: str) -> None:
         sys.path.insert(0, str(CORPORA[corpus].parent))
         generator = importlib.import_module(CORPORA[corpus].stem)
         docs = generator.make_corpus(7, n_docs) + [LATE_ROW] * (corpus == "late-quote")
+        if corpus == "quoted":
+            docs = [(doc_id, state, text + ",") for doc_id, state, text in docs]
         return generator.write_corpus_csv(work / "corpus.csv", docs)
     sys.path.insert(0, str(ROOT / "src"))
     from sentireg import pipeline

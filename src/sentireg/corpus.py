@@ -11,7 +11,8 @@ CSV is read by `read_columns` and written by `write_rows`. `write_tokens`,
 score and join read a CSV with `read_batches`: as numpy byte blocks of
 whole lines up to the first that `plain_blocks` declines (a quote, or a
 line csv.reader would read otherwise than at its commas and line ends),
-then the lines after them with csv.reader. Every other function is pure.
+then the lines after them with csv.reader; `write_tokens` checks both
+with `CorpusReader.columns`. Every other function is pure.
 """
 
 from __future__ import annotations
@@ -311,13 +312,14 @@ class CorpusLoadResult:
 
 _id_hash = hash  # an id's 64 bits for the repeat checks
 CORPUS_COLUMNS = ("id", "state", "text")
+PREPROCESS_BLOCK_BYTES = 1 << 14  # corpus bytes, or text characters, write_tokens takes at a time
 
 
 class CorpusReader:
     """(id, state, text) for each row of a corpus CSV (columns id, state,
     text; extras ignored) whose state is a US state or DC, read as iterated.
-    Other rows are counted in `dropped`, afresh on each pass; an empty or
-    duplicate id is a SchemaError naming its line.
+    Other rows are counted in `dropped`, afresh on each pass, as each batch
+    of rows is taken; an empty or duplicate id is a SchemaError naming its line.
 
     Each id is held as its 8-byte _id_hash, not as itself, and the hashes
     are sorted once the last row is read. Where two are equal (a repeated
@@ -330,38 +332,57 @@ class CorpusReader:
         self.path, self.dropped = path, 0
 
     def __iter__(self) -> Iterator[tuple[str, str, str]]:
-        return self.rows(read_columns(self.path, CORPUS_COLUMNS), array("q"))
+        for columns in self.batches(read_columns(self.path, CORPUS_COLUMNS), array("q")):
+            yield from zip(*columns)
 
-    def rows(self, records: Iterable[tuple], hashes: array) -> Iterator[tuple[str, str, str]]:
-        """The rows kept of read_columns' `records` of this file, checked as
-        __iter__ checks them, with `hashes` the _id_hash of each id before."""
+    def batches(self, records: Iterable[tuple], hashes: array) -> Iterator[tuple]:
+        """`columns` of each batch (_cut) of read_columns' `records` of this
+        file, with `hashes` the _id_hash of each id before."""
         self.dropped = 0
-        try:
-            for lineno, doc_id, state, text in records:
-                if not doc_id:
-                    raise SchemaError(f"{self.path}:{lineno}: empty id")
-                hashes.append(_id_hash(doc_id))
-                if state in STATE_CODES:
-                    yield doc_id, state, text
-                else:
-                    self.dropped += 1
-        except SchemaError:
-            self._check_ids()
-            raise
+        for batch in self._cut(records):
+            _, *columns = zip(*batch)
+            yield (kept := self.columns(*columns, hashes))
+            self.dropped += len(batch) - len(kept[0])
         hashes = np.asarray(hashes)  # int64, a view of the array, sorted in place
         hashes.sort()
         if (hashes[1:] == hashes[:-1]).any():  # a repeated id, or a collision of two hashes
             self._check_ids()
 
+    def _cut(self, records: Iterable[tuple]) -> Iterator[list[tuple]]:
+        """`records` in lists of about PREPROCESS_BLOCK_BYTES text characters."""
+        batch, size = [], 0
+        try:  # a record's error is raised once _check_ids names any bad id before it
+            for record in records:
+                batch.append(record)
+                size += len(record[3])
+                if size >= PREPROCESS_BLOCK_BYTES:
+                    yield batch
+                    batch, size = [], 0
+        except SchemaError:
+            self._check_ids()
+            raise
+        if batch:
+            yield batch
+
+    def columns(self, ids: Sequence[str], states: Sequence[str], texts: Sequence[str],
+                hashes: array) -> tuple[list, Iterator[str], list]:
+        """The ids, states (an iterator) and texts of the kept rows of a batch
+        of this file's rows, given as columns, after each id's _id_hash is
+        appended to `hashes`; at an empty id, _check_ids' SchemaError."""
+        if "" in ids:
+            self._check_ids()
+        hashes.fromlist(list(map(_id_hash, ids)))  # faster than extend(map(...))
+        keep = list(map(STATE_CODES.__contains__, states))
+        return list(compress(ids, keep)), compress(states, keep), list(compress(texts, keep))
+
     def _check_ids(self) -> None:
         """Read the file again with a set of the ids and raise the SchemaError
-        of its first repeated id or other error; return at its first empty id,
-        whose error `rows` raises, or where there is none, as after a
-        collision of two ids' hashes."""
+        of its first empty or repeated id, or other error; return where there
+        is none, as after a collision of two ids' hashes."""
         seen = set()
         for lineno, doc_id, _, _ in read_columns(self.path, CORPUS_COLUMNS):
             if not doc_id:
-                return
+                raise SchemaError(f"{self.path}:{lineno}: empty id")
             if doc_id in seen:
                 raise SchemaError(f"{self.path}:{lineno}: duplicate id {doc_id!r}")
             seen.add(doc_id)
@@ -518,11 +539,12 @@ class WordNormalizer(dict):
         new = set(filterfalse(self.__contains__, surfaces))
         dropped = new & self._dropped
         lemmatized = new & self._lemma_words - dropped
+        rest = new - dropped - lemmatized
         rules, suffixes, lemmas = self._rules, self._suffixes, self._lemmas
         self.update(dict.fromkeys(dropped))
         self.update({w: lemmas[w] for w in lemmatized})
-        self.update({w: _stem_word(w, rules) if w.endswith(suffixes) else w
-                     for w in new - dropped - lemmatized})
+        self.update(zip(rest, rest))  # then each word with a rule's suffix stemmed
+        self.update({w: _stem_word(w, rules) for w in rest if w.endswith(suffixes)})
 
     def forms_avoid(self, chars: str) -> bool:
         """Whether no lemma and no stem rule's replacement holds any of chars,
@@ -559,7 +581,6 @@ def preprocess(
         Token(surface=s, normalized=w, position=i) for i, s, w in kept if w is not None))
 
 
-PREPROCESS_BLOCK_BYTES = 1 << 14  # corpus bytes, or text characters, write_tokens takes at a time
 TOKENS_COLUMNS = ("id", "state", "text_width", "tokens")
 # '×' is a surface of its own before each kept text: no ASCII token holds it.
 _LINE_MARK = "\xd7"
@@ -573,14 +594,14 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     state, text width and normalize.words(text) joined by spaces. An error
     names its line, and tokens.csv is replaced only when every row is read.
 
-    read_batches gives the rows a batch at a time: each block plain_blocks
-    frames up to one with an empty id, split at its commas and line ends at
-    once, then CorpusReader.rows' rows in batches of about
-    PREPROCESS_BLOCK_BYTES characters of text. A batch's ASCII texts, each
-    after a line mark, are lower-cased, stripped of URLs and split at once,
-    and one pass through the memo gives their words (_block_words). A text
-    that is not ASCII goes through normalize.words alone, as does every text
-    when the word lists could write the line mark.
+    read_batches gives the rows as columns that CorpusReader.columns checks:
+    each block plain_blocks frames, split at its commas and line ends at
+    once, then CorpusReader.batches. A batch's ASCII texts, each after a
+    line mark, are lower-cased, stripped of URLs and split at once, and one
+    pass through the memo gives their words (_block_words); a text that is
+    not ASCII, or every text where the word lists could write the mark, goes
+    through normalize.words. One f-string joins a batch's lines, or
+    write_rows writes them where a form or a kept id needs quoting.
 
     What is held grows by an 8-byte id hash a row, in one array for both
     kinds of batch, whatever the vocabulary; the output is written a batch
@@ -593,33 +614,17 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
     def block(buf: np.ndarray, edges: np.ndarray) -> tuple:
         # Every CR ends a line: with them dropped, each LF is a separator like a comma.
         fields = buf.tobytes().translate(_LF_TO_COMMA, b"\r").decode().split(",")
-        ids, states = fields[0:-1:3], fields[1::3]
-        if "" in ids:
-            raise _NotPlain
-        hashes.extend(map(_id_hash, ids))
-        keep = list(map(STATE_CODES.__contains__, states))
-        return compress(ids, keep), compress(states, keep), list(compress(fields[2::3], keep)), True
-
-    def records(rows: Iterator[tuple]) -> Iterator[tuple]:
-        batch, size = [], 0
-        for row in reader.rows(rows, hashes):
-            batch.append(row)
-            size += len(row[2])
-            if size >= PREPROCESS_BLOCK_BYTES:
-                yield *zip(*batch), False
-                batch, size = [], 0
-        if batch:
-            yield *zip(*batch), False
+        return reader.columns(fields[0:-1:3], fields[1::3], fields[2::3], hashes)
 
     # Whether the line mark stays itself and no word normalizes to a form with it.
     marks = normalize[_LINE_MARK] == _LINE_MARK and normalize.forms_avoid(_LINE_MARK)
-    # Whether no form holds a character csv.writer quotes a field for, as no
-    # surface does.
+    # Whether no form holds a character csv.writer quotes a field for, as no surface does.
     plain_forms, grew = normalize.forms_avoid('",\r\n'), True
     with atomic_open(tokens) as fh:
         write_rows(fh, [TOKENS_COLUMNS])
-        for ids, states, texts, plain in read_batches(corpus, CORPUS_COLUMNS, CORPUS_COLUMNS,
-                                                      PREPROCESS_BLOCK_BYTES, block, records):
+        for ids, states, texts in read_batches(corpus, CORPUS_COLUMNS, CORPUS_COLUMNS,
+                                               PREPROCESS_BLOCK_BYTES, block,
+                                               lambda rows: reader.batches(rows, hashes)):
             if len(normalize) > MEMO_WORDS:
                 normalize.clear()
                 grew = True
@@ -631,7 +636,8 @@ def write_tokens(corpus: str | Path, tokens: str | Path, normalize: WordNormaliz
                 batch = iter(_block_words(list(compress(texts, batched)), normalize, grew))
                 words = [next(batch) if b else " ".join(normalize.words(text))
                          for b, text in zip(batched, texts)]
-            if plain and plain_forms:  # no field to quote: these are csv.writer's bytes
+            # Kept states and widths need no quotes; with forms and ids plain, neither do lines.
+            if plain_forms and not any(map("".join(ids).__contains__, '",\r\n')):
                 fh.write("".join([f"{doc_id},{state},{len(text)},{w}\r\n"
                                   for doc_id, state, text, w in zip(ids, states, texts, words)]))
             else:

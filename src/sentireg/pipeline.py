@@ -16,13 +16,11 @@ hashes of every input and artifact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import platform
 import time
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +60,7 @@ _RESOURCES = {
 
 def default_data_path(name: str) -> Path:
     """Path to a bundled data file (lexicons, rules, fixtures)."""
-    return Path(str(resources.files("sentireg").joinpath("data", name)))
+    return Path(__file__).resolve().parent / "data" / name
 
 
 @dataclass
@@ -98,6 +96,7 @@ class PipelineConfig:
 
 def _sha256(path: Path) -> str:
     """The file's sha256, read in 1 MiB blocks so no whole file is held."""
+    import hashlib  # only the run manifest hashes: a stage process does not load it
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         while block := fh.read(1 << 20):
@@ -234,8 +233,7 @@ def fit_from_report(report: dict, names: tuple[str, ...]) -> logit_mod.LogitFit:
 
 
 def _human_report(report: dict) -> str:
-    lines = []
-    lines.append(f"{'Sentiment':<12}{'Coef.':>12}{'Std. Err.':>12}{'z':>10}{'P>z':>8}")
+    lines = [f"{'Sentiment':<12}{'Coef.':>12}{'Std. Err.':>12}{'z':>10}{'P>z':>8}"]
     for c in report["coefficients"][1:] + report["coefficients"][:1]:
         lines.append(f"{c['name']:<12}{c['coef']:>12.6g}{c['std_err']:>12.6g}"
                      f"{c['z']:>10.3f}{c['p']:>8.3f}")
@@ -243,10 +241,8 @@ def _human_report(report: dict) -> str:
     lines.append(f"Prob > chi2 = {report['lr_p']:.3f}")
     lines.append(f"Pseudo R2 = {report['pseudo_r2']:.3f}")
     lines.append(f"Log-likelihood = {report['ll']:.3f}")
-    diag = report.get("diagnostics")
-    if diag:
-        pearson = diag["pearson"]
-        cls = diag["classification"]
+    if diag := report.get("diagnostics"):
+        pearson, cls = diag["pearson"], diag["classification"]
         lines.append("")
         lines.append(f"Number of observations = {report['n_obs']}")
         lines.append(f"Number of covariate patterns = {pearson['n_patterns']}")
@@ -263,8 +259,7 @@ def _human_report(report: dict) -> str:
 
 
 def _write_reports(config: PipelineConfig, report: dict) -> tuple[Path, Path]:
-    json_path = config.out / "fit_report.json"
-    txt_path = config.out / "fit_report.txt"
+    json_path, txt_path = config.out / "fit_report.json", config.out / "fit_report.txt"
     with atomic_open(json_path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -301,8 +296,7 @@ def stage_diagnose(config: PipelineConfig) -> tuple[Path, Path]:
     cls = diag_mod.classification_summary(result, design, cutoff=config.cutoff)
     effects = diag_mod.marginal_effects(result, design, MARGIN_KINDS)
 
-    margins_path = config.out / "margins.csv"
-    qq_path = config.out / "qq.csv"
+    margins_path, qq_path = config.out / "margins.csv", config.out / "qq.csv"
     diag_mod.write_margins_csv(margins_path, effects)
     diag_mod.write_qq_csv(qq_path, diag_mod.qq_export(result, design))
 
@@ -331,8 +325,7 @@ class StageError(RuntimeError):
     """Wraps a stage failure with the name of the stage that raised it."""
 
     def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
-        self.cause = cause
+        self.stage, self.cause = stage, cause
         super().__init__(f"stage '{stage}' failed: {cause}")
 
 

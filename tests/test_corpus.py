@@ -657,9 +657,9 @@ def recording(normalized: list):
     reading, block_words, words = [], corpus_mod._block_words, WordNormalizer.words
 
     class Reader(CorpusReader):
-        def rows(self, records, hashes):
+        def batches(self, records, hashes):
             reading.append(True)
-            return super().rows(records, hashes)
+            return super().batches(records, hashes)
 
     def logged_block_words(texts, normalize, fill):
         normalized.extend((bool(reading), text) for text in texts)
@@ -766,6 +766,10 @@ PLAIN_CORPUS = b"id,state,text\r\n" + b"".join(
                         b" ".join([b"Not", b"very", b"good", b"http://x.y", b"day's"][i % 5:]))
     for i in range(12))
 
+MIXED_IDS_CORPUS = (b'id,state,text\r\nt0,NC,"good, day"\r\nt1,CA,not bad\r\nt2,NY,very good\r\n'
+                    b'"a,1",NC,bad day\r\n"b""2",CA,good\r\n"c\r3",NY,"not, bad"\r\n'
+                    b'"d\n4",NC,day\r\nt5,CA,fine day\r\n')
+
 
 # Through stage_preprocess, write_tokens writes the reference's bytes or
 # error, reading the corpus in blocks up to its first line that is not
@@ -791,6 +795,12 @@ PLAIN_CORPUS = b"id,state,text\r\n" + b"".join(
          csv.field_size_limit(), {})
 @example(b"id,state,text\r\nt0,NC,good\rday\r\nt1,CA,not bad\r\n", 4096, csv.field_size_limit(),
          {})
+# record batches of 16 characters of text: the first with plain ids, written
+# as joined, then two that mix plain ids with ids csv.writer quotes, for a
+# comma, a quote, a CR and an LF; and the same with a lemma whose form holds
+# a comma, so every batch goes to csv.writer
+@example(MIXED_IDS_CORPUS, 16, csv.field_size_limit(), {})
+@example(MIXED_IDS_CORPUS, 16, csv.field_size_limit(), WORD_LISTS[2])
 def test_preprocess_blocks_equals_the_per_record_path(data, block_bytes, field_limit,
                                                       word_lists):
     check_routing(data, block_bytes, field_limit, word_lists)

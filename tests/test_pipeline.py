@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import hashlib
+import importlib.resources
 import importlib.util
 import json
 import math
@@ -68,6 +69,18 @@ PINNED_SHA256 = {
 def in_blocks(reads: list[dict]) -> bool:
     """Whether each read (handover.handovers) took its whole file in blocks."""
     return all(not read["declined"] and read["records"] == 0 for read in reads)
+
+
+def test_default_data_path_names_the_package_resource():
+    # default_data_path is built from the module's own path, so that a stage
+    # process need not import importlib.resources; it names the same file as
+    # the package resource, for every bundled file.
+    data = importlib.resources.files("sentireg") / "data"
+    names = {entry.name for entry in data.iterdir()}
+    assert {*pipeline._RESOURCES.values(), "fixture_corpus.csv", "state_covariates.csv"} <= names
+    for name in names:
+        assert default_data_path(name) == Path(str(data / name)).resolve()
+        assert default_data_path(name).is_file()
 
 
 def run_fixture(out):
