@@ -28,7 +28,10 @@ would raise the children's. Prints one JSON line:
     {"n_docs": N, "corpus": "tweets", "stages": {"preprocess": {"s": ...,
      "max_rss_mb": ...}, ...}, "run_pipeline": {"s": ..., "max_rss_mb": ...}}
 
-Exits non-zero when a child fails.
+Then it compares the ten artifacts in DIR/staged and DIR/run byte for byte:
+the staged children, a config each, parse patterns.csv in fit and diagnose,
+while run_pipeline's one config hands join's patterns to them in memory.
+Exits non-zero when a child fails, or naming each artifact that differs.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = ("preprocess", "score", "join", "fit", "diagnose")
 BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+ARTIFACTS = ("tokens.csv", "scored.csv", "state_summary.csv", "analysis_table.csv",
+             "descriptives.csv", "patterns.csv", "fit_report.json", "fit_report.txt",
+             "margins.csv", "qq.csv")
 
 
 CORPORA = {"tweets": ROOT / "scripts" / "make_fixtures.py",
@@ -99,12 +105,19 @@ def compile_src() -> None:
                    check=True)
 
 
-def probe(n_docs: int, work: Path, corpus: str) -> dict:
+def differing(work: Path) -> list[str]:
+    """The artifacts whose bytes differ between work/staged and work/run."""
+    return [name for name in ARTIFACTS
+            if (work / "staged" / name).read_bytes() != (work / "run" / name).read_bytes()]
+
+
+def probe(n_docs: int, work: Path, corpus: str) -> tuple[dict, list[str]]:
     compile_src()
     launch("corpus", work, n_docs, corpus)
-    return {"n_docs": n_docs, "corpus": corpus,
-            "stages": {stage: launch(stage, work, n_docs, corpus) for stage in STAGES},
-            "run_pipeline": launch("run", work, n_docs, corpus)}
+    result = {"n_docs": n_docs, "corpus": corpus,
+              "stages": {stage: launch(stage, work, n_docs, corpus) for stage in STAGES},
+              "run_pipeline": launch("run", work, n_docs, corpus)}
+    return result, differing(work)
 
 
 def main() -> None:
@@ -119,11 +132,13 @@ def main() -> None:
         return child(args.child, args.work, args.n_docs, args.corpus)
     if args.work:
         args.work.mkdir(parents=True, exist_ok=True)
-        result = probe(args.n_docs, args.work, args.corpus)
+        result, differ = probe(args.n_docs, args.work, args.corpus)
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            result = probe(args.n_docs, Path(tmp), args.corpus)
+            result, differ = probe(args.n_docs, Path(tmp), args.corpus)
     print(json.dumps(result))
+    if differ:
+        raise SystemExit(f"staged and run_pipeline artifacts differ: {', '.join(differ)}")
 
 
 if __name__ == "__main__":

@@ -195,6 +195,14 @@ def _check_rank(A: np.ndarray, names: tuple[str, ...]) -> None:
         raise CollinearityError(cols)
 
 
+def check_limits(tol: float, max_iter: int) -> None:
+    """ValueError unless max_iter >= 1 and tol is finite and positive."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def fit(data: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) -> LogitFit:
     """Maximize the log-likelihood by Newton-Raphson with step-halving.
 
@@ -205,10 +213,7 @@ def fit(data: DesignMatrix, tol: float = 1e-10, max_iter: int = 100) -> LogitFit
     ValueError unless max_iter >= 1 and tol is finite and positive: the
     loop stops only after max_iter iterations or on a change below tol.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    check_limits(tol, max_iter)
     X, y, m, names = data.X, data.y, data.m, data.names
     if np.all(y == 0) or np.all(y == m):
         raise NonIdentifiableError("response contains a single class")

@@ -9,7 +9,10 @@ corpus.read_batches, in byte blocks and then record by record.
 Join writes the row-level analysis_table.csv and its covariate patterns,
 patterns.csv; fit and diagnose read only patterns.csv, with tabulate's
 patterns reader, which parses each distinct covariate tail once, straight
-into one design array.
+into one design array. Consecutive stages on one PipelineConfig (as in
+run_pipeline) reuse join's patterns instead: fit and diagnose build the
+design from the arrays join encoded only while patterns.csv holds exactly
+the bytes join wrote. A staged CLI run, a config per stage, parses it.
 Every artifact is written atomically. The run manifest records content
 hashes of every input and artifact.
 """
@@ -88,6 +91,8 @@ class PipelineConfig:
             setattr(self, field, default_data_path(filename) if value is None else Path(value))
         if not 0.0 < self.cutoff < 1.0:
             raise ValueError(f"cutoff must be in (0, 1), got {self.cutoff}")
+        logit_mod.check_limits(self.tol, self.max_iter)
+        self._patterns = None  # what stage_join last wrote: tabulate._Written
 
     def input_paths(self) -> dict[str, Path]:
         return {"corpus": self.corpus, "covariates": self.covariates,
@@ -129,7 +134,8 @@ def stage_score(config: PipelineConfig) -> tuple[Path, Path]:
 
 def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
     """Join scored documents with state covariates; reads scored.csv alone and
-    writes analysis_table.csv, descriptives.csv and patterns.csv."""
+    writes analysis_table.csv, descriptives.csv and patterns.csv, whose
+    bytes, read back, and arrays it keeps on config for read_design."""
     covars = tab_mod.load_covariates(config.covariates)
     scored_path = config.out / "scored.csv"
     try:
@@ -147,6 +153,8 @@ def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
     tab_mod.write_analysis_csv(table_path, table)
     tab_mod.write_descriptives_csv(desc_path, stats)
     tab_mod.write_patterns_csv(patterns_path, table)
+    config._patterns = tab_mod._Written(patterns_path.read_bytes(), table.state, table.width,
+                                        *table.counts, table.rows)
     return table_path, desc_path, patterns_path
 
 
@@ -154,9 +162,12 @@ def read_design(config: PipelineConfig) -> logit_mod.DesignMatrix:
     """patterns.csv -> grouped design matrix with intercept, one row per
     covariate pattern, in the report's column order. The file is read
     into one patterns x 19 array whose intercept column is then filled;
-    m and y_sum are arrays of their own."""
+    m and y_sum are arrays of their own. While patterns.csv holds exactly
+    the bytes stage_join wrote on this config, they are built from join's
+    arrays instead, byte for byte as parsed; any other file is parsed."""
     path = config.out / "patterns.csv"
-    X, m, y_sum = tab_mod._read_patterns(path, 1)
+    patterns = tab_mod._read_written(path, config._patterns, 1)
+    X, m, y_sum = patterns or tab_mod._read_patterns(path, 1)
     X[:, 0] = 1.0
     try:
         return logit_mod.DesignMatrix(X=X, y=y_sum, m=m,

@@ -461,6 +461,18 @@ def write_patterns_csv(path: str | Path, table: AnalysisTable) -> None:
                 table.width[i:i + step].tolist(), table.state[i:i + step].tolist())]))
 
 
+class _Written(NamedTuple):
+    """patterns.csv as write_patterns_csv wrote it, and the arrays it
+    encodes: each pattern's state and width, m and y_sum, and each state's
+    covariate row; about 32 bytes a pattern beside the file's."""
+    data: bytes
+    state: np.ndarray
+    width: np.ndarray
+    m: np.ndarray
+    y_sum: np.ndarray
+    rows: np.ndarray
+
+
 _loadtxt = partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
 
 
@@ -565,6 +577,17 @@ def _read_patterns(path: str | Path, lead: int) -> Patterns:
     X = np.empty((len(data), lead + data.shape[1] - 2))
     X[:, lead:] = data[:, 2:]
     return Patterns(X, data[:, 0].copy(), data[:, 1].copy())
+
+
+def _read_written(path: Path, written: _Written | None, lead: int) -> Patterns | None:
+    """_read_patterns(path, lead) built from written's arrays with no parse,
+    in its dtypes, shapes and C order, where path holds exactly
+    written.data; None where written is None or the bytes differ."""
+    if written is None or path.read_bytes() != written.data:
+        return None
+    X = np.empty((len(written.state), lead + 1 + written.rows.shape[1]))
+    X[:, lead], X[:, lead + 1:] = written.width, written.rows[written.state]
+    return Patterns(X, written.m.astype(float), written.y_sum.astype(float))
 
 
 def write_descriptives_csv(path: str | Path, stats: dict[str, dict[str, float]]) -> None:

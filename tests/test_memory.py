@@ -165,6 +165,32 @@ def test_join_holds_under_128_bytes_per_pattern(tmp_path):
     assert bytes_per_extra_row(run_at, (500, 10_500)) < 128
 
 
+@pytest.mark.parametrize("n_patterns", [5_100, 20_400])
+def test_join_hands_fit_under_200_bytes_per_pattern(tmp_path, n_patterns):
+    # 51 states at 100 or 400 widths, two documents each. What stage_join
+    # leaves on its config for fit and diagnose: patterns.csv's bytes, about
+    # 125 a pattern here, and a state, a width and two counts, 32. The
+    # patterns x 18 matrix beside them would add 144, and any per-document
+    # array 5 or more.
+    covariates = default_data_path("state_covariates.csv")
+    lines = [",".join(SCORED_COLUMNS)] + [
+        f"t{i},{state},{width},0.5,Positive,{i % 2}" for i, (state, width) in enumerate(
+            (s, w) for s in sorted(tab_mod.load_covariates(covariates))
+            for w in range(1, n_patterns // 51 + 1) for _ in range(2))]
+    (tmp_path / "scored.csv").write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    config = PipelineConfig(corpus=tmp_path / "corpus.csv", covariates=covariates, out=tmp_path)
+    stage_join(config)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        stage_join(config)  # what it held from the first join is not traced
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(config._patterns.state) == n_patterns
+    assert (tmp_path / "patterns.csv").stat().st_size < held < 200 * n_patterns
+
+
 def pattern_table(n_patterns: int, n_rows: int = 20_000) -> tab_mod.AnalysisTable:
     """A table of n_rows documents over n_patterns patterns of 51 states
     whose texts are as long as a real state's, at 8-digit widths."""

@@ -602,6 +602,16 @@ class TestCli:
         assert f"{next(iter(limits))} must be" in capsys.readouterr().err
         assert not (out / "fit_report.json").exists()
 
+    @pytest.mark.parametrize("limits", [{"max_iter": 0}, {"tol": 0}, {"tol": "inf"}])
+    def test_fit_limits_are_refused_before_any_stage_runs(self, tmp_path, capsys, limits):
+        # Refused when the config is made, not at fit after preprocess,
+        # score and join have written their artifacts.
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(self._args("run", out, **limits)) == EXIT_SCHEMA
+        assert f"{next(iter(limits))} must be" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("option, data, expected", [
         ("lexicon", "good\t1\nbad\tabc\n", "term<TAB>valence, got 'abc'"),
         ("amplifiers", "# multipliers\nvery\t1.5\nsuper\t\n", "term<TAB>multiplier, got ''"),
@@ -1010,3 +1020,97 @@ def test_an_error_after_a_hand_over_names_its_line_in_the_file(tmp_path, monkeyp
     (read,) = reads
     assert read["declined"] and read["start"][1] > 0
     assert read["records"] == line - 1 - read["start"][1]  # each line after the blocks once
+
+
+# -- join's covariate patterns handed to fit and diagnose in memory -----------
+
+STAGES = ("preprocess", "score", "join", "fit", "diagnose")
+
+
+def parsed(*args):
+    raise AssertionError("patterns.csv was parsed")
+
+
+def run_stages(out: Path, stages, config: PipelineConfig | None = None, **paths) -> None:
+    """Run each stage on config, or each on a config of its own, as each CLI
+    stage does, for out and the fixture's corpus and covariates or paths."""
+    out.mkdir(exist_ok=True)
+    for stage in stages:
+        getattr(pipeline, f"stage_{stage}")(config or PipelineConfig(
+            **{"corpus": CORPUS, "covariates": COVARIATES, **paths}, out=out))
+
+
+class TestPatternsHandOver:
+    @pytest.mark.parametrize("n_docs", [None, 2000], ids=["fixture", "tweets-2000"])
+    def test_fit_and_diagnose_after_join_do_not_parse_patterns_csv(self, tmp_path, monkeypatch,
+                                                                   n_docs):
+        # Fit and diagnose build the design from the arrays join encoded in
+        # patterns.csv, and write what stages with a config each write.
+        corpus = CORPUS
+        if n_docs:
+            corpus, generator = tmp_path / "corpus.csv", load_generator("scripts/make_fixtures.py")
+            generator.write_corpus_csv(corpus, generator.make_corpus(7, n_docs=n_docs))
+        run_stages(tmp_path / "fresh", STAGES, corpus=corpus)
+        config = PipelineConfig(corpus=corpus, covariates=COVARIATES, out=tmp_path / "held")
+        run_stages(config.out, STAGES[:3], config)
+        monkeypatch.setattr(tab_mod, "_read_patterns", parsed)
+        monkeypatch.setattr(tab_mod, "_parse_lines", parsed)
+        run_stages(config.out, STAGES[3:], config)
+        for name in ARTIFACTS:
+            assert (config.out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("change", ["y_sum digit", "another join"])
+    def test_a_patterns_csv_changed_after_join_is_parsed(self, tmp_path, change):
+        # One y_sum digit edited in place keeps the file's size; the other
+        # join's file has MHHI half as large again in every state. Fit and
+        # diagnose then give what the changed file implies.
+        config = PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=tmp_path / "held")
+        run_stages(config.out, STAGES[:4], config)
+        joined = (config.out / "fit_report.json").read_bytes()
+        path = config.out / "patterns.csv"
+        data = path.read_bytes()
+        if change == "y_sum digit":
+            header, first, rest = data.split(b"\r\n", 2)
+            m, y_sum, tail = first.split(b",", 2)
+            flipped = b"1" if y_sum == b"0" else b"0"
+            changed = b"\r\n".join([header, b",".join([m, flipped, tail]), rest])
+            assert len(changed) == len(data)
+        else:
+            with open(COVARIATES, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            j = rows[0].index("MHHI")
+            for row in rows[1:]:
+                row[j] = repr(1.5 * float(row[j]))
+            with open(tmp_path / "covariates.csv", "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+            run_stages(tmp_path / "other", STAGES[:3], covariates=tmp_path / "covariates.csv")
+            changed = (tmp_path / "other" / "patterns.csv").read_bytes()
+        assert changed != data
+        path.write_bytes(changed)
+        run_stages(config.out, STAGES[3:], config)
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "fresh" / "patterns.csv").write_bytes(changed)
+        run_stages(tmp_path / "fresh", STAGES[3:])
+        assert (config.out / "fit_report.json").read_bytes() != joined
+        for name in ARTIFACTS[6:]:
+            assert (config.out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    def test_a_patterns_csv_deleted_after_join_is_not_found(self, tmp_path, monkeypatch, capsys):
+        config = PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=tmp_path / "held")
+        run_stages(config.out, STAGES[:4], config)
+        (config.out / "patterns.csv").unlink()
+        for stage in STAGES[3:]:
+            with pytest.raises(FileNotFoundError, match="patterns.csv"):
+                getattr(pipeline, f"stage_{stage}")(config)
+
+        def join_then_delete(config):
+            paths = pipeline.stage_join(config)
+            (config.out / "patterns.csv").unlink()
+            return paths
+
+        monkeypatch.setattr(pipeline, "_STAGES", tuple(
+            (name, join_then_delete if name == "join" else stage) for name, stage in pipeline._STAGES))
+        assert main(["run", "--corpus", str(CORPUS), "--covariates", str(COVARIATES),
+                     "--out", str(tmp_path / "run")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "stage 'fit' failed" in err and "patterns.csv" in err

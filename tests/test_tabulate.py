@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from sentireg import tabulate as tab_mod
 from sentireg.corpus import SchemaError
-from sentireg.pipeline import default_data_path
+from sentireg.pipeline import PipelineConfig, default_data_path, stage_join
+from sentireg.sentiment import SCORED_COLUMNS
 from sentireg.tabulate import (
     ANALYSIS_COLUMNS,
     AnalysisTable,
@@ -488,6 +489,64 @@ def test_read_patterns_csv_parses_each_distinct_tail_once(monkeypatch):
     assert ours == oracle
     assert parsed == [[PATTERN_TAILS[0] + "\r", PATTERN_TAILS[2] + "\r"],
                       ["0,0,7.0", "1,0,7.0", "2,0,8.0"]]
+
+
+# -- the patterns join hands to fit and diagnose, against patterns.csv's parse --
+
+PERCENT = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 100.0]), st.floats(0.0, 100.0))
+POSITIVE = st.one_of(st.sampled_from([1e-300, 1e300]), st.floats(1e-300, 1e300))
+NONNEGATIVE = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 1e300]), st.floats(0.0, 1e300))
+COVARIATE_VALUES = {"FHH_pct": st.floats(1e-300, 100.0), "AFS": POSITIVE, "POPDEN": POSITIVE,
+                    "CASES": NONNEGATIVE, "MHHI": NONNEGATIVE, "GR": NONNEGATIVE}
+
+
+def covariates_file_row(state, **overrides):
+    """A state covariates file's row for make_covariates(state, **overrides)."""
+    c = make_covariates(state, **overrides)
+    return [repr(v) if isinstance(v, float) else v
+            for v in (getattr(c, name) for name in tab_mod._COVARIATE_COLUMNS)]
+
+
+@st.composite
+def covariate_rows(draw):
+    states = draw(st.lists(st.sampled_from(sorted(REGION_OF_STATE)), min_size=1, max_size=4,
+                           unique=True))
+    return [covariates_file_row(state, **{name: draw(COVARIATE_VALUES.get(name, PERCENT))
+                                    for name in tab_mod._COVARIATE_COLUMNS[1:-1]})
+            for state in states]
+
+
+SCORED_KEYS = st.lists(st.tuples(st.integers(0, 3), st.text("0123456789", min_size=1, max_size=12),
+                                 st.sampled_from("01")), min_size=2, max_size=40)
+
+
+# The design read_design builds from what stage_join holds is, in every
+# byte, dtype, shape and layout, the one it parses from patterns.csv.
+@settings(max_examples=150, deadline=None)
+@given(covariate_rows(), SCORED_KEYS)
+@example([covariates_file_row("NC", CASES=-0.0), covariates_file_row("SC", CASES=0.0)],
+         [(0, "7", "1"), (1, "7", "0"), (0, "999999999999", "1"), (1, "07", "1")])
+@example([covariates_file_row("NC", FHH_pct=1e-300, AFS=1e300, POPDEN=1e-300, CASES=1e-300,
+                        MHHI=1e300, GR=1e-300)],
+         [(0, "1", "0"), (0, "000000000001", "1"), (0, "123456789012", "0")])
+def test_join_hands_over_the_patterns_that_patterns_csv_parses_to(rows, keys):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with open(tmp / "covariates.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([tab_mod._COVARIATE_COLUMNS, *rows])
+        (tmp / "scored.csv").write_text("".join(
+            [",".join(SCORED_COLUMNS) + "\r\n"] + [f"t{i},{rows[s % len(rows)][0]},{w},0.5,Positive,{b}\r\n"
+                                                for i, (s, w, b) in enumerate(keys)]))
+        config = PipelineConfig(corpus=tmp / "corpus.csv", covariates=tmp / "covariates.csv",
+                                out=tmp)
+        with np.errstate(all="ignore"):  # descriptive_stats on values near 1e300
+            stage_join(config)
+        held = tab_mod._read_written(tmp / "patterns.csv", config._patterns, 1)
+        parsed = tab_mod._read_patterns(tmp / "patterns.csv", 1)
+    held.X[:, 0] = parsed.X[:, 0] = 1.0  # the intercept read_design fills
+    for ours, theirs in zip(held, parsed):
+        assert (ours.dtype, ours.shape, ours.flags.c_contiguous, ours.tobytes()) == (
+            theirs.dtype, theirs.shape, theirs.flags.c_contiguous, theirs.tobytes())
 
 
 # -- read_scored: the block path against the per-record join -------------------
