@@ -1,6 +1,7 @@
 """Time and size each pipeline stage, and one whole run, at a corpus size.
 
-    python scripts/scale_probe.py N [--corpus tweets|wide-vocab|late-quote|quoted] [--work DIR]
+    python scripts/scale_probe.py N [--corpus tweets|wide-vocab|late-quote|mid-quote|quoted]
+                                    [--work DIR]
 
 Writes an N-document corpus as corpus.csv in DIR (a temp directory by
 default): make_fixtures.make_corpus(7, n_docs=N), the paper's tweet shape
@@ -9,7 +10,12 @@ perfbench/widevocab.make_corpus(7, N), whose vocabulary grows with N (it is
 read, not changed). --corpus late-quote is the tweet corpus with one more
 row last, whose id "x,1" csv.writer quotes in corpus.csv, tokens.csv and
 scored.csv alike: each of preprocess, score and join reads its blocks and
-then hands the last line over to csv.reader. --corpus quoted is the tweet
+then hands the last line over to csv.reader. --corpus mid-quote is the
+tweet corpus with a row of id "y,2" after document N // 2: from about 4000
+documents, where that row lies past score's and join's first 64 KiB block,
+each of preprocess, score and join hands over to csv.reader in the middle
+of the file, and join numbers covariate patterns on both sides of the
+hand-over. --corpus quoted is the tweet
 corpus with a comma appended to every text, so csv.writer quotes every text
 in corpus.csv, as real tweets with commas and quotes are quoted: preprocess
 reads all of it with csv.reader, in record batches. Then it runs each stage
@@ -58,8 +64,10 @@ ARTIFACTS = ("tokens.csv", "scored.csv", "state_summary.csv", "analysis_table.cs
 CORPORA = {"tweets": ROOT / "scripts" / "make_fixtures.py",
            "wide-vocab": ROOT / "perfbench" / "widevocab.py",
            "late-quote": ROOT / "scripts" / "make_fixtures.py",
+           "mid-quote": ROOT / "scripts" / "make_fixtures.py",
            "quoted": ROOT / "scripts" / "make_fixtures.py"}
 LATE_ROW = ("x,1", "NC", "good day")  # the late-quote corpus's last row
+MID_ROW = ("y,2", "NC", "good day")  # the mid-quote corpus's row after document N // 2
 
 
 def child(stage: str, work: Path, n_docs: int, corpus: str) -> None:
@@ -69,6 +77,8 @@ def child(stage: str, work: Path, n_docs: int, corpus: str) -> None:
         sys.path.insert(0, str(CORPORA[corpus].parent))
         generator = importlib.import_module(CORPORA[corpus].stem)
         docs = generator.make_corpus(7, n_docs) + [LATE_ROW] * (corpus == "late-quote")
+        if corpus == "mid-quote":
+            docs.insert(n_docs // 2, MID_ROW)
         if corpus == "quoted":
             docs = [(doc_id, state, text + ",") for doc_id, state, text in docs]
         return generator.write_corpus_csv(work / "corpus.csv", docs)

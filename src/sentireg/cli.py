@@ -67,32 +67,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig(
+    return PipelineConfig(
         corpus=args.corpus or "", covariates=args.covariates or "", out=args.out,
         lexicon=args.lexicon, negators=args.negators, amplifiers=args.amplifiers,
         stopwords=args.stopwords, slang=args.slang, stem_rules=args.stem_rules,
         lemmas=args.lemmas, cutoff=args.cutoff, tol=args.tol,
         max_iter=args.max_iter,
     )
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    needs = {"run": ("corpus", "covariates"), "preprocess": ("corpus",),
+             "join": ("covariates",)}.get(args.command, ())
+    if not all(getattr(args, name) for name in needs):
+        print(f"{args.command} requires {' and '.join('--' + n for n in needs)}", file=sys.stderr)
+        return EXIT_SCHEMA
     try:
         config = _make_config(args)
         if args.command == "run":
-            if not args.corpus or not args.covariates:
-                print("run requires --corpus and --covariates", file=sys.stderr)
-                return EXIT_SCHEMA
             run_pipeline(config)
         else:
-            if args.command == "preprocess" and not args.corpus:
-                print("preprocess requires --corpus", file=sys.stderr)
-                return EXIT_SCHEMA
-            if args.command == "join" and not args.covariates:
-                print("join requires --covariates", file=sys.stderr)
-                return EXIT_SCHEMA
             config.out.mkdir(parents=True, exist_ok=True)
             _STAGE_FUNCS[args.command](config)
     except StageError as exc:

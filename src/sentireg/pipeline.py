@@ -146,10 +146,13 @@ def stage_join(config: PipelineConfig) -> tuple[Path, Path, Path]:
         raise
     except ValueError as exc:  # a bad field, its message starting with the line
         raise corpus_mod.SchemaError(f"{scored_path}:{exc}") from None
+    if len(table) < 2:  # before any artifact is replaced
+        raise corpus_mod.SchemaError(
+            f"{scored_path}: join needs at least 2 documents, got {len(table)}")
     table_path = config.out / "analysis_table.csv"
     desc_path = config.out / "descriptives.csv"
     patterns_path = config.out / "patterns.csv"
-    stats = tab_mod.descriptive_stats(table)  # may raise: before any artifact is replaced
+    stats = tab_mod.descriptive_stats(table)
     tab_mod.write_analysis_csv(table_path, table)
     tab_mod.write_descriptives_csv(desc_path, stats)
     tab_mod.write_patterns_csv(patterns_path, table)

@@ -1,8 +1,8 @@
 """Special functions needed for the model diagnostics.
 
-Only two are needed: the upper-tail chi-square CDF (via the regularized
-incomplete gamma function) and the standard normal quantile. Both are
-self-contained so the estimation stack has no dependency on an external
+Only two are needed: the upper-tail chi-square CDF, in closed form for a
+whole number of degrees of freedom, and the standard normal quantile. Both
+are self-contained so the estimation stack has no dependency on an external
 statistics library.
 """
 
@@ -10,70 +10,32 @@ from __future__ import annotations
 
 import math
 
-_EPS = 1e-15
-_MAX_ITER = 500
+import numpy as np
 
 
-def _gamma_p_series(s: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(s, x) by power series (x < s+1)."""
-    if x <= 0.0:
+def chi2_sf(x: float, df: int) -> float:
+    """Upper-tail probability P(X >= x) of a chi-square on df degrees of
+    freedom, a positive whole number, in closed form (Abramowitz & Stegun
+    26.4.4-26.4.5): erfc(sqrt(x/2)) for an odd df, plus the floor(df/2)
+    terms (x/2)^a e^(-x/2) / Gamma(a+1) at a = i + (df mod 2)/2, summed
+    outward from the largest as running products of neighbour ratios, all at
+    most 1, so that none over- or underflows before it is negligible."""
+    if not (df > 0 and float(df).is_integer()) or math.isnan(x):
+        raise ValueError(f"chi2_sf needs a whole df > 0 and a number x, got df={df}, x={x}")
+    y, n, a0 = x / 2.0, int(df) // 2, (df % 2) / 2.0
+    if y <= 0.0:
+        return 1.0
+    if y == math.inf:
         return 0.0
-    term = 1.0 / s
-    total = term
-    a = s
-    for _ in range(_MAX_ITER):
-        a += 1.0
-        term *= x / a
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def _gamma_q_contfrac(s: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(s, x) by Lentz continued fraction (x >= s+1)."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def gamma_q(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s)."""
-    if s <= 0.0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return 1.0 - _gamma_p_series(s, x)
-    return _gamma_q_contfrac(s, x)
-
-
-def chi2_sf(x: float, df: float) -> float:
-    """Upper-tail probability P(X >= x) for a chi-square with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    if x <= 0.0:
-        return 1.0
-    return gamma_q(df / 2.0, x / 2.0)
+    q = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    if n:
+        k = min(max(math.floor(y - a0), 0), n - 1)  # the largest term is at a = a0 + k
+        a = a0 + k
+        up = np.cumprod(y / (a0 + np.arange(k + 1, n)))
+        down = np.cumprod((a0 + np.arange(k, 0, -1)) / y)
+        peak = math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+        q += peak * float(1.0 + up.sum() + down.sum())
+    return min(q, 1.0)
 
 
 def two_sided_p(z: float) -> float:

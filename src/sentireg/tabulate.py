@@ -189,7 +189,9 @@ class AnalysisTable(Sequence):
     def __len__(self) -> int:
         return len(self.y)
 
-    def __getitem__(self, i: int) -> AnalysisRow:
+    def __getitem__(self, i: int | slice) -> AnalysisRow | list[AnalysisRow]:
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
         j = self.pattern[i]
         ne, mw, west, *rest = self.rows[self.state[j]].tolist()
         return AnalysisRow(int(self.y[i]), float(self.width[j]), int(ne), int(mw), int(west),
@@ -510,26 +512,30 @@ def _parse_lines(fh: TextIO, lead: int) -> Patterns | None:
     only the parsed heads and each line's tail number are kept."""
     distinct: dict[str, int] = {}
     tails, heads, numbers = [], [], []
-    for piece in _line_chunks(fh):
-        lines = piece.split("\n")
-        if not lines[-1]:
-            lines.pop()
-        try:
-            tail = list(map(itemgetter(3), map(methodcaller("split", ",", 3), lines)))
-        except IndexError:  # a blank line, or one of fewer than four fields
-            return None
-        head = list(map(str.removesuffix, lines, map(",".__add__, tail)))
-        new = list(filterfalse(distinct.__contains__, dict.fromkeys(tail)))
-        if "\r" in "".join(head) or {"", "\r"}.intersection(new):  # a blank tail would be skipped
-            return None
-        try:
-            if new:
-                tails.append(_loadtxt(new))
-            heads.append(_loadtxt(head))
-        except ValueError:
-            return None
-        distinct.update(zip(new, count(len(distinct))))
-        numbers.append(np.fromiter(map(distinct.__getitem__, tail), np.intp, len(tail)))
+    try:
+        for piece in _line_chunks(fh):
+            lines = piece.split("\n")
+            if not lines[-1]:
+                lines.pop()
+            try:
+                tail = list(map(itemgetter(3), map(methodcaller("split", ",", 3), lines)))
+            except IndexError:  # a blank line, or one of fewer than four fields
+                return None
+            head = list(map(str.removesuffix, lines, map(",".__add__, tail)))
+            new = list(filterfalse(distinct.__contains__, dict.fromkeys(tail)))
+            if "\r" in "".join(head) or {"", "\r"}.intersection(new):
+                return None  # a blank tail would be skipped
+            try:
+                if new:
+                    tails.append(_loadtxt(new))
+                heads.append(_loadtxt(head))
+            except ValueError:
+                return None
+            distinct.update(zip(new, count(len(distinct))))
+            numbers.append(np.fromiter(map(distinct.__getitem__, tail), np.intp, len(tail)))
+    except UnicodeDecodeError:  # decoded ahead of the lines: at or after the first not yet read
+        line = 2 + sum(map(len, numbers))
+        raise SchemaError(f"{fh.name}:{line}: not UTF-8 at or after this line") from None
     if not heads or {t.shape[1] for t in tails} != {len(PATTERN_COLUMNS) - 3}:
         return None
     rows = np.concatenate(tails)
@@ -559,13 +565,17 @@ def _read_patterns(path: str | Path, lead: int) -> Patterns:
     its own, and `lead` columns left unset before X's: a design's
     intercept is filled in place, with no second copy of X."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        if fh.readline().rstrip("\r\n") != ",".join(PATTERN_COLUMNS):
-            raise SchemaError(f"{path}: header must be {','.join(PATTERN_COLUMNS)}")
-        start = fh.tell()
-        if (patterns := _parse_lines(fh, lead)) is not None:
-            return patterns
-        fh.seek(start)
-        body = fh.read()
+        line = 1
+        try:
+            if fh.readline().rstrip("\r\n") != ",".join(PATTERN_COLUMNS):
+                raise SchemaError(f"{path}: header must be {','.join(PATTERN_COLUMNS)}")
+            start, line = fh.tell(), 2
+            if (patterns := _parse_lines(fh, lead)) is not None:
+                return patterns
+            fh.seek(start)
+            body = fh.read()
+        except UnicodeDecodeError:  # decoded ahead of the lines: at or after line
+            raise SchemaError(f"{path}:{line}: not UTF-8 at or after this line") from None
     if not body.strip():
         raise SchemaError(f"{path}: no covariate patterns")
     try:

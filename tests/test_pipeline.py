@@ -342,6 +342,49 @@ class TestCli:
         assert 1 < int(match.group(1)) <= bad
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_non_utf8_patterns_csv_names_file_and_line(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        for stage in ("preprocess", "score", "join", "fit"):
+            assert main(self._args(stage, out)) == EXIT_OK
+        path = out / "patterns.csv"
+        data = bytearray(path.read_bytes())
+        data[337] = 0xFF
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert main(self._args(command, out)) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        match = re.search(re.escape(str(path)) + r":(\d+): not UTF-8 at or after this line", err)
+        assert match, err
+        assert 1 <= int(match.group(1)) <= data.count(b"\n", 0, 337) + 1
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_join_of_fewer_than_two_documents_names_scored_csv(self, tmp_path, capsys, kept):
+        # Territories' rows are dropped in preprocess: scored.csv keeps `kept` documents.
+        corpus, out = tmp_path / "corpus.csv", tmp_path / "out"
+        rows = ["id,state,text", "a,PR,good day", "b,GU,bad day", "c,NC,bad day"][:3 + kept]
+        corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        args = ["run", "--corpus", str(corpus), "--covariates", str(COVARIATES), "--out", str(out)]
+        assert main(args) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"{out / 'scored.csv'}: join needs at least 2 documents, got {kept}" in err
+        assert not (out / "analysis_table.csv").exists()
+
+    @pytest.mark.parametrize("command, option, want", [
+        ("run", "--corpus", "run requires --corpus and --covariates"),
+        ("run", "--covariates", "run requires --corpus and --covariates"),
+        ("preprocess", "--corpus", "preprocess requires --corpus"),
+        ("join", "--covariates", "join requires --covariates"),
+    ])
+    def test_a_stage_without_its_input_file_is_refused(self, tmp_path, capsys, command, option,
+                                                       want):
+        out = tmp_path / "out"
+        args = self._args(command, out)
+        del args[args.index(option):args.index(option) + 2]
+        assert main(args) == EXIT_SCHEMA
+        assert capsys.readouterr().err == want + "\n"
+        assert not any(out.glob("*"))
+
     def test_corpus_error_late_in_file_keeps_previous_tokens(self, tmp_path, capsys):
         # Rows before the duplicate id are already streamed to the temp file.
         out = tmp_path / "out"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from sentireg.special import chi2_sf, gamma_q, norm_ppf, two_sided_p
+from sentireg.special import chi2_sf, norm_ppf, two_sided_p
 
 
 @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 18, 50, 200, 1949])
@@ -15,19 +15,29 @@ def test_chi2_sf_matches_scipy(df, x):
     assert chi2_sf(x, df) == pytest.approx(scipy.stats.chi2.sf(x, df), abs=1e-10)
 
 
+# Whole df from the LR test's 18 up to Pearson's J - k - 1 at and past
+# wide-vocab's 1e5 documents (19 923), with x/df around 1, where the most
+# terms of the sum count.
+@pytest.mark.parametrize("df", [*range(1, 61), 99, 200, 1891, 7637, 12189, 19923,
+                                50_000, 200_000, 1_000_000])
+def test_chi2_sf_relative_error_at_any_df(df):
+    rel = 1e-10 if df <= 20_000 else 1e-8
+    for ratio in (0.01, 0.1, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 1.5, 2.0, 5.0):
+        p = chi2_sf(ratio * df, df)
+        assert type(p) is float and 0.0 <= p <= 1.0
+        assert p == pytest.approx(scipy.stats.chi2.sf(ratio * df, df), rel=rel, abs=0.0)
+
+
 def test_chi2_sf_edge_cases():
     assert chi2_sf(0.0, 5) == 1.0
     assert chi2_sf(-1.0, 5) == 1.0
+    assert chi2_sf(math.inf, 5) == chi2_sf(math.inf, 4) == 0.0
+    assert chi2_sf(3.0, 4.0) == chi2_sf(3.0, 4)
+    for df in (0, -2, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            chi2_sf(1.0, df)
     with pytest.raises(ValueError):
-        chi2_sf(1.0, 0)
-
-
-def test_gamma_q_against_scipy():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        s = rng.uniform(0.1, 100.0)
-        x = rng.uniform(0.0, 200.0)
-        assert gamma_q(s, x) == pytest.approx(scipy.special.gammaincc(s, x), abs=1e-10)
+        chi2_sf(math.nan, 5)
 
 
 def test_norm_ppf_accuracy():

@@ -358,6 +358,28 @@ def test_read_patterns_csv_header_only(tmp_path):
         read_patterns_csv(path)
 
 
+# The reader decodes ahead of the lines, so the line named is the first it
+# had not yet read: at or before the bad one. In pieces that is past every
+# piece it parsed; a body read whole (here after a blank line) is named from
+# line 2, and a bad byte in the first 8 KiB read from the header.
+@pytest.mark.parametrize("blank, bad, named", [(False, 3000, (3, 3000)), (True, 3000, (2, 2)),
+                                               (False, 20, (1, 1))],
+                         ids=["pieces", "whole body", "first read"])
+def test_read_patterns_csv_names_a_byte_that_is_not_utf8(tmp_path, blank, bad, named):
+    lines = [",".join(PATTERN_COLUMNS)] + [f"1,0,{i}.0,{PATTERN_TAILS[0]}" for i in range(4000)]
+    lines[bad - 1] = lines[bad - 1].replace(",0,", ",\xff,", 1)
+    if blank:
+        lines.insert(1, "")
+    path = tmp_path / "patterns.csv"
+    path.write_bytes("\r\n".join(lines).encode("latin-1"))
+    with pytest.raises(SchemaError) as raised:
+        read_patterns_csv(path)
+    match = re.fullmatch(re.escape(str(path)) + r":(\d+): not UTF-8 at or after this line",
+                         str(raised.value))
+    assert match, raised.value
+    assert named[0] <= int(match.group(1)) <= named[1]
+
+
 def test_read_patterns_csv_equals_float_parse(tmp_path):
     # Every field parsed by Python's float(), the reader's former method.
     covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA", MHHI=80123.45)}
@@ -757,6 +779,18 @@ def test_analysis_table_refuses_other_dtypes():
     with pytest.raises(TypeError):
         AnalysisTable(*patterns, np.zeros(2, np.intp), np.zeros(2, np.bool_))
     assert len(AnalysisTable(*patterns, np.zeros(2, np.int32), np.zeros(2, np.bool_))) == 2
+
+
+def test_analysis_table_slices_as_a_list_of_its_rows():
+    covars = {"NC": make_covariates("NC"), "CA": make_covariates("CA", MHHI=80123.45)}
+    table = join([record(state, i % 2, width=w) for i, (state, w) in enumerate(
+        [("NC", 7), ("CA", 11), ("NC", 7), ("CA", 3), ("NC", 9)])], covars)
+    rows = list(table)
+    assert len(rows) == 5 and rows[1].TW == 11.0 and rows[3].sentiment == 1
+    for part in (slice(1, 3), slice(None), slice(-2, None), slice(None, -1),
+                 slice(None, None, 2), slice(4, 0, -2), slice(None, None, -1), slice(7, 9)):
+        assert table[part] == rows[part], part
+    assert table[-1] == rows[-1]
 
 
 # NC and SC share every covariate; CA and NY differ, with long reprs.
