@@ -32,12 +32,17 @@ corpus is written in a child too, and this process imports nothing that
 would raise the children's. Prints one JSON line:
 
     {"n_docs": N, "corpus": "tweets", "stages": {"preprocess": {"s": ...,
-     "max_rss_mb": ...}, ...}, "run_pipeline": {"s": ..., "max_rss_mb": ...}}
+     "max_rss_mb": ...}, ...}, "unfitted_diagnose": {...}, "run_pipeline": {...}}
 
-Then it compares the ten artifacts in DIR/staged and DIR/run byte for byte:
-the staged children, a config each, parse patterns.csv in fit and diagnose,
-while run_pipeline's one config hands join's patterns to them in memory.
-Exits non-zero when a child fails, or naming each artifact that differs.
+"unfitted_diagnose" is one more diagnose child, in DIR/unfitted: it starts
+from a copy of DIR/staged's six artifacts up to join's, with no fit run
+there, as diagnose fits the patterns.csv it reads.
+
+Then it compares the ten artifacts in DIR/staged and in DIR/unfitted with
+DIR/run byte for byte: the staged children, a config each, parse
+patterns.csv in fit and diagnose, while run_pipeline's one config hands
+join's patterns to them in memory. Exits non-zero when a child fails, or
+naming each directory and artifact that differs.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ import importlib
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -85,12 +91,13 @@ def child(stage: str, work: Path, n_docs: int, corpus: str) -> None:
     sys.path.insert(0, str(ROOT / "src"))
     from sentireg import pipeline
 
-    out = work / ("run" if stage == "run" else "staged")
+    out = work / (stage if stage in ("run", "unfitted") else "staged")
     config = pipeline.PipelineConfig(
         corpus=work / "corpus.csv", out=out,
         covariates=pipeline.default_data_path("state_covariates.csv"))
     out.mkdir(exist_ok=True)
-    call = pipeline.run_pipeline if stage == "run" else getattr(pipeline, f"stage_{stage}")
+    call = {"run": pipeline.run_pipeline, "unfitted": pipeline.stage_diagnose}.get(
+        stage) or getattr(pipeline, f"stage_{stage}")
     start = time.perf_counter()
     call(config)
     seconds = time.perf_counter() - start
@@ -116,16 +123,21 @@ def compile_src() -> None:
 
 
 def differing(work: Path) -> list[str]:
-    """The artifacts whose bytes differ between work/staged and work/run."""
-    return [name for name in ARTIFACTS
-            if (work / "staged" / name).read_bytes() != (work / "run" / name).read_bytes()]
+    """Each artifact of work/staged and work/unfitted, as "dir/name", whose
+    bytes differ from work/run's."""
+    return [f"{where}/{name}" for where in ("staged", "unfitted") for name in ARTIFACTS
+            if (work / where / name).read_bytes() != (work / "run" / name).read_bytes()]
 
 
 def probe(n_docs: int, work: Path, corpus: str) -> tuple[dict, list[str]]:
     compile_src()
     launch("corpus", work, n_docs, corpus)
-    result = {"n_docs": n_docs, "corpus": corpus,
-              "stages": {stage: launch(stage, work, n_docs, corpus) for stage in STAGES},
+    stages = {stage: launch(stage, work, n_docs, corpus) for stage in STAGES}
+    (work / "unfitted").mkdir(exist_ok=True)
+    for name in ARTIFACTS[:6]:
+        shutil.copy(work / "staged" / name, work / "unfitted" / name)
+    result = {"n_docs": n_docs, "corpus": corpus, "stages": stages,
+              "unfitted_diagnose": launch("unfitted", work, n_docs, corpus),
               "run_pipeline": launch("run", work, n_docs, corpus)}
     return result, differing(work)
 
@@ -136,7 +148,8 @@ def main() -> None:
     parser.add_argument("--corpus", choices=tuple(CORPORA), default="tweets",
                         help="corpus generator (default: tweets)")
     parser.add_argument("--work", type=Path, help="directory for the corpus and artifacts")
-    parser.add_argument("--child", choices=("corpus", *STAGES, "run"), help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=("corpus", *STAGES, "unfitted", "run"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
         return child(args.child, args.work, args.n_docs, args.corpus)
@@ -148,7 +161,7 @@ def main() -> None:
             result, differ = probe(args.n_docs, Path(tmp), args.corpus)
     print(json.dumps(result))
     if differ:
-        raise SystemExit(f"staged and run_pipeline artifacts differ: {', '.join(differ)}")
+        raise SystemExit(f"artifacts differ from run_pipeline's: {', '.join(differ)}")
 
 
 if __name__ == "__main__":

@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("join", "join scored.csv (alone; it carries text_width) with covariates "
                  "into analysis_table.csv and patterns.csv"),
         ("fit", "fit the logit on patterns.csv"),
-        ("diagnose", "goodness-of-fit, classification, QQ, and margins for a fit"),
+        ("diagnose", "fit patterns.csv as fit does; goodness-of-fit, classification, QQ, margins"),
     ]:
         p = sub.add_parser(name, help=help_text)
         _add_common_args(p)

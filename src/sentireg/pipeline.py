@@ -13,20 +13,21 @@ into one design array. Consecutive stages on one PipelineConfig (as in
 run_pipeline) reuse join's patterns instead: fit and diagnose build the
 design from the arrays join encoded only while patterns.csv holds exactly
 the bytes join wrote. A staged CLI run, a config per stage, parses it.
-Every artifact is written atomically. The run manifest records content
-hashes of every input and artifact.
+Diagnose reads no fit_report.json: it diagnoses the fit of the
+patterns.csv it reads, the one fit made on the same config while the file
+held the same bytes with the same tol and max_iter, or else its own, so it
+never pairs a fit with other patterns. Every artifact is written
+atomically. The run manifest records content hashes of every input and
+artifact.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import corpus as corpus_mod
@@ -93,6 +94,7 @@ class PipelineConfig:
             raise ValueError(f"cutoff must be in (0, 1), got {self.cutoff}")
         logit_mod.check_limits(self.tol, self.max_iter)
         self._patterns = None  # what stage_join last wrote: tabulate._Written
+        self._fit = None  # _fit's last fit: (patterns.csv's bytes, (tol, max_iter), LogitFit)
 
     def input_paths(self) -> dict[str, Path]:
         return {"corpus": self.corpus, "covariates": self.covariates,
@@ -196,56 +198,6 @@ def fit_report_dict(result: logit_mod.LogitFit) -> dict:
     }
 
 
-_REPORT_NUMBERS = ("ll", "ll0", "lr_chi2", "df", "lr_p", "pseudo_r2", "n_obs", "n_iter")
-_COEFFICIENT_NUMBERS = ("coef", "std_err", "z", "p")
-
-
-def _finite(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-
-
-def fit_from_report(report: dict, names: tuple[str, ...]) -> logit_mod.LogitFit:
-    """The fit a fit_report.json holds, for a design whose columns are
-    names; a ValueError where the report lacks a key fit_report_dict
-    writes, its coefficients are not names in order, its cov is not
-    len(names) square, or a number in it is not finite."""
-    if not isinstance(report, dict):
-        raise ValueError(f"must hold an object, not {type(report).__name__}")
-    if missing := [key for key in ("coefficients", "cov", "converged", *_REPORT_NUMBERS)
-                   if key not in report]:
-        raise ValueError(f"missing key(s) {missing}")
-    coefs = report["coefficients"]
-    if not (isinstance(coefs, list) and all(
-            isinstance(c, dict) and {"name", *_COEFFICIENT_NUMBERS} <= c.keys() for c in coefs)):
-        raise ValueError("coefficients must be a list of objects with a name, "
-                         + ", ".join(_COEFFICIENT_NUMBERS))
-    if (got := tuple(c["name"] for c in coefs)) != names:
-        raise ValueError(f"coefficients {list(got)} are not the design's {list(names)}")
-    cov = report["cov"]
-    if not (isinstance(cov, list) and len(cov) == len(names)
-            and all(isinstance(row, list) and len(row) == len(names) for row in cov)):
-        raise ValueError(f"cov must be {len(names)} rows of {len(names)} numbers")
-    for i, row in enumerate(cov):
-        for j, v in enumerate(row):
-            _finite(v, f"cov[{i}][{j}]")
-    for c in coefs:
-        for key in _COEFFICIENT_NUMBERS:
-            _finite(c[key], f"{c['name']} {key}")
-    for key in _REPORT_NUMBERS:
-        _finite(report[key], key)
-    return logit_mod.LogitFit(
-        names=names,
-        beta=np.array([c["coef"] for c in coefs], dtype=float),
-        cov=np.array(cov, dtype=float),
-        std_err=np.array([c["std_err"] for c in coefs], dtype=float),
-        z=np.array([c["z"] for c in coefs], dtype=float),
-        p=np.array([c["p"] for c in coefs], dtype=float),
-        ll=report["ll"], ll0=report["ll0"], n_obs=report["n_obs"],
-        n_iter=report["n_iter"], converged=report["converged"],
-    )
-
-
 def _human_report(report: dict) -> str:
     lines = [f"{'Sentiment':<12}{'Coef.':>12}{'Std. Err.':>12}{'z':>10}{'P>z':>8}"]
     for c in report["coefficients"][1:] + report["coefficients"][:1]:
@@ -282,30 +234,42 @@ def _write_reports(config: PipelineConfig, report: dict) -> tuple[Path, Path]:
     return json_path, txt_path
 
 
-def stage_fit(config: PipelineConfig) -> tuple[Path, Path]:
-    """Fit the binary logit on patterns.csv; writes fit_report.json and
-    fit_report.txt. Raises logit.ConvergenceError, and writes no report,
+def _fit(config: PipelineConfig, design: logit_mod.DesignMatrix) -> logit_mod.LogitFit:
+    """The converged fit of design, read_design(config)'s: the one this config
+    last made while patterns.csv holds the bytes it was made on and tol and
+    max_iter are the same, or else a new one, kept with join's bytes where
+    patterns.csv holds them, else the file's. Raises logit.ConvergenceError
     when Newton-Raphson has not converged within config.max_iter iterations."""
-    design = read_design(config)
+    path, limits = config.out / "patterns.csv", (config.tol, config.max_iter)
+    if (held := config._fit) and held[1] == limits and tab_mod._holds(path, held[0]):
+        return held[2]
+    config._fit = None  # its bytes are let go before the fit
     result = logit_mod.fit(design, tol=config.tol, max_iter=config.max_iter)
     if not result.converged:
         raise logit_mod.ConvergenceError(
             f"no convergence after n_iter={result.n_iter} Newton iterations "
             f"(max_iter={config.max_iter}, tol={config.tol})")
-    return _write_reports(config, fit_report_dict(result))
+    written = config._patterns
+    data = (written.data if written is not None and tab_mod._holds(path, written.data)
+            else path.read_bytes())
+    config._fit = (data, limits, result)
+    return result
+
+
+def stage_fit(config: PipelineConfig) -> tuple[Path, Path]:
+    """Fit the binary logit on patterns.csv, and keep the fit on config for
+    stage_diagnose (_fit); writes fit_report.json and fit_report.txt.
+    Raises logit.ConvergenceError, and writes no report, when Newton-Raphson
+    has not converged within config.max_iter iterations."""
+    return _write_reports(config, fit_report_dict(_fit(config, read_design(config))))
 
 
 def stage_diagnose(config: PipelineConfig) -> tuple[Path, Path]:
-    """Goodness-of-fit, classification, QQ, and margins for an existing fit;
-    appends to the fit report and writes margins.csv and qq.csv."""
-    path = config.out / "fit_report.json"
-    text = path.read_text(encoding="utf-8")
+    """Goodness-of-fit, classification, QQ, and margins for the fit of
+    patterns.csv (_fit), never a fit of other patterns; writes margins.csv,
+    qq.csv and the fit report with its diagnostics."""
     design = read_design(config)  # its rows are the covariate patterns already
-    try:
-        report = json.loads(text)
-        result = fit_from_report(report, design.names)
-    except ValueError as exc:
-        raise corpus_mod.SchemaError(f"{path}: {exc}") from None
+    result = _fit(config, design)
     pearson = diag_mod.pearson_chi2(result, design)
     cls = diag_mod.classification_summary(result, design, cutoff=config.cutoff)
     effects = diag_mod.marginal_effects(result, design, MARGIN_KINDS)
@@ -314,6 +278,7 @@ def stage_diagnose(config: PipelineConfig) -> tuple[Path, Path]:
     diag_mod.write_margins_csv(margins_path, effects)
     diag_mod.write_qq_csv(qq_path, diag_mod.qq_export(result, design))
 
+    report = fit_report_dict(result)
     report["diagnostics"] = {
         "pearson": pearson,
         "classification": {

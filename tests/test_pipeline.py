@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib.resources
 import importlib.util
@@ -19,6 +20,7 @@ import pytest
 import sentireg
 from sentireg import corpus as corpus_mod
 from sentireg import diagnostics as diag_mod
+from sentireg import logit as logit_mod
 from sentireg import pipeline
 from sentireg import sentiment as sent_mod
 from sentireg import tabulate as tab_mod
@@ -52,9 +54,9 @@ ARTIFACTS = [
 # sha256 of the bundled fixture's artifacts. The two join artifacts are as
 # written when join still built one row object per document; the other four
 # as written when every CSV row still went through csv.writer; qq.csv as
-# written when qq_export called norm_ppf once per point. Building each
-# covariate pattern once, joining rows without csv.writer, reading scored.csv
-# in blocks and computing the QQ positions on arrays must not change a byte.
+# written when norm_ppf became AS241, whose 40 quantiles print scipy's
+# digits. Building each covariate pattern once, joining rows without
+# csv.writer and reading scored.csv in blocks must not change a byte.
 PINNED_SHA256 = {
     "analysis_table.csv": "39773e15b072140a667520368543e0f59724523f15d82a9190661a9c5de2e3a7",
     "descriptives.csv": "f55530e61a0f0740760d587f1d7c3693d9b1e9e046025ec3ffc72ad114df2c36",
@@ -62,7 +64,7 @@ PINNED_SHA256 = {
     "scored.csv": "feec296488c52eecdd3d7053ce03bd6f3f76ec82dd0de54d99b9bbab53e94f21",
     "state_summary.csv": "99e82986533986b68bfaa1e9e2e6fed8b108c502f77d015f5696169f53eb689f",
     "patterns.csv": "44328263c403195067457bf460e01f53ee5f0be08dcae5ddc0983163c18a791a",
-    "qq.csv": "b907ac70e9409b7db2e4cb071f3086e66cbb868e2590a22a677dac892915aaa9",
+    "qq.csv": "a15e8de34f691b479aaa0b77db41bdeb39cefda5c58f2db69cea035094180bc6",
 }
 
 
@@ -204,10 +206,18 @@ class TestCli:
         assert main(args) == EXIT_SCHEMA
 
     def test_diagnose_without_fit_names_missing_file(self, tmp_path, capsys):
+        # diagnose fits the patterns.csv it reads: with none it names that
+        # file, and right after join it writes the report run writes.
         out = tmp_path / "out"
         out.mkdir()
         assert main(["diagnose", "--out", str(out)]) == EXIT_IO
-        assert "fit_report.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "patterns.csv" in err and "fit_report.json" not in err
+        assert main(self._args("run", tmp_path / "run")) == EXIT_OK
+        for command in ("preprocess", "score", "join", "diagnose"):
+            assert main(self._args(command, out)) == EXIT_OK
+        for name in ARTIFACTS[6:]:
+            assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
     def test_single_class_corpus_is_estimation_error(self, tmp_path):
         # every tweet scores positive -> y has one class -> exit 3
@@ -226,16 +236,19 @@ class TestCli:
                 "--out", str(tmp_path / "out")]
         assert main(args) == EXIT_ESTIMATION
 
-    def test_degenerate_fit_is_estimation_error(self, tmp_path, capsys):
+    def test_degenerate_fit_is_estimation_error(self, tmp_path, capsys, monkeypatch):
         # A fit whose probabilities saturate at exactly 1 is quasi-complete
         # separation: exit 3, not the schema error's 2.
         out = tmp_path / "out"
         for command in ("preprocess", "score", "join", "fit"):
             assert main(self._args(command, out)) == EXIT_OK
-        report_path = out / "fit_report.json"
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        report["coefficients"][0]["coef"] = 1000.0
-        report_path.write_text(json.dumps(report), encoding="utf-8")
+        fit = logit_mod.fit
+
+        def saturated(design, **limits):
+            result = fit(design, **limits)
+            return dataclasses.replace(result, beta=np.r_[1000.0, result.beta[1:]])
+
+        monkeypatch.setattr(logit_mod, "fit", saturated)
         assert main(self._args("diagnose", out)) == EXIT_ESTIMATION
         assert "degenerate fitted probability" in capsys.readouterr().err
 
@@ -248,28 +261,41 @@ class TestCli:
         report["coefficients"][3]["coef"] = math.nan
         return report
 
-    # A fit_report.json that is not the fit of patterns.csv's design is a
-    # schema error that names the file, not a KeyError, a numpy message or
-    # margins of the wrong columns.
-    @pytest.mark.parametrize("broken, want", [
-        (lambda report: {}, "missing key"),
-        (lambda report: [1, 2], "must hold an object"),
-        (lambda report: {**report, "cov": report["cov"][:3]}, "cov must be 19 rows of 19"),
-        (_swap_tw_ne, "are not the design's"),
-        (_nan_coef, "MW coef must be a finite number, got nan"),
+    # diagnose reads no fit_report.json: whatever one holds, even what is not
+    # the fit of patterns.csv, diagnose writes what a clean run writes.
+    @pytest.mark.parametrize("broken", [
+        lambda report: {},
+        lambda report: [1, 2],
+        lambda report: {**report, "cov": report["cov"][:3]},
+        _swap_tw_ne,
+        _nan_coef,
     ], ids=["empty", "list", "3-row cov", "TW and NE swapped", "nan coef"])
-    def test_diagnose_checks_the_fit_report(self, tmp_path, capsys, broken, want):
+    def test_diagnose_checks_the_fit_report(self, tmp_path, broken):
         out = tmp_path / "out"
         for command in ("preprocess", "score", "join", "fit"):
             assert main(self._args(command, out)) == EXIT_OK
         report_path = out / "fit_report.json"
         report = json.loads(report_path.read_text(encoding="utf-8"))
         report_path.write_text(json.dumps(broken(report)), encoding="utf-8")
-        capsys.readouterr()
-        assert main(self._args("diagnose", out)) == EXIT_SCHEMA
-        err = capsys.readouterr().err
-        assert f"{report_path}: " in err and want in err
-        assert not (out / "margins.csv").exists()
+        assert main(self._args("diagnose", out)) == EXIT_OK
+        assert main(self._args("run", tmp_path / "run")) == EXIT_OK
+        for name in ARTIFACTS[6:]:
+            assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+    def test_diagnose_after_another_join_diagnoses_its_patterns(self, tmp_path):
+        # run, then join on covariates with every MHHI half as large again,
+        # then diagnose: the report is the clean run's on those covariates,
+        # not the first fit's scored against the new patterns.csv (Pearson
+        # chi2(21) = 1040.20 where it is 35.80).
+        covariates = scaled_mhhi(tmp_path / "covariates.csv")
+        out, clean = tmp_path / "out", tmp_path / "clean"
+        assert main(self._args("run", out)) == EXIT_OK
+        assert main(self._args("join", out, covariates=covariates)) == EXIT_OK
+        assert main(self._args("diagnose", out)) == EXIT_OK
+        assert main(self._args("run", clean, covariates=covariates)) == EXIT_OK
+        for name in ARTIFACTS[5:]:
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+        assert "Pearson chi2(21) = 35.80\n" in (out / "fit_report.txt").read_text(encoding="utf-8")
 
     def test_invalid_cutoff_rejected(self, tmp_path):
         assert main(self._args("run", tmp_path / "out", cutoff="1.5")) == EXIT_SCHEMA
@@ -1083,6 +1109,42 @@ def run_stages(out: Path, stages, config: PipelineConfig | None = None, **paths)
             **{"corpus": CORPUS, "covariates": COVARIATES, **paths}, out=out))
 
 
+def scaled_mhhi(path: Path) -> Path:
+    """The fixture's covariates with every state's MHHI half as large again, written to path."""
+    with open(COVARIATES, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index("MHHI")
+    for row in rows[1:]:
+        row[j] = repr(1.5 * float(row[j]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def edit_y_sum(path: Path) -> None:
+    """Flip the first pattern's y_sum between 0 and 1 in place; the file keeps its size."""
+    data = path.read_bytes()
+    header, first, rest = data.split(b"\r\n", 2)
+    m, y_sum, tail = first.split(b",", 2)
+    flipped = b"1" if y_sum == b"0" else b"0"
+    changed = b"\r\n".join([header, b",".join([m, flipped, tail]), rest])
+    assert len(changed) == len(data) and changed != data
+    path.write_bytes(changed)
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The designs logit.fit is called on, in order."""
+    designs, fit = [], logit_mod.fit
+
+    def counted(design, **limits):
+        designs.append(design)
+        return fit(design, **limits)
+
+    monkeypatch.setattr(logit_mod, "fit", counted)
+    return designs
+
+
 class TestPatternsHandOver:
     @pytest.mark.parametrize("n_docs", [None, 2000], ids=["fixture", "tweets-2000"])
     def test_fit_and_diagnose_after_join_do_not_parse_patterns_csv(self, tmp_path, monkeypatch,
@@ -1113,20 +1175,11 @@ class TestPatternsHandOver:
         path = config.out / "patterns.csv"
         data = path.read_bytes()
         if change == "y_sum digit":
-            header, first, rest = data.split(b"\r\n", 2)
-            m, y_sum, tail = first.split(b",", 2)
-            flipped = b"1" if y_sum == b"0" else b"0"
-            changed = b"\r\n".join([header, b",".join([m, flipped, tail]), rest])
-            assert len(changed) == len(data)
+            edit_y_sum(path)
+            changed = path.read_bytes()
         else:
-            with open(COVARIATES, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-            j = rows[0].index("MHHI")
-            for row in rows[1:]:
-                row[j] = repr(1.5 * float(row[j]))
-            with open(tmp_path / "covariates.csv", "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(rows)
-            run_stages(tmp_path / "other", STAGES[:3], covariates=tmp_path / "covariates.csv")
+            run_stages(tmp_path / "other", STAGES[:3],
+                       covariates=scaled_mhhi(tmp_path / "covariates.csv"))
             changed = (tmp_path / "other" / "patterns.csv").read_bytes()
         assert changed != data
         path.write_bytes(changed)
@@ -1135,6 +1188,49 @@ class TestPatternsHandOver:
         (tmp_path / "fresh" / "patterns.csv").write_bytes(changed)
         run_stages(tmp_path / "fresh", STAGES[3:])
         assert (config.out / "fit_report.json").read_bytes() != joined
+        for name in ARTIFACTS[6:]:
+            assert (config.out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("joined", [True, False], ids=["after join", "fit alone"])
+    def test_diagnose_after_fit_on_one_config_does_not_refit(self, tmp_path, fits, joined):
+        # The fit stage_fit made is diagnosed while patterns.csv holds the
+        # bytes it was made on: join's, held on the config, or the file's.
+        run_stages(tmp_path / "fresh", STAGES)
+        config = PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=tmp_path / "one")
+        run_stages(config.out, STAGES[:3], config if joined else None)
+        fits.clear()
+        pipeline.stage_fit(config)
+        pipeline.stage_diagnose(config)
+        assert len(fits) == 1
+        for name in ARTIFACTS:
+            assert (config.out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("joined", [True, False], ids=["after join", "fit alone"])
+    def test_diagnose_refits_a_patterns_csv_edited_after_fit(self, tmp_path, fits, joined):
+        config = PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=tmp_path / "one")
+        run_stages(config.out, STAGES[:3], config if joined else None)
+        pipeline.stage_fit(config)
+        edit_y_sum(config.out / "patterns.csv")
+        fits.clear()
+        pipeline.stage_diagnose(config)
+        pipeline.stage_diagnose(config)  # the refit is kept with the edited bytes
+        assert len(fits) == 1
+        (tmp_path / "fresh").mkdir()
+        shutil.copy(config.out / "patterns.csv", tmp_path / "fresh")
+        run_stages(tmp_path / "fresh", ["diagnose"])
+        for name in ARTIFACTS[6:]:
+            assert (config.out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("limits", [{"tol": 1e-6}, {"max_iter": 50}])
+    def test_changed_fit_limits_refit(self, tmp_path, fits, limits):
+        config = PipelineConfig(corpus=CORPUS, covariates=COVARIATES, out=tmp_path / "one")
+        run_stages(config.out, STAGES[:4], config)
+        fits.clear()
+        for name, value in limits.items():
+            setattr(config, name, value)
+        pipeline.stage_diagnose(config)
+        assert len(fits) == 1
+        run_stages(tmp_path / "fresh", STAGES, **limits)
         for name in ARTIFACTS[6:]:
             assert (config.out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 

@@ -61,6 +61,41 @@ def test_norm_ppf_symmetry_and_domain():
             norm_ppf(bad)
 
 
+# Both tails to the smallest and largest doubles with a quantile, the
+# central branch's ends at p = 0.075 and 0.925 and the tails' branch point
+# r = sqrt(-log(p)) = 5, with their neighbours.
+NORM_PPF_GRID = sorted({*np.geomspace(1e-300, 0.5, 400).tolist(),
+                        *(1.0 - np.geomspace(1e-16, 0.5, 200)).tolist(),
+                        *(p * k for p in (0.075, 0.925, math.exp(-25.0))
+                          for k in (1 - 1e-15, 1.0, 1 + 1e-15))})
+
+
+def test_norm_ppf_relative_error_against_scipy():
+    for p in NORM_PPF_GRID:
+        z = scipy.stats.norm.ppf(p)
+        assert norm_ppf(p) == pytest.approx(z, rel=2e-15, abs=0.0 if z else 1e-300), p
+
+
+def test_norm_ppf_within_2_ulp_of_the_standard_library():
+    import statistics  # the oracle only: sentireg does not import it
+
+    inv_cdf = statistics.NormalDist().inv_cdf
+    for p in NORM_PPF_GRID:
+        z = norm_ppf(p)
+        assert abs(z - inv_cdf(p)) <= 2 * math.ulp(z), p
+
+
+def test_norm_ppf_gives_a_float_for_a_float_and_an_array_for_an_array():
+    assert type(norm_ppf(0.3)) is float and type(norm_ppf(np.float64(0.3))) is float
+    p = np.array(NORM_PPF_GRID)
+    z = norm_ppf(p)
+    assert isinstance(z, np.ndarray) and z.shape == p.shape
+    assert z.tolist() == [norm_ppf(v) for v in NORM_PPF_GRID]
+    assert norm_ppf([0.25, 0.5]).tolist() == [norm_ppf(0.25), 0.0]
+    with pytest.raises(ValueError):
+        norm_ppf(np.array([0.5, 1.0]))
+
+
 @pytest.mark.parametrize("z", [0.0, 0.5, -1.0, 1.959963984540054, -3.0, 8.0, -40.0])
 def test_two_sided_p_matches_scipy(z):
     assert two_sided_p(z) == pytest.approx(2 * scipy.stats.norm.sf(abs(z)), rel=1e-12, abs=1e-300)

@@ -6,6 +6,7 @@ import math
 import re
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -391,6 +392,40 @@ def test_read_patterns_csv_equals_float_parse(tmp_path):
     patterns = read_patterns_csv(tmp_path / "patterns.csv")
     data = np.column_stack([patterns.m, patterns.y_sum, patterns.X])
     assert data.tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("change, holds", [
+    (lambda data: data, True),
+    (lambda data: data[:9] + b"X" + data[10:], False),
+    (lambda data: data[:-1] + b"X", False),
+    (lambda data: data + b"\n", False),
+    (lambda data: data[:-1], False),
+    (lambda data: data[:14], False),
+    (lambda data: b"", False),
+], ids=["equal", "byte changed", "last byte changed", "one longer", "one shorter",
+        "one piece shorter", "empty"])
+def test_holds_compares_the_file_a_piece_at_a_time(tmp_path, monkeypatch, change, holds):
+    # Pieces of 7 bytes: the 47-byte data ends inside its seventh.
+    monkeypatch.setattr(tab_mod, "PATTERN_CHUNK_CHARS", 7)
+    data = b"m,y_sum,TW\r\n1,0,2.0\r\n2,1,3.5\r\n3,3,4.25\r\n4,0,5\r\n"
+    path = tmp_path / "patterns.csv"
+    path.write_bytes(change(data))
+    assert tab_mod._holds(path, data) is holds
+    with pytest.raises(FileNotFoundError):
+        tab_mod._holds(tmp_path / "missing.csv", data)
+
+
+def test_holds_keeps_no_copy_of_the_file(tmp_path):
+    data = bytes(range(256)) * 8192  # 2 MiB
+    path = tmp_path / "patterns.csv"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        assert tab_mod._holds(path, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * tab_mod.PATTERN_CHUNK_CHARS
 
 
 def loadtxt_reader(path):
